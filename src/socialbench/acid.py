@@ -36,6 +36,7 @@ from .model import (
     INS_POST,
     DEL_PERSON,
     UpdateOperation,
+    delete_target,
 )
 from .refstore import ReferenceStore, Snapshot
 from .simtime import SIM_START
@@ -80,12 +81,11 @@ class SplitCascadeStore(ReferenceStore):
         self.between_commits = None
 
     def _apply_delete(self, op: UpdateOperation) -> tuple[int, int]:
-        kind, key_of = self._DELETE_TARGET[op.op_type]
-        key = key_of(op.payload)
+        collection, key = delete_target(op)
         with self._lock:
-            closure = self._closure_unlocked(kind, key)
+            closure = self._closure_unlocked(collection, key)
             if not closure:
-                raise UnknownEntity(f"{kind} {key} is absent or already deleted")
+                raise UnknownEntity(f"{collection} {key} is absent or already deleted")
             half = max(1, len(closure) // 2)
             version = self._version + 1
             nodes = self._tombstone_all(closure[:half], version)
@@ -255,7 +255,7 @@ def _probe_orphans(store) -> list[str]:
     snapshot = store.begin_read()
     version = snapshot.version
     problems = []
-    for mid, rec in list(store._messages.items()):
+    for mid, rec in list(store._tables["messages"].items()):
         if not rec.visible_at(version):
             continue
         message = rec.value

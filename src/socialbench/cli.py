@@ -10,7 +10,6 @@ means success, 1 means the run completed but failed its checks.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,7 +22,6 @@ from .acid import (
 )
 from .datagen import (
     GenConfig,
-    cutoff_instant,
     deserialize,
     generate_temporal_graph,
     read_dataset,
@@ -31,11 +29,10 @@ from .datagen import (
     write_dataset,
 )
 from .driver import BenchmarkRunner, DriverConfig, TriggerConfig, build_schedule, cross_validate
-from .errors import SocialBenchError
+from .errors import ConfigInvalid, SocialBenchError, check_config_keys
 from .paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
 from .pipeline import PipelineConfig, emit_stats, render_summary, run_pipeline
 from .refstore import NaiveStore, ReferenceStore
-from .simtime import format_instant
 
 _STORES = {
     "reference": ReferenceStore,
@@ -99,24 +96,25 @@ def cmd_paramgen(args: argparse.Namespace) -> int:
 def _driver_setup(args: argparse.Namespace):
     sas = deserialize(args.stream)
     buckets = read_buckets(args.params)
-    t_safe = 10_000
+    t_safe, moderator_cascade = 10_000, True
     config_path = Path(args.stream) / "config.json"
     if config_path.exists():
         with config_path.open("r", encoding="utf-8") as handle:
-            t_safe = GenConfig.from_dict(json.load(handle)).t_safe
+            gen = GenConfig.from_dict(json.load(handle))
+        t_safe, moderator_cascade = gen.t_safe, gen.delete_forums_of_deleted_moderator
     config = DriverConfig(
         tcr=args.tcr, t_safe=t_safe, read_threads=args.read_threads,
         write_threads=args.write_threads, seed=args.seed, pacing=args.pace,
         warmup_secs=args.warmup_secs, window_secs=args.window_secs)
     schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
-    return sas, schedule, config
+    return sas, schedule, config, moderator_cascade
 
 
 def cmd_driver(args: argparse.Namespace) -> int:
-    sas, schedule, config = _driver_setup(args)
+    sas, schedule, config, moderator_cascade = _driver_setup(args)
     if args.mode == "validate":
-        ref = ReferenceStore()
-        naive = NaiveStore()
+        ref = ReferenceStore(delete_forums_of_deleted_moderator=moderator_cascade)
+        naive = NaiveStore(delete_forums_of_deleted_moderator=moderator_cascade)
         ref.bulk_load(sas.snapshot)
         naive.bulk_load(sas.snapshot)
         result = cross_validate(ref, naive, schedule, config)
@@ -127,7 +125,7 @@ def cmd_driver(args: argparse.Namespace) -> int:
             print(f"  {diff['variant']} at {diff['at']}")
         return 1 if result["diffCount"] else 0
 
-    store = ReferenceStore()
+    store = ReferenceStore(delete_forums_of_deleted_moderator=moderator_cascade)
     store.bulk_load(sas.snapshot)
     runner = BenchmarkRunner(store, schedule, config)
     report = runner.run()
@@ -170,6 +168,9 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             file_conf = json.load(handle)
+    unknown = sorted(set(file_conf) - {"datagen", "driver", "paramgen"})
+    if unknown:
+        raise ConfigInvalid(unknown[0], "unknown section")
 
     gen_dict = dict(file_conf.get("datagen", {}))
     driver_dict = dict(file_conf.get("driver", {}))
@@ -196,7 +197,10 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     driver_dict.setdefault("pacing", False)
     triggers = driver_dict.pop("triggers", None)
     if triggers is not None:
+        check_config_keys(TriggerConfig, triggers, "driver.triggers")
         driver_dict["triggers"] = TriggerConfig(**triggers)
+    check_config_keys(DriverConfig, driver_dict, "driver")
+    check_config_keys(ParamGenOptions, param_dict, "paramgen")
     driver = DriverConfig(**driver_dict)
     params = ParamGenOptions(**param_dict)
     return PipelineConfig(gen=gen, driver=driver, params=params,

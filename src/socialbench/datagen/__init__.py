@@ -2,7 +2,7 @@
 
 from .config import GenConfig
 from .generator import generate_temporal_graph
-from .split import SnapshotAndStream, SnapshotData, cutoff_instant, enforce_t_safe, split_at_cutoff
+from .split import SnapshotAndStream, cutoff_instant, split_at_cutoff
 from .serialize import (
     deserialize,
     read_dataset,
@@ -18,9 +18,7 @@ __all__ = [
     "GenConfig",
     "generate_temporal_graph",
     "SnapshotAndStream",
-    "SnapshotData",
     "cutoff_instant",
-    "enforce_t_safe",
     "split_at_cutoff",
     "serialize",
     "deserialize",

@@ -32,7 +32,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
-from ..errors import ParseError
+from ..errors import MalformedOperation, ParseError
 from ..model import (
     Forum,
     HasMemberEdge,
@@ -43,11 +43,13 @@ from ..model import (
     Person,
     TemporalGraph,
     UpdateOperation,
+    decode_insert,
+    delete_target,
     root_post_of,
 )
 from ..simtime import format_instant, parse_instant
 from .config import GenConfig
-from .split import SnapshotAndStream, SnapshotData
+from .split import SnapshotAndStream
 
 
 def _tags(values) -> str:
@@ -221,14 +223,21 @@ def read_stream(path: Path) -> list[UpdateOperation]:
                 continue
             try:
                 record = json.loads(line)
-                ops.append(UpdateOperation(
+                op = UpdateOperation(
                     op_type=record["opType"],
                     scheduled_time=parse_instant(record["scheduledTime"]),
                     dependency_time=parse_instant(record["dependencyTime"]),
                     payload=record["payload"],
-                ))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                )
+                # Reject here a payload the stores could not decode.
+                if op.is_insert:
+                    decode_insert(op)
+                else:
+                    delete_target(op)
+            except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+                    MalformedOperation) as exc:
                 raise ParseError(str(path), line_no, str(exc)) from exc
+            ops.append(op)
     return ops
 
 
@@ -253,8 +262,8 @@ def deserialize(directory: str | Path) -> SnapshotAndStream:
         raise ParseError(str(meta_path), exc.lineno, exc.msg) from exc
     persons, knows, forums, messages, likes, members = _read_entities(
         directory / "snapshot", temporal=False)
-    snapshot = SnapshotData(persons=persons, knows=knows, forums=forums,
-                            messages=messages, likes=likes, members=members)
+    snapshot = TemporalGraph(persons=persons, knows=knows, forums=forums,
+                             messages=messages, likes=likes, members=members)
     return SnapshotAndStream(
         cutoff=parse_instant(meta["cutoff"]),
         snapshot=snapshot,

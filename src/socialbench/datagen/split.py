@@ -16,11 +16,10 @@ ancestor's delete, and the replaying store recreates the cascade.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from ..errors import UnsatisfiableDependency
 from ..model import (
-    COMMENT,
+    COLLECTIONS,
     DEL_COMMENT,
     DEL_FORUM,
     DEL_KNOWS,
@@ -37,10 +36,13 @@ from ..model import (
     INS_MEMBER,
     INS_PERSON,
     INS_POST,
-    POST,
     Lifecycle,
     TemporalGraph,
     UpdateOperation,
+    cascade_parents,
+    delete_op,
+    insert_op,
+    references,
 )
 from ..simtime import day_start
 from .config import GenConfig
@@ -56,25 +58,9 @@ EntityKey = tuple[str, object]
 
 
 @dataclass
-class SnapshotData:
-    """Entity collections alive at the cutoff, with open-ended lifecycles."""
-
-    persons: dict = field(default_factory=dict)
-    knows: dict = field(default_factory=dict)
-    forums: dict = field(default_factory=dict)
-    messages: dict = field(default_factory=dict)
-    likes: dict = field(default_factory=dict)
-    members: dict = field(default_factory=dict)
-
-    def entity_count(self) -> int:
-        return (len(self.persons) + len(self.knows) + len(self.forums)
-                + len(self.messages) + len(self.likes) + len(self.members))
-
-
-@dataclass
 class SnapshotAndStream:
     cutoff: int
-    snapshot: SnapshotData
+    snapshot: TemporalGraph  # alive at the cutoff, with open-ended lifecycles
     stream: list[UpdateOperation]
     retired: int  # entities whose whole lifecycle ended before the cutoff
 
@@ -101,134 +87,32 @@ def _cascade_roots(graph: TemporalGraph, config: GenConfig) -> dict[EntityKey, E
     """Map every deleted entity to the root entity whose removal caused it.
 
     An entity is its own root when nothing it depends on died at the same
-    instant.  Candidates are checked owner-first so ties attach to the
-    widest cascade.
+    instant.  Candidates are checked in PARENTS order, owner first.
     """
     roots: dict[EntityKey, EntityKey] = {}
-
-    def deletion(key: EntityKey) -> int | None:
-        kind, ident = key
-        coll = getattr(graph, kind)
-        return coll[ident].lifecycle.deletion
 
     def root_of(key: EntityKey) -> EntityKey:
         cached = roots.get(key)
         if cached is not None:
             return cached
-        kind, ident = key
-        d = deletion(key)
-        assert d is not None
-        candidates: list[EntityKey] = []
-        if kind == "persons":
-            pass
-        elif kind == "forums":
-            if config.delete_forums_of_deleted_moderator:
-                candidates.append(("persons", graph.forums[ident].moderator_person_id))
-        elif kind == "messages":
-            msg = graph.messages[ident]
-            candidates.append(("persons", msg.creator_person_id))
-            if msg.kind == POST:
-                candidates.append(("forums", msg.container_forum_id))
-            else:
-                candidates.append(("messages", msg.reply_to_message_id))
-        elif kind == "likes":
-            pid, mid = ident
-            candidates.append(("persons", pid))
-            candidates.append(("messages", mid))
-        elif kind == "members":
-            fid, pid = ident
-            candidates.append(("persons", pid))
-            candidates.append(("forums", fid))
-        elif kind == "knows":
-            p1, p2 = ident
-            candidates.append(("persons", p1))
-            candidates.append(("persons", p2))
+        collection, ident = key
+        entity = getattr(graph, collection)[ident]
+        deletion = entity.lifecycle.deletion
+        assert deletion is not None
         result = key
-        for cand in candidates:
-            if deletion(cand) == d:
-                result = root_of(cand)
+        for parent, attr in cascade_parents(collection, config.delete_forums_of_deleted_moderator):
+            ref = getattr(entity, attr)
+            if ref is not None and getattr(graph, parent)[ref].lifecycle.deletion == deletion:
+                result = root_of((parent, ref))
                 break
         roots[key] = result
         return result
 
-    for kind in ("persons", "knows", "forums", "messages", "likes", "members"):
-        coll = getattr(graph, kind)
-        for ident, entity in coll.items():
+    for collection in COLLECTIONS:
+        for ident, entity in getattr(graph, collection).items():
             if entity.lifecycle.deletion is not None:
-                root_of((kind, ident))
+                root_of((collection, ident))
     return roots
-
-
-def _insert_op(graph: TemporalGraph, kind: str, ident, sim_start: int) -> UpdateOperation:
-    if kind == "persons":
-        p = graph.persons[ident]
-        return UpdateOperation(INS_PERSON, p.lifecycle.creation, sim_start, {
-            "id": p.id, "firstName": p.first_name, "lastName": p.last_name,
-            "countryId": p.country_id, "universityId": p.university_id,
-            "tagInterests": sorted(p.tag_interests)})
-    if kind == "knows":
-        e = graph.knows[ident]
-        dep = max(graph.persons[e.person1_id].lifecycle.creation,
-                  graph.persons[e.person2_id].lifecycle.creation)
-        return UpdateOperation(INS_KNOWS, e.lifecycle.creation, dep, {
-            "person1Id": e.person1_id, "person2Id": e.person2_id})
-    if kind == "forums":
-        f = graph.forums[ident]
-        dep = graph.persons[f.moderator_person_id].lifecycle.creation
-        return UpdateOperation(INS_FORUM, f.lifecycle.creation, dep, {
-            "id": f.id, "moderatorPersonId": f.moderator_person_id})
-    if kind == "messages":
-        m = graph.messages[ident]
-        creator_c = graph.persons[m.creator_person_id].lifecycle.creation
-        if m.kind == POST:
-            dep = max(creator_c, graph.forums[m.container_forum_id].lifecycle.creation)
-            return UpdateOperation(INS_POST, m.lifecycle.creation, dep, {
-                "id": m.id, "creatorPersonId": m.creator_person_id,
-                "containerForumId": m.container_forum_id, "countryId": m.country_id,
-                "tagIds": sorted(m.creation_tag_ids)})
-        dep = max(creator_c, graph.messages[m.reply_to_message_id].lifecycle.creation)
-        return UpdateOperation(INS_COMMENT, m.lifecycle.creation, dep, {
-            "id": m.id, "creatorPersonId": m.creator_person_id,
-            "replyToMessageId": m.reply_to_message_id, "countryId": m.country_id,
-            "tagIds": sorted(m.creation_tag_ids)})
-    if kind == "likes":
-        pid, mid = ident
-        like = graph.likes[ident]
-        dep = max(graph.persons[pid].lifecycle.creation, graph.messages[mid].lifecycle.creation)
-        op = INS_LIKE_POST if graph.messages[mid].kind == POST else INS_LIKE_COMMENT
-        return UpdateOperation(op, like.lifecycle.creation, dep, {"personId": pid, "messageId": mid})
-    if kind == "members":
-        fid, pid = ident
-        mem = graph.members[ident]
-        dep = max(graph.forums[fid].lifecycle.creation, graph.persons[pid].lifecycle.creation)
-        return UpdateOperation(INS_MEMBER, mem.lifecycle.creation, dep, {
-            "forumId": fid, "personId": pid})
-    raise AssertionError(kind)
-
-
-def _delete_op(graph: TemporalGraph, kind: str, ident, dep: int) -> UpdateOperation:
-    if kind == "persons":
-        sched = graph.persons[ident].lifecycle.deletion
-        return UpdateOperation(DEL_PERSON, sched, dep, {"personId": ident})
-    if kind == "knows":
-        sched = graph.knows[ident].lifecycle.deletion
-        return UpdateOperation(DEL_KNOWS, sched, dep, {"person1Id": ident[0], "person2Id": ident[1]})
-    if kind == "forums":
-        sched = graph.forums[ident].lifecycle.deletion
-        return UpdateOperation(DEL_FORUM, sched, dep, {"forumId": ident})
-    if kind == "messages":
-        m = graph.messages[ident]
-        op = DEL_POST if m.kind == POST else DEL_COMMENT
-        return UpdateOperation(op, m.lifecycle.deletion, dep, {"messageId": ident})
-    if kind == "likes":
-        pid, mid = ident
-        like = graph.likes[ident]
-        op = DEL_LIKE_POST if graph.messages[mid].kind == POST else DEL_LIKE_COMMENT
-        return UpdateOperation(op, like.lifecycle.deletion, dep, {"personId": pid, "messageId": mid})
-    if kind == "members":
-        sched = graph.members[ident].lifecycle.deletion
-        return UpdateOperation(DEL_MEMBER, sched, dep, {"forumId": ident[0], "personId": ident[1]})
-    raise AssertionError(kind)
 
 
 def _creation(graph: TemporalGraph, key: EntityKey) -> int:
@@ -240,7 +124,7 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
     """Partition a temporal graph into snapshot, update stream, and retired
     entities.  Ties at the cutoff instant go to the stream."""
     cutoff = cutoff_instant(config)
-    snapshot = SnapshotData()
+    snapshot = TemporalGraph()
     ops: list[UpdateOperation] = []
     retired = 0
 
@@ -254,10 +138,9 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
         if prev is None or c > prev:
             group_max_creation[root] = c
 
-    for kind in ("persons", "knows", "forums", "messages", "likes", "members"):
-        coll = getattr(graph, kind)
-        snap_coll = getattr(snapshot, kind)
-        for ident, entity in coll.items():
+    for collection in COLLECTIONS:
+        snap_coll = getattr(snapshot, collection)
+        for ident, entity in getattr(graph, collection).items():
             created = entity.lifecycle.creation
             deleted = entity.lifecycle.deletion
             if deleted is not None and deleted < cutoff:
@@ -266,34 +149,15 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
             if created < cutoff:
                 snap_coll[ident] = replace(entity, lifecycle=Lifecycle(created, None))
             else:
-                ops.append(_insert_op(graph, kind, ident, config.simulation_start))
-            if deleted is not None and roots[(kind, ident)] == (kind, ident):
-                dep = max(created, group_max_creation[(kind, ident)])
-                ops.append(_delete_op(graph, kind, ident, dep))
+                # An insert waits for the youngest entity it depends on.
+                dep = max((getattr(graph, parent)[ref].lifecycle.creation
+                           for parent, ref in references(collection, entity)),
+                          default=config.simulation_start)
+                ops.append(insert_op(graph, collection, ident, dep))
+            if deleted is not None and roots[(collection, ident)] == (collection, ident):
+                dep = max(created, group_max_creation[(collection, ident)])
+                ops.append(delete_op(graph, collection, ident, dep))
 
     ops.sort(key=lambda op: (op.scheduled_time, _TYPE_RANK[op.op_type],
                              json.dumps(op.payload, sort_keys=True)))
     return SnapshotAndStream(cutoff=cutoff, snapshot=snapshot, stream=ops, retired=retired)
-
-
-def enforce_t_safe(stream: list[UpdateOperation], t_safe: int,
-                   simulation_end: int) -> list[UpdateOperation]:
-    """Repair pass: push operations that start too close to their dependency.
-
-    Streams produced by split_at_cutoff already satisfy the margin because
-    the sampler enforces it; this exists for externally supplied streams.
-    Only each operation's own (dependency, scheduled) pair is repaired;
-    shifted operations keep their original payloads.
-    """
-    repaired: list[tuple[int, int, UpdateOperation]] = []
-    for idx, op in enumerate(stream):
-        sched = op.scheduled_time
-        if sched - op.dependency_time < t_safe:
-            sched = op.dependency_time + t_safe
-            if sched > simulation_end:
-                raise UnsatisfiableDependency(
-                    f"op {op.op_type} at {op.scheduled_time} cannot move past simulation end")
-            op = replace(op, scheduled_time=sched)
-        repaired.append((sched, idx, op))
-    repaired.sort(key=lambda item: (item[0], item[1]))
-    return [op for _, _, op in repaired]

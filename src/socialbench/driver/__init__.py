@@ -1,6 +1,6 @@
 """Workload driver: scheduling, gating, concurrent execution, validation."""
 
-from .clock import GateDecision, GlobalClock, dependency_gate
+from .clock import GlobalClock
 from .config import DEFAULT_FREQUENCIES, DriverConfig, TriggerConfig
 from .runner import BenchmarkRunner
 from .schedule import (
@@ -21,9 +21,7 @@ __all__ = [
     "DEFAULT_FREQUENCIES",
     "DriverConfig",
     "TriggerConfig",
-    "GateDecision",
     "GlobalClock",
-    "dependency_gate",
     "QueryInstance",
     "Schedule",
     "ScheduleEntry",

@@ -10,18 +10,7 @@ possibly depend on is already in the store.
 
 from __future__ import annotations
 
-import enum
 import threading
-
-
-class GateDecision(enum.Enum):
-    EXECUTE = "execute"
-    DEFER = "defer"
-
-
-def dependency_gate(clock_ms: int, dependency_ms: int) -> GateDecision:
-    """Release an operation only when the clock has reached its dependency."""
-    return GateDecision.EXECUTE if clock_ms >= dependency_ms else GateDecision.DEFER
 
 
 class GlobalClock:

@@ -24,7 +24,7 @@ from ..errors import DeadlockSuspected
 from ..rng import derive_rng
 from .clock import GlobalClock
 from .config import DriverConfig
-from .schedule import QUERY, UPDATE, QueryInstance, Schedule
+from .schedule import UPDATE, QueryInstance, Schedule
 from .stats import RunReport, summarize_run
 from .triggers import derive_triggers
 

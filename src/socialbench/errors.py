@@ -6,6 +6,8 @@ can catch harness failures without swallowing genuine bugs.
 
 from __future__ import annotations
 
+import dataclasses
+
 
 class SocialBenchError(Exception):
     """Base class for all harness errors."""
@@ -20,8 +22,25 @@ class ConfigInvalid(SocialBenchError):
         super().__init__(f"invalid config field {field!r}: {reason}")
 
 
+def check_config_keys(cls, data: dict, section: str) -> None:
+    """Raise ConfigInvalid naming the first key of data that the dataclass
+    cls has no field for, or the first required field data lacks."""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
+    if unknown:
+        raise ConfigInvalid(f"{section}.{unknown[0]}", "unknown key")
+    for f in fields:
+        if (f.name not in data and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ConfigInvalid(f"{section}.{f.name}", "required")
+
+
 class CycleDetected(SocialBenchError):
     """A reply chain loops back on itself instead of terminating at a post."""
+
+
+class MalformedOperation(SocialBenchError):
+    """An update operation's payload does not fit its op type."""
 
 
 class ParseError(SocialBenchError):
@@ -32,10 +51,6 @@ class ParseError(SocialBenchError):
         self.line_no = line_no
         self.reason = reason
         super().__init__(f"{path}:{line_no}: {reason}")
-
-
-class UnsatisfiableDependency(SocialBenchError):
-    """An operation cannot be scheduled with the required safety margin."""
 
 
 class NoQualifyingGroup(SocialBenchError):
@@ -62,24 +77,12 @@ class UnknownEntity(SocialBenchError):
     """An operation referenced an entity that is not alive in the store."""
 
 
-class UnknownPerson(UnknownEntity):
-    pass
-
-
-class UnknownMessage(UnknownEntity):
-    pass
-
-
 class DependencyMissing(SocialBenchError):
     """An insert referenced an entity that has not been created yet."""
 
 
 class IntegrityError(SocialBenchError):
     """Bulk-loaded data contains dangling references or duplicates."""
-
-
-class SutError(SocialBenchError):
-    """The system under test raised while executing an operation."""
 
 
 class DeadlockSuspected(SocialBenchError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import CycleDetected
+from .errors import CycleDetected, IntegrityError, MalformedOperation
 
 POST = "Post"
 COMMENT = "Comment"
@@ -39,13 +39,26 @@ DEL_POST = "DEL6"
 DEL_COMMENT = "DEL7"
 DEL_KNOWS = "DEL8"
 
-INSERT_OPS = frozenset({INS_PERSON, INS_LIKE_POST, INS_LIKE_COMMENT, INS_FORUM,
-                        INS_MEMBER, INS_POST, INS_COMMENT, INS_KNOWS})
-DELETE_OPS = frozenset({DEL_PERSON, DEL_LIKE_POST, DEL_LIKE_COMMENT, DEL_FORUM,
-                        DEL_MEMBER, DEL_POST, DEL_COMMENT, DEL_KNOWS})
+# (insert, delete) op codes of each (collection, message kind).  The kind
+# is the message's own for posts and comments, the liked message's for
+# likes, and None for the other collections.
+_OP_TYPES: dict[tuple[str, str | None], tuple[str, str]] = {
+    ("persons", None): (INS_PERSON, DEL_PERSON),
+    ("knows", None): (INS_KNOWS, DEL_KNOWS),
+    ("forums", None): (INS_FORUM, DEL_FORUM),
+    ("messages", POST): (INS_POST, DEL_POST),
+    ("messages", COMMENT): (INS_COMMENT, DEL_COMMENT),
+    ("likes", POST): (INS_LIKE_POST, DEL_LIKE_POST),
+    ("likes", COMMENT): (INS_LIKE_COMMENT, DEL_LIKE_COMMENT),
+    ("members", None): (INS_MEMBER, DEL_MEMBER),
+}
+# Op code -> (collection, message kind) of the entity it creates or deletes.
+OP_TARGET = {op: target for target, ops in _OP_TYPES.items() for op in ops}
+INSERT_OPS = frozenset(ops[0] for ops in _OP_TYPES.values())
+DELETE_OPS = frozenset(ops[1] for ops in _OP_TYPES.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lifecycle:
     """Half-open validity interval [creation, deletion)."""
 
@@ -64,12 +77,7 @@ class Lifecycle:
         return self.creation <= start and (self.deletion is None or self.deletion >= end)
 
 
-def is_alive(lifecycle: Lifecycle, t: int) -> bool:
-    """Whether an entity exists at instant t (creation inclusive, deletion exclusive)."""
-    return lifecycle.alive_at(t)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Person:
     id: int
     first_name: str
@@ -80,7 +88,7 @@ class Person:
     lifecycle: Lifecycle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowsEdge:
     """Undirected friendship, stored canonically with person1_id < person2_id."""
 
@@ -102,14 +110,14 @@ class KnowsEdge:
         return (self.person1_id, self.person2_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forum:
     id: int
     moderator_person_id: int
     lifecycle: Lifecycle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A post or a comment.
 
@@ -141,14 +149,14 @@ class Message:
             raise ValueError(f"unknown message kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikesEdge:
     person_id: int
     message_id: int
     lifecycle: Lifecycle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HasMemberEdge:
     forum_id: int
     person_id: int
@@ -200,7 +208,11 @@ def root_post_of(message_id: int, messages: Mapping[int, "Message"]) -> int:
 
 @dataclass
 class TemporalGraph:
-    """All generated entities with their full lifecycles, keyed by id."""
+    """Entities keyed by id, one dict per collection.
+
+    Holds the generator's full history, the snapshot split off at the
+    cutoff, or the live state of a naive store.
+    """
 
     persons: dict[int, Person] = field(default_factory=dict)
     knows: dict[tuple[int, int], KnowsEdge] = field(default_factory=dict)
@@ -210,109 +222,234 @@ class TemporalGraph:
     members: dict[tuple[int, int], HasMemberEdge] = field(default_factory=dict)
 
     def entity_count(self) -> int:
-        return (len(self.persons) + len(self.knows) + len(self.forums)
-                + len(self.messages) + len(self.likes) + len(self.members))
+        return sum(self.counts().values())
 
     def counts(self) -> dict[str, int]:
-        return {
-            "persons": len(self.persons),
-            "knows": len(self.knows),
-            "forums": len(self.forums),
-            "messages": len(self.messages),
-            "likes": len(self.likes),
-            "members": len(self.members),
-        }
+        return {collection: len(getattr(self, collection)) for collection in COLLECTIONS}
+
+    def copy(self) -> "TemporalGraph":
+        """A graph whose dicts can change without changing this one's."""
+        return TemporalGraph(*(dict(getattr(self, c)) for c in COLLECTIONS))
+
+
+# --- schema: what depends on what -------------------------------------------
+
+COLLECTIONS = ("persons", "knows", "forums", "messages", "likes", "members")
+
+# What each collection's entities depend on: (parent collection, attribute
+# holding the parent's key), owner first so that a cascade tie attaches to
+# the widest root.  An entity cannot be created before its parents and is
+# deleted with them.  A None reference (a post's reply_to_message_id, a
+# comment's container_forum_id) is no dependency.  The forum -> moderator
+# edge cascades only when delete_forums_of_deleted_moderator is on; see
+# cascade_parents.
+PARENTS: dict[str, tuple[tuple[str, str], ...]] = {
+    "persons": (),
+    "knows": (("persons", "person1_id"), ("persons", "person2_id")),
+    "forums": (("persons", "moderator_person_id"),),
+    "messages": (("persons", "creator_person_id"), ("forums", "container_forum_id"),
+                 ("messages", "reply_to_message_id")),
+    "likes": (("persons", "person_id"), ("messages", "message_id")),
+    "members": (("persons", "person_id"), ("forums", "forum_id")),
+}
+
+
+def key_of(collection: str, entity):
+    """The key an entity is stored under in its collection."""
+    if collection == "knows":
+        return entity.pair
+    if collection == "likes":
+        return (entity.person_id, entity.message_id)
+    if collection == "members":
+        return (entity.forum_id, entity.person_id)
+    return entity.id
+
+
+def references(collection: str, entity) -> list[tuple[str, object]]:
+    """(parent collection, parent key) of each entity this one depends on,
+    in PARENTS order."""
+    return [(parent, ref) for parent, attr in PARENTS[collection]
+            if (ref := getattr(entity, attr)) is not None]
+
+
+def cascade_parents(collection: str, delete_forums_of_deleted_moderator: bool):
+    """The PARENTS of a collection whose deletion deletes its entities too."""
+    if collection == "forums" and not delete_forums_of_deleted_moderator:
+        return ()
+    return PARENTS[collection]
+
+
+def check_references(graph: TemporalGraph, delete_forums_of_deleted_moderator: bool) -> None:
+    """Raise IntegrityError at the first entity of a store's state that is
+    stored under a key not its own or outlives an entity it dies with.
+
+    A forum may be left without its moderator when deleting a person
+    leaves their forums standing.
+    """
+    for collection in COLLECTIONS:
+        parents = cascade_parents(collection, delete_forums_of_deleted_moderator)
+        for key, entity in getattr(graph, collection).items():
+            if key != key_of(collection, entity):
+                raise IntegrityError(f"{collection} {key} stored under the wrong key")
+            for parent, attr in parents:
+                ref = getattr(entity, attr)
+                if ref is not None and ref not in getattr(graph, parent):
+                    raise IntegrityError(f"{collection} {key} references missing {parent} {ref}")
 
 
 def check_temporal_invariants(graph: TemporalGraph) -> list[str]:
     """Structural audit of a temporal graph; returns human-readable violations.
 
-    Checks reference integrity, lifecycle containment (no entity outlives
-    what it depends on), reply-forest shape, and edge canonicality.
+    Checks keys, reference integrity and lifecycle containment along
+    PARENTS (nothing is created before or outlives what it depends on),
+    and that every reply chain reaches its stored root post.
     """
     bad: list[str] = []
 
     def deletion(lc: Lifecycle) -> float:
         return float("inf") if lc.deletion is None else lc.deletion
 
-    for pair, edge in graph.knows.items():
-        if pair != edge.pair:
-            bad.append(f"knows {pair}: stored under wrong key")
-        for pid in pair:
-            p = graph.persons.get(pid)
-            if p is None:
-                bad.append(f"knows {pair}: missing person {pid}")
-                continue
-            if edge.lifecycle.creation < p.lifecycle.creation:
-                bad.append(f"knows {pair}: created before person {pid}")
-            if deletion(edge.lifecycle) > deletion(p.lifecycle):
-                bad.append(f"knows {pair}: outlives person {pid}")
-
-    for fid, forum in graph.forums.items():
-        mod = graph.persons.get(forum.moderator_person_id)
-        if mod is None:
-            bad.append(f"forum {fid}: missing moderator")
-        elif not mod.lifecycle.alive_at(forum.lifecycle.creation):
-            bad.append(f"forum {fid}: moderator not alive at forum creation")
-
-    for mid, msg in graph.messages.items():
-        creator = graph.persons.get(msg.creator_person_id)
-        if creator is None:
-            bad.append(f"message {mid}: missing creator")
-        else:
-            if msg.lifecycle.creation < creator.lifecycle.creation:
-                bad.append(f"message {mid}: created before its creator")
-            if deletion(msg.lifecycle) > deletion(creator.lifecycle):
-                bad.append(f"message {mid}: outlives its creator")
-        if msg.kind == POST:
-            forum = graph.forums.get(msg.container_forum_id)
-            if forum is None:
-                bad.append(f"post {mid}: missing forum")
-            else:
-                if msg.lifecycle.creation < forum.lifecycle.creation:
-                    bad.append(f"post {mid}: created before its forum")
-                if deletion(msg.lifecycle) > deletion(forum.lifecycle):
-                    bad.append(f"post {mid}: outlives its forum")
-        else:
-            parent = graph.messages.get(msg.reply_to_message_id)
-            if parent is None:
-                bad.append(f"comment {mid}: missing parent")
-            else:
-                if msg.lifecycle.creation <= parent.lifecycle.creation:
-                    bad.append(f"comment {mid}: not created after its parent")
-                if deletion(msg.lifecycle) > deletion(parent.lifecycle):
-                    bad.append(f"comment {mid}: outlives its parent")
-            try:
-                root = root_post_of(mid, graph.messages)
-            except (CycleDetected, KeyError):
-                bad.append(f"comment {mid}: reply chain does not reach a post")
-            else:
-                if root != msg.root_post_id:
-                    bad.append(f"comment {mid}: stored root {msg.root_post_id}, actual {root}")
-
-    for (pid, mid), like in graph.likes.items():
-        person = graph.persons.get(pid)
-        msg = graph.messages.get(mid)
-        if person is None or msg is None:
-            bad.append(f"like ({pid},{mid}): dangling endpoint")
-            continue
-        if like.lifecycle.creation < max(person.lifecycle.creation, msg.lifecycle.creation):
-            bad.append(f"like ({pid},{mid}): created before an endpoint")
-        if deletion(like.lifecycle) > min(deletion(person.lifecycle), deletion(msg.lifecycle)):
-            bad.append(f"like ({pid},{mid}): outlives an endpoint")
-
-    for (fid, pid), mem in graph.members.items():
-        forum = graph.forums.get(fid)
-        person = graph.persons.get(pid)
-        if forum is None or person is None:
-            bad.append(f"member ({fid},{pid}): dangling endpoint")
-            continue
-        if mem.lifecycle.creation < max(forum.lifecycle.creation, person.lifecycle.creation):
-            bad.append(f"member ({fid},{pid}): created before an endpoint")
-        if deletion(mem.lifecycle) > min(deletion(forum.lifecycle), deletion(person.lifecycle)):
-            bad.append(f"member ({fid},{pid}): outlives an endpoint")
-
+    for collection in COLLECTIONS:
+        for key, entity in getattr(graph, collection).items():
+            where = f"{collection} {key}"
+            if key != key_of(collection, entity):
+                bad.append(f"{where}: stored under wrong key")
+            life = entity.lifecycle
+            for parent, ref in references(collection, entity):
+                target = getattr(graph, parent).get(ref)
+                if target is None:
+                    bad.append(f"{where}: missing {parent} {ref}")
+                elif collection == "forums":
+                    # Deleting a moderator may leave their forums standing.
+                    if not target.lifecycle.alive_at(life.creation):
+                        bad.append(f"{where}: moderator not alive at forum creation")
+                else:
+                    created = target.lifecycle.creation
+                    # A comment comes strictly after the message it replies to.
+                    if life.creation < created or (parent == collection
+                                                   and life.creation == created):
+                        bad.append(f"{where}: not created after {parent} {ref}")
+                    if deletion(life) > deletion(target.lifecycle):
+                        bad.append(f"{where}: outlives {parent} {ref}")
+            if collection == "messages" and entity.kind == COMMENT:
+                try:
+                    root = root_post_of(key, graph.messages)
+                except (CycleDetected, KeyError):
+                    bad.append(f"{where}: reply chain does not reach a post")
+                else:
+                    if root != entity.root_post_id:
+                        bad.append(f"{where}: stored root {entity.root_post_id}, actual {root}")
     return bad
+
+
+# --- update codec: entities on the wire ---------------------------------------
+
+# Payload of each insert: (payload key, entity attribute) pairs.
+_LIKE_FIELDS = (("personId", "person_id"), ("messageId", "message_id"))
+_INSERT_FIELDS: dict[str, tuple[tuple[str, str], ...]] = {
+    INS_PERSON: (("id", "id"), ("firstName", "first_name"), ("lastName", "last_name"),
+                 ("countryId", "country_id"), ("universityId", "university_id"),
+                 ("tagInterests", "tag_interests")),
+    INS_KNOWS: (("person1Id", "person1_id"), ("person2Id", "person2_id")),
+    INS_FORUM: (("id", "id"), ("moderatorPersonId", "moderator_person_id")),
+    INS_POST: (("id", "id"), ("creatorPersonId", "creator_person_id"),
+               ("containerForumId", "container_forum_id"), ("countryId", "country_id"),
+               ("tagIds", "creation_tag_ids")),
+    INS_COMMENT: (("id", "id"), ("creatorPersonId", "creator_person_id"),
+                  ("replyToMessageId", "reply_to_message_id"), ("countryId", "country_id"),
+                  ("tagIds", "creation_tag_ids")),
+    INS_LIKE_POST: _LIKE_FIELDS,
+    INS_LIKE_COMMENT: _LIKE_FIELDS,
+    INS_MEMBER: (("forumId", "forum_id"), ("personId", "person_id")),
+}
+# Payload of each delete: the names of its target's key parts.
+_DELETE_FIELDS = {
+    "persons": ("personId",), "knows": ("person1Id", "person2Id"),
+    "forums": ("forumId",), "messages": ("messageId",),
+    "likes": ("personId", "messageId"), "members": ("forumId", "personId"),
+}
+# Id sets travel as sorted lists.
+_ID_SETS = ("tag_interests", "creation_tag_ids")
+_CLASSES = {"persons": Person, "knows": KnowsEdge, "forums": Forum,
+            "messages": Message, "likes": LikesEdge, "members": HasMemberEdge}
+
+
+def _op_types(graph: TemporalGraph, collection: str, entity) -> tuple[str, str]:
+    kind = None
+    if collection == "messages":
+        kind = entity.kind
+    elif collection == "likes":
+        kind = graph.messages[entity.message_id].kind
+    return _OP_TYPES[collection, kind]
+
+
+def insert_op(graph: TemporalGraph, collection: str, key,
+              dependency_time: int) -> UpdateOperation:
+    """The operation that creates the graph's entity collection[key]."""
+    entity = getattr(graph, collection)[key]
+    op_type = _op_types(graph, collection, entity)[0]
+    payload = {}
+    for name, attr in _INSERT_FIELDS[op_type]:
+        value = getattr(entity, attr)
+        payload[name] = sorted(value) if attr in _ID_SETS else value
+    return UpdateOperation(op_type, entity.lifecycle.creation, dependency_time, payload)
+
+
+def delete_op(graph: TemporalGraph, collection: str, key,
+              dependency_time: int) -> UpdateOperation:
+    """The operation that deletes the graph's entity collection[key] and its
+    cascade."""
+    entity = getattr(graph, collection)[key]
+    parts = key if isinstance(key, tuple) else (key,)
+    return UpdateOperation(_op_types(graph, collection, entity)[1],
+                           entity.lifecycle.deletion, dependency_time,
+                           dict(zip(_DELETE_FIELDS[collection], parts)))
+
+
+def decode_insert(op: UpdateOperation, root_of=None) -> tuple[str, object]:
+    """The (collection, entity) an insert creates, alive from its scheduled time.
+
+    A comment's thread root is not on the wire: root_of(message id) gives
+    the root post of the message it replies to.  Without root_of, the
+    comment's root_post_id is None.
+    """
+    fields = _INSERT_FIELDS.get(op.op_type)
+    if fields is None:
+        raise MalformedOperation(f"{op.op_type} is not an insert")
+    collection, kind = OP_TARGET[op.op_type]
+    life = Lifecycle(op.scheduled_time)
+    try:
+        payload, values = op.payload, {}
+        for name, attr in fields:
+            values[attr] = frozenset(payload[name]) if attr in _ID_SETS else payload[name]
+        if collection == "knows":
+            return collection, KnowsEdge.make(values["person1_id"], values["person2_id"], life)
+        if collection == "messages":
+            values["kind"] = kind
+            if kind == POST:
+                values["reply_to_message_id"] = None
+                values["root_post_id"] = values["id"]
+            else:
+                values["container_forum_id"] = None
+                reply_to = values["reply_to_message_id"]
+                values["root_post_id"] = root_of(reply_to) if root_of else None
+        return collection, _CLASSES[collection](lifecycle=life, **values)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedOperation(f"malformed {op.op_type} payload: {exc!r}") from exc
+
+
+def delete_target(op: UpdateOperation) -> tuple[str, object]:
+    """The (collection, key) of the entity a delete removes with its cascade."""
+    if op.is_insert:
+        raise MalformedOperation(f"{op.op_type} is not a delete")
+    collection, _kind = OP_TARGET[op.op_type]
+    try:
+        parts = tuple(op.payload[name] for name in _DELETE_FIELDS[collection])
+        if collection == "knows":
+            return collection, (min(parts), max(parts))
+    except (KeyError, TypeError) as exc:
+        raise MalformedOperation(f"malformed {op.op_type} payload: {exc!r}") from exc
+    return collection, parts if len(parts) > 1 else parts[0]
 
 
 # --- static dictionaries -------------------------------------------------
@@ -415,9 +552,7 @@ TAGS: tuple[Tag, ...] = (
 )
 
 COUNTRIES_BY_ID = {c.id: c for c in COUNTRIES}
-UNIVERSITIES_BY_ID = {u.id: u for u in UNIVERSITIES}
 UNIVERSITIES_BY_COUNTRY: dict[int, tuple[University, ...]] = {}
 for _u in UNIVERSITIES:
     UNIVERSITIES_BY_COUNTRY.setdefault(_u.country_id, ())
     UNIVERSITIES_BY_COUNTRY[_u.country_id] = UNIVERSITIES_BY_COUNTRY[_u.country_id] + (_u,)
-TAGS_BY_ID = {t.id: t for t in TAGS}

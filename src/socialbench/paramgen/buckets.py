@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import InsufficientPairs, NoQualifyingGroup, ParseError
+from ..errors import NoQualifyingGroup, ParseError
 from ..model import TemporalGraph
 from ..simtime import MS_PER_DAY, SIM_END, day_date, day_starts_between, parse_day
 from ..rng import derive_rng

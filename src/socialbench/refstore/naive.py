@@ -12,36 +12,19 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 
 from ..errors import DependencyMissing, IntegrityError, UnknownEntity
 from ..model import (
+    COLLECTIONS,
     COMMENT,
-    DEL_COMMENT,
-    DEL_FORUM,
-    DEL_KNOWS,
-    DEL_LIKE_COMMENT,
-    DEL_LIKE_POST,
-    DEL_MEMBER,
-    DEL_PERSON,
-    DEL_POST,
-    INS_COMMENT,
-    INS_FORUM,
-    INS_KNOWS,
-    INS_LIKE_COMMENT,
-    INS_LIKE_POST,
-    INS_MEMBER,
-    INS_PERSON,
-    INS_POST,
+    OP_TARGET,
     POST,
-    Forum,
-    HasMemberEdge,
-    KnowsEdge,
-    Lifecycle,
-    LikesEdge,
     Message,
-    Person,
+    TemporalGraph,
     UpdateOperation,
+    check_references,
+    decode_insert,
+    delete_target,
 )
 
 SR2_LIMIT = 10
@@ -55,34 +38,20 @@ def _naive_weight(interactions: int) -> int:
     return max(sign * math.floor(abs(x) + 0.5), 1)
 
 
-@dataclass
-class _State:
-    persons: dict[int, Person] = field(default_factory=dict)
-    forums: dict[int, Forum] = field(default_factory=dict)
-    messages: dict[int, Message] = field(default_factory=dict)
-    knows: dict[tuple[int, int], KnowsEdge] = field(default_factory=dict)
-    likes: dict[tuple[int, int], LikesEdge] = field(default_factory=dict)
-    members: dict[tuple[int, int], HasMemberEdge] = field(default_factory=dict)
-
-    def copy(self) -> "_State":
-        return _State(dict(self.persons), dict(self.forums), dict(self.messages),
-                      dict(self.knows), dict(self.likes), dict(self.members))
-
-
 class NaiveStore:
     """Full-scan oracle store; snapshot reads are literal state copies."""
 
     def __init__(self, delete_forums_of_deleted_moderator: bool = True):
         self.delete_forums_of_deleted_moderator = delete_forums_of_deleted_moderator
         self._lock = threading.Lock()
-        self._state = _State()
+        self._state = TemporalGraph()
         self._version = 0
 
     @property
     def version(self) -> int:
         return self._version
 
-    def begin_read(self) -> _State:
+    def begin_read(self) -> TemporalGraph:
         with self._lock:
             return self._state.copy()
 
@@ -90,32 +59,9 @@ class NaiveStore:
         with self._lock:
             if self._version != 0:
                 raise IntegrityError("store already loaded")
-            state = self._state
-            state.persons.update(data.persons)
-            state.forums.update(data.forums)
-            state.messages.update(data.messages)
-            state.knows.update(data.knows)
-            state.likes.update(data.likes)
-            state.members.update(data.members)
-            for forum in state.forums.values():
-                if forum.moderator_person_id not in state.persons:
-                    raise IntegrityError(f"forum {forum.id} has unknown moderator")
-            for message in state.messages.values():
-                if message.creator_person_id not in state.persons:
-                    raise IntegrityError(f"message {message.id} has unknown creator")
-                if message.kind == POST and message.container_forum_id not in state.forums:
-                    raise IntegrityError(f"post {message.id} in unknown forum")
-                if message.kind == COMMENT and message.reply_to_message_id not in state.messages:
-                    raise IntegrityError(f"comment {message.id} has unknown parent")
-            for (p1, p2) in state.knows:
-                if p1 not in state.persons or p2 not in state.persons:
-                    raise IntegrityError(f"knows edge ({p1}, {p2}) dangling")
-            for (pid, mid) in state.likes:
-                if pid not in state.persons or mid not in state.messages:
-                    raise IntegrityError(f"like ({pid}, {mid}) dangling")
-            for (fid, pid) in state.members:
-                if fid not in state.forums or pid not in state.persons:
-                    raise IntegrityError(f"membership ({fid}, {pid}) dangling")
+            check_references(data, self.delete_forums_of_deleted_moderator)
+            for collection in COLLECTIONS:
+                getattr(self._state, collection).update(getattr(data, collection))
             self._version = 1
         return 1
 
@@ -133,120 +79,67 @@ class NaiveStore:
 
     def _insert(self, op: UpdateOperation) -> None:
         state = self._state
-        p = op.payload
-        life = Lifecycle(creation=op.scheduled_time)
-        kind = op.op_type
 
-        def need(cond, what):
-            if not cond:
-                raise DependencyMissing(what)
+        def need(table, key, what):
+            if key not in table:
+                raise DependencyMissing(f"{what} {key}")
 
-        if kind == INS_PERSON:
-            if p["id"] in state.persons:
-                raise IntegrityError(f"duplicate person {p['id']}")
-            state.persons[p["id"]] = Person(
-                id=p["id"], first_name=p["firstName"], last_name=p["lastName"],
-                country_id=p["countryId"], university_id=p["universityId"],
-                tag_interests=frozenset(p["tagInterests"]), lifecycle=life)
-        elif kind in (INS_LIKE_POST, INS_LIKE_COMMENT):
-            need(p["personId"] in state.persons, f"person {p['personId']}")
-            need(p["messageId"] in state.messages, f"message {p['messageId']}")
-            expected = POST if kind == INS_LIKE_POST else COMMENT
-            if state.messages[p["messageId"]].kind != expected:
-                raise IntegrityError(f"{kind} targets wrong message kind")
-            key = (p["personId"], p["messageId"])
-            if key in state.likes:
-                raise IntegrityError(f"duplicate like {key}")
-            state.likes[key] = LikesEdge(person_id=key[0], message_id=key[1],
-                                         lifecycle=life)
-        elif kind == INS_FORUM:
-            need(p["moderatorPersonId"] in state.persons,
-                 f"person {p['moderatorPersonId']}")
-            if p["id"] in state.forums:
-                raise IntegrityError(f"duplicate forum {p['id']}")
-            state.forums[p["id"]] = Forum(id=p["id"],
-                                          moderator_person_id=p["moderatorPersonId"],
-                                          lifecycle=life)
-        elif kind == INS_MEMBER:
-            need(p["forumId"] in state.forums, f"forum {p['forumId']}")
-            need(p["personId"] in state.persons, f"person {p['personId']}")
-            key = (p["forumId"], p["personId"])
-            if key in state.members:
-                raise IntegrityError(f"duplicate membership {key}")
-            state.members[key] = HasMemberEdge(forum_id=key[0], person_id=key[1],
-                                               lifecycle=life)
-        elif kind == INS_POST:
-            need(p["creatorPersonId"] in state.persons, f"person {p['creatorPersonId']}")
-            need(p["containerForumId"] in state.forums, f"forum {p['containerForumId']}")
-            if p["id"] in state.messages:
-                raise IntegrityError(f"duplicate message {p['id']}")
-            state.messages[p["id"]] = Message(
-                id=p["id"], kind=POST, creator_person_id=p["creatorPersonId"],
-                container_forum_id=p["containerForumId"], reply_to_message_id=None,
-                country_id=p["countryId"], creation_tag_ids=frozenset(p["tagIds"]),
-                lifecycle=life, root_post_id=p["id"])
-        elif kind == INS_COMMENT:
-            need(p["creatorPersonId"] in state.persons, f"person {p['creatorPersonId']}")
-            need(p["replyToMessageId"] in state.messages,
-                 f"message {p['replyToMessageId']}")
-            if p["id"] in state.messages:
-                raise IntegrityError(f"duplicate message {p['id']}")
-            parent = state.messages[p["replyToMessageId"]]
-            state.messages[p["id"]] = Message(
-                id=p["id"], kind=COMMENT, creator_person_id=p["creatorPersonId"],
-                container_forum_id=None, reply_to_message_id=p["replyToMessageId"],
-                country_id=p["countryId"], creation_tag_ids=frozenset(p["tagIds"]),
-                lifecycle=life, root_post_id=parent.root_post_id)
-        elif kind == INS_KNOWS:
-            need(p["person1Id"] in state.persons, f"person {p['person1Id']}")
-            need(p["person2Id"] in state.persons, f"person {p['person2Id']}")
-            edge = KnowsEdge.make(p["person1Id"], p["person2Id"], life)
-            if edge.pair in state.knows:
-                raise IntegrityError(f"duplicate knows edge {edge.pair}")
-            state.knows[edge.pair] = edge
-        else:
-            raise IntegrityError(f"unknown insert op {kind}")
+        def root_of(message_id):
+            need(state.messages, message_id, "message")
+            return state.messages[message_id].root_post_id
+
+        collection, entity = decode_insert(op, root_of)
+        if collection == "persons":
+            key = entity.id
+        elif collection == "likes":
+            need(state.persons, entity.person_id, "person")
+            need(state.messages, entity.message_id, "message")
+            if state.messages[entity.message_id].kind != OP_TARGET[op.op_type][1]:
+                raise IntegrityError(f"{op.op_type} targets wrong message kind")
+            key = (entity.person_id, entity.message_id)
+        elif collection == "forums":
+            need(state.persons, entity.moderator_person_id, "person")
+            key = entity.id
+        elif collection == "members":
+            need(state.forums, entity.forum_id, "forum")
+            need(state.persons, entity.person_id, "person")
+            key = (entity.forum_id, entity.person_id)
+        elif collection == "messages":
+            need(state.persons, entity.creator_person_id, "person")
+            if entity.kind == POST:
+                need(state.forums, entity.container_forum_id, "forum")
+            else:
+                need(state.messages, entity.reply_to_message_id, "message")
+            key = entity.id
+        else:  # knows
+            need(state.persons, entity.person1_id, "person")
+            need(state.persons, entity.person2_id, "person")
+            key = entity.pair
+        table = getattr(state, collection)
+        if key in table:
+            raise IntegrityError(f"duplicate {collection} {key}")
+        table[key] = entity
 
     def _delete(self, op: UpdateOperation) -> int:
-        state = self._state
-        p = op.payload
-        kind = op.op_type
-        if kind == DEL_PERSON:
-            if p["personId"] not in state.persons:
-                raise UnknownEntity(f"person {p['personId']}")
-            return self._delete_person(p["personId"])
-        if kind in (DEL_LIKE_POST, DEL_LIKE_COMMENT):
-            key = (p["personId"], p["messageId"])
-            if key not in state.likes:
-                raise UnknownEntity(f"like {key}")
-            del state.likes[key]
-            return 0
-        if kind == DEL_FORUM:
-            if p["forumId"] not in state.forums:
-                raise UnknownEntity(f"forum {p['forumId']}")
-            return self._delete_forum(p["forumId"])
-        if kind == DEL_MEMBER:
-            key = (p["forumId"], p["personId"])
-            if key not in state.members:
-                raise UnknownEntity(f"membership {key}")
-            del state.members[key]
-            return 0
-        if kind in (DEL_POST, DEL_COMMENT):
-            message = state.messages.get(p["messageId"])
-            if message is None:
-                raise UnknownEntity(f"message {p['messageId']}")
-            expected = POST if kind == DEL_POST else COMMENT
-            if message.kind != expected:
-                raise IntegrityError(f"{kind} targets wrong message kind")
-            return self._delete_message(p["messageId"])
-        if kind == DEL_KNOWS:
-            a, b = p["person1Id"], p["person2Id"]
-            key = (a, b) if a <= b else (b, a)
-            if key not in state.knows:
-                raise UnknownEntity(f"knows edge {key}")
-            del state.knows[key]
-            return 0
-        raise IntegrityError(f"unknown delete op {kind}")
+        collection, key = delete_target(op)
+        target = getattr(self._state, collection).get(key)
+        if target is None:
+            raise UnknownEntity(f"{collection} {key}")
+        if collection == "messages" and target.kind != OP_TARGET[op.op_type][1]:
+            raise IntegrityError(f"{op.op_type} targets wrong message kind")
+        return self._cascade(collection, key)
+
+    def _cascade(self, collection: str, key) -> int:
+        """Delete one live entity and everything depending on it; returns
+        the number of nodes removed."""
+        if collection == "persons":
+            return self._delete_person(key)
+        if collection == "forums":
+            return self._delete_forum(key)
+        if collection == "messages":
+            return self._delete_message(key)
+        del getattr(self._state, collection)[key]
+        return 0
 
     def _delete_person(self, pid: int) -> int:
         state = self._state
@@ -299,18 +192,11 @@ class NaiveStore:
             saved = self._state
             self._state = saved.copy()
             try:
-                if kind == "persons":
-                    self._delete_person(key)
-                elif kind == "forums":
-                    self._delete_forum(key)
-                elif kind == "messages":
-                    self._delete_message(key)
-                else:
-                    getattr(self._state, kind).pop(key)
+                self._cascade(kind, key)
             finally:
                 after, self._state = self._state, saved
         gone = []
-        for coll in ("persons", "forums", "messages", "knows", "likes", "members"):
+        for coll in COLLECTIONS:
             kept = getattr(after, coll)
             for k in getattr(saved, coll):
                 if k not in kept:
@@ -320,7 +206,7 @@ class NaiveStore:
     # -- queries -----------------------------------------------------------
 
     def execute_query(self, variant: str, params: dict,
-                      snapshot: _State | None = None):
+                      snapshot: TemporalGraph | None = None):
         state = snapshot if snapshot is not None else self.begin_read()
         base = variant.rstrip("ab")
         if base == "CR3":
@@ -336,7 +222,7 @@ class NaiveStore:
         raise IntegrityError(f"unknown query variant {variant}")
 
     @staticmethod
-    def _friends(state: _State, pid: int) -> set[int]:
+    def _friends(state: TemporalGraph, pid: int) -> set[int]:
         out = set()
         for (a, b) in state.knows:
             if a == pid:
@@ -345,7 +231,7 @@ class NaiveStore:
                 out.add(a)
         return out
 
-    def _cr3(self, state: _State, params: dict) -> list[dict]:
+    def _cr3(self, state: TemporalGraph, params: dict) -> list[dict]:
         root = params["personId"]
         if root not in state.persons:
             return []
@@ -371,7 +257,7 @@ class NaiveStore:
                              "totalCount": x_count + y_count})
         return sorted(rows, key=lambda r: (-r["totalCount"], r["personId"]))
 
-    def _cr13(self, state: _State, params: dict) -> dict:
+    def _cr13(self, state: TemporalGraph, params: dict) -> dict:
         source, target = params["person1Id"], params["person2Id"]
         if source not in state.persons or target not in state.persons:
             return {"shortestPathLength": -1}
@@ -388,7 +274,7 @@ class NaiveStore:
         return {"shortestPathLength": -1}
 
     @staticmethod
-    def _interaction_counts(state: _State) -> dict[tuple[int, int], int]:
+    def _interaction_counts(state: TemporalGraph) -> dict[tuple[int, int], int]:
         counts: dict[tuple[int, int], int] = {}
         for message in state.messages.values():
             if message.kind != COMMENT:
@@ -403,7 +289,7 @@ class NaiveStore:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def _cr14(self, state: _State, params: dict) -> dict | None:
+    def _cr14(self, state: TemporalGraph, params: dict) -> dict | None:
         source, target = params["person1Id"], params["person2Id"]
         if source not in state.persons or target not in state.persons:
             return None
@@ -439,12 +325,12 @@ class NaiveStore:
         return {"path": path[::-1], "weight": int(dist[target])}
 
     @staticmethod
-    def _root_post(state: _State, message: Message) -> Message:
+    def _root_post(state: TemporalGraph, message: Message) -> Message:
         while message.kind != POST:
             message = state.messages[message.reply_to_message_id]
         return message
 
-    def _sr2(self, state: _State, params: dict) -> list[dict]:
+    def _sr2(self, state: TemporalGraph, params: dict) -> list[dict]:
         mine = [m for m in state.messages.values()
                 if m.creator_person_id == params["personId"]]
         mine.sort(key=lambda m: (-m.lifecycle.creation, -m.id))
@@ -457,7 +343,7 @@ class NaiveStore:
                          "rootAuthorId": root.creator_person_id})
         return rows
 
-    def _sr6(self, state: _State, params: dict) -> dict | None:
+    def _sr6(self, state: TemporalGraph, params: dict) -> dict | None:
         message = state.messages.get(params["messageId"])
         if message is None:
             return None
@@ -471,9 +357,7 @@ class NaiveStore:
         if version is not None and version != self._version:
             raise IntegrityError("naive store only knows its latest state")
         state = self.begin_read()
-        return {coll: dict(getattr(state, coll))
-                for coll in ("persons", "forums", "messages", "knows", "likes",
-                             "members")}
+        return {coll: getattr(state, coll) for coll in COLLECTIONS}
 
     def counts(self, version: int | None = None) -> dict[str, int]:
         return {name: len(values) for name, values in self.state_at(version).items()}

@@ -21,36 +21,23 @@ import heapq
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DependencyMissing, IntegrityError, UnknownEntity
 from ..model import (
+    COLLECTIONS,
     COMMENT,
-    DEL_COMMENT,
-    DEL_FORUM,
-    DEL_KNOWS,
-    DEL_LIKE_COMMENT,
-    DEL_LIKE_POST,
-    DEL_MEMBER,
-    DEL_PERSON,
-    DEL_POST,
-    INS_COMMENT,
-    INS_FORUM,
-    INS_KNOWS,
-    INS_LIKE_COMMENT,
-    INS_LIKE_POST,
-    INS_MEMBER,
-    INS_PERSON,
-    INS_POST,
-    POST,
+    OP_TARGET,
+    PARENTS,
     Forum,
-    HasMemberEdge,
-    KnowsEdge,
-    Lifecycle,
-    LikesEdge,
     Message,
     Person,
     UpdateOperation,
+    cascade_parents,
+    check_references,
+    decode_insert,
+    delete_target,
+    key_of,
 )
 
 SR2_LIMIT = 10
@@ -67,7 +54,7 @@ def edge_weight(interactions: int) -> int:
     return max(rounded, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Rec:
     """One entity or edge with its visibility interval [created_v, deleted_v)."""
 
@@ -97,20 +84,20 @@ class Snapshot:
     def version(self) -> int:
         return self._pinned
 
-    def _live(self, table: dict, key) -> object | None:
-        rec = table.get(key)
+    def _live(self, collection: str, key) -> object | None:
+        rec = self.store._tables[collection].get(key)
         if rec is not None and rec.visible_at(self.version):
             return rec.value
         return None
 
     def person(self, person_id: int) -> Person | None:
-        return self._live(self.store._persons, person_id)
+        return self._live("persons", person_id)
 
     def forum(self, forum_id: int) -> Forum | None:
-        return self._live(self.store._forums, forum_id)
+        return self._live("forums", forum_id)
 
     def message(self, message_id: int) -> Message | None:
-        return self._live(self.store._messages, message_id)
+        return self._live("messages", message_id)
 
     def friend_ids(self, person_id: int) -> list[int]:
         version = self.version
@@ -142,22 +129,27 @@ class ReferenceStore:
         self.delete_forums_of_deleted_moderator = delete_forums_of_deleted_moderator
         self._lock = threading.Lock()
         self._version = 0
-        self._persons: dict[int, _Rec] = {}
-        self._forums: dict[int, _Rec] = {}
-        self._messages: dict[int, _Rec] = {}
-        self._knows: dict[tuple[int, int], _Rec] = {}
-        self._likes: dict[tuple[int, int], _Rec] = {}
-        self._members: dict[tuple[int, int], _Rec] = {}
-        # Append-only adjacency; records are shared with the dicts above.
-        self._knows_by_person: dict[int, list[_Rec]] = {}
-        self._likes_by_person: dict[int, list[_Rec]] = {}
-        self._likes_by_message: dict[int, list[_Rec]] = {}
-        self._members_by_person: dict[int, list[_Rec]] = {}
-        self._members_by_forum: dict[int, list[_Rec]] = {}
-        self._messages_by_creator: dict[int, list[_Rec]] = {}
-        self._posts_by_forum: dict[int, list[_Rec]] = {}
-        self._children: dict[int, list[_Rec]] = {}
-        self._forums_by_moderator: dict[int, list[_Rec]] = {}
+        self._tables: dict[str, dict[object, _Rec]] = {c: {} for c in COLLECTIONS}
+        # Append-only adjacency, one index per (child, parent collection)
+        # pair of PARENTS: parent key -> the child records that reference
+        # it.  Records are shared with the tables above.
+        self._by_parent: dict[tuple[str, str], dict[object, list[_Rec]]] = {
+            (child, parent): {} for child in COLLECTIONS for parent, _attr in PARENTS[child]}
+        # Per collection, (attribute, parent collection, index) of each of
+        # its PARENTS.
+        self._indexes: dict[str, list[tuple[str, str, dict]]] = {
+            c: [(attr, parent, self._by_parent[c, parent]) for parent, attr in PARENTS[c]]
+            for c in COLLECTIONS}
+        # Snapshot.friend_ids and messages_of read these on every hop.
+        self._knows_by_person = self._by_parent["knows", "persons"]
+        self._messages_by_creator = self._by_parent["messages", "persons"]
+        # Per collection, the (child collection, index) pairs whose live
+        # records die with one of its entities.
+        self._cascades: dict[str, list[tuple[str, dict]]] = {c: [] for c in COLLECTIONS}
+        for child in COLLECTIONS:
+            parents = cascade_parents(child, delete_forums_of_deleted_moderator)
+            for parent in dict.fromkeys(parent for parent, _attr in parents):
+                self._cascades[parent].append((child, self._by_parent[child, parent]))
         # (person, person) -> [(version, count), ...], versions ascending.
         self._interactions: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
@@ -173,121 +165,45 @@ class ReferenceStore:
     def bulk_load(self, data) -> int:
         """Load an initial state (anything with the six entity mappings).
 
-        Everything becomes visible at version 1.  Referential integrity is
-        checked up front; interaction counts are derived from the loaded
-        comment threads.
+        Everything becomes visible at version 1.  Every reference is
+        checked before the first record is added, so a rejected load
+        leaves the store empty.  Interaction counts are derived from the
+        loaded comment threads.
         """
         with self._lock:
             if self._version != 0:
                 raise IntegrityError("store already loaded")
-            for person in data.persons.values():
-                self._add_person(person, 1)
-            for forum in data.forums.values():
-                if forum.moderator_person_id not in data.persons:
-                    raise IntegrityError(
-                        f"forum {forum.id} moderated by unknown person")
-                self._add_forum(forum, 1)
-            for message in sorted(data.messages.values(), key=lambda m: m.id):
-                self._check_message_refs(message, data)
-                self._add_message(message, 1)
-            for edge in data.knows.values():
-                self._check_endpoints(edge.person1_id in data.persons
-                                      and edge.person2_id in data.persons,
-                                      f"knows edge {edge.pair}")
-                self._add_knows(edge, 1)
-            for like in data.likes.values():
-                self._check_endpoints(like.person_id in data.persons
-                                      and like.message_id in data.messages,
-                                      f"like ({like.person_id}, {like.message_id})")
-                self._add_like(like, 1)
-            for member in data.members.values():
-                self._check_endpoints(member.person_id in data.persons
-                                      and member.forum_id in data.forums,
-                                      f"membership ({member.forum_id}, {member.person_id})")
-                self._add_member(member, 1)
-            for rec in self._messages.values():
+            check_references(data, self.delete_forums_of_deleted_moderator)
+            for collection in COLLECTIONS:
+                entities = getattr(data, collection).values()
+                if collection == "messages":
+                    entities = sorted(entities, key=lambda m: m.id)
+                for entity in entities:
+                    self._add(collection, entity, 1)
+            for rec in self._tables["messages"].values():
                 message = rec.value
                 if message.kind == COMMENT:
                     self._bump_interactions_unlocked(message, +1, 1)
             self._version = 1
         return 1
 
-    @staticmethod
-    def _check_endpoints(ok: bool, what: str) -> None:
-        if not ok:
-            raise IntegrityError(f"{what} references a missing entity")
-
-    @staticmethod
-    def _check_message_refs(message: Message, data) -> None:
-        if message.creator_person_id not in data.persons:
-            raise IntegrityError(f"message {message.id} has unknown creator")
-        if message.kind == POST:
-            if message.container_forum_id not in data.forums:
-                raise IntegrityError(f"post {message.id} in unknown forum")
-        elif message.reply_to_message_id not in data.messages:
-            raise IntegrityError(f"comment {message.id} replies to unknown message")
-
     # -- record helpers (commit lock must be held) -------------------------
 
-    def _add_person(self, person: Person, version: int) -> _Rec:
-        if person.id in self._persons:
-            raise IntegrityError(f"duplicate person {person.id}")
-        rec = _Rec(person, version)
-        self._persons[person.id] = rec
-        return rec
-
-    def _add_forum(self, forum: Forum, version: int) -> _Rec:
-        if forum.id in self._forums:
-            raise IntegrityError(f"duplicate forum {forum.id}")
-        rec = _Rec(forum, version)
-        self._forums[forum.id] = rec
-        self._forums_by_moderator.setdefault(forum.moderator_person_id, []).append(rec)
-        return rec
-
-    def _add_message(self, message: Message, version: int) -> _Rec:
-        if message.id in self._messages:
-            raise IntegrityError(f"duplicate message {message.id}")
-        rec = _Rec(message, version)
-        self._messages[message.id] = rec
-        self._messages_by_creator.setdefault(message.creator_person_id, []).append(rec)
-        if message.kind == POST:
-            self._posts_by_forum.setdefault(message.container_forum_id, []).append(rec)
-        else:
-            self._children.setdefault(message.reply_to_message_id, []).append(rec)
-        return rec
-
-    def _add_knows(self, edge: KnowsEdge, version: int) -> _Rec:
-        if edge.pair in self._knows:
-            raise IntegrityError(f"duplicate knows edge {edge.pair}")
-        rec = _Rec(edge, version)
-        self._knows[edge.pair] = rec
-        self._knows_by_person.setdefault(edge.person1_id, []).append(rec)
-        self._knows_by_person.setdefault(edge.person2_id, []).append(rec)
-        return rec
-
-    def _add_like(self, like: LikesEdge, version: int) -> _Rec:
-        key = (like.person_id, like.message_id)
-        if key in self._likes:
-            raise IntegrityError(f"duplicate like {key}")
-        rec = _Rec(like, version)
-        self._likes[key] = rec
-        self._likes_by_person.setdefault(like.person_id, []).append(rec)
-        self._likes_by_message.setdefault(like.message_id, []).append(rec)
-        return rec
-
-    def _add_member(self, member: HasMemberEdge, version: int) -> _Rec:
-        key = (member.forum_id, member.person_id)
-        if key in self._members:
-            raise IntegrityError(f"duplicate membership {key}")
-        rec = _Rec(member, version)
-        self._members[key] = rec
-        self._members_by_person.setdefault(member.person_id, []).append(rec)
-        self._members_by_forum.setdefault(member.forum_id, []).append(rec)
-        return rec
+    def _add(self, collection: str, entity, version: int) -> None:
+        key = key_of(collection, entity)
+        table = self._tables[collection]
+        if key in table:
+            raise IntegrityError(f"duplicate {collection} {key}")
+        rec = _Rec(entity, version)
+        table[key] = rec
+        for attr, _parent, index in self._indexes[collection]:
+            ref = getattr(entity, attr)
+            if ref is not None:
+                index.setdefault(ref, []).append(rec)
 
     def _bump_interactions_unlocked(self, comment: Message, delta: int,
                                     version: int) -> None:
-        parent = self._messages[comment.reply_to_message_id].value
+        parent = self._tables["messages"][comment.reply_to_message_id].value
         if parent.creator_person_id == comment.creator_person_id:
             return
         key = _pair(parent.creator_person_id, comment.creator_person_id)
@@ -298,16 +214,13 @@ class ReferenceStore:
         else:
             history.append((version, current + delta))
 
-    def _live_now(self, table: dict, key) -> _Rec | None:
-        rec = table.get(key)
-        if rec is not None and rec.deleted_v is None:
-            return rec
-        return None
+    def _root_of(self, message_id: int) -> int:
+        return self._require("messages", message_id).value.root_post_id
 
-    def _require(self, table: dict, key, what: str) -> _Rec:
-        rec = self._live_now(table, key)
-        if rec is None:
-            raise DependencyMissing(f"{what} {key} is absent or deleted")
+    def _require(self, collection: str, key) -> _Rec:
+        rec = self._tables[collection].get(key)
+        if rec is None or rec.deleted_v is not None:
+            raise DependencyMissing(f"{collection} {key} is absent or deleted")
         return rec
 
     # -- updates -----------------------------------------------------------
@@ -320,95 +233,32 @@ class ReferenceStore:
         return {"version": version, "cascadeNodes": nodes}
 
     def _apply_insert(self, op: UpdateOperation) -> int:
-        p = op.payload
-        t = op.scheduled_time
-        life = Lifecycle(creation=t)
         with self._lock:
+            collection, entity = decode_insert(op, self._root_of)
+            for attr, parent, _index in self._indexes[collection]:
+                ref = getattr(entity, attr)
+                if ref is not None:
+                    target = self._require(parent, ref).value
+            # A like's last parent is the message it likes.
+            if collection == "likes" and target.kind != OP_TARGET[op.op_type][1]:
+                raise IntegrityError(f"like op {op.op_type} targets a {target.kind} message")
             version = self._version + 1
-            kind = op.op_type
-            if kind == INS_PERSON:
-                self._add_person(Person(
-                    id=p["id"], first_name=p["firstName"], last_name=p["lastName"],
-                    country_id=p["countryId"], university_id=p["universityId"],
-                    tag_interests=frozenset(p["tagInterests"]), lifecycle=life), version)
-            elif kind in (INS_LIKE_POST, INS_LIKE_COMMENT):
-                self._require(self._persons, p["personId"], "person")
-                message = self._require(self._messages, p["messageId"], "message").value
-                expected = POST if kind == INS_LIKE_POST else COMMENT
-                if message.kind != expected:
-                    raise IntegrityError(
-                        f"like op {kind} targets a {message.kind} message")
-                self._add_like(LikesEdge(person_id=p["personId"],
-                                         message_id=p["messageId"], lifecycle=life),
-                               version)
-            elif kind == INS_FORUM:
-                self._require(self._persons, p["moderatorPersonId"], "person")
-                self._add_forum(Forum(id=p["id"],
-                                      moderator_person_id=p["moderatorPersonId"],
-                                      lifecycle=life), version)
-            elif kind == INS_MEMBER:
-                self._require(self._forums, p["forumId"], "forum")
-                self._require(self._persons, p["personId"], "person")
-                self._add_member(HasMemberEdge(forum_id=p["forumId"],
-                                               person_id=p["personId"], lifecycle=life),
-                                 version)
-            elif kind == INS_POST:
-                self._require(self._persons, p["creatorPersonId"], "person")
-                self._require(self._forums, p["containerForumId"], "forum")
-                self._add_message(Message(
-                    id=p["id"], kind=POST, creator_person_id=p["creatorPersonId"],
-                    container_forum_id=p["containerForumId"], reply_to_message_id=None,
-                    country_id=p["countryId"], creation_tag_ids=frozenset(p["tagIds"]),
-                    lifecycle=life, root_post_id=p["id"]), version)
-            elif kind == INS_COMMENT:
-                self._require(self._persons, p["creatorPersonId"], "person")
-                parent = self._require(self._messages, p["replyToMessageId"],
-                                       "message").value
-                comment = Message(
-                    id=p["id"], kind=COMMENT, creator_person_id=p["creatorPersonId"],
-                    container_forum_id=None, reply_to_message_id=p["replyToMessageId"],
-                    country_id=p["countryId"], creation_tag_ids=frozenset(p["tagIds"]),
-                    lifecycle=life, root_post_id=parent.root_post_id)
-                self._add_message(comment, version)
-                self._bump_interactions_unlocked(comment, +1, version)
-            elif kind == INS_KNOWS:
-                self._require(self._persons, p["person1Id"], "person")
-                self._require(self._persons, p["person2Id"], "person")
-                self._add_knows(KnowsEdge.make(p["person1Id"], p["person2Id"], life),
-                                version)
-            else:
-                raise IntegrityError(f"unknown insert op {kind}")
+            self._add(collection, entity, version)
+            if collection == "messages" and entity.kind == COMMENT:
+                self._bump_interactions_unlocked(entity, +1, version)
             self._version = version
         return version
 
-    _DELETE_TARGET = {
-        DEL_PERSON: ("persons", lambda p: p["personId"]),
-        DEL_LIKE_POST: ("likes", lambda p: (p["personId"], p["messageId"])),
-        DEL_LIKE_COMMENT: ("likes", lambda p: (p["personId"], p["messageId"])),
-        DEL_FORUM: ("forums", lambda p: p["forumId"]),
-        DEL_MEMBER: ("members", lambda p: (p["forumId"], p["personId"])),
-        DEL_POST: ("messages", lambda p: p["messageId"]),
-        DEL_COMMENT: ("messages", lambda p: p["messageId"]),
-        DEL_KNOWS: ("knows", lambda p: _pair(p["person1Id"], p["person2Id"])),
-    }
-
     def _apply_delete(self, op: UpdateOperation) -> tuple[int, int]:
-        kind, key_of = self._DELETE_TARGET.get(op.op_type, (None, None))
-        if kind is None:
-            raise IntegrityError(f"unknown delete op {op.op_type}")
-        key = key_of(op.payload)
+        collection, key = delete_target(op)
         with self._lock:
-            closure = self._closure_unlocked(kind, key)
-            table = {"persons": self._persons, "forums": self._forums,
-                     "messages": self._messages, "knows": self._knows,
-                     "likes": self._likes, "members": self._members}
-            target = table[kind].get(key)
-            if target is None or target.deleted_v is not None:
-                raise UnknownEntity(f"{kind} {key} is absent or already deleted")
-            expected = {POST: DEL_POST, COMMENT: DEL_COMMENT}
-            if kind == "messages" and expected[target.value.kind] != op.op_type:
+            closure = self._closure_unlocked(collection, key)
+            if not closure:
+                raise UnknownEntity(f"{collection} {key} is absent or already deleted")
+            target = closure[0][2].value
+            if collection == "messages" and target.kind != OP_TARGET[op.op_type][1]:
                 raise IntegrityError(
-                    f"delete op {op.op_type} targets a {target.value.kind} message")
+                    f"delete op {op.op_type} targets a {target.kind} message")
             version = self._version + 1
             nodes = self._tombstone_all(closure, version)
             self._version = version
@@ -432,91 +282,26 @@ class ReferenceStore:
             return sorted((coll, k) for coll, k, _rec in
                           self._closure_unlocked(kind, key))
 
-    def _closure_unlocked(self, kind: str, key) -> list[tuple[str, object, _Rec]]:
-        """Live dependent closure of one entity, the target included."""
+    def _closure_unlocked(self, collection: str, key) -> list[tuple[str, object, _Rec]]:
+        """Live dependent closure of one entity, in depth-first pre-order:
+        the target first, and every record after the one whose deletion
+        reached it."""
         out: list[tuple[str, object, _Rec]] = []
         seen: set[tuple[str, object]] = set()
 
-        def live(table, k):
-            return self._live_now(table, k)
+        def visit(collection: str, key, rec: _Rec) -> None:
+            seen.add((collection, key))
+            out.append((collection, key, rec))
+            for child, index in self._cascades[collection]:
+                for child_rec in index.get(key, ()):
+                    if child_rec.deleted_v is None:
+                        child_key = key_of(child, child_rec.value)
+                        if (child, child_key) not in seen:
+                            visit(child, child_key, child_rec)
 
-        def visit_person(pid: int) -> None:
-            rec = live(self._persons, pid)
-            if rec is None or ("persons", pid) in seen:
-                return
-            seen.add(("persons", pid))
-            out.append(("persons", pid, rec))
-            for edge_rec in self._knows_by_person.get(pid, []):
-                if edge_rec.deleted_v is None:
-                    edge = edge_rec.value
-                    if ("knows", edge.pair) not in seen:
-                        seen.add(("knows", edge.pair))
-                        out.append(("knows", edge.pair, edge_rec))
-            for like_rec in self._likes_by_person.get(pid, []):
-                if like_rec.deleted_v is None:
-                    k = (like_rec.value.person_id, like_rec.value.message_id)
-                    if ("likes", k) not in seen:
-                        seen.add(("likes", k))
-                        out.append(("likes", k, like_rec))
-            for member_rec in self._members_by_person.get(pid, []):
-                if member_rec.deleted_v is None:
-                    k = (member_rec.value.forum_id, member_rec.value.person_id)
-                    if ("members", k) not in seen:
-                        seen.add(("members", k))
-                        out.append(("members", k, member_rec))
-            for msg_rec in self._messages_by_creator.get(pid, []):
-                if msg_rec.deleted_v is None:
-                    visit_message(msg_rec.value.id)
-            if self.delete_forums_of_deleted_moderator:
-                for forum_rec in self._forums_by_moderator.get(pid, []):
-                    if forum_rec.deleted_v is None:
-                        visit_forum(forum_rec.value.id)
-
-        def visit_forum(fid: int) -> None:
-            rec = live(self._forums, fid)
-            if rec is None or ("forums", fid) in seen:
-                return
-            seen.add(("forums", fid))
-            out.append(("forums", fid, rec))
-            for member_rec in self._members_by_forum.get(fid, []):
-                if member_rec.deleted_v is None:
-                    k = (member_rec.value.forum_id, member_rec.value.person_id)
-                    if ("members", k) not in seen:
-                        seen.add(("members", k))
-                        out.append(("members", k, member_rec))
-            for post_rec in self._posts_by_forum.get(fid, []):
-                if post_rec.deleted_v is None:
-                    visit_message(post_rec.value.id)
-
-        def visit_message(mid: int) -> None:
-            rec = live(self._messages, mid)
-            if rec is None or ("messages", mid) in seen:
-                return
-            seen.add(("messages", mid))
-            out.append(("messages", mid, rec))
-            for like_rec in self._likes_by_message.get(mid, []):
-                if like_rec.deleted_v is None:
-                    k = (like_rec.value.person_id, like_rec.value.message_id)
-                    if ("likes", k) not in seen:
-                        seen.add(("likes", k))
-                        out.append(("likes", k, like_rec))
-            for child_rec in self._children.get(mid, []):
-                if child_rec.deleted_v is None:
-                    visit_message(child_rec.value.id)
-
-        if kind == "persons":
-            visit_person(key)
-        elif kind == "forums":
-            visit_forum(key)
-        elif kind == "messages":
-            visit_message(key)
-        else:
-            table = {"knows": self._knows, "likes": self._likes,
-                     "members": self._members}[kind]
-            rec = self._live_now(table, key)
-            if rec is not None:
-                seen.add((kind, key))
-                out.append((kind, key, rec))
+        rec = self._tables[collection].get(key)
+        if rec is not None and rec.deleted_v is None:
+            visit(collection, key, rec)
         return out
 
     # -- queries -----------------------------------------------------------
@@ -648,13 +433,9 @@ class ReferenceStore:
     def state_at(self, version: int | None = None) -> dict[str, dict]:
         """Live values per collection at a version (default: latest)."""
         v = self._version if version is None else version
-        out: dict[str, dict] = {}
-        for name, table in (("persons", self._persons), ("forums", self._forums),
-                            ("messages", self._messages), ("knows", self._knows),
-                            ("likes", self._likes), ("members", self._members)):
-            out[name] = {key: rec.value for key, rec in table.items()
-                         if rec.visible_at(v)}
-        return out
+        return {collection: {key: rec.value for key, rec in table.items()
+                             if rec.visible_at(v)}
+                for collection, table in self._tables.items()}
 
     def counts(self, version: int | None = None) -> dict[str, int]:
         return {name: len(values) for name, values in self.state_at(version).items()}

@@ -1,10 +1,12 @@
 """Command line surface: each subcommand end to end over a shared tree."""
 
 import json
+import shutil
 
 import pytest
 
 from socialbench.cli import main
+from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cutoff, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +160,57 @@ class TestErrors:
                      "--out", str(tmp_path / "params")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestBadInput:
+    def test_stream_line_missing_a_payload_key(self, tree, tmp_path, capsys):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(tree / "dataset", dataset)
+        stream = dataset / "stream.ldjson"
+        lines = stream.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["payload"].popitem()
+        lines[0] = json.dumps(record)
+        stream.write_text("\n".join(lines) + "\n")
+        code = main(["driver", "--mode", "validate", "--stream", str(dataset),
+                     "--params", str(tree / "params")])
+        assert code == 1
+        assert f"error: {stream}:1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conf,field", [
+        ({"datagen": {"seed": 1, "num_persons": 20, "persons": 5}}, "datagen.persons"),
+        ({"driver": {"tcrr": 0.1}}, "driver.tcrr"),
+        ({"driver": {"triggers": {"sr2_per_crr": 1}}}, "driver.triggers.sr2_per_crr"),
+        ({"paramgen": {"perday": 2}}, "paramgen.perday"),
+        ({"drivr": {"tcr": 0.1}}, "drivr"),
+    ])
+    def test_unknown_config_key(self, tmp_path, capsys, conf, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(conf))
+        code = main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert f"invalid config field '{field}'" in capsys.readouterr().err
+
+
+class TestModeratorCascadeOff:
+    def test_driver_uses_the_datasets_setting(self, tmp_path):
+        cfg = GenConfig(seed=3, num_persons=100, cutoff_fraction=0.6,
+                        delete_forums_of_deleted_moderator=False)
+        graph = generate_temporal_graph(cfg)
+        sas = split_at_cutoff(graph, cfg)
+        deleted = {op.payload["personId"]: op.scheduled_time
+                   for op in sas.stream if op.op_type == "DEL1"}
+        assert any(f.moderator_person_id in deleted
+                   and (f.lifecycle.deletion is None
+                        or f.lifecycle.deletion > deleted[f.moderator_person_id])
+                   for f in graph.forums.values()), "no forum outlives its moderator"
+        dataset, params = tmp_path / "dataset", tmp_path / "params"
+        write_dataset(graph, sas, cfg, dataset)
+        assert main(["paramgen", "--graph", str(dataset), "--out", str(params),
+                     "--per-day", "2", "--seed", "3"]) == 0
+        report = tmp_path / "validate.json"
+        assert main(["driver", "--mode", "validate", "--stream", str(dataset),
+                     "--params", str(params), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["diffCount"] == 0
+        assert main(["driver", "--mode", "benchmark", "--no-pace", "--stream", str(dataset),
+                     "--params", str(params)]) == 0

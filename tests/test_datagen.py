@@ -7,6 +7,7 @@ simulation window.
 """
 
 import filecmp
+import json
 import math
 import statistics
 from collections import Counter
@@ -15,9 +16,7 @@ import pytest
 
 from socialbench.datagen import (
     GenConfig,
-    SnapshotAndStream,
     cutoff_instant,
-    enforce_t_safe,
     generate_temporal_graph,
     read_dataset,
     read_stream,
@@ -25,17 +24,16 @@ from socialbench.datagen import (
     write_dataset,
     write_stream,
 )
-from socialbench.errors import ConfigInvalid, ParseError, UnsatisfiableDependency
+from socialbench.errors import ConfigInvalid, ParseError
 from socialbench.model import (
     COUNTRIES,
     DELETE_OPS,
     INSERT_OPS,
     TAGS,
     UNIVERSITIES,
-    UpdateOperation,
     check_temporal_invariants,
 )
-from socialbench.simtime import MS_PER_HOUR, SIM_END, SIM_START, parse_day
+from socialbench.simtime import MS_PER_HOUR, SIM_END, parse_day
 
 
 class TestConfig:
@@ -65,6 +63,15 @@ class TestConfig:
         cfg = GenConfig(seed=99, num_persons=42, cutoff_fraction=0.5,
                         homophily_weight=0.25, flashmob_count=5)
         assert GenConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("data,named", [
+        ({"seed": 1, "num_persons": 5, "num_person": 5}, "num_person"),
+        ({"seed": 1}, "num_persons"),
+    ])
+    def test_from_dict_names_unknown_or_missing_key(self, data, named):
+        with pytest.raises(ConfigInvalid) as err:
+            GenConfig.from_dict(data)
+        assert err.value.field == f"datagen.{named}"
 
 
 class TestGeneration:
@@ -377,6 +384,18 @@ class TestSerialization:
         assert err.value.line_no == 3
         assert str(path) in str(err.value)
 
+    def test_stream_payload_missing_a_key_is_a_parse_error(self, sas, tmp_path):
+        path = tmp_path / "stream.ldjson"
+        write_stream(sas.stream[:5], path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["payload"].popitem()
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_stream(path)
+        assert err.value.line_no == 2
+
     def test_csv_header_mismatch_is_reported(self, graph, sas, gen_config, tmp_path):
         write_dataset(graph, sas, gen_config, tmp_path / "out")
         victim = tmp_path / "out" / "snapshot" / "persons.csv"
@@ -398,41 +417,3 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             read_dataset(tmp_path / "out")
         assert err.value.line_no == 4
-
-
-def _op(op_type, scheduled, dep, payload):
-    return UpdateOperation(op_type, scheduled, dep, payload)
-
-
-class TestEnforceTSafe:
-    def test_compliant_stream_is_untouched(self, sas, gen_config):
-        repaired = enforce_t_safe(sas.stream, gen_config.t_safe, SIM_END)
-        assert repaired == sas.stream
-
-    def test_tight_op_is_pushed_to_margin(self):
-        base = SIM_START + 1_000_000
-        ops = [
-            _op("INS1", base, SIM_START, {"id": 1}),
-            _op("INS8", base + 5_000, base, {"person1Id": 1, "person2Id": 2}),
-        ]
-        repaired = enforce_t_safe(ops, 10_000, SIM_END)
-        assert repaired[0] == ops[0]
-        assert repaired[1].scheduled_time == base + 10_000
-        assert repaired[1].payload == ops[1].payload
-
-    def test_repair_preserves_time_order(self):
-        base = SIM_START + 1_000_000
-        ops = [
-            _op("INS1", base, base - 2_000, {"id": 1}),
-            _op("INS1", base + 1_000, SIM_START, {"id": 2}),
-        ]
-        repaired = enforce_t_safe(ops, 10_000, SIM_END)
-        times = [op.scheduled_time for op in repaired]
-        assert times == sorted(times)
-        assert repaired[0].payload == {"id": 2}
-        assert repaired[1].scheduled_time == base + 8_000
-
-    def test_impossible_margin_raises(self):
-        ops = [_op("INS1", SIM_END - 1_000, SIM_END - 2_000, {"id": 1})]
-        with pytest.raises(UnsatisfiableDependency):
-            enforce_t_safe(ops, 10_000, SIM_END)

@@ -11,7 +11,6 @@ from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cut
 from socialbench.driver import (
     BenchmarkRunner,
     DriverConfig,
-    GateDecision,
     GlobalClock,
     QueryInstance,
     Schedule,
@@ -20,13 +19,13 @@ from socialbench.driver import (
     build_schedule,
     compute_stats,
     cross_validate,
-    dependency_gate,
     derive_triggers,
     on_time,
     percentile,
     summarize_run,
     wall_offset,
 )
+from socialbench.driver.validate import MAX_DIFFS_PER_VARIANT
 from socialbench.errors import (
     ConfigInvalid,
     DeadlockSuspected,
@@ -136,9 +135,17 @@ class TestBuildSchedule:
 
 class TestClockAndGate:
     def test_gate_boundary(self):
-        assert dependency_gate(100, 100) is GateDecision.EXECUTE
-        assert dependency_gate(99, 100) is GateDecision.DEFER
-        assert dependency_gate(101, 100) is GateDecision.EXECUTE
+        clock = GlobalClock(50, [100, 100, 200])
+        assert clock.covered(99)
+        assert not clock.covered(100)
+        clock.mark_done(0)
+        assert not clock.covered(100)  # a second op shares the instant
+        clock.mark_done(1)
+        assert clock.covered(100)
+        assert clock.covered(199)
+        assert not clock.covered(200)
+        clock.mark_done(2)
+        assert clock.covered(10**15)
 
     def test_prefix_watermark_ignores_out_of_order_completions(self):
         clock = GlobalClock(50, [100, 200, 300])
@@ -370,3 +377,32 @@ class TestCrossValidate:
         naive2.bulk_load(sas.snapshot)
         with pytest.raises(ValidationFailed):
             cross_validate(broken2, naive2, schedule, config, raise_on_diff=True)
+
+    def test_every_divergence_is_counted(self):
+        class Lies48CR13:
+            """Delegates to a ReferenceStore but answers 48 CR13 reads wrongly."""
+
+            def __init__(self):
+                self.inner, self.lies = ReferenceStore(), 0
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def execute_query(self, variant, params, snapshot=None):
+                result = self.inner.execute_query(variant, params, snapshot)
+                if variant.startswith("CR13") and self.lies < 48:
+                    self.lies += 1
+                    return {"shortestPathLength": result["shortestPathLength"] + 1}
+                return result
+
+        _, sas, buckets = _mini_dataset(num_persons=80, seed=13)
+        naive, liar = NaiveStore(), Lies48CR13()
+        naive.bulk_load(sas.snapshot)
+        liar.bulk_load(sas.snapshot)
+        config = DriverConfig(pacing=False)
+        schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
+        outcome = cross_validate(naive, liar, schedule, config)
+        assert liar.lies == 48
+        assert outcome["diffCount"] == 48
+        # Examples stay capped: CR13a and CR13b keep three each.
+        assert len(outcome["diffs"]) == 2 * MAX_DIFFS_PER_VARIANT

@@ -1,9 +1,11 @@
 """Core model: time arithmetic, lifecycles, entity shapes, invariants."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from socialbench.errors import CycleDetected
+from socialbench.errors import CycleDetected, MalformedOperation
 from socialbench.model import (
     COMMENT,
     COUNTRIES,
@@ -17,7 +19,11 @@ from socialbench.model import (
     Lifecycle,
     Message,
     TemporalGraph,
+    UpdateOperation,
     check_temporal_invariants,
+    decode_insert,
+    delete_target,
+    key_of,
     root_post_of,
 )
 from socialbench.simtime import (
@@ -185,3 +191,31 @@ class TestGraphInvariants:
                                 members=graph.members)
         problems = check_temporal_invariants(mutated)
         assert any(str(bad.id) in p for p in problems)
+
+
+class TestCodec:
+    def test_stream_decodes_to_the_generated_entities(self, graph, sas):
+        for op in sas.stream:
+            if not op.is_insert:
+                collection, key = delete_target(op)
+                assert getattr(graph, collection)[key].lifecycle.deletion == op.scheduled_time
+                continue
+            collection, entity = decode_insert(op)
+            expected = getattr(graph, collection)[key_of(collection, entity)]
+            expected = replace(expected, lifecycle=Lifecycle(expected.lifecycle.creation))
+            if collection == "messages" and entity.kind == COMMENT:
+                expected = replace(expected, root_post_id=None)  # not on the wire
+            assert entity == expected
+
+    @pytest.mark.parametrize("op_type,payload", [
+        ("INS1", {"id": 1, "firstName": "A"}),
+        ("INS8", {"person1Id": 2, "person2Id": 2}),
+        ("INS6", {"id": 5, "creatorPersonId": 1, "containerForumId": None,
+                  "countryId": 1, "tagIds": []}),
+        ("INS2", ["personId", "messageId"]),
+        ("DEL5", {"forumId": 1}),
+    ])
+    def test_malformed_payload_is_rejected(self, op_type, payload):
+        op = UpdateOperation(op_type, SIM_START, SIM_START, payload)
+        with pytest.raises(MalformedOperation):
+            decode_insert(op) if op.is_insert else delete_target(op)

@@ -7,11 +7,13 @@ independent answers for the randomized comparisons.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cutoff
 from socialbench.errors import DependencyMissing, IntegrityError, UnknownEntity
 from socialbench.model import COUNTRIES, UpdateOperation
 from socialbench.refstore import NaiveStore, ReferenceStore, edge_weight
@@ -411,6 +413,35 @@ class TestVersioning:
     def test_bulk_load_only_once(self, toy, sas):
         with pytest.raises(IntegrityError):
             toy.bulk_load(sas.snapshot)
+
+
+@pytest.mark.parametrize("store_cls", [ReferenceStore, NaiveStore])
+class TestBulkLoad:
+    def test_rejected_load_leaves_store_empty(self, store_cls, sas):
+        good = sas.snapshot
+        like = next(iter(good.likes.values()))
+        dangling = replace(like, message_id=max(good.messages) + 1)
+        bad = replace(good, likes={**good.likes,
+                                   (dangling.person_id, dangling.message_id): dangling})
+        store = store_cls()
+        with pytest.raises(IntegrityError):
+            store.bulk_load(bad)
+        assert store.version == 0
+        assert not any(store.state_at().values())
+        assert store.bulk_load(good) == 1
+        assert store.counts() == good.counts()
+
+    def test_forum_may_outlive_moderator_when_cascade_is_off(self, store_cls):
+        # Seed 11 retires the moderator of forum 17 before the cutoff.
+        cfg = GenConfig(seed=11, num_persons=100, cutoff_fraction=0.6,
+                        delete_forums_of_deleted_moderator=False)
+        snapshot = split_at_cutoff(generate_temporal_graph(cfg), cfg).snapshot
+        assert snapshot.forums[17].moderator_person_id not in snapshot.persons
+        store = store_cls(delete_forums_of_deleted_moderator=False)
+        store.bulk_load(snapshot)
+        assert 17 in store.state_at()["forums"]
+        with pytest.raises(IntegrityError):
+            store_cls().bulk_load(snapshot)
 
 
 def _random_params(rng, persons, messages):
