@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ..errors import ConfigInvalid, check_config_keys
+from ..errors import ConfigInvalid, check_config_keys, check_config_types
 from ..simtime import MS_PER_SECOND, SIM_END, SIM_START
 
 
@@ -32,6 +32,7 @@ class GenConfig:
     delete_forums_of_deleted_moderator: bool = True
 
     def validate(self) -> None:
+        check_config_types(self)
         if not 0 <= self.seed < 2**64:
             raise ConfigInvalid("seed", "must fit in 64 bits")
         if self.num_persons < 0:

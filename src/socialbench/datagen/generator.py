@@ -3,16 +3,18 @@
 Entities are sampled in dependency order (persons, friendships, forums,
 memberships, posts, comment trees, likes, then flashmob bursts) so that
 every entity's final deletion instant is known before anything that hangs
-off it is created.  That ordering lets the sampler enforce two temporal
-rules up front:
+off it is created.  The rules for where an entity may be placed come from
+model.PARENTS and model.cascade_parents, read through one window per
+entity:
 
-  * creation(child) >= creation(parent) + t_safe for every reference, and
+  * creation(child) >= creation(parent) + t_safe for every parent, and
   * creation(child) <= deletion(parent) - t_safe whenever a parent will be
-    deleted, so a parent's cascading delete never races anything it kills.
+    deleted, so a parent's delete never races anything that depends on it.
 
 Deletions propagate at generation time: an entity's effective deletion is
-the earliest of its own sampled removal and the deletions of everything it
-depends on (its cascade ancestors), all at the same instant as the root.
+its own sampled removal, which must come at least t_safe before the first
+deletion among the parents it dies with (its cascade parents), or else
+that first deletion, at the same instant as the root.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import (
+    COLLECTIONS,
     COMMENT,
     COUNTRIES,
+    PARENTS,
     POST,
     TAGS,
     UNIVERSITIES_BY_COUNTRY,
@@ -33,6 +37,7 @@ from ..model import (
     Message,
     Person,
     TemporalGraph,
+    cascade_parents,
 )
 from ..simtime import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE
 from .config import GenConfig
@@ -69,8 +74,6 @@ CREATION_LAG = {
     "like": 30 * MS_PER_DAY,
 }
 
-_INF = float("inf")
-
 
 def generate_temporal_graph(config: GenConfig) -> TemporalGraph:
     """Generate the full temporal graph for a config. Deterministic per seed."""
@@ -89,12 +92,16 @@ class _Builder:
         self.scale = config.content_scale
         self._next_forum_id = 1
         self._next_message_id = 1
-        # deletion instant as float-inf-capable lookups, keyed like the graph
-        self._person_del: dict[int, float] = {}
-        self._forum_del: dict[int, float] = {}
-        self._message_del: dict[int, float] = {}
         self._friends: dict[int, list[int]] = {}
         self._forum_members: dict[int, list[int]] = {}
+        # Per collection: (parent table, attribute, whether the entity dies
+        # with that parent), read by every _window call.
+        self._parents = {}
+        for collection in COLLECTIONS:
+            cascading = cascade_parents(collection, config.delete_forums_of_deleted_moderator)
+            self._parents[collection] = tuple(
+                (getattr(self.graph, parent), attr, (parent, attr) in cascading)
+                for parent, attr in PARENTS[collection])
 
     # -- small sampling helpers -------------------------------------------
 
@@ -111,40 +118,44 @@ class _Builder:
             offset = int(self.rng.exponential(CREATION_LAG[kind]))
         return lo + int(self.rng.integers(0, span + 1))
 
-    def _window(self, creations: list[int], bounds: list[float]) -> tuple[int, int] | None:
-        """Valid creation window for an entity referencing the given parents.
+    def _window(self, collection: str, **refs) -> tuple[int, int, int | None] | None:
+        """Where an entity of collection may be placed, given its parents'
+        keys by attribute name: (lo, hi, bound).
 
-        creations are parent creation instants, bounds their deletion
-        instants (inf when never deleted).  Returns None when no instant
-        satisfies both safety margins.
+        Its creation must fall in [lo, hi]: at least t_safe after every
+        parent's creation and t_safe before every parent's deletion.  bound
+        is the first deletion among the parents it dies with, or None.
+        Returns None when no instant satisfies both margins.
         """
-        lo = max(creations) + self.t_safe
-        hi = min(min(bounds), float(self.end) + 1.0) - self.t_safe
-        hi = min(hi, float(self.end))
-        if lo > hi:
-            return None
-        return lo, int(hi)
+        lo, hi, bound = self.start, self.end + 1 - self.t_safe, None
+        for table, attr, cascades in self._parents[collection]:
+            ref = refs.get(attr)
+            if ref is None:
+                continue
+            life = table[ref].lifecycle
+            lo = max(lo, life.creation + self.t_safe)
+            deletion = life.deletion
+            if deletion is not None:
+                hi = min(hi, deletion - self.t_safe)
+                if cascades and (bound is None or deletion < bound):
+                    bound = deletion
+        return (lo, hi, bound) if lo <= hi else None
 
-    def _own_deletion(self, kind: str, creation: int, bound: float) -> int | None:
-        """Sample an independent removal instant, or None."""
+    def _place(self, kind: str, window: tuple[int, int, int | None]) -> Lifecycle:
+        """Draw a lifecycle in window: the creation, then an independent
+        removal at least t_safe before the bound, else deletion at the bound.
+
+        The margin keeps a cascade that reaches this entity t_safe after
+        the entity's own delete, which the cascade's delete waits for.
+        """
+        lo, hi, bound = window
+        creation = self._lagged_instant(lo, hi, kind)
         prob, mean = OWN_DELETE[kind]
-        if self.rng.random() >= prob:
-            return None
-        d = creation + max(self.t_safe, int(self.rng.exponential(mean)))
-        if d >= min(bound, float(self.end)):
-            return None
-        return d
-
-    @staticmethod
-    def _resolve(own: int | None, bounds: list[float]) -> float:
-        candidates = [b for b in bounds if b != _INF]
-        if own is not None:
-            candidates.append(own)
-        return min(candidates) if candidates else _INF
-
-    @staticmethod
-    def _lifecycle(creation: int, deletion: float) -> Lifecycle:
-        return Lifecycle(creation, None if deletion == _INF else int(deletion))
+        if self.rng.random() < prob:
+            d = creation + max(self.t_safe, int(self.rng.exponential(mean)))
+            if d < self.end and (bound is None or d <= bound - self.t_safe):
+                return Lifecycle(creation, d)
+        return Lifecycle(creation, bound)
 
     # -- stages ------------------------------------------------------------
 
@@ -181,18 +192,17 @@ class _Builder:
             tags = frozenset(TAGS[int(i)].id for i in picks)
 
             creation = self._instant(self.start, self.start + int(window * 0.85))
-            deletion: float = _INF
+            deletion = None
             if self.rng.random() < self.cfg.person_deletion_rate:
                 lifetime = max(4 * self.t_safe, int(self.rng.exponential(window * 0.5)))
                 d = creation + lifetime
                 if d < self.end:
-                    deletion = float(d)
-            self._person_del[pid] = deletion
+                    deletion = d
             self._friends[pid] = []
             self.graph.persons[pid] = Person(
                 id=pid, first_name=first, last_name=last, country_id=country.id,
                 university_id=university, tag_interests=tags,
-                lifecycle=self._lifecycle(creation, deletion))
+                lifecycle=Lifecycle(creation, deletion))
 
     def _sample_knows(self) -> None:
         """Power-law friendship degrees realized by stub matching.
@@ -266,21 +276,14 @@ class _Builder:
             if partner is None:
                 continue
 
-            other = persons[partner]
-            win = self._window(
-                [person.lifecycle.creation, other.lifecycle.creation],
-                [self._person_del[me], self._person_del[partner]])
+            win = self._window("knows", person1_id=me, person2_id=partner)
             if win is None:
                 # No instant satisfies the safety margins for this pair;
                 # burn the stubs so the loop terminates.
                 remaining[me] -= 1
                 remaining[partner] -= 1
                 continue
-            creation = self._lagged_instant(*win, "knows")
-            bound = min(self._person_del[me], self._person_del[partner])
-            own = self._own_deletion("knows", creation, bound)
-            deletion = self._resolve(own, [bound])
-            edge = KnowsEdge.make(me, partner, self._lifecycle(creation, deletion))
+            edge = KnowsEdge.make(me, partner, self._place("knows", win))
             pair_keys.add(edge.pair)
             remaining[me] -= 1
             remaining[partner] -= 1
@@ -296,36 +299,23 @@ class _Builder:
         ids = sorted(persons)
         for _ in range(count):
             moderator = ids[int(self.rng.integers(len(ids)))]
-            mod = persons[moderator]
-            mod_bound = self._person_del[moderator] if self.cfg.delete_forums_of_deleted_moderator else _INF
-            win = self._window([mod.lifecycle.creation], [mod_bound])
+            win = self._window("forums", moderator_person_id=moderator)
             if win is None:
                 continue
-            creation = self._lagged_instant(*win, "forum")
-            own = self._own_deletion("forum", creation, mod_bound)
-            deletion = self._resolve(own, [mod_bound])
+            life = self._place("forum", win)
             fid = self._next_forum_id
             self._next_forum_id += 1
-            self._forum_del[fid] = deletion
             self._forum_members[fid] = []
-            self.graph.forums[fid] = Forum(fid, moderator, self._lifecycle(creation, deletion))
+            self.graph.forums[fid] = Forum(fid, moderator, life)
 
     def _join(self, fid: int, pid: int) -> bool:
         """Try to add a membership edge; returns True when it was created."""
         if (fid, pid) in self.graph.members:
             return True
-        forum = self.graph.forums[fid]
-        person = self.graph.persons[pid]
-        win = self._window(
-            [forum.lifecycle.creation, person.lifecycle.creation],
-            [self._forum_del[fid], self._person_del[pid]])
+        win = self._window("members", forum_id=fid, person_id=pid)
         if win is None:
             return False
-        creation = self._lagged_instant(*win, "member")
-        bound = min(self._forum_del[fid], self._person_del[pid])
-        own = self._own_deletion("member", creation, bound)
-        deletion = self._resolve(own, [bound])
-        self.graph.members[(fid, pid)] = HasMemberEdge(fid, pid, self._lifecycle(creation, deletion))
+        self.graph.members[(fid, pid)] = HasMemberEdge(fid, pid, self._place("member", win))
         self._forum_members[fid].append(pid)
         return True
 
@@ -348,11 +338,6 @@ class _Builder:
                 pid = pool[int(self.rng.integers(len(pool)))]
                 self._join(fid, pid)
 
-    def _new_message_id(self) -> int:
-        mid = self._next_message_id
-        self._next_message_id += 1
-        return mid
-
     def _message_country(self, author: Person) -> int:
         # Mostly the author's home country; sometimes written while abroad.
         if self.rng.random() < 0.75:
@@ -367,74 +352,52 @@ class _Builder:
             picks.add(extra)
         return frozenset(picks)
 
-    def _create_post(self, fid: int, author_id: int, window: tuple[int, int],
-                     tag: int | None = None) -> Message | None:
+    def _add_message(self, author_id: int, forum_id: int | None, parent: Message | None,
+                     tag: int | None = None, at: int | None = None) -> Message | None:
+        """A post in forum_id, or a comment replying to parent; None when no
+        creation instant fits.  at pins the creation to the nearest instant
+        that fits."""
+        win = self._window("messages", creator_person_id=author_id,
+                           container_forum_id=forum_id,
+                           reply_to_message_id=None if parent is None else parent.id)
+        if win is None:
+            return None
+        if at is not None:
+            lo, hi, bound = win
+            at = min(max(at, lo), hi)
+            win = (at, at, bound)
         author = self.graph.persons[author_id]
-        creation = self._lagged_instant(*window, "post")
-        bound = min(self._forum_del[fid], self._person_del[author_id])
-        own = self._own_deletion("post", creation, bound)
-        deletion = self._resolve(own, [bound])
-        mid = self._new_message_id()
+        life = self._place("post" if parent is None else "comment", win)
+        mid = self._next_message_id
+        self._next_message_id += 1
         msg = Message(
-            id=mid, kind=POST, creator_person_id=author_id, container_forum_id=fid,
-            reply_to_message_id=None, country_id=self._message_country(author),
-            creation_tag_ids=self._message_tags(author, tag),
-            lifecycle=self._lifecycle(creation, deletion), root_post_id=mid)
+            id=mid, kind=POST if parent is None else COMMENT, creator_person_id=author_id,
+            container_forum_id=forum_id,
+            reply_to_message_id=None if parent is None else parent.id,
+            country_id=self._message_country(author),
+            creation_tag_ids=self._message_tags(author, tag), lifecycle=life,
+            root_post_id=mid if parent is None else parent.root_post_id)
         self.graph.messages[mid] = msg
-        self._message_del[mid] = deletion
         return msg
-
-    def _create_comment(self, parent: Message, author_id: int,
-                        window: tuple[int, int], tag: int | None = None) -> Message | None:
-        author = self.graph.persons[author_id]
-        creation = self._lagged_instant(*window, "comment")
-        bound = min(self._message_del[parent.id], self._person_del[author_id])
-        own = self._own_deletion("comment", creation, bound)
-        deletion = self._resolve(own, [bound])
-        mid = self._new_message_id()
-        msg = Message(
-            id=mid, kind=COMMENT, creator_person_id=author_id, container_forum_id=None,
-            reply_to_message_id=parent.id, country_id=self._message_country(author),
-            creation_tag_ids=self._message_tags(author, tag),
-            lifecycle=self._lifecycle(creation, deletion), root_post_id=parent.root_post_id)
-        self.graph.messages[mid] = msg
-        self._message_del[mid] = deletion
-        return msg
-
-    def _comment_window(self, parent: Message, author_id: int) -> tuple[int, int] | None:
-        author = self.graph.persons[author_id]
-        return self._window(
-            [parent.lifecycle.creation, author.lifecycle.creation],
-            [self._message_del[parent.id], self._person_del[author_id]])
 
     def _sample_threads(self) -> None:
         for fid in sorted(self.graph.forums):
             members = self._forum_members[fid]
             if not members:
                 continue
-            forum = self.graph.forums[fid]
             n_posts = int(self.rng.poisson(MEAN_POSTS_PER_FORUM * self.scale))
             for _ in range(n_posts):
                 author_id = members[int(self.rng.integers(len(members)))]
-                author = self.graph.persons[author_id]
-                win = self._window(
-                    [forum.lifecycle.creation, author.lifecycle.creation],
-                    [self._forum_del[fid], self._person_del[author_id]])
-                if win is None:
-                    continue
-                post = self._create_post(fid, author_id, win)
+                post = self._add_message(author_id, fid, None)
                 if post is None:
                     continue
-                thread: list[Message] = [post]
+                thread = [post]
                 n_comments = int(self.rng.poisson(MEAN_COMMENTS_PER_POST * self.scale))
                 for _ in range(n_comments):
                     parent = thread[int(self.rng.integers(len(thread)))]
                     commenter_pool = members + self._friends.get(parent.creator_person_id, [])
                     author_id = commenter_pool[int(self.rng.integers(len(commenter_pool)))]
-                    cwin = self._comment_window(parent, author_id)
-                    if cwin is None:
-                        continue
-                    comment = self._create_comment(parent, author_id, cwin)
+                    comment = self._add_message(author_id, None, parent)
                     if comment is not None:
                         thread.append(comment)
 
@@ -454,17 +417,10 @@ class _Builder:
                 pid = pool[int(self.rng.integers(len(pool)))]
                 if (pid, mid) in self.graph.likes:
                     continue
-                person = self.graph.persons[pid]
-                win = self._window(
-                    [msg.lifecycle.creation, person.lifecycle.creation],
-                    [self._message_del[mid], self._person_del[pid]])
+                win = self._window("likes", person_id=pid, message_id=mid)
                 if win is None:
                     continue
-                creation = self._lagged_instant(*win, "like")
-                bound = min(self._message_del[mid], self._person_del[pid])
-                own = self._own_deletion("like", creation, bound)
-                deletion = self._resolve(own, [bound])
-                self.graph.likes[(pid, mid)] = LikesEdge(pid, mid, self._lifecycle(creation, deletion))
+                self.graph.likes[(pid, mid)] = LikesEdge(pid, mid, self._place("like", win))
 
     def _sample_flashmobs(self) -> None:
         """Short bursts of themed activity that spike the hourly message rate."""
@@ -489,26 +445,13 @@ class _Builder:
             members = self._forum_members[forum.id]
             size = 15 + int(self.rng.poisson(20 * self.scale))
             burst: list[Message] = []
-            for i in range(size):
+            for _ in range(size):
                 at = int(self.rng.normal(center, 35 * MS_PER_MINUTE))
                 author_id = members[int(self.rng.integers(len(members)))]
-                author = self.graph.persons[author_id]
+                parent = None
                 if burst and self.rng.random() < 0.6:
                     parent = burst[int(self.rng.integers(len(burst)))]
-                    win = self._comment_window(parent, author_id)
-                    if win is None:
-                        continue
-                    lo, hi = win
-                    instant = min(max(at, lo), hi)
-                    msg = self._create_comment(parent, author_id, (instant, instant), tag)
-                else:
-                    win = self._window(
-                        [forum.lifecycle.creation, author.lifecycle.creation],
-                        [self._forum_del[forum.id], self._person_del[author_id]])
-                    if win is None:
-                        continue
-                    lo, hi = win
-                    instant = min(max(at, lo), hi)
-                    msg = self._create_post(forum.id, author_id, (instant, instant), tag)
+                msg = self._add_message(author_id, forum.id if parent is None else None,
+                                        parent, tag, at)
                 if msg is not None:
                     burst.append(msg)

@@ -4,20 +4,13 @@ Layout written by write_dataset(out_dir):
 
     config.json       generator configuration echo
     dataset.json      cutoff instant and partition counts
-    snapshot/         one CSV per entity kind, entities alive at the cutoff
-    temporal/         one CSV per entity kind, full lifecycles
+    snapshot/         one CSV per collection, entities alive at the cutoff
+    temporal/         one CSV per collection, full lifecycles
     stream.ldjson     update operations, one JSON object per line
 
-Canonical CSV column orders (snapshot files omit deletionDate; the
-snapshot messages file also omits rootPostId, which is recomputed on load):
-
-    persons:  id,firstName,lastName,countryId,universityId,tagInterests,creationDate[,deletionDate]
-    knows:    person1Id,person2Id,creationDate[,deletionDate]
-    forums:   id,moderatorPersonId,creationDate[,deletionDate]
-    messages: id,kind,creatorPersonId,containerForumId,replyToMessageId,
-              countryId,creationTagIds[,rootPostId],creationDate[,deletionDate]
-    likes:    personId,messageId,creationDate[,deletionDate]
-    members:  forumId,personId,creationDate[,deletionDate]
+_COLUMNS gives each collection's CSV columns in file order.  Snapshot
+files omit the _TEMPORAL_ONLY columns: their lifecycles are open, and a
+snapshot message's rootPostId is recomputed on load.
 
 Timestamps are ISO-8601 UTC with millisecond precision.  Id-set fields
 (tagInterests, creationTagIds) are semicolon-joined integers, empty when
@@ -29,177 +22,134 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
-from ..errors import MalformedOperation, ParseError
+from ..errors import CycleDetected, MalformedOperation, ParseError
 from ..model import (
-    Forum,
-    HasMemberEdge,
-    KnowsEdge,
+    COLLECTIONS,
+    COMMENT,
+    ENTITY_CLASSES,
+    ID_SETS,
     Lifecycle,
-    LikesEdge,
-    Message,
-    Person,
     TemporalGraph,
     UpdateOperation,
     decode_insert,
     delete_target,
+    key_of,
     root_post_of,
 )
 from ..simtime import format_instant, parse_instant
 from .config import GenConfig
 from .split import SnapshotAndStream
 
-
-def _tags(values) -> str:
-    return ";".join(str(v) for v in sorted(values))
-
-
-def _parse_tags(text: str) -> frozenset[int]:
-    if not text:
-        return frozenset()
-    return frozenset(int(part) for part in text.split(";"))
-
-
-def _opt(value) -> str:
-    return "" if value is None else str(value)
-
-
-def _deletion(lifecycle: Lifecycle) -> str:
-    return "" if lifecycle.deletion is None else format_instant(lifecycle.deletion)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+# (header, attribute) of each CSV column.  "creation" and "deletion" are
+# the lifecycle's.
+_LIFECYCLE = (("creationDate", "creation"), ("deletionDate", "deletion"))
+_COLUMNS: dict[str, tuple[tuple[str, str], ...]] = {
+    "persons": (("id", "id"), ("firstName", "first_name"), ("lastName", "last_name"),
+                ("countryId", "country_id"), ("universityId", "university_id"),
+                ("tagInterests", "tag_interests"), *_LIFECYCLE),
+    "knows": (("person1Id", "person1_id"), ("person2Id", "person2_id"), *_LIFECYCLE),
+    "forums": (("id", "id"), ("moderatorPersonId", "moderator_person_id"), *_LIFECYCLE),
+    "messages": (("id", "id"), ("kind", "kind"), ("creatorPersonId", "creator_person_id"),
+                 ("containerForumId", "container_forum_id"),
+                 ("replyToMessageId", "reply_to_message_id"), ("countryId", "country_id"),
+                 ("creationTagIds", "creation_tag_ids"), ("rootPostId", "root_post_id"),
+                 *_LIFECYCLE),
+    "likes": (("personId", "person_id"), ("messageId", "message_id"), *_LIFECYCLE),
+    "members": (("forumId", "forum_id"), ("personId", "person_id"), *_LIFECYCLE),
+}
+_TEMPORAL_ONLY = ("root_post_id", "deletion")
+_INSTANTS = ("creation", "deletion")
+_TEXT = ("first_name", "last_name", "kind")
+# The cells, besides text and id sets, that may be empty: they read as None.
+_NULLABLE = ("university_id", "container_forum_id", "reply_to_message_id", "deletion")
 
 
-def _write_entities(directory: Path, data, temporal: bool) -> None:
+def _columns(collection: str, temporal: bool) -> list[tuple[str, str]]:
+    return [(header, attr) for header, attr in _COLUMNS[collection]
+            if temporal or attr not in _TEMPORAL_ONLY]
+
+
+def _cell(entity, attr: str):
+    if attr in _INSTANTS:
+        value = getattr(entity.lifecycle, attr)
+        return "" if value is None else format_instant(value)
+    value = getattr(entity, attr)
+    if attr in ID_SETS:
+        return ";".join(str(v) for v in sorted(value))
+    return "" if value is None else value
+
+
+def _parse(attr: str, text: str):
+    if attr in _TEXT:
+        return text
+    if attr in ID_SETS:
+        return frozenset(int(part) for part in text.split(";")) if text else frozenset()
+    if not text and attr in _NULLABLE:
+        return None
+    if attr in _INSTANTS:
+        return parse_instant(text)
+    return int(text)
+
+
+def _write_entities(directory: Path, graph: TemporalGraph, temporal: bool) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    lc = lambda e: [format_instant(e.lifecycle.creation)] + ([_deletion(e.lifecycle)] if temporal else [])
-    suffix = ["deletionDate"] if temporal else []
-
-    _write_csv(directory / "persons.csv",
-               ["id", "firstName", "lastName", "countryId", "universityId",
-                "tagInterests", "creationDate"] + suffix,
-               ([p.id, p.first_name, p.last_name, p.country_id, _opt(p.university_id),
-                 _tags(p.tag_interests)] + lc(p)
-                for p in (data.persons[k] for k in sorted(data.persons))))
-    _write_csv(directory / "knows.csv",
-               ["person1Id", "person2Id", "creationDate"] + suffix,
-               ([e.person1_id, e.person2_id] + lc(e)
-                for e in (data.knows[k] for k in sorted(data.knows))))
-    _write_csv(directory / "forums.csv",
-               ["id", "moderatorPersonId", "creationDate"] + suffix,
-               ([f.id, f.moderator_person_id] + lc(f)
-                for f in (data.forums[k] for k in sorted(data.forums))))
-    root_col = ["rootPostId"] if temporal else []
-    _write_csv(directory / "messages.csv",
-               ["id", "kind", "creatorPersonId", "containerForumId", "replyToMessageId",
-                "countryId", "creationTagIds"] + root_col + ["creationDate"] + suffix,
-               ([m.id, m.kind, m.creator_person_id, _opt(m.container_forum_id),
-                 _opt(m.reply_to_message_id), m.country_id, _tags(m.creation_tag_ids)]
-                + ([m.root_post_id] if temporal else []) + lc(m)
-                for m in (data.messages[k] for k in sorted(data.messages))))
-    _write_csv(directory / "likes.csv",
-               ["personId", "messageId", "creationDate"] + suffix,
-               ([e.person_id, e.message_id] + lc(e)
-                for e in (data.likes[k] for k in sorted(data.likes))))
-    _write_csv(directory / "members.csv",
-               ["forumId", "personId", "creationDate"] + suffix,
-               ([e.forum_id, e.person_id] + lc(e)
-                for e in (data.members[k] for k in sorted(data.members))))
+    for collection in COLLECTIONS:
+        columns = _columns(collection, temporal)
+        entities = getattr(graph, collection)
+        with (directory / f"{collection}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([header for header, _ in columns])
+            writer.writerows([_cell(entities[key], attr) for _, attr in columns]
+                             for key in sorted(entities))
 
 
-class _Reader:
-    """CSV reader that reports failures with file and line number."""
-
-    def __init__(self, path: Path, expected_header: list[str]):
-        self.path = path
-        self.expected_header = expected_header
-
-    def parse(self, builder):
-        out = {}
-        with self.path.open(newline="") as fh:
+def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
+    """Read every collection's CSV; a file that does not parse raises
+    ParseError with its path and line."""
+    graph = TemporalGraph()
+    unrooted: dict[int, int] = {}  # line of each snapshot comment
+    for collection in COLLECTIONS:
+        path = directory / f"{collection}.csv"
+        columns = _columns(collection, temporal)
+        header = [name for name, _ in columns]
+        entities = getattr(graph, collection)
+        with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(str(self.path), 1, "missing header")
-            if header != self.expected_header:
-                raise ParseError(str(self.path), 1,
-                                 f"unexpected header {header!r}, wanted {self.expected_header!r}")
+            found = next(reader, None)
+            if found is None:
+                raise ParseError(str(path), 1, "missing header")
+            if found != header:
+                raise ParseError(str(path), 1,
+                                 f"unexpected header {found!r}, wanted {header!r}")
             for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(self.expected_header):
-                    raise ParseError(str(self.path), line_no,
-                                     f"expected {len(self.expected_header)} fields, got {len(row)}")
+                if len(row) != len(header):
+                    raise ParseError(str(path), line_no,
+                                     f"expected {len(header)} fields, got {len(row)}")
                 try:
-                    key, value = builder(row)
-                except (ValueError, KeyError) as exc:
-                    raise ParseError(str(self.path), line_no, str(exc)) from exc
-                out[key] = value
-        return out
-
-
-def _read_entities(directory: Path, temporal: bool):
-    suffix = ["deletionDate"] if temporal else []
-
-    def life(row: list[str], base: int) -> Lifecycle:
-        creation = parse_instant(row[base])
-        deletion = None
-        if temporal and row[base + 1]:
-            deletion = parse_instant(row[base + 1])
-        return Lifecycle(creation, deletion)
-
-    persons = _Reader(directory / "persons.csv",
-                      ["id", "firstName", "lastName", "countryId", "universityId",
-                       "tagInterests", "creationDate"] + suffix).parse(
-        lambda r: (int(r[0]), Person(int(r[0]), r[1], r[2], int(r[3]),
-                                     int(r[4]) if r[4] else None, _parse_tags(r[5]), life(r, 6))))
-    knows = _Reader(directory / "knows.csv",
-                    ["person1Id", "person2Id", "creationDate"] + suffix).parse(
-        lambda r: ((int(r[0]), int(r[1])), KnowsEdge(int(r[0]), int(r[1]), life(r, 2))))
-    forums = _Reader(directory / "forums.csv",
-                     ["id", "moderatorPersonId", "creationDate"] + suffix).parse(
-        lambda r: (int(r[0]), Forum(int(r[0]), int(r[1]), life(r, 2))))
-
-    root_col = ["rootPostId"] if temporal else []
-    msg_header = ["id", "kind", "creatorPersonId", "containerForumId", "replyToMessageId",
-                  "countryId", "creationTagIds"] + root_col + ["creationDate"] + suffix
-
-    raw_messages: dict[int, list[str]] = _Reader(directory / "messages.csv", msg_header).parse(
-        lambda r: (int(r[0]), r))
-    messages: dict[int, Message] = {}
-    if temporal:
-        for mid in raw_messages:
-            r = raw_messages[mid]
-            messages[mid] = Message(
-                int(r[0]), r[1], int(r[2]), int(r[3]) if r[3] else None,
-                int(r[4]) if r[4] else None, int(r[5]), _parse_tags(r[6]),
-                life(r, 8), root_post_id=int(r[7]))
-    else:
-        # Two passes: materialize reply links first, then resolve thread roots.
-        probes = {
-            mid: SimpleNamespace(id=mid, kind=r[1],
-                                 reply_to_message_id=int(r[4]) if r[4] else None)
-            for mid, r in raw_messages.items()
-        }
-        for mid in raw_messages:
-            r = raw_messages[mid]
-            messages[mid] = Message(
-                int(r[0]), r[1], int(r[2]), int(r[3]) if r[3] else None,
-                int(r[4]) if r[4] else None, int(r[5]), _parse_tags(r[6]),
-                life(r, 7), root_post_id=root_post_of(mid, probes))
-
-    likes = _Reader(directory / "likes.csv",
-                    ["personId", "messageId", "creationDate"] + suffix).parse(
-        lambda r: ((int(r[0]), int(r[1])), LikesEdge(int(r[0]), int(r[1]), life(r, 2))))
-    members = _Reader(directory / "members.csv",
-                      ["forumId", "personId", "creationDate"] + suffix).parse(
-        lambda r: ((int(r[0]), int(r[1])), HasMemberEdge(int(r[0]), int(r[1]), life(r, 2))))
-    return persons, knows, forums, messages, likes, members
+                    values = {attr: _parse(attr, cell) for (_, attr), cell in zip(columns, row)}
+                    life = Lifecycle(values.pop("creation"), values.pop("deletion", None))
+                    if collection == "messages" and not temporal:
+                        # A comment's root is found once every message is read.
+                        values["root_post_id"] = (None if values["kind"] == COMMENT
+                                                  else values["id"])
+                    entity = ENTITY_CLASSES[collection](lifecycle=life, **values)
+                except ValueError as exc:
+                    raise ParseError(str(path), line_no, str(exc)) from exc
+                key = key_of(collection, entity)
+                entities[key] = entity
+                if collection == "messages" and entity.root_post_id is None:
+                    unrooted[key] = line_no
+    messages = graph.messages
+    for mid, line_no in unrooted.items():
+        try:
+            messages[mid] = replace(messages[mid], root_post_id=root_post_of(mid, messages))
+        except (CycleDetected, KeyError) as exc:
+            raise ParseError(str(directory / "messages.csv"), line_no,
+                             f"reply chain does not reach a post: {exc}") from exc
+    return graph
 
 
 def write_stream(stream: list[UpdateOperation], path: Path) -> None:
@@ -260,13 +210,9 @@ def deserialize(directory: str | Path) -> SnapshotAndStream:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(str(meta_path), exc.lineno, exc.msg) from exc
-    persons, knows, forums, messages, likes, members = _read_entities(
-        directory / "snapshot", temporal=False)
-    snapshot = TemporalGraph(persons=persons, knows=knows, forums=forums,
-                             messages=messages, likes=likes, members=members)
     return SnapshotAndStream(
         cutoff=parse_instant(meta["cutoff"]),
-        snapshot=snapshot,
+        snapshot=_read_entities(directory / "snapshot", temporal=False),
         stream=read_stream(directory / "stream.ldjson"),
         retired=int(meta["retired"]))
 
@@ -276,10 +222,7 @@ def write_temporal_graph(graph: TemporalGraph, directory: str | Path) -> None:
 
 
 def read_temporal_graph(directory: str | Path) -> TemporalGraph:
-    persons, knows, forums, messages, likes, members = _read_entities(
-        Path(directory), temporal=True)
-    return TemporalGraph(persons=persons, knows=knows, forums=forums,
-                         messages=messages, likes=likes, members=members)
+    return _read_entities(Path(directory), temporal=True)
 
 
 def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfig,

@@ -115,9 +115,39 @@ def _cascade_roots(graph: TemporalGraph, config: GenConfig) -> dict[EntityKey, E
     return roots
 
 
-def _creation(graph: TemporalGraph, key: EntityKey) -> int:
-    kind, ident = key
-    return getattr(graph, kind)[ident].lifecycle.creation
+def _delete_dependencies(graph: TemporalGraph, config: GenConfig,
+                         roots: dict[EntityKey, EntityKey]) -> dict[EntityKey, int]:
+    """The dependency time of each root's delete operation.
+
+    A delete waits for every insert and every earlier delete its cascade
+    could reach in the full history: the latest creation among what the
+    root's cascade reaches, and the latest deletion among the reached
+    entities that are roots of earlier deletes.  Otherwise a gated delete
+    could overtake the insert of something it kills, or an earlier delete
+    of it.  Every descendant of a deleted entity is deleted, so only
+    deleted entities are indexed.
+    """
+    lifecycles: dict[EntityKey, Lifecycle] = {}
+    children: dict[EntityKey, list[EntityKey]] = {}
+    for key in roots:
+        collection, ident = key
+        entity = getattr(graph, collection)[ident]
+        lifecycles[key] = entity.lifecycle
+        for parent, attr in cascade_parents(collection, config.delete_forums_of_deleted_moderator):
+            ref = getattr(entity, attr)
+            if ref is not None:
+                children.setdefault((parent, ref), []).append(key)
+
+    # Latest instant that a delete reaching the entity waits for.  Children
+    # are created after their parents, so the newest entity goes first.
+    latest: dict[EntityKey, int] = {}
+    for key in sorted(roots, key=lambda k: lifecycles[k].creation, reverse=True):
+        life = lifecycles[key]
+        own = life.deletion if roots[key] == key else life.creation
+        latest[key] = max([own] + [latest[child] for child in children.get(key, ())])
+    return {key: max([lifecycles[key].creation]
+                     + [latest[child] for child in children.get(key, ())])
+            for key, root in roots.items() if root == key}
 
 
 def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStream:
@@ -129,14 +159,7 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
     retired = 0
 
     roots = _cascade_roots(graph, config)
-    # Creation instants of every member of each root's cascade group; the
-    # delete operation must not start before the youngest member exists.
-    group_max_creation: dict[EntityKey, int] = {}
-    for key, root in roots.items():
-        c = _creation(graph, key)
-        prev = group_max_creation.get(root)
-        if prev is None or c > prev:
-            group_max_creation[root] = c
+    delete_dependency = _delete_dependencies(graph, config, roots)
 
     for collection in COLLECTIONS:
         snap_coll = getattr(snapshot, collection)
@@ -154,8 +177,8 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
                            for parent, ref in references(collection, entity)),
                           default=config.simulation_start)
                 ops.append(insert_op(graph, collection, ident, dep))
-            if deleted is not None and roots[(collection, ident)] == (collection, ident):
-                dep = max(created, group_max_creation[(collection, ident)])
+            dep = delete_dependency.get((collection, ident))
+            if dep is not None:
                 ops.append(delete_op(graph, collection, ident, dep))
 
     ops.sort(key=lambda op: (op.scheduled_time, _TYPE_RANK[op.op_type],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ConfigInvalid
+from ..errors import ConfigInvalid, check_config_types
 
 # How many update slots pass between two instances of each complex-read
 # variant.  Smaller is more frequent.
@@ -25,6 +25,7 @@ class TriggerConfig:
     sr6_per_sr2: int = 3       # messages taken from an SR2 result
 
     def validate(self) -> None:
+        check_config_types(self)
         if self.sr2_per_cr < 0 or self.sr6_per_sr2 < 0:
             raise ConfigInvalid("trigger caps", "must be non-negative")
         if not 0.0 <= self.sr2_self_prob <= 1.0:
@@ -58,11 +59,11 @@ class DriverConfig:
     window_secs: float | None = None
     on_time_threshold_ms: int = 1_000
     on_time_target: float = 0.95
-    deadlock_multiple: int = 50
     frequencies: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_FREQUENCIES))
     triggers: TriggerConfig = field(default_factory=TriggerConfig)
 
     def validate(self) -> None:
+        check_config_types(self)
         if self.tcr <= 0:
             raise ConfigInvalid("tcr", "must be positive")
         if self.t_safe <= 0:
@@ -77,10 +78,8 @@ class DriverConfig:
             raise ConfigInvalid("on_time_threshold_ms", "must be non-negative")
         if not 0.0 <= self.on_time_target <= 1.0:
             raise ConfigInvalid("on_time_target", "must be within [0, 1]")
-        if self.deadlock_multiple < 1:
-            raise ConfigInvalid("deadlock_multiple", "must be at least 1")
         for variant, freq in self.frequencies.items():
-            if freq < 1:
+            if not isinstance(freq, int) or freq < 1:
                 raise ConfigInvalid("frequencies", f"{variant} must be >= 1")
         self.triggers.validate()
 

@@ -3,10 +3,13 @@
 A dispatcher walks the schedule and feeds two thread pools: writers
 apply update operations, readers run queries.  Updates pass through the
 dependency gate first; an update whose dependency the completion clock
-has not reached yet is deferred and re-checked on a fixed cadence, and
-a deferral that outlives a configurable number of re-checks aborts the
-run as a suspected deadlock.  Readers fan query results out into
-triggered short reads.
+has not reached yet is deferred and re-checked on a fixed cadence.
+Writers take updates in stream order from one queue, so every update
+before a gated one is already held by a writer and commits: a wait ends
+unless the update depends on its own scheduled time or later, where it
+would wait for itself.  Such an update aborts the run as a deadlock
+before it waits.  Readers fan query results out into triggered short
+reads.
 
 With pacing enabled the dispatcher sleeps until each entry's scheduled
 wall instant; with pacing disabled it dispatches as fast as the queues
@@ -164,17 +167,16 @@ class BenchmarkRunner:
                 continue
             entry, scheduled_ms = item
             op = entry.op
+            if op.dependency_time >= op.scheduled_time:
+                self._fail(DeadlockSuspected(
+                    f"op {entry.op_index} ({op.op_type}) at {op.scheduled_time} depends "
+                    f"on {op.dependency_time}, so it would wait for itself"))
+                return
             rechecks = 0
             while not self.clock.covered(op.dependency_time):
-                rechecks += 1
-                if rechecks > self.config.deadlock_multiple:
-                    self._fail(DeadlockSuspected(
-                        f"op {entry.op_index} ({op.op_type}) still gated after "
-                        f"{rechecks - 1} re-checks; clock={self.clock.value()}, "
-                        f"dependency={op.dependency_time}"))
-                    return
                 if self._abort.is_set():
                     return
+                rechecks += 1
                 time.sleep(recheck)
             clock_now = self.clock.value()
             actual_ms = (time.monotonic() - run_start) * 1000.0

@@ -7,6 +7,9 @@ can catch harness failures without swallowing genuine bugs.
 from __future__ import annotations
 
 import dataclasses
+import numbers
+import types
+import typing
 
 
 class SocialBenchError(Exception):
@@ -33,6 +36,28 @@ def check_config_keys(cls, data: dict, section: str) -> None:
         if (f.name not in data and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
             raise ConfigInvalid(f"{section}.{f.name}", "required")
+
+
+def check_config_types(config) -> None:
+    """Raise ConfigInvalid naming the first field of the dataclass instance
+    config whose value does not have the field's declared type.  An int
+    passes for a float; a bool passes for neither."""
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        hint = hints[f.name]
+        allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        if not any(_has_type(value, t) for t in allowed):
+            names = " or ".join("None" if t is type(None) else t.__name__ for t in allowed)
+            raise ConfigInvalid(f.name, f"must be {names}, got {value!r}")
+
+
+def _has_type(value, declared) -> bool:
+    if declared is float:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if declared is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, typing.get_origin(declared) or declared)
 
 
 class CycleDetected(SocialBenchError):
@@ -86,8 +111,8 @@ class IntegrityError(SocialBenchError):
 
 
 class DeadlockSuspected(SocialBenchError):
-    """An update was deferred far beyond the safety horizon; the stream is
-    likely corrupt or the dependency clock is wedged."""
+    """An update depends on its own scheduled time or a later one, so the
+    dependency gate would never release it; the stream is corrupt."""
 
 
 class ValidationFailed(SocialBenchError):

@@ -169,8 +169,8 @@ class UpdateOperation:
 
     scheduled_time is the simulation instant the operation takes effect
     (the entity's creation instant for inserts, the deletion instant for
-    deletes).  dependency_time is the latest creation instant over every
-    entity the operation touches; the replay driver refuses to start the
+    deletes).  dependency_time is the latest instant whose operations must
+    commit first (see datagen.split); the replay driver refuses to start the
     operation before that instant is confirmed.
     """
 
@@ -368,10 +368,10 @@ _DELETE_FIELDS = {
     "forums": ("forumId",), "messages": ("messageId",),
     "likes": ("personId", "messageId"), "members": ("forumId", "personId"),
 }
-# Id sets travel as sorted lists.
-_ID_SETS = ("tag_interests", "creation_tag_ids")
-_CLASSES = {"persons": Person, "knows": KnowsEdge, "forums": Forum,
-            "messages": Message, "likes": LikesEdge, "members": HasMemberEdge}
+# Attributes holding id sets, which travel as sorted lists.
+ID_SETS = ("tag_interests", "creation_tag_ids")
+ENTITY_CLASSES = {"persons": Person, "knows": KnowsEdge, "forums": Forum,
+                  "messages": Message, "likes": LikesEdge, "members": HasMemberEdge}
 
 
 def _op_types(graph: TemporalGraph, collection: str, entity) -> tuple[str, str]:
@@ -391,7 +391,7 @@ def insert_op(graph: TemporalGraph, collection: str, key,
     payload = {}
     for name, attr in _INSERT_FIELDS[op_type]:
         value = getattr(entity, attr)
-        payload[name] = sorted(value) if attr in _ID_SETS else value
+        payload[name] = sorted(value) if attr in ID_SETS else value
     return UpdateOperation(op_type, entity.lifecycle.creation, dependency_time, payload)
 
 
@@ -421,7 +421,7 @@ def decode_insert(op: UpdateOperation, root_of=None) -> tuple[str, object]:
     try:
         payload, values = op.payload, {}
         for name, attr in fields:
-            values[attr] = frozenset(payload[name]) if attr in _ID_SETS else payload[name]
+            values[attr] = frozenset(payload[name]) if attr in ID_SETS else payload[name]
         if collection == "knows":
             return collection, KnowsEdge.make(values["person1_id"], values["person2_id"], life)
         if collection == "messages":
@@ -433,7 +433,7 @@ def decode_insert(op: UpdateOperation, root_of=None) -> tuple[str, object]:
                 values["container_forum_id"] = None
                 reply_to = values["reply_to_message_id"]
                 values["root_post_id"] = root_of(reply_to) if root_of else None
-        return collection, _CLASSES[collection](lifecycle=life, **values)
+        return collection, ENTITY_CLASSES[collection](lifecycle=life, **values)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedOperation(f"malformed {op.op_type} payload: {exc!r}") from exc
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import NoQualifyingGroup, ParseError
+from ..errors import ConfigInvalid, NoQualifyingGroup, ParseError, check_config_types
 from ..model import TemporalGraph
 from ..simtime import MS_PER_DAY, SIM_END, day_date, day_starts_between, parse_day
 from ..rng import derive_rng
@@ -35,14 +35,10 @@ class ParamGenOptions:
     cr3_duration_days: int = 28
 
     def validate(self) -> None:
-        if self.per_day < 1:
-            raise ValueError("per_day must be at least 1")
-        if self.hop_count < 1:
-            raise ValueError("hop_count must be at least 1")
-        if self.min_group_size < 1:
-            raise ValueError("min_group_size must be at least 1")
-        if self.cr3_duration_days < 1:
-            raise ValueError("cr3_duration_days must be at least 1")
+        check_config_types(self)
+        for name in ("per_day", "hop_count", "min_group_size", "cr3_duration_days"):
+            if getattr(self, name) < 1:
+                raise ConfigInvalid(name, "must be at least 1")
 
 
 @dataclass

@@ -191,6 +191,18 @@ class TestBadInput:
         assert code == 1
         assert f"invalid config field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("conf,field", [
+        ({"paramgen": {"per_day": 0}}, "per_day"),
+        ({"datagen": {"seed": "x", "num_persons": 10}}, "seed"),
+        ({"driver": {"tcr": "fast"}}, "tcr"),
+    ])
+    def test_config_value_of_wrong_type_or_range(self, tmp_path, capsys, conf, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(conf))
+        code = main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert f"invalid config field '{field}'" in capsys.readouterr().err
+
 
 class TestModeratorCascadeOff:
     def test_driver_uses_the_datasets_setting(self, tmp_path):

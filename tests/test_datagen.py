@@ -407,13 +407,18 @@ class TestSerialization:
         assert err.value.line_no == 1
 
     def test_csv_bad_row_reports_its_line(self, graph, sas, gen_config, tmp_path):
-        write_dataset(graph, sas, gen_config, tmp_path / "out")
-        victim = tmp_path / "out" / "snapshot" / "persons.csv"
-        body = victim.read_text().splitlines()
-        row = body[3].split(",")
-        row[-1] = "not-a-date"
-        body[3] = ",".join(row)
-        victim.write_text("\n".join(body) + "\n")
-        with pytest.raises(ParseError) as err:
-            read_dataset(tmp_path / "out")
-        assert err.value.line_no == 4
+        for victim, column, value in (("snapshot/persons.csv", -1, "not-a-date"),
+                                      ("snapshot/messages.csv", 2, "x"),
+                                      ("temporal/messages.csv", 2, "x")):
+            out = tmp_path / victim.replace("/", "-")
+            write_dataset(graph, sas, gen_config, out)
+            path = out / victim
+            body = path.read_text().splitlines()
+            row = body[3].split(",")
+            row[column] = value
+            body[3] = ",".join(row)
+            path.write_text("\n".join(body) + "\n")
+            with pytest.raises(ParseError) as err:
+                read_dataset(out)
+            assert err.value.line_no == 4, victim
+            assert str(path) in str(err.value)

@@ -1,6 +1,7 @@
 """Schedule construction, gating clock, runner, stats, and validation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -329,9 +330,28 @@ class TestRunner:
         poisoned = [_ins_op(cutoff + 1_000, dep=cutoff + 10**9, ident=1)]
         schedule = build_schedule(poisoned, {}, cutoff,
                                   DriverConfig(frequencies={}, pacing=False))
-        config = DriverConfig(pacing=False, deadlock_multiple=20, frequencies={})
+        config = DriverConfig(pacing=False, frequencies={})
         with pytest.raises(DeadlockSuspected):
             BenchmarkRunner(ReferenceStore(), schedule, config).run()
+
+    def test_slow_predecessor_is_no_deadlock(self):
+        """An update gated on a slow but progressing one waits it out."""
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 1_000, ident=1),
+                  _ins_op(cutoff + 2_000, dep=cutoff + 1_000, ident=2)]
+
+        class SlowStore(ReferenceStore):
+            def execute_update(self, op):
+                if op.payload["id"] == 1:
+                    time.sleep(0.3)
+                return super().execute_update(op)
+
+        config = DriverConfig(pacing=False, frequencies={}, write_threads=2)
+        schedule = build_schedule(stream, {}, cutoff, config)
+        runner = BenchmarkRunner(SlowStore(), schedule, config)
+        report = runner.run()
+        assert runner.clock.complete
+        assert report.deferrals == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):

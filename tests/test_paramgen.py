@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialbench.errors import InsufficientPairs, NoQualifyingGroup, ParseError
+from socialbench.errors import ConfigInvalid, InsufficientPairs, NoQualifyingGroup, ParseError
 from socialbench.model import KnowsEdge, Lifecycle, Person, TemporalGraph
 from socialbench.paramgen import (
     FactorTable,
@@ -406,9 +406,9 @@ class TestBuckets:
         assert err.value.line_no == 2
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalid):
             ParamGenOptions(per_day=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalid):
             ParamGenOptions(hop_count=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalid):
             ParamGenOptions(cr3_duration_days=0).validate()

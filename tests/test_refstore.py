@@ -5,6 +5,7 @@ naive single-version twin and a dict-based cascade oracle provide the
 independent answers for the randomized comparisons.
 """
 
+import bisect
 import math
 import random
 from dataclasses import replace
@@ -14,8 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cutoff
-from socialbench.errors import DependencyMissing, IntegrityError, UnknownEntity
-from socialbench.model import COUNTRIES, UpdateOperation
+from socialbench.errors import (
+    DependencyMissing,
+    IntegrityError,
+    SocialBenchError,
+    UnknownEntity,
+)
+from socialbench.model import COUNTRIES, UpdateOperation, check_temporal_invariants
 from socialbench.refstore import NaiveStore, ReferenceStore, edge_weight
 from socialbench.simtime import MS_PER_DAY, SIM_START
 
@@ -493,3 +499,51 @@ class TestNaiveEquivalence:
             assert count >= 1
             total += edge_weight(count)
         assert total == result["weight"]
+
+
+def _failed_updates(store, snapshot, stream) -> list[str]:
+    store.bulk_load(snapshot)
+    failed = []
+    for op in stream:
+        try:
+            store.execute_update(op)
+        except SocialBenchError as exc:
+            failed.append(f"{op.op_type}: {exc}")
+    return failed
+
+
+def _deletes_hoisted(stream):
+    """The stream with every delete moved to the first point its gate
+    opens: right after the last operation scheduled at or before its
+    dependency time.  Concurrent writers may commit a delete that early."""
+    times = [op.scheduled_time for op in stream]
+    released = {}
+    for op in stream:
+        if not op.is_insert:
+            at = bisect.bisect_right(times, op.dependency_time)
+            released.setdefault(at, []).append(op)
+    order = []
+    for index, op in enumerate(stream):
+        order += released.get(index, [])
+        if op.is_insert:
+            order.append(op)
+    return order
+
+
+class TestGeneratedStreamsReplay:
+    def test_forums_left_by_deleted_moderators(self):
+        cfg = GenConfig(seed=1, num_persons=150, cutoff_fraction=0.6,
+                        person_deletion_rate=0.3, delete_forums_of_deleted_moderator=False)
+        graph = generate_temporal_graph(cfg)
+        assert check_temporal_invariants(graph) == []
+        sas = split_at_cutoff(graph, cfg)
+        for store_cls in (ReferenceStore, NaiveStore):
+            store = store_cls(delete_forums_of_deleted_moderator=False)
+            assert _failed_updates(store, sas.snapshot, sas.stream) == [], store_cls
+
+    def test_deletes_released_at_their_gate(self):
+        cfg = GenConfig(seed=42, num_persons=500, cutoff_fraction=0.55, content_scale=4.0)
+        sas = split_at_cutoff(generate_temporal_graph(cfg), cfg)
+        stream = _deletes_hoisted(sas.stream)
+        assert stream != sas.stream
+        assert _failed_updates(ReferenceStore(), sas.snapshot, stream) == []
