@@ -96,14 +96,14 @@ def cmd_paramgen(args: argparse.Namespace) -> int:
 def _driver_setup(args: argparse.Namespace):
     sas = deserialize(args.stream)
     buckets = read_buckets(args.params)
-    t_safe, moderator_cascade = 10_000, True
+    moderator_cascade = True
     config_path = Path(args.stream) / "config.json"
     if config_path.exists():
         with config_path.open("r", encoding="utf-8") as handle:
             gen = GenConfig.from_dict(json.load(handle))
-        t_safe, moderator_cascade = gen.t_safe, gen.delete_forums_of_deleted_moderator
+        moderator_cascade = gen.delete_forums_of_deleted_moderator
     config = DriverConfig(
-        tcr=args.tcr, t_safe=t_safe, read_threads=args.read_threads,
+        tcr=args.tcr, read_threads=args.read_threads,
         write_threads=args.write_threads, seed=args.seed, pacing=args.pace,
         warmup_secs=args.warmup_secs, window_secs=args.window_secs)
     schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
@@ -163,6 +163,18 @@ def cmd_acid(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+def _load_section(cls, data: dict, section: str):
+    """The dataclass cls built from data and validated; a ConfigInvalid
+    names its field under section."""
+    check_config_keys(cls, data, section)
+    config = cls(**data)
+    try:
+        config.validate()
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{section}.{exc.field}", exc.reason) from exc
+    return config
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     file_conf: dict = {}
     if args.config:
@@ -192,17 +204,13 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
     gen_dict.setdefault("seed", 1)
     gen_dict.setdefault("num_persons", 200)
-    gen = GenConfig.from_dict(gen_dict)
-    driver_dict.setdefault("t_safe", gen.t_safe)
+    gen = _load_section(GenConfig, gen_dict, "datagen")
     driver_dict.setdefault("pacing", False)
     triggers = driver_dict.pop("triggers", None)
     if triggers is not None:
-        check_config_keys(TriggerConfig, triggers, "driver.triggers")
-        driver_dict["triggers"] = TriggerConfig(**triggers)
-    check_config_keys(DriverConfig, driver_dict, "driver")
-    check_config_keys(ParamGenOptions, param_dict, "paramgen")
-    driver = DriverConfig(**driver_dict)
-    params = ParamGenOptions(**param_dict)
+        driver_dict["triggers"] = _load_section(TriggerConfig, triggers, "driver.triggers")
+    driver = _load_section(DriverConfig, driver_dict, "driver")
+    params = _load_section(ParamGenOptions, param_dict, "paramgen")
     return PipelineConfig(gen=gen, driver=driver, params=params,
                           out_dir=args.out, validate_stores=not args.no_validate)
 

@@ -5,7 +5,8 @@ committed prefix of the update stream: operation i moves it forward
 only once every operation before i has also committed.  Gating
 dependent work on this watermark rather than on the newest individual
 commit means an operation is released only when everything it could
-possibly depend on is already in the store.
+possibly depend on is already in the store.  A writer whose dependency
+is not covered yet blocks in wait_covered until a commit covers it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import threading
 
 
 class GlobalClock:
-    """Prefix watermark; thread safe."""
+    """Prefix watermark; thread safe.  halt() releases every waiter."""
 
     def __init__(self, initial: int, sim_times: list[int]):
         self._initial = initial
@@ -22,6 +23,8 @@ class GlobalClock:
         self._done: set[int] = set()
         self._prefix = 0  # ops [0, _prefix) are all committed
         self._lock = threading.Lock()
+        self._advanced = threading.Condition(self._lock)
+        self._halted = False
 
     def value(self) -> int:
         with self._lock:
@@ -38,9 +41,26 @@ class GlobalClock:
         pending operation's time instead, so ties never leak through.
         """
         with self._lock:
-            if self._prefix == len(self._times):
-                return True
-            return self._times[self._prefix] > dependency_ms
+            return self._covered(dependency_ms)
+
+    def _covered(self, dependency_ms: int) -> bool:
+        if self._prefix == len(self._times):
+            return True
+        return self._times[self._prefix] > dependency_ms
+
+    def wait_covered(self, dependency_ms: int) -> bool:
+        """Block until covered(dependency_ms); False if halted first."""
+        with self._advanced:
+            while not self._covered(dependency_ms):
+                if self._halted:
+                    return False
+                self._advanced.wait()
+            return True
+
+    def halt(self) -> None:
+        with self._advanced:
+            self._halted = True
+            self._advanced.notify_all()
 
     def mark_done(self, index: int) -> None:
         if not 0 <= index < len(self._times):
@@ -50,6 +70,7 @@ class GlobalClock:
             while self._prefix in self._done:
                 self._done.discard(self._prefix)
                 self._prefix += 1
+            self._advanced.notify_all()
 
     @property
     def complete(self) -> bool:

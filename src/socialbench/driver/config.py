@@ -50,7 +50,6 @@ class DriverConfig:
     """
 
     tcr: float = 0.02
-    t_safe: int = 10_000
     read_threads: int = 2
     write_threads: int = 2
     seed: int = 0
@@ -66,8 +65,6 @@ class DriverConfig:
         check_config_types(self)
         if self.tcr <= 0:
             raise ConfigInvalid("tcr", "must be positive")
-        if self.t_safe <= 0:
-            raise ConfigInvalid("t_safe", "must be positive")
         if self.read_threads < 1 or self.write_threads < 1:
             raise ConfigInvalid("threads", "need at least one of each kind")
         if self.warmup_secs < 0:
@@ -82,8 +79,3 @@ class DriverConfig:
             if not isinstance(freq, int) or freq < 1:
                 raise ConfigInvalid("frequencies", f"{variant} must be >= 1")
         self.triggers.validate()
-
-    @property
-    def gate_recheck_wall_secs(self) -> float:
-        """Deferred operations re-check the dependency gate at this cadence."""
-        return self.tcr * self.t_safe / 1000.0

@@ -3,13 +3,14 @@
 A dispatcher walks the schedule and feeds two thread pools: writers
 apply update operations, readers run queries.  Updates pass through the
 dependency gate first; an update whose dependency the completion clock
-has not reached yet is deferred and re-checked on a fixed cadence.
+has not covered yet waits on the clock until a commit covers it.
 Writers take updates in stream order from one queue, so every update
 before a gated one is already held by a writer and commits: a wait ends
 unless the update depends on its own scheduled time or later, where it
 would wait for itself.  Such an update aborts the run as a deadlock
 before it waits.  Readers fan query results out into triggered short
-reads.
+reads, which join the read queue; the run ends once that queue is
+drained.
 
 With pacing enabled the dispatcher sleeps until each entry's scheduled
 wall instant; with pacing disabled it dispatches as fast as the queues
@@ -30,8 +31,6 @@ from .config import DriverConfig
 from .schedule import UPDATE, QueryInstance, Schedule
 from .stats import RunReport, summarize_run
 from .triggers import derive_triggers
-
-_THROUGHPUT_RECHECK_SECS = 0.001
 
 
 class _ReadTask:
@@ -62,13 +61,8 @@ class BenchmarkRunner:
         self._measurements: list[dict] = []
         self._write_q: queue.Queue = queue.Queue()
         self._read_q: queue.Queue = queue.Queue()
-        self._pending_reads = 0
-        self._reads_done = threading.Condition()
         self._abort = threading.Event()
         self._errors: list[BaseException] = []
-        self._deferrals = 0
-        self._max_rechecks = 0
-        self._stat_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -89,9 +83,7 @@ class BenchmarkRunner:
             self._write_q.put(None)
         for thread in writers:
             thread.join()
-        with self._reads_done:
-            while self._pending_reads > 0 and not self._abort.is_set():
-                self._reads_done.wait(0.05)
+        self._read_q.join()
         for _ in readers:
             self._read_q.put(None)
         for thread in readers:
@@ -105,8 +97,7 @@ class BenchmarkRunner:
                                self.config.on_time_threshold_ms,
                                self.config.on_time_target,
                                "paced" if self.config.pacing else "throughput")
-        report.deferrals = self._deferrals
-        report.max_deferral_rechecks = self._max_rechecks
+        report.deferrals = sum(1 for entry in self.audit_log if entry["gateWaitMs"])
         report.warnings.extend(self.schedule.warnings)
         if self.config.window_secs is not None and not truncated:
             report.schedule_exhausted = True
@@ -132,19 +123,13 @@ class BenchmarkRunner:
             if entry.kind == UPDATE:
                 self._write_q.put((entry, scheduled_ms))
             else:
-                self._enqueue_read(_ReadTask(entry.query, scheduled_ms, (entry.seq,)))
+                self._read_q.put(_ReadTask(entry.query, scheduled_ms, (entry.seq,)))
         return False
-
-    def _enqueue_read(self, task: _ReadTask) -> None:
-        with self._reads_done:
-            self._pending_reads += 1
-        self._read_q.put(task)
 
     def _fail(self, exc: BaseException) -> None:
         self._errors.append(exc)
         self._abort.set()
-        with self._reads_done:
-            self._reads_done.notify_all()
+        self.clock.halt()
 
     def _measured(self, scheduled_ms: float) -> bool:
         if scheduled_ms < self.config.warmup_secs * 1000.0:
@@ -157,8 +142,6 @@ class BenchmarkRunner:
     # -- workers -----------------------------------------------------------
 
     def _write_worker(self, run_start: float) -> None:
-        recheck = (self.config.gate_recheck_wall_secs if self.config.pacing
-                   else _THROUGHPUT_RECHECK_SECS)
         while True:
             item = self._write_q.get()
             if item is None:
@@ -172,12 +155,12 @@ class BenchmarkRunner:
                     f"op {entry.op_index} ({op.op_type}) at {op.scheduled_time} depends "
                     f"on {op.dependency_time}, so it would wait for itself"))
                 return
-            rechecks = 0
-            while not self.clock.covered(op.dependency_time):
-                if self._abort.is_set():
+            gate_wait_ms = 0.0
+            if not self.clock.covered(op.dependency_time):
+                arrived = time.perf_counter()
+                if not self.clock.wait_covered(op.dependency_time):
                     return
-                rechecks += 1
-                time.sleep(recheck)
+                gate_wait_ms = (time.perf_counter() - arrived) * 1000.0
             clock_now = self.clock.value()
             actual_ms = (time.monotonic() - run_start) * 1000.0
             started = time.perf_counter()
@@ -193,14 +176,10 @@ class BenchmarkRunner:
                 "opType": op.op_type,
                 "dependencyMs": op.dependency_time,
                 "clockAtRelease": clock_now,
-                "rechecks": rechecks,
+                "gateWaitMs": gate_wait_ms,
                 "scheduledWallMs": scheduled_ms,
                 "actualWallMs": actual_ms,
             })
-            with self._stat_lock:
-                if rechecks:
-                    self._deferrals += 1
-                    self._max_rechecks = max(self._max_rechecks, rechecks)
             if self._measured(scheduled_ms):
                 self._measurements.append({
                     "kind": "INS" if op.is_insert else "DEL",
@@ -221,10 +200,7 @@ class BenchmarkRunner:
             except BaseException as exc:
                 self._fail(exc)
             finally:
-                with self._reads_done:
-                    self._pending_reads -= 1
-                    if self._pending_reads == 0:
-                        self._reads_done.notify_all()
+                self._read_q.task_done()
 
     def _run_read(self, task: _ReadTask, run_start: float) -> None:
         instance = task.instance
@@ -249,4 +225,4 @@ class BenchmarkRunner:
                                   bucket_day=instance.bucket_day,
                                   instance_index=instance.instance_index,
                                   depth=depth)
-            self._enqueue_read(_ReadTask(child, now_ms, task.key + (ordinal,)))
+            self._read_q.put(_ReadTask(child, now_ms, task.key + (ordinal,)))

@@ -54,7 +54,6 @@ class RunReport:
     wall_seconds: float = 0.0
     throughput_ops_per_sec: float = 0.0
     deferrals: int = 0
-    max_deferral_rechecks: int = 0
     schedule_exhausted: bool = False
     warnings: list[str] = field(default_factory=list)
 
@@ -75,7 +74,6 @@ class RunReport:
             "wallSeconds": self.wall_seconds,
             "throughputOpsPerSec": self.throughput_ops_per_sec,
             "deferrals": self.deferrals,
-            "maxDeferralRechecks": self.max_deferral_rechecks,
             "scheduleExhausted": self.schedule_exhausted,
             "warnings": list(self.warnings),
         }

@@ -11,7 +11,6 @@ when their tie-breaking differs.
 
 from __future__ import annotations
 
-from ..errors import ValidationFailed
 from ..rng import derive_rng
 from .config import DriverConfig
 from .schedule import UPDATE, Schedule
@@ -31,8 +30,7 @@ def _results_match(variant: str, a, b) -> bool:
 
 
 def cross_validate(store_a, store_b, schedule: Schedule,
-                   config: DriverConfig | None = None,
-                   raise_on_diff: bool = False) -> dict:
+                   config: DriverConfig | None = None) -> dict:
     """Replay a schedule against both stores and report divergences."""
     config = config or DriverConfig()
     diffs: list[dict] = []
@@ -69,15 +67,10 @@ def cross_validate(store_a, store_b, schedule: Schedule,
             run_query(entry.query.variant, entry.query.params,
                       entry.query.depth, (entry.seq,))
 
-    report = {
+    return {
         "updates": updates,
         "queries": queries,
         "diffCount": sum(per_variant.values()),
         "diffs": diffs,
         "variantsWithDiffs": sorted(per_variant),
     }
-    if raise_on_diff and diffs:
-        first = diffs[0]
-        raise ValidationFailed(first["variant"], f"{report['diffCount']} divergences, "
-                               f"first at {first['at']}")
-    return report

@@ -115,15 +115,6 @@ class DeadlockSuspected(SocialBenchError):
     dependency gate would never release it; the stream is corrupt."""
 
 
-class ValidationFailed(SocialBenchError):
-    """Cross-validation observed diverging results between two systems."""
-
-    def __init__(self, variant: str, detail: str):
-        self.variant = variant
-        self.detail = detail
-        super().__init__(f"divergence on {variant}: {detail}")
-
-
 class StageFailed(SocialBenchError):
     """A pipeline stage raised; carries the stage name and the cause."""
 

@@ -45,8 +45,12 @@ class ParamGenOptions:
 class ParameterBucket:
     day_start: int
     params: dict[str, list[dict]] = field(default_factory=dict)
-    partial: bool = False
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def partial(self) -> bool:
+        """A bucket is partial when curation warned about it."""
+        return bool(self.warnings)
 
     def draw(self, variant: str, index: int) -> dict | None:
         """The index-th parameter set for variant, cycling; None if absent."""
@@ -150,7 +154,6 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
         for variant in QUERY_VARIANTS:
             got = len(bucket.params[variant])
             if got < n:
-                bucket.partial = True
                 bucket.warnings.append(
                     f"{day_date(day)}: {variant} has {got}/{n} parameter sets")
         buckets[day] = bucket
@@ -158,7 +161,8 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
 
 
 def write_buckets(buckets: dict[int, ParameterBucket], directory: str | Path) -> None:
-    """One YYYY-MM-DD.ldjson file per bucket, one parameter set per line."""
+    """One YYYY-MM-DD.ldjson file per bucket: one parameter set per line,
+    then one line per warning."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for day, bucket in sorted(buckets.items()):
@@ -168,6 +172,8 @@ def write_buckets(buckets: dict[int, ParameterBucket], directory: str | Path) ->
                 for params in bucket.params.get(variant, []):
                     handle.write(json.dumps({"query": variant, "params": params},
                                             sort_keys=True) + "\n")
+            for warning in bucket.warnings:
+                handle.write(json.dumps({"warning": warning}) + "\n")
 
 
 def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
@@ -183,9 +189,11 @@ def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
                     continue
                 try:
                     record = json.loads(line)
-                    bucket.params[record["query"]].append(record["params"])
-                except (json.JSONDecodeError, KeyError) as exc:
+                    if "warning" in record:
+                        bucket.warnings.append(record["warning"])
+                    else:
+                        bucket.params[record["query"]].append(record["params"])
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ParseError(str(path), line_no, str(exc)) from exc
-        bucket.partial = any(not rows for rows in bucket.params.values())
         buckets[day] = bucket
     return buckets

@@ -48,10 +48,6 @@ class PipelineConfig:
         self.gen.validate()
         self.driver.validate()
         self.params.validate()
-        if self.gen.t_safe != self.driver.t_safe:
-            raise ConfigInvalid(
-                "t_safe", f"generator uses {self.gen.t_safe} ms but driver uses "
-                f"{self.driver.t_safe} ms; the safety horizon must match")
         if self.out_dir is not None:
             try:
                 Path(self.out_dir).mkdir(parents=True, exist_ok=True)

@@ -550,7 +550,7 @@ _REPORT_SCHEMA = {
             "required": ["mode", "totalOperations", "classTotals",
                          "variantLatencyMs", "delayMs", "onTime", "wallSeconds",
                          "throughputOpsPerSec", "deferrals",
-                         "maxDeferralRechecks", "scheduleExhausted", "warnings"],
+                         "scheduleExhausted", "warnings"],
             "properties": {
                 "onTime": {
                     "type": "object",

@@ -1,7 +1,4 @@
-"""The demos run to completion.
-
-Demo 04 runs a paced benchmark for about twenty seconds and is left out.
-"""
+"""The demos run to completion."""
 
 import os
 import subprocess
@@ -14,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_generate_dataset.py", "02_curate_parameters.py",
-                                  "03_query_the_store.py", "05_isolation_anomalies.py"])
+                                  "03_query_the_store.py", "04_run_benchmark.py",
+                                  "05_isolation_anomalies.py"])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

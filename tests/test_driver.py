@@ -1,6 +1,8 @@
 """Schedule construction, gating clock, runner, stats, and validation."""
 
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -27,12 +29,7 @@ from socialbench.driver import (
     wall_offset,
 )
 from socialbench.driver.validate import MAX_DIFFS_PER_VARIANT
-from socialbench.errors import (
-    ConfigInvalid,
-    DeadlockSuspected,
-    MissingBucket,
-    ValidationFailed,
-)
+from socialbench.errors import ConfigInvalid, DeadlockSuspected, MissingBucket
 from socialbench.model import UpdateOperation
 from socialbench.paramgen import ParamGenOptions, ParameterBucket, generate_parameters
 from socialbench.refstore import NaiveStore, ReferenceStore
@@ -325,6 +322,29 @@ class TestRunner:
         for entry in runner.audit_log:
             assert entry["clockAtRelease"] >= entry["dependencyMs"], entry
 
+    def test_many_writers_with_fast_thread_switching(self):
+        """More writers than cores, switching threads every microsecond:
+        every update commits, none before its dependency, none left waiting."""
+        _, sas, buckets = _mini_dataset()
+        store = ReferenceStore()
+        store.bulk_load(sas.snapshot)
+        config = DriverConfig(pacing=False, seed=5, write_threads=8)
+        schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
+        runner = BenchmarkRunner(store, schedule, config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=runner.run, daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "run() hangs"
+        assert runner.clock.complete
+        assert len(runner.audit_log) == len(sas.stream)
+        for entry in runner.audit_log:
+            assert entry["clockAtRelease"] >= entry["dependencyMs"], entry
+
     def test_deadlock_detection_on_corrupt_dependency(self):
         cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
         poisoned = [_ins_op(cutoff + 1_000, dep=cutoff + 10**9, ident=1)]
@@ -353,6 +373,57 @@ class TestRunner:
         assert runner.clock.complete
         assert report.deferrals == 1
 
+    def test_gated_update_starts_when_its_dependency_commits(self):
+        """A paced update gated on a 5 ms insert starts right after it."""
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 1_000, ident=1),
+                  _ins_op(cutoff + 1_001, dep=cutoff + 1_000, ident=2)]
+
+        class FiveMsStore(ReferenceStore):
+            def execute_update(self, op):
+                if op.payload["id"] == 1:
+                    time.sleep(0.005)
+                return super().execute_update(op)
+
+        config = DriverConfig(tcr=0.02, frequencies={}, write_threads=2)
+        schedule = build_schedule(stream, {}, cutoff, config)
+        runner = BenchmarkRunner(FiveMsStore(), schedule, config)
+        runner.run()
+        second = max(runner.audit_log, key=lambda e: e["opIndex"])
+        assert second["scheduledWallMs"] == pytest.approx(20.02)
+        assert second["actualWallMs"] - second["scheduledWallMs"] < 100, second
+
+    def test_store_error_releases_a_waiting_writer(self):
+        """One writer's store raises while the other waits at the gate."""
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 1_000, ident=1),
+                  _ins_op(cutoff + 2_000, dep=cutoff + 1_000, ident=2)]
+
+        class FailingStore(ReferenceStore):
+            def execute_update(self, op):
+                if op.payload["id"] == 1:
+                    time.sleep(0.1)  # the other writer reaches the gate meanwhile
+                    raise RuntimeError("store failed")
+                return super().execute_update(op)
+
+        config = DriverConfig(pacing=False, frequencies={}, write_threads=2)
+        schedule = build_schedule(stream, {}, cutoff, config)
+        runner = BenchmarkRunner(FailingStore(), schedule, config)
+        raised = []
+
+        def run():
+            try:
+                runner.run()
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "run() hangs after a store error"
+        assert [str(exc) for exc in raised] == ["store failed"]
+        assert not runner.clock.covered(cutoff + 1_000)
+
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
             DriverConfig(tcr=0.0).validate()
@@ -360,7 +431,6 @@ class TestRunner:
             DriverConfig(read_threads=0).validate()
         with pytest.raises(ConfigInvalid):
             DriverConfig(on_time_target=1.5).validate()
-        assert DriverConfig(tcr=0.02, t_safe=10_000).gate_recheck_wall_secs == 0.2
 
 
 class TestCrossValidate:
@@ -391,12 +461,6 @@ class TestCrossValidate:
         outcome = cross_validate(broken, naive, schedule, config)
         assert outcome["diffCount"] > 0
         assert any(v.startswith("CR13") for v in outcome["variantsWithDiffs"])
-
-        broken2, naive2 = OffByOneStore(), NaiveStore()
-        broken2.bulk_load(sas.snapshot)
-        naive2.bulk_load(sas.snapshot)
-        with pytest.raises(ValidationFailed):
-            cross_validate(broken2, naive2, schedule, config, raise_on_diff=True)
 
     def test_every_divergence_is_counted(self):
         class Lies48CR13:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialbench.datagen import GenConfig, cutoff_instant, generate_temporal_graph
 from socialbench.errors import ConfigInvalid, InsufficientPairs, NoQualifyingGroup, ParseError
 from socialbench.model import KnowsEdge, Lifecycle, Person, TemporalGraph
 from socialbench.paramgen import (
@@ -395,15 +396,30 @@ class TestBuckets:
         for day, bucket in buckets.items():
             assert loaded[day].params == bucket.params
 
+    def test_round_trip_keeps_partial_buckets_and_warnings(self, tmp_path):
+        cfg = GenConfig(seed=9, num_persons=60, cutoff_fraction=0.6)
+        buckets = generate_parameters(generate_temporal_graph(cfg), cutoff_instant(cfg),
+                                      ParamGenOptions(per_day=10))
+        assert any(bucket.partial for bucket in buckets.values())
+        write_buckets(buckets, tmp_path / "params")
+        loaded = read_buckets(tmp_path / "params")
+        assert sorted(loaded) == sorted(buckets)
+        for day, bucket in buckets.items():
+            assert loaded[day].params == bucket.params
+            assert loaded[day].partial == bucket.partial
+            assert loaded[day].warnings == bucket.warnings
+
     def test_parse_error_names_file_and_line(self, buckets, tmp_path):
         write_buckets(buckets, tmp_path / "params")
         victim = sorted((tmp_path / "params").iterdir())[0]
-        lines = victim.read_text().splitlines()
-        lines[1] = "garbage"
-        victim.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as err:
-            read_buckets(tmp_path / "params")
-        assert err.value.line_no == 2
+        original = victim.read_text().splitlines()
+        for bad in ("garbage", "[]"):
+            lines = list(original)
+            lines[1] = bad
+            victim.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ParseError) as err:
+                read_buckets(tmp_path / "params")
+            assert err.value.line_no == 2
 
     def test_options_validation(self):
         with pytest.raises(ConfigInvalid):
