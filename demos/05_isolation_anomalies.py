@@ -1,7 +1,7 @@
 """Hunt for read anomalies that snapshot isolation must prevent.
 
-Two adversarial scenarios run a multi-hop reader against concurrent
-writers, many times, under randomized thread interleavings:
+Two adversarial scenarios run a multi-hop reader against writers, once
+per seed, each seed picking where the writes fall among the reads:
 
   traversal anomaly   a reader walks a friendship chain while writers
                       delete an edge ahead of it and insert a shortcut
@@ -10,9 +10,10 @@ writers, many times, under randomized thread interleavings:
                       missing old one.
 
   cascade atomicity   a reader repeatedly probes a post's comment tree
-                      while a writer cascades a delete through it; the
-                      tree must vanish in one step, never a comment
-                      before its parent.
+                      while a delete cascades through it, and one more
+                      reader thread races that delete; the tree must
+                      vanish in one step, never a comment before its
+                      parent.
 
 The reference store passes every interleaving.  Two deliberately broken
 stores, one reading live state without version pinning and one

@@ -1,16 +1,17 @@
 """Concurrency correctness scenarios.
 
-Two scenarios probe the store's isolation story with real threads whose
-interleaving is pinned down by events, so a seed reproduces a run
-exactly:
+Two scenarios probe the store's isolation story.  Each runs its pinned
+interleaving as ordered steps on the caller's thread, chosen by a seed
+(or given), so a seed reproduces the steps exactly:
 
   * traversal stability: a reader walks a friendship chain hop by hop
-    on one snapshot while a concurrent delete severs the chain and a
-    concurrent insert adds a shortcut; the walk must see the chain as
-    it was, в full, and never the shortcut;
+    on one snapshot while, between hops, a delete severs the chain and
+    an insert adds a shortcut; the walk must see the chain as it was,
+    in full, and never the shortcut;
   * cascade atomicity: readers repeatedly verify that every comment
     they can see has its full ancestor line alive while a post's reply
-    tree is being cascade-deleted.
+    tree is cascade-deleted at a seeded round.  Besides the ordered
+    probes, one prober thread runs freely, so it races the delete.
 
 Two deliberately broken store variants prove the scenarios can fail:
 one re-reads the latest version on every access instead of honoring
@@ -113,33 +114,6 @@ def _insert_person(store, pid: int, t: int) -> None:
         "countryId": 1, "universityId": 101, "tagInterests": [201]}))
 
 
-class _Actor(threading.Thread):
-    """Runs one callable when released; reports completion by event."""
-
-    def __init__(self, name: str, action):
-        super().__init__(name=name, daemon=True)
-        self.action = action
-        self.go = threading.Event()
-        self.done = threading.Event()
-        self.error: BaseException | None = None
-
-    def run(self) -> None:
-        self.go.wait()
-        try:
-            self.action()
-        except BaseException as exc:
-            self.error = exc
-        finally:
-            self.done.set()
-
-    def fire(self, timeout: float = 10.0) -> None:
-        self.go.set()
-        if not self.done.wait(timeout):
-            raise TimeoutError(f"{self.name} never finished")
-        if self.error is not None:
-            raise self.error
-
-
 # -- scenario 1: traversal stability ------------------------------------------
 
 _CHAIN = (9001, 9002, 9003, 9004)
@@ -149,13 +123,13 @@ _BRIDGE = 9005
 def run_traversal_anomaly(store_factory=ReferenceStore, seed: int = 0,
                           delete_after_hop: int | None = None,
                           insert_after_hop: int | None = None) -> ScenarioResult:
-    """Hop-by-hop walk of a 4-person chain under concurrent edits.
+    """Hop-by-hop walk of a 4-person chain with edits between hops.
 
-    The walk pins one snapshot.  After a seeded (or given) hop, one
-    writer thread deletes the chain's second person; after another, a
-    second writer inserts a fifth person bridging the chain's tail.
-    The walk passes if it sees exactly the four original persons with
-    the far end at distance 3 and never observes the bridge person.
+    The walk pins one snapshot.  After a seeded (or given) hop the
+    chain's second person is deleted; after another, a fifth person
+    bridging the chain's tail is inserted.  The walk passes if it sees
+    exactly the four original persons with the far end at distance 3
+    and never observes the bridge person.
     """
     rng = random.Random(seed)
     if delete_after_hop is None:
@@ -180,71 +154,36 @@ def run_traversal_anomaly(store_factory=ReferenceStore, seed: int = 0,
         store.execute_update(_op(INS_KNOWS, t + 22,
                                  {"person1Id": _BRIDGE, "person2Id": _CHAIN[3]}))
 
-    deleter = _Actor("deleter", delete_link)
-    inserter = _Actor("inserter", insert_bridge)
-    deleter.start()
-    inserter.start()
-
-    hop_gates = [threading.Event() for _ in range(5)]
-    hop_done = [threading.Event() for _ in range(5)]
-    pinned = threading.Event()
-    walk: dict = {"dist": {}, "seen": set()}
-
-    def traverse() -> None:
-        snapshot = store.begin_read()
-        pinned.set()
-        dist = {_CHAIN[0]: 0}
-        frontier = [_CHAIN[0]]
-        for hop in range(1, 5):
-            hop_gates[hop - 1].wait(10.0)
-            nxt = []
-            for node in frontier:
-                for peer in snapshot.friend_ids(node):
-                    if peer not in dist:
-                        dist[peer] = hop
-                        nxt.append(peer)
-            frontier = sorted(nxt)
-            hop_done[hop - 1].set()
-            if not frontier:
-                break
-        walk["dist"] = dist
-        walk["seen"] = set(dist)
-        for gate in hop_done:
-            gate.set()
-
-    walker = threading.Thread(target=traverse, name="walker", daemon=True)
-    walker.start()
-    # Writers must not commit before the walk has its snapshot.
-    pinned.wait(10.0)
-
+    snapshot = store.begin_read()
+    dist = {_CHAIN[0]: 0}
+    frontier = [_CHAIN[0]]
     for hop in range(5):
         if delete_after_hop == hop:
-            deleter.fire()
+            delete_link()
         if insert_after_hop == hop:
-            inserter.fire()
-        if hop < 4:
-            hop_gates[hop].set()
-            hop_done[hop].wait(10.0)
-    walker.join(10.0)
-    deleter.go.set()
-    inserter.go.set()
-    deleter.join(10.0)
-    inserter.join(10.0)
+            insert_bridge()
+        if hop == 4 or not frontier:
+            continue
+        nxt = []
+        for node in frontier:
+            for peer in snapshot.friend_ids(node):
+                if peer not in dist:
+                    dist[peer] = hop + 1
+                    nxt.append(peer)
+        frontier = sorted(nxt)
 
     violations = []
-    if walk["seen"] != set(_CHAIN):
-        violations.append(f"walk saw {sorted(walk['seen'])}, "
-                          f"expected {sorted(_CHAIN)}")
-    if walk["dist"].get(_CHAIN[3]) != 3:
-        violations.append(f"far end at distance {walk['dist'].get(_CHAIN[3])}, "
-                          "expected 3")
-    if _BRIDGE in walk["seen"]:
+    if set(dist) != set(_CHAIN):
+        violations.append(f"walk saw {sorted(dist)}, expected {sorted(_CHAIN)}")
+    if dist.get(_CHAIN[3]) != 3:
+        violations.append(f"far end at distance {dist.get(_CHAIN[3])}, expected 3")
+    if _BRIDGE in dist:
         violations.append("walk observed the concurrently inserted bridge person")
     return ScenarioResult(
         name="traversal_anomaly", passed=not violations, violations=violations,
         details={"deleteAfterHop": delete_after_hop,
                  "insertAfterHop": insert_after_hop,
-                 "distances": dict(walk["dist"])})
+                 "distances": dist})
 
 
 # -- scenario 2: cascade atomicity --------------------------------------------
@@ -276,11 +215,13 @@ def run_cascade_atomicity(store_factory=ReferenceStore, seed: int = 0,
                           probe_rounds: int = 40) -> ScenarioResult:
     """Readers hunt for torn cascades while a reply tree is deleted.
 
-    A post with a comment chain (and likes) is cascade-deleted from a
-    writer thread at a seeded moment while reader threads keep checking
-    that every comment they can see still has its parent and root.  If
-    the store exposes a between_commits hook, one probe runs exactly
-    mid-delete, which catches stores that publish cascades piecemeal.
+    A post with a comment chain (and likes) is cascade-deleted after a
+    seeded probe round while one prober thread keeps checking, freely
+    racing the delete, that every comment it can see still has its
+    parent and root.  If the store exposes a between_commits hook, one
+    probe runs exactly mid-delete, which catches stores that publish
+    cascades piecemeal.  A delete that leaves the post visible is a
+    violation.
     """
     rng = random.Random(seed)
     store = store_factory()
@@ -302,18 +243,15 @@ def run_cascade_atomicity(store_factory=ReferenceStore, seed: int = 0,
                              {"personId": 9102, "messageId": 9301}))
 
     violations: list[str] = []
-    mid_probe_ran = threading.Event()
+    mid_probe_ran = False
     if hasattr(store, "between_commits"):
         def midpoint_probe() -> None:
+            nonlocal mid_probe_ran
             violations.extend(_probe_orphans(store))
-            mid_probe_ran.set()
+            mid_probe_ran = True
         store.between_commits = midpoint_probe
 
     fire_round = rng.randrange(1, probe_rounds)
-    writer = _Actor("cascade-writer", lambda: store.execute_update(
-        _op(DEL_POST, t + 100, {"messageId": 9301})))
-    writer.start()
-
     stop = threading.Event()
     probe_errors: list[BaseException] = []
 
@@ -327,19 +265,20 @@ def run_cascade_atomicity(store_factory=ReferenceStore, seed: int = 0,
 
     probe_thread = threading.Thread(target=prober, name="prober", daemon=True)
     probe_thread.start()
-    for round_no in range(probe_rounds):
-        violations.extend(_probe_orphans(store))
-        if round_no == fire_round:
-            writer.fire()
-    stop.set()
-    probe_thread.join(10.0)
-    if not writer.done.is_set():
-        writer.fire()
+    try:
+        for round_no in range(probe_rounds):
+            violations.extend(_probe_orphans(store))
+            if round_no == fire_round:
+                store.execute_update(_op(DEL_POST, t + 100, {"messageId": 9301}))
+    finally:
+        stop.set()
+        probe_thread.join()
     if probe_errors:
         raise probe_errors[0]
 
-    assert store.begin_read().message(9301) is None, "delete never applied"
+    if store.begin_read().message(9301) is not None:
+        violations.append("post 9301 still visible after its delete")
     return ScenarioResult(
         name="cascade_atomicity", passed=not violations, violations=violations,
         details={"fireRound": fire_round, "probeRounds": probe_rounds,
-                 "midProbeRan": mid_probe_ran.is_set()})
+                 "midProbeRan": mid_probe_ran})

@@ -175,18 +175,25 @@ def _load_section(cls, data: dict, section: str):
     return config
 
 
+def _object(value, name: str) -> dict:
+    """A copy of the config object value; anything else is ConfigInvalid."""
+    if not isinstance(value, dict):
+        raise ConfigInvalid(name, "not an object")
+    return dict(value)
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     file_conf: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            file_conf = json.load(handle)
+            file_conf = _object(json.load(handle), "(top level)")
     unknown = sorted(set(file_conf) - {"datagen", "driver", "paramgen"})
     if unknown:
         raise ConfigInvalid(unknown[0], "unknown section")
 
-    gen_dict = dict(file_conf.get("datagen", {}))
-    driver_dict = dict(file_conf.get("driver", {}))
-    param_dict = dict(file_conf.get("paramgen", {}))
+    gen_dict = _object(file_conf.get("datagen", {}), "datagen")
+    driver_dict = _object(file_conf.get("driver", {}), "driver")
+    param_dict = _object(file_conf.get("paramgen", {}), "paramgen")
     # Explicit flags win over the config file.
     overrides = {
         "seed": ("seed", gen_dict), "persons": ("num_persons", gen_dict),
@@ -208,7 +215,8 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     driver_dict.setdefault("pacing", False)
     triggers = driver_dict.pop("triggers", None)
     if triggers is not None:
-        driver_dict["triggers"] = _load_section(TriggerConfig, triggers, "driver.triggers")
+        driver_dict["triggers"] = _load_section(
+            TriggerConfig, _object(triggers, "driver.triggers"), "driver.triggers")
     driver = _load_section(DriverConfig, driver_dict, "driver")
     params = _load_section(ParamGenOptions, param_dict, "paramgen")
     return PipelineConfig(gen=gen, driver=driver, params=params,

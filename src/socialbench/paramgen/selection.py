@@ -15,15 +15,14 @@ from .factors import FactorTable
 
 # A new group starts when the next frequency exceeds the current one by
 # more than this fraction of the current frequency.
-DEFAULT_GAP_FRACTION = 0.05
+GAP_FRACTION = 0.05
 
 
-def select_window(table: FactorTable, min_group_size: int,
-                  gap_fraction: float = DEFAULT_GAP_FRACTION) -> list[tuple]:
+def select_window(table: FactorTable, min_group_size: int) -> list[tuple]:
     """Keys of the flattest frequency band of at least min_group_size rows.
 
     Rows sorted by frequency are grouped greedily while adjacent
-    frequencies stay within gap_fraction of each other; among groups of
+    frequencies stay within GAP_FRACTION of each other; among groups of
     sufficient size the one with the smallest standard deviation wins
     (ties: larger group, then smaller median frequency).  Selecting from a
     flat band keeps the runtime of queries parameterized by these keys
@@ -36,7 +35,7 @@ def select_window(table: FactorTable, min_group_size: int,
     groups: list[list[tuple[tuple, int]]] = [[rows[0]]]
     for row in rows[1:]:
         prev_freq = groups[-1][-1][1]
-        if row[1] - prev_freq > gap_fraction * max(prev_freq, 1):
+        if row[1] - prev_freq > GAP_FRACTION * max(prev_freq, 1):
             groups.append([row])
         else:
             groups[-1].append(row)

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .datagen import (
     GenConfig,
-    cutoff_instant,
     generate_temporal_graph,
     split_at_cutoff,
     write_dataset,
@@ -113,18 +112,17 @@ def run_pipeline(config: PipelineConfig | None = None) -> dict:
     with stage("datagen"):
         graph = generate_temporal_graph(config.gen)
         sas = split_at_cutoff(graph, config.gen)
-        cutoff = cutoff_instant(config.gen)
         if out is not None:
             write_dataset(graph, sas, config.gen, out / "dataset")
 
     with stage("paramgen"):
-        buckets = generate_parameters(graph, cutoff, config.params,
+        buckets = generate_parameters(graph, sas.cutoff, config.params,
                                       simulation_end=config.gen.simulation_end)
         if out is not None:
             write_buckets(buckets, out / "params")
 
     with stage("schedule"):
-        schedule = build_schedule(sas.stream, buckets, cutoff, config.driver)
+        schedule = build_schedule(sas.stream, buckets, sas.cutoff, config.driver)
 
     with stage("benchmark"):
         store = ReferenceStore(

@@ -1,8 +1,9 @@
 """Isolation and atomicity scenarios, plus the fault-injected control stores.
 
-Each scenario forces a specific interleaving of reader and writer
-threads.  The reference store must pass every seed and every fixed
-interleaving; the two deliberately broken stores must fail at the
+Each scenario runs a seeded (or given) interleaving of reads and
+writes as ordered steps; the cascade scenario also races one free
+prober thread against the delete.  The reference store must pass every
+seed and every fixed interleaving; the two deliberately broken stores must fail at the
 interleavings their defects target, which demonstrates the scenarios can
 actually detect the anomalies they hunt.
 """
@@ -57,6 +58,11 @@ class TestTraversalAnomaly:
         assert failures > 0
 
 
+class _DeletesNothingStore(ReferenceStore):
+    def _apply_delete(self, op):
+        return self._version, 0
+
+
 class TestCascadeAtomicity:
     def test_reference_store_passes_random_seeds(self):
         for seed in range(12):
@@ -74,6 +80,11 @@ class TestCascadeAtomicity:
         for seed in range(8):
             result = run_cascade_atomicity(SplitCascadeStore, seed=seed)
             assert not result.passed, seed
+
+    def test_delete_that_never_applies_is_a_violation(self):
+        result = run_cascade_atomicity(_DeletesNothingStore, seed=0)
+        assert not result.passed
+        assert result.violations == ["post 9301 still visible after its delete"]
 
 
 class TestDeterminism:

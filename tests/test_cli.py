@@ -186,6 +186,10 @@ class TestBadInput:
         ({"datagen": {"seed": "x", "num_persons": 10}}, "datagen.seed"),
         ({"driver": {"tcr": "fast"}}, "driver.tcr"),
         ({"driver": {"triggers": {"sr2_depth_cap": -1}}}, "driver.triggers.sr2_depth_cap"),
+        ({"datagen": 5}, "datagen"),
+        (5, "(top level)"),
+        ([1], "(top level)"),
+        ({"driver": {"triggers": [1]}}, "driver.triggers"),
     ])
     def test_config_value_of_wrong_type_or_range(self, tmp_path, capsys, conf, field):
         cfg_path = tmp_path / "cfg.json"
