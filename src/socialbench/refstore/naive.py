@@ -1,11 +1,16 @@
 """Brute-force twin of the reference store.
 
 Same interface, deliberately different internals: plain dicts of live
-entities, full scans instead of adjacency indexes, reply chains walked
-instead of stored root pointers, interaction counts recomputed from the
-live comments on every query, and an O(V^2) cheapest-path loop instead
-of a heap.  Slow on purpose; it exists so the two implementations can
-disagree only when one of them is wrong.
+entities and no index at all.  Each query reads every collection it needs
+at most once and builds what lookups it wants (friend sets, interaction
+counts, weighted edges) from that pass; they are dropped when the query
+returns, so nothing derived from the state outlives an operation.  Reply
+chains are walked instead of stored root pointers, and the cheapest path
+is an O(V^2) loop instead of a heap.  An unpinned read runs on the live
+state while holding the store's lock, so no writer commits during it;
+a snapshot pinned with ``begin_read()`` is a literal copy of the state.
+It exists so the two implementations can disagree only when one of them
+is wrong.
 """
 
 from __future__ import annotations
@@ -39,7 +44,12 @@ def _naive_weight(interactions: int) -> int:
 
 
 class NaiveStore:
-    """Full-scan oracle store; snapshot reads are literal state copies."""
+    """Index-free oracle store.
+
+    A query makes one pass over each collection it reads and keeps no
+    lookup after it returns.  Unpinned reads hold the lock and read the
+    live state; ``begin_read()`` snapshots are copies of it.
+    """
 
     def __init__(self, delete_forums_of_deleted_moderator: bool = True):
         self.delete_forums_of_deleted_moderator = delete_forums_of_deleted_moderator
@@ -207,7 +217,12 @@ class NaiveStore:
 
     def execute_query(self, variant: str, params: dict,
                       snapshot: TemporalGraph | None = None):
-        state = snapshot if snapshot is not None else self.begin_read()
+        if snapshot is not None:
+            return self._answer(snapshot, variant, params)
+        with self._lock:
+            return self._answer(self._state, variant, params)
+
+    def _answer(self, state: TemporalGraph, variant: str, params: dict):
         base = variant.rstrip("ab")
         if base == "CR3":
             return self._cr3(state, params)
@@ -222,36 +237,39 @@ class NaiveStore:
         raise IntegrityError(f"unknown query variant {variant}")
 
     @staticmethod
-    def _friends(state: TemporalGraph, pid: int) -> set[int]:
-        out = set()
+    def _friends(state: TemporalGraph) -> dict[int, set[int]]:
+        """Everyone's friends, from one scan of the knows edges."""
+        out: dict[int, set[int]] = {}
         for (a, b) in state.knows:
-            if a == pid:
-                out.add(b)
-            elif b == pid:
-                out.add(a)
+            out.setdefault(a, set()).add(b)
+            out.setdefault(b, set()).add(a)
         return out
 
     def _cr3(self, state: TemporalGraph, params: dict) -> list[dict]:
         root = params["personId"]
         if root not in state.persons:
             return []
-        candidates = self._friends(state, root)
+        friends = self._friends(state)
+        candidates = set(friends.get(root, ()))
         for friend in list(candidates):
-            candidates |= self._friends(state, friend)
+            candidates |= friends[friend]
         candidates.discard(root)
         cx, cy = params["countryXId"], params["countryYId"]
         start = params["startDate"]
         end = start + params["durationDays"] * 86_400_000
+        x_counts = {pid: 0 for pid in candidates
+                    if state.persons[pid].country_id not in (cx, cy)}
+        y_counts = dict(x_counts)
+        for m in state.messages.values():
+            pid = m.creator_person_id
+            if pid in x_counts and start <= m.lifecycle.creation < end:
+                if m.country_id == cx:
+                    x_counts[pid] += 1
+                if m.country_id == cy:
+                    y_counts[pid] += 1
         rows = []
-        for pid in candidates:
-            if state.persons[pid].country_id in (cx, cy):
-                continue
-            x_count = sum(1 for m in state.messages.values()
-                          if m.creator_person_id == pid and m.country_id == cx
-                          and start <= m.lifecycle.creation < end)
-            y_count = sum(1 for m in state.messages.values()
-                          if m.creator_person_id == pid and m.country_id == cy
-                          and start <= m.lifecycle.creation < end)
+        for pid, x_count in x_counts.items():
+            y_count = y_counts[pid]
             if x_count > 0 and y_count > 0:
                 rows.append({"personId": pid, "xCount": x_count, "yCount": y_count,
                              "totalCount": x_count + y_count})
@@ -261,6 +279,7 @@ class NaiveStore:
         source, target = params["person1Id"], params["person2Id"]
         if source not in state.persons or target not in state.persons:
             return {"shortestPathLength": -1}
+        friends = self._friends(state)
         seen = {source}
         frontier = {source}
         hops = 0
@@ -269,7 +288,7 @@ class NaiveStore:
                 return {"shortestPathLength": hops}
             hops += 1
             frontier = {peer for node in frontier
-                        for peer in self._friends(state, node)} - seen
+                        for peer in friends.get(node, ())} - seen
             seen |= frontier
         return {"shortestPathLength": -1}
 
@@ -296,23 +315,25 @@ class NaiveStore:
         if source == target:
             return {"path": [source], "weight": 0}
         counts = self._interaction_counts(state)
-        weights: dict[tuple[int, int], int] = {}
+        edges: dict[int, list[tuple[int, int]]] = {}
         for pair in state.knows:
             n = counts.get(pair, 0)
             if n >= 1:
-                weights[pair] = _naive_weight(n)
-        dist = {pid: math.inf for pid in state.persons}
+                a, b = pair
+                w = _naive_weight(n)
+                edges.setdefault(a, []).append((b, w))
+                edges.setdefault(b, []).append((a, w))
+        unvisited = set(state.persons)
+        dist = dict.fromkeys(unvisited, math.inf)
         dist[source] = 0
         parent: dict[int, int] = {}
-        unvisited = set(state.persons)
         while unvisited:
             node = min(unvisited, key=lambda v: (dist[v], v))
             if math.isinf(dist[node]) or node == target:
                 break
             unvisited.discard(node)
-            for (a, b), w in weights.items():
-                peer = b if a == node else a if b == node else None
-                if peer is None or peer not in unvisited:
+            for peer, w in edges.get(node, ()):
+                if peer not in unvisited:
                     continue
                 if dist[node] + w < dist[peer]:
                     dist[peer] = dist[node] + w

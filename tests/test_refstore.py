@@ -5,9 +5,13 @@ naive single-version twin and a dict-based cascade oracle provide the
 independent answers for the randomized comparisons.
 """
 
+import ast
 import bisect
+import inspect
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -23,6 +27,7 @@ from socialbench.errors import (
 )
 from socialbench.model import COUNTRIES, UpdateOperation, check_temporal_invariants
 from socialbench.refstore import NaiveStore, ReferenceStore, edge_weight
+from socialbench.refstore import naive as naive_module
 from socialbench.simtime import MS_PER_DAY, SIM_START
 
 T0 = SIM_START + 30 * MS_PER_DAY
@@ -472,26 +477,36 @@ class TestNaiveEquivalence:
         naive.bulk_load(sas.snapshot)
         persons = sorted(sas.snapshot.persons)
         messages = sorted(sas.snapshot.messages)
-        rng = random.Random(4321)
+        # Few knows edges carry interactions, so CR14b pairs are drawn from
+        # persons that have one: their cheapest paths are not all None.
+        snap = ref.begin_read()
+        interacting = [p for p in persons
+                       if any(snap.interaction_count(p, f) for f in snap.friend_ids(p))]
+        rng, pairs = random.Random(4321), random.Random(8765)
         for i in range(60):
-            for variant, params in _random_params(rng, persons, messages).items():
+            queries = _random_params(rng, persons, messages)
+            queries["CR14b"] = {"person1Id": pairs.choice(interacting),
+                                "person2Id": pairs.choice(interacting)}
+            for variant, params in queries.items():
                 a = ref.execute_query(variant, params)
                 b = naive.execute_query(variant, params)
-                if variant == "CR14a":
+                if variant.startswith("CR14"):
                     # Cheapest paths can tie; the weight is the contract.
                     assert (a is None) == (b is None), (i, params)
                     if a is not None:
                         assert a["weight"] == b["weight"], (i, params)
-                        self._check_path(ref, a)
+                        self._check_path(ref, params, a)
+                        self._check_path(ref, params, b)
                 else:
                     assert a == b, (i, variant, params)
 
     @staticmethod
-    def _check_path(store, result):
-        """A returned path must consist of interacting friend hops whose
-        weights sum to the reported total."""
+    def _check_path(store, params, result):
+        """A returned path must run from source to target over interacting
+        friend hops whose weights sum to the reported total."""
         snap = store.begin_read()
         path = result["path"]
+        assert (path[0], path[-1]) == (params["person1Id"], params["person2Id"])
         total = 0
         for a, b in zip(path, path[1:]):
             assert b in snap.friend_ids(a)
@@ -499,6 +514,87 @@ class TestNaiveEquivalence:
             assert count >= 1
             total += edge_weight(count)
         assert total == result["weight"]
+
+
+class TestNaiveStore:
+    def test_pinned_snapshot_keeps_a_deleted_edge(self):
+        store = NaiveStore()
+        for pid in (1, 2, 3):
+            _person(store, pid)
+        _knows(store, 1, 2)
+        _knows(store, 2, 3)
+        path = {"person1Id": 1, "person2Id": 3}
+        pinned = store.begin_read()
+        _op(store, "DEL8", {"person1Id": 2, "person2Id": 3})
+        assert store.execute_query("CR13", path, pinned) == {"shortestPathLength": 2}
+        assert store.execute_query("CR13", path) == {"shortestPathLength": -1}
+
+    def test_unpinned_reads_race_a_writer(self):
+        cfg = GenConfig(seed=7, num_persons=300, cutoff_fraction=0.5)
+        sas = split_at_cutoff(generate_temporal_graph(cfg), cfg)
+        store = NaiveStore()
+        store.bulk_load(sas.snapshot)
+        persons = sorted(sas.snapshot.persons)
+        reading, done = threading.Event(), threading.Event()
+        rounds = []
+
+        def reader():
+            rng = random.Random(11)
+            while not done.is_set():
+                p1, p2 = rng.choice(persons), rng.choice(persons)
+                store.execute_query("CR3", {"personId": p1, "countryXId": 1,
+                                            "countryYId": 2, "startDate": SIM_START,
+                                            "durationDays": 1000})
+                store.execute_query("CR13", {"person1Id": p1, "person2Id": p2})
+                store.execute_query("CR14", {"person1Id": p1, "person2Id": p2})
+                rounds.append(p1)
+                reading.set()
+
+        def writer():
+            try:
+                assert reading.wait(timeout=60)
+                for op in sas.stream:
+                    store.execute_update(op)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader), threading.Thread(target=writer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(rounds) > 1
+        assert store.version == 1 + len(sas.stream)
+
+    def test_independent_of_the_reference_store(self, sas):
+        tree = ast.parse(inspect.getsource(naive_module))
+        package = naive_module.__name__.rsplit(".", 1)[0].split(".")
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = package[:len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                imported |= {module} | {f"{module}.{a.name}" for a in node.names}
+        assert not {m for m in imported if m.startswith("socialbench.refstore")}, imported
+
+        store = NaiveStore()
+        store.bulk_load(sas.snapshot)
+        for op in sas.stream:
+            store.execute_update(op)
+        for variant, params in _random_params(random.Random(5),
+                                              sorted(sas.snapshot.persons),
+                                              sorted(sas.snapshot.messages)).items():
+            store.execute_query(variant, params)
+        assert set(vars(store)) == {"_state", "_lock", "_version",
+                                    "delete_forums_of_deleted_moderator"}
 
 
 def _failed_updates(store, snapshot, stream) -> list[str]:
