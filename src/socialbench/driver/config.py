@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigInvalid, check_config_types
+from ..paramgen.buckets import QUERY_VARIANTS
 
 # How many update slots pass between two instances of each complex-read
 # variant.  Smaller is more frequent.
@@ -76,6 +77,8 @@ class DriverConfig:
         if not 0.0 <= self.on_time_target <= 1.0:
             raise ConfigInvalid("on_time_target", "must be within [0, 1]")
         for variant, freq in self.frequencies.items():
+            if variant not in QUERY_VARIANTS:
+                raise ConfigInvalid("frequencies", f"unknown query variant {variant!r}")
             if not isinstance(freq, int) or freq < 1:
                 raise ConfigInvalid("frequencies", f"{variant} must be >= 1")
         self.triggers.validate()

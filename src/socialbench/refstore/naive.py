@@ -223,7 +223,7 @@ class NaiveStore:
             return self._answer(self._state, variant, params)
 
     def _answer(self, state: TemporalGraph, variant: str, params: dict):
-        base = variant.rstrip("ab")
+        base = variant[:-1] if variant.endswith(("a", "b")) else variant
         if base == "CR3":
             return self._cr3(state, params)
         if base == "CR13":

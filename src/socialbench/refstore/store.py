@@ -73,6 +73,39 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _meet(snap: Snapshot, source: int, target: int, neighbours) -> int:
+    """Hops between two distinct persons, or -1 if they are not connected.
+
+    ``neighbours(snap, node)`` gives the persons one hop from ``node`` at
+    the snapshot's version.  A breadth-first search runs from each end;
+    every step expands one whole level of the smaller frontier, and the
+    first vertex both searches have reached gives the distance.  An empty
+    frontier means the two cannot be connected.
+    """
+    seen = ({source: 0}, {target: 0})
+    frontiers = [[source], [target]]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = seen[side], seen[1 - side]
+        nxt = []
+        for node in frontiers[side]:
+            hops = mine[node] + 1
+            for peer in neighbours(snap, node):
+                if peer in other:
+                    return hops + other[peer]
+                if peer not in mine:
+                    mine[peer] = hops
+                    nxt.append(peer)
+        frontiers[side] = nxt
+    return -1
+
+
+def _interacting_friends(snap: Snapshot, person_id: int) -> list[int]:
+    """Friends with at least one interaction: the edges CR14 may take."""
+    return [peer for peer in snap.friend_ids(person_id)
+            if snap.interaction_count(person_id, peer) >= 1]
+
+
 class Snapshot:
     """Read view pinned to one store version."""
 
@@ -309,7 +342,7 @@ class ReferenceStore:
     def execute_query(self, variant: str, params: dict,
                       snapshot: Snapshot | None = None):
         snap = snapshot or self.begin_read()
-        base = variant.rstrip("ab")
+        base = variant[:-1] if variant.endswith(("a", "b")) else variant
         if base == "CR3":
             return self._cr3(snap, params)
         if base == "CR13":
@@ -359,32 +392,28 @@ class ReferenceStore:
         return rows
 
     def _cr13(self, snap: Snapshot, params: dict) -> dict:
+        """Hop count of a shortest knows path, by a search from both ends."""
         source, target = params["person1Id"], params["person2Id"]
         if snap.person(source) is None or snap.person(target) is None:
             return {"shortestPathLength": -1}
         if source == target:
             return {"shortestPathLength": 0}
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for peer in snap.friend_ids(node):
-                    if peer not in dist:
-                        dist[peer] = dist[node] + 1
-                        if peer == target:
-                            return {"shortestPathLength": dist[peer]}
-                        nxt.append(peer)
-            frontier = nxt
-        return {"shortestPathLength": -1}
+        return {"shortestPathLength": _meet(snap, source, target, Snapshot.friend_ids)}
 
     def _cr14(self, snap: Snapshot, params: dict) -> dict | None:
-        """Cheapest path where each hop costs more the less the pair interacted."""
+        """Cheapest path where each hop costs more the less the pair interacted.
+
+        A search from both ends over interacting friends first decides
+        whether any path exists; only then does a one-sided Dijkstra from
+        person1 find the path, so the cut never changes which path wins.
+        """
         source, target = params["person1Id"], params["person2Id"]
         if snap.person(source) is None or snap.person(target) is None:
             return None
         if source == target:
             return {"path": [source], "weight": 0}
+        if _meet(snap, source, target, _interacting_friends) < 0:
+            return None
         dist: dict[int, int] = {source: 0}
         parent: dict[int, int] = {}
         heap = [(0, source)]

@@ -190,6 +190,7 @@ class TestBadInput:
         (5, "(top level)"),
         ([1], "(top level)"),
         ({"driver": {"triggers": [1]}}, "driver.triggers"),
+        ({"driver": {"frequencies": {"CR13x": 5}}}, "driver.frequencies"),
     ])
     def test_config_value_of_wrong_type_or_range(self, tmp_path, capsys, conf, field):
         cfg_path = tmp_path / "cfg.json"

@@ -215,6 +215,30 @@ class TestQueries:
         result = store.execute_query("CR14a", {"person1Id": 11, "person2Id": 12})
         assert result == {"path": [11, 12], "weight": 35}
 
+    def test_cr14_tie_break_follows_person1(self):
+        """Two routes of weight 76: 31-32-34 (39 + 37) and 31-33-34
+        (38 + 38).  The search from person1 settles 33 first and keeps the
+        first route it finds to the target, so each direction returns a
+        different path.  Triggered SR2 reads follow ``path[:3]``."""
+        store = ReferenceStore()
+        for pid in (31, 32, 33, 34):
+            _person(store, pid)
+        for a, b in [(31, 32), (32, 34), (31, 33), (33, 34)]:
+            _knows(store, a, b)
+        _forum(store, 310, 31)
+        for pid in (31, 32, 33):
+            _post(store, 700 + pid, pid, 310)
+        next_id = 800
+        for author, replier, times in [(31, 32, 1), (32, 34, 9), (31, 33, 4), (33, 34, 4)]:
+            for _ in range(times):
+                _comment(store, next_id, replier, 700 + author)
+                next_id += 1
+        assert [edge_weight(n) for n in (1, 9, 4)] == [39, 37, 38]
+        forward = store.execute_query("CR14b", {"person1Id": 31, "person2Id": 34})
+        assert forward == {"path": [31, 33, 34], "weight": 76}
+        backward = store.execute_query("CR14b", {"person1Id": 34, "person2Id": 31})
+        assert backward == {"path": [34, 32, 31], "weight": 76}
+
     def test_sr2_orders_recent_first_and_caps_at_ten(self, toy):
         for i in range(12):
             _comment(toy, 400 + i, 5, 200)
@@ -243,6 +267,20 @@ class TestQueries:
     def test_unknown_variant_rejected(self, toy):
         with pytest.raises(IntegrityError):
             toy.execute_query("CR99", {})
+
+
+@pytest.mark.parametrize("store_cls", [ReferenceStore, NaiveStore])
+def test_variant_names_are_exact(store_cls):
+    store = store_cls()
+    for pid in (1, 2):
+        _person(store, pid)
+    _knows(store, 1, 2)
+    pair = {"person1Id": 1, "person2Id": 2}
+    for variant in ("CR13", "CR13a", "CR13b"):
+        assert store.execute_query(variant, pair) == {"shortestPathLength": 1}
+    for variant in ("CR13bab", "CR13ab", "CR13bb", "CR14aa", "CR3ba", "SR2a", ""):
+        with pytest.raises(IntegrityError):
+            store.execute_query(variant, pair)
 
 
 class TestErrorContracts:
@@ -424,6 +462,77 @@ class TestVersioning:
     def test_bulk_load_only_once(self, toy, sas):
         with pytest.raises(IntegrityError):
             toy.bulk_load(sas.snapshot)
+
+
+def _hops_from(source, neighbours) -> dict[int, int]:
+    """One-sided breadth-first search: hops to every reachable person."""
+    hops = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for peer in neighbours(node):
+                if peer not in hops:
+                    hops[peer] = hops[node] + 1
+                    nxt.append(peer)
+        frontier = nxt
+    return hops
+
+
+class TestPathsAcrossDeletes:
+    def test_pinned_and_final_paths_match_one_sided_search(self, sas):
+        """CR13 and CR14 at a snapshot pinned before the stream and at its
+        end, against a one-sided search at the same version.  Pairs come
+        at every distance either snapshot has, plus disconnected ones."""
+        deleted = [op.payload for op in sas.stream if op.op_type in ("DEL1", "DEL8")]
+        assert {op.op_type for op in sas.stream} >= {"DEL1", "DEL8"}
+        store = ReferenceStore()
+        store.bulk_load(sas.snapshot)
+        pinned = store.begin_read()
+        for op in sas.stream:
+            store.execute_update(op)
+        final = store.begin_read()
+
+        def interacting(snap):
+            return lambda node: [peer for peer in snap.friend_ids(node)
+                                 if snap.interaction_count(node, peer) >= 1]
+
+        alive = {snap: set(store.state_at(snap.version)["persons"]) for snap in (pinned, final)}
+        both = sorted(alive[pinned] & alive[final])
+        rng = random.Random(5)
+        sources = rng.sample(both, 8) + rng.sample(
+            [p for p in both if interacting(pinned)(p)], 4)
+        sources += [pid for payload in deleted for pid in payload.values()]
+        searches = {snap: (alive[snap], {
+            source: (_hops_from(source, snap.friend_ids), _hops_from(source, interacting(snap)))
+            for source in sources if source in alive[snap]}) for snap in (pinned, final)}
+        pairs = set()
+        for living, by_source in searches.values():
+            for source, (hops, reach) in by_source.items():
+                nearest = {}
+                for person in sorted(hops):
+                    nearest.setdefault(hops[person], person)
+                apart = sorted(living - set(hops))[:3]
+                pairs.update((source, t) for t in [*nearest.values(), *apart, *sorted(reach)[-3:]])
+
+        answers = {}
+        for snap, (living, by_source) in searches.items():
+            lengths, paths = set(), 0
+            for source, target in sorted(pairs):
+                pair = {"person1Id": source, "person2Id": target}
+                hops, reach = by_source.get(source, ({}, {}))
+                live = source in living and target in living
+                length = store.execute_query("CR13b", pair, snap)["shortestPathLength"]
+                assert length == (hops.get(target, -1) if live else -1), pair
+                path = store.execute_query("CR14b", pair, snap)
+                assert (path is not None) == (live and target in reach), pair
+                answers[snap, source, target] = length, path is None
+                lengths.add(length)
+                paths += path is not None and len(path["path"]) > 2
+            assert {-1, 0, 1, 2, 3, 4, 5} <= lengths and paths
+        # The stream changes some answers, so a search that reads the
+        # live version at the pinned snapshot cannot pass.
+        assert any(answers[pinned, s, t] != answers[final, s, t] for s, t in pairs)
 
 
 @pytest.mark.parametrize("store_cls", [ReferenceStore, NaiveStore])
