@@ -25,6 +25,13 @@ from .selection import select_percentile, select_window
 
 QUERY_VARIANTS = ("CR3a", "CR3b", "CR13a", "CR13b", "CR14a", "CR14b", "SR2", "SR6")
 
+_CR3_KEYS = {"personId", "countryXId", "countryYId", "startDate", "durationDays"}
+_PAIR_KEYS = {"person1Id", "person2Id"}
+# The parameters each variant takes; every value is an integer.
+_PARAM_KEYS: dict[str, set[str]] = {
+    "CR3a": _CR3_KEYS, "CR3b": _CR3_KEYS, "CR13a": _PAIR_KEYS, "CR13b": _PAIR_KEYS,
+    "CR14a": _PAIR_KEYS, "CR14b": _PAIR_KEYS, "SR2": {"personId"}, "SR6": {"messageId"}}
+
 
 @dataclass(frozen=True)
 class ParamGenOptions:
@@ -176,7 +183,18 @@ def write_buckets(buckets: dict[int, ParameterBucket], directory: str | Path) ->
                 handle.write(json.dumps({"warning": warning}) + "\n")
 
 
+def _check_params(variant: str, params) -> None:
+    keys = _PARAM_KEYS[variant]
+    if not isinstance(params, dict) or params.keys() != keys:
+        raise ValueError(f"{variant} params must be an object with keys {sorted(keys)}")
+    for key, value in params.items():
+        if type(value) is not int:
+            raise ValueError(f"{variant} param {key!r} must be an integer")
+
+
 def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
+    """Load what write_buckets wrote.  A line that is not a warning or a
+    known variant with exactly its integer parameters is a ParseError."""
     directory = Path(directory)
     buckets: dict[int, ParameterBucket] = {}
     for path in sorted(directory.glob("*.ldjson")):
@@ -192,8 +210,10 @@ def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
                     if "warning" in record:
                         bucket.warnings.append(record["warning"])
                     else:
-                        bucket.params[record["query"]].append(record["params"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                        variant, params = record["query"], record["params"]
+                        _check_params(variant, params)
+                        bucket.params[variant].append(params)
+                except (ValueError, KeyError, TypeError) as exc:
                     raise ParseError(str(path), line_no, str(exc)) from exc
         buckets[day] = bucket
     return buckets

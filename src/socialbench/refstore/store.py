@@ -73,14 +73,20 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _meet(snap: Snapshot, source: int, target: int, neighbours) -> int:
+def _count_at(history: list[tuple[int, int]], version: int) -> int:
+    """The interaction count a (version, count) history holds at a version."""
+    idx = bisect_right(history, (version, math.inf))
+    return history[idx - 1][1] if idx else 0
+
+
+def _meet(snap: Snapshot, source: int, target: int) -> int:
     """Hops between two distinct persons, or -1 if they are not connected.
 
-    ``neighbours(snap, node)`` gives the persons one hop from ``node`` at
-    the snapshot's version.  A breadth-first search runs from each end;
-    every step expands one whole level of the smaller frontier, and the
-    first vertex both searches have reached gives the distance.  An empty
-    frontier means the two cannot be connected.
+    A breadth-first search runs from each end over the friendships
+    visible at the snapshot's version; every step expands one whole
+    level of the smaller frontier, and the first vertex both searches
+    have reached gives the distance.  An empty frontier means the two
+    cannot be connected.
     """
     seen = ({source: 0}, {target: 0})
     frontiers = [[source], [target]]
@@ -90,7 +96,7 @@ def _meet(snap: Snapshot, source: int, target: int, neighbours) -> int:
         nxt = []
         for node in frontiers[side]:
             hops = mine[node] + 1
-            for peer in neighbours(snap, node):
+            for peer in snap.friend_ids(node):
                 if peer in other:
                     return hops + other[peer]
                 if peer not in mine:
@@ -100,10 +106,17 @@ def _meet(snap: Snapshot, source: int, target: int, neighbours) -> int:
     return -1
 
 
-def _interacting_friends(snap: Snapshot, person_id: int) -> list[int]:
-    """Friends with at least one interaction: the edges CR14 may take."""
-    return [peer for peer in snap.friend_ids(person_id)
-            if snap.interaction_count(person_id, peer) >= 1]
+class _Hops(dict):
+    """One CR14 query's weighted adjacency: person -> [(peer, weight), ...]
+    of the hops a cheapest path may take, each read on first use."""
+
+    def __init__(self, snap: Snapshot):
+        super().__init__()
+        self._snap = snap
+
+    def __missing__(self, person_id: int) -> list[tuple[int, int]]:
+        hops = self[person_id] = self._snap.weighted_friends(person_id)
+        return hops
 
 
 class Snapshot:
@@ -142,6 +155,23 @@ class Snapshot:
                            else edge.person1_id)
         return out
 
+    def weighted_friends(self, person_id: int) -> list[tuple[int, int]]:
+        """(friend, edge_weight) of each friend with at least one
+        interaction: the hops CR14 may take."""
+        version = self.version
+        interactions = self.store._interactions
+        out = []
+        for rec in self.store._knows_by_person.get(person_id, []):
+            edge = rec.value
+            # Knows edges are canonical, so their endpoints key the counts.
+            history = interactions.get((edge.person1_id, edge.person2_id))
+            if history and rec.visible_at(version):
+                count = _count_at(history, version)
+                if count >= 1:
+                    out.append((edge.person2_id if edge.person1_id == person_id
+                                else edge.person1_id, edge_weight(count)))
+        return out
+
     def messages_of(self, person_id: int) -> list[Message]:
         version = self.version
         return [rec.value for rec in self.store._messages_by_creator.get(person_id, [])
@@ -149,10 +179,7 @@ class Snapshot:
 
     def interaction_count(self, person_a: int, person_b: int) -> int:
         history = self.store._interactions.get(_pair(person_a, person_b))
-        if not history:
-            return 0
-        idx = bisect_right(history, (self.version, float("inf")))
-        return history[idx - 1][1] if idx else 0
+        return _count_at(history, self.version) if history else 0
 
 
 class ReferenceStore:
@@ -173,7 +200,7 @@ class ReferenceStore:
         self._indexes: dict[str, list[tuple[str, str, dict]]] = {
             c: [(attr, parent, self._by_parent[c, parent]) for parent, attr in PARENTS[c]]
             for c in COLLECTIONS}
-        # Snapshot.friend_ids and messages_of read these on every hop.
+        # The path queries and CR3 read these on every hop.
         self._knows_by_person = self._by_parent["knows", "persons"]
         self._messages_by_creator = self._by_parent["messages", "persons"]
         # Per collection, the (child collection, index) pairs whose live
@@ -372,19 +399,22 @@ class ReferenceStore:
         cx, cy = params["countryXId"], params["countryYId"]
         start = params["startDate"]
         end = start + params["durationDays"] * 86_400_000
+        version = snap.version
         rows = []
         for pid in self._two_hop(snap, params["personId"]):
             candidate = snap.person(pid)
             if candidate is None or candidate.country_id in (cx, cy):
                 continue
             x_count = y_count = 0
-            for message in snap.messages_of(pid):
-                if not start <= message.lifecycle.creation < end:
-                    continue
-                if message.country_id == cx:
-                    x_count += 1
-                if message.country_id == cy:
-                    y_count += 1
+            # The window rules out most messages, and costs less to test
+            # than visibility.
+            for rec in self._messages_by_creator.get(pid, ()):
+                message = rec.value
+                if start <= message.lifecycle.creation < end and rec.visible_at(version):
+                    if message.country_id == cx:
+                        x_count += 1
+                    if message.country_id == cy:
+                        y_count += 1
             if x_count and y_count:
                 rows.append({"personId": pid, "xCount": x_count,
                              "yCount": y_count, "totalCount": x_count + y_count})
@@ -398,44 +428,81 @@ class ReferenceStore:
             return {"shortestPathLength": -1}
         if source == target:
             return {"shortestPathLength": 0}
-        return {"shortestPathLength": _meet(snap, source, target, Snapshot.friend_ids)}
+        return {"shortestPathLength": _meet(snap, source, target)}
 
     def _cr14(self, snap: Snapshot, params: dict) -> dict | None:
         """Cheapest path where each hop costs more the less the pair interacted.
 
-        A search from both ends over interacting friends first decides
-        whether any path exists; only then does a one-sided Dijkstra from
-        person1 find the path, so the cut never changes which path wins.
+        The path is the one a Dijkstra from person1 finds that pops
+        persons in (distance, id) order and relaxes only on a strictly
+        smaller distance: each person's parent is, of its tight
+        predecessors (those u with d(u) + w = d(v)), the one with the
+        smallest (d(u), id).
+
+        A Dijkstra from both ends finds the cost D first, and answers None
+        when either side runs out of persons to reach.  The forward search
+        then runs again from person1 in the same order, but never queues a
+        person whose distance plus a lower bound on its distance to
+        person2 exceeds D; the bound is the exact distance if the backward
+        search settled the person, else the top of the backward heap.
+        Such a person is on no cheapest path, so it is no tight
+        predecessor of any person on one, and every parent on the path
+        stays as above.
         """
         source, target = params["person1Id"], params["person2Id"]
         if snap.person(source) is None or snap.person(target) is None:
             return None
         if source == target:
             return {"path": [source], "weight": 0}
-        if _meet(snap, source, target, _interacting_friends) < 0:
+        hops = _Hops(snap)
+        inf = math.inf
+        dists = ({source: 0}, {target: 0})
+        settled: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        heaps = ([(0, source)], [(0, target)])
+        best = inf
+        # A heap top may be a stale entry, which only makes the stop later.
+        while heaps[0] and heaps[1] and heaps[0][0][0] + heaps[1][0][0] < best:
+            side = 0 if len(heaps[0]) <= len(heaps[1]) else 1
+            heap, mine, other, done = heaps[side], dists[side], dists[1 - side], settled[side]
+            d, node = heapq.heappop(heap)
+            if node in done:
+                continue
+            done[node] = d
+            for peer, weight in hops[node]:
+                nd = d + weight
+                if nd < mine.get(peer, inf):
+                    mine[peer] = nd
+                    heapq.heappush(heap, (nd, peer))
+                through = other.get(peer)
+                if through is not None and nd + through < best:
+                    best = nd + through
+        if best == inf:
             return None
+
+        to_target, heap = settled[1], heaps[1]
+        while heap and heap[0][1] in to_target:
+            heapq.heappop(heap)
+        floor = heap[0][0] if heap else inf
         dist: dict[int, int] = {source: 0}
         parent: dict[int, int] = {}
         heap = [(0, source)]
-        while heap:
+        # Every person on a cheapest path passes the bound, so the target
+        # is popped before the heap runs dry.
+        while True:
             d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
+            if d > dist[node]:
                 continue
             if node == target:
                 path = [node]
                 while path[-1] != source:
                     path.append(parent[path[-1]])
                 return {"path": path[::-1], "weight": d}
-            for peer in snap.friend_ids(node):
-                count = snap.interaction_count(node, peer)
-                if count < 1:
-                    continue
-                nd = d + edge_weight(count)
-                if nd < dist.get(peer, float("inf")):
+            for peer, weight in hops[node]:
+                nd = d + weight
+                if nd < dist.get(peer, inf) and nd + to_target.get(peer, floor) <= best:
                     dist[peer] = nd
                     parent[peer] = node
                     heapq.heappush(heap, (nd, peer))
-        return None
 
     def _sr2(self, snap: Snapshot, params: dict) -> list[dict]:
         messages = snap.messages_of(params["personId"])

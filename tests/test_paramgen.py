@@ -1,5 +1,6 @@
 """Factor tables, window selection, path curation, and parameter buckets."""
 
+import json
 import random
 import statistics
 from collections import Counter
@@ -420,6 +421,31 @@ class TestBuckets:
             with pytest.raises(ParseError) as err:
                 read_buckets(tmp_path / "params")
             assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("record", [
+        {"query": "CR14b", "params": {"person1Id": 1}},
+        {"query": "CR14b", "params": {"person1Id": 1, "person2Id": 2, "personId": 3}},
+        {"query": "CR13a", "params": {"person1Id": 1, "person2Id": "2"}},
+        {"query": "CR3a", "params": {"personId": 1, "countryXId": 2, "countryYId": 3,
+                                     "startDate": 4, "durationDays": 1.5}},
+        {"query": "SR2", "params": {"personId": True}},
+        {"query": "SR6", "params": 5},
+        {"query": "SR6", "params": [5]},
+        {"query": "SR7", "params": {"messageId": 5}},
+        {"query": ["SR6"], "params": {"messageId": 5}},
+    ])
+    def test_params_must_fit_their_variant(self, record, tmp_path):
+        """A line the store could not run fails the load, not the run."""
+        directory = tmp_path / "params"
+        directory.mkdir()
+        good = {"query": "SR6", "params": {"messageId": 5}}
+        (directory / "2012-11-02.ldjson").write_text(
+            json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_buckets(directory)
+        assert err.value.line_no == 2
+        (directory / "2012-11-02.ldjson").write_text(json.dumps(good) + "\n")
+        assert next(iter(read_buckets(directory).values())).params["SR6"] == [good["params"]]
 
     def test_options_validation(self):
         with pytest.raises(ConfigInvalid):

@@ -464,6 +464,93 @@ class TestVersioning:
             toy.bulk_load(sas.snapshot)
 
 
+class _BothStores:
+    """Applies every update to a ReferenceStore and a NaiveStore."""
+
+    def __init__(self):
+        self.ref, self.naive = ReferenceStore(), NaiveStore()
+
+    def execute_update(self, op):
+        self.naive.execute_update(op)
+        return self.ref.execute_update(op)
+
+
+def _grid_world(side=6, seed=3):
+    """A side x side grid of friends under shuffled ids, so that the
+    (distance, id) order does not follow the grid.  Every grid friendship
+    carries one reply (a hop of 39), a few carry three (38); diagonal
+    friendships carry none, and a separate pair of friends is reachable
+    from nobody else.  252 of the 631 connected pairs have two or more
+    cheapest paths, up to 29."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(1000, 2000), side * side + 2)
+    cell = {(r, c): ids[r * side + c] for r in range(side) for c in range(side)}
+    loner_a, loner_b = ids[-2:]
+    stores = _BothStores()
+    for pid in ids:
+        _person(stores, pid)
+    _forum(stores, 1, ids[0])
+    for pid in ids:
+        _post(stores, pid, pid, 1)
+    replies = {(loner_a, loner_b): 1}
+    for (r, c), pid in cell.items():
+        for dr, dc in ((0, 1), (1, 0)):
+            if (r + dr, c + dc) in cell:
+                replies[pid, cell[r + dr, c + dc]] = 3 if rng.random() < 0.1 else 1
+        if (r + 1, c + 1) in cell:
+            replies[pid, cell[r + 1, c + 1]] = 0
+    next_id = 10_000
+    for (a, b), times in replies.items():
+        _knows(stores, a, b)
+        for _ in range(times):
+            _comment(stores, next_id, b, a)
+            next_id += 1
+    assert edge_weight(1) == 39 and edge_weight(3) == 38
+    return stores, ids
+
+
+class TestCheapestPathTies:
+    def test_every_pair_matches_naive_store(self):
+        """With most hops equally cheap, the parent rule alone picks the
+        path: both stores must pick the same one for every ordered pair."""
+        stores, ids = _grid_world()
+        paths = 0
+        for source in ids:
+            for target in ids:
+                pair = {"person1Id": source, "person2Id": target}
+                got = stores.ref.execute_query("CR14b", pair)
+                assert got == stores.naive.execute_query("CR14b", pair), pair
+                paths += got is not None and len(got["path"]) > 6
+        assert paths > 100
+
+    def test_dead_end_is_not_walked(self):
+        """A dead end as long as the path hangs off person1.  A one-sided
+        Dijkstra would walk all of it; the searches from both ends bound
+        every person's distance to person2, so the far half is never read."""
+        stores = _BothStores()
+        path = list(range(1, 10))
+        dead_end = list(range(11, 19))
+        for pid in path + dead_end:
+            _person(stores, pid)
+        _forum(stores, 1, 1)
+        for pid in path + dead_end:
+            _post(stores, pid, pid, 1)
+        next_id = 100
+        for line in (path, [1] + dead_end):
+            for a, b in zip(line, line[1:]):
+                _knows(stores, a, b)
+                _comment(stores, next_id, b, a)
+                next_id += 1
+        snap = stores.ref.begin_read()
+        read = []
+        weighted_friends = snap.weighted_friends
+        snap.weighted_friends = lambda pid: read.append(pid) or weighted_friends(pid)
+        got = stores.ref.execute_query("CR14b", {"person1Id": 1, "person2Id": 9}, snap)
+        assert got == {"path": path, "weight": 8 * 39}
+        assert len(read) == len(set(read)) and set(path) <= set(read)
+        assert not set(read) & set(dead_end[4:]), sorted(read)
+
+
 def _hops_from(source, neighbours) -> dict[int, int]:
     """One-sided breadth-first search: hops to every reachable person."""
     hops = {source: 0}
@@ -482,16 +569,21 @@ def _hops_from(source, neighbours) -> dict[int, int]:
 class TestPathsAcrossDeletes:
     def test_pinned_and_final_paths_match_one_sided_search(self, sas):
         """CR13 and CR14 at a snapshot pinned before the stream and at its
-        end, against a one-sided search at the same version.  Pairs come
-        at every distance either snapshot has, plus disconnected ones."""
+        end, against a one-sided search at the same version, and CR14's
+        whole answer against NaiveStore's.  Pairs come at every distance
+        either snapshot has, plus disconnected ones."""
         deleted = [op.payload for op in sas.stream if op.op_type in ("DEL1", "DEL8")]
         assert {op.op_type for op in sas.stream} >= {"DEL1", "DEL8"}
-        store = ReferenceStore()
+        store, naive = ReferenceStore(), NaiveStore()
         store.bulk_load(sas.snapshot)
+        naive.bulk_load(sas.snapshot)
         pinned = store.begin_read()
+        oracle = {pinned: naive.begin_read()}
         for op in sas.stream:
             store.execute_update(op)
+            naive.execute_update(op)
         final = store.begin_read()
+        oracle[final] = naive.begin_read()
 
         def interacting(snap):
             return lambda node: [peer for peer in snap.friend_ids(node)
@@ -526,6 +618,7 @@ class TestPathsAcrossDeletes:
                 assert length == (hops.get(target, -1) if live else -1), pair
                 path = store.execute_query("CR14b", pair, snap)
                 assert (path is not None) == (live and target in reach), pair
+                assert path == naive.execute_query("CR14b", pair, oracle[snap]), pair
                 answers[snap, source, target] = length, path is None
                 lengths.add(length)
                 paths += path is not None and len(path["path"]) > 2
@@ -599,15 +692,11 @@ class TestNaiveEquivalence:
             for variant, params in queries.items():
                 a = ref.execute_query(variant, params)
                 b = naive.execute_query(variant, params)
-                if variant.startswith("CR14"):
-                    # Cheapest paths can tie; the weight is the contract.
-                    assert (a is None) == (b is None), (i, params)
-                    if a is not None:
-                        assert a["weight"] == b["weight"], (i, params)
-                        self._check_path(ref, params, a)
-                        self._check_path(ref, params, b)
-                else:
-                    assert a == b, (i, variant, params)
+                # Cheapest paths can tie; both stores break ties by the
+                # same parent rule, so even the paths agree.
+                assert a == b, (i, variant, params)
+                if variant.startswith("CR14") and a is not None:
+                    self._check_path(ref, params, a)
 
     @staticmethod
     def _check_path(store, params, result):
