@@ -9,6 +9,15 @@ running traversal.  Nothing is ever physically removed: deletion writes
 a closing version into the record, which keeps every adjacency list
 append-only and therefore safe to iterate while writers run.
 
+The one exception is each creator's message timeline, which is kept in
+creation order so that a window is two bisections.  A message created no
+earlier than the creator's newest one is appended, record before time, so
+a reader's bisection never points past the records it has.  A message
+created earlier is placed by copy-on-write: the commit builds new lists
+and publishes the (times, records) pair as one object, so a reader keeps
+whichever pair it fetched, whole.  The inserted record is invisible to
+every version pinned before the commit, so neither pair misleads it.
+
 Delete operations remove the full dependent closure of their target
 (reply trees, likes, memberships, and so on) in one commit, so no
 reader version ever observes a comment without its ancestors or an
@@ -20,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from ..errors import DependencyMissing, IntegrityError, UnknownEntity
@@ -172,11 +181,6 @@ class Snapshot:
                                 else edge.person1_id, edge_weight(count)))
         return out
 
-    def messages_of(self, person_id: int) -> list[Message]:
-        version = self.version
-        return [rec.value for rec in self.store._messages_by_creator.get(person_id, [])
-                if rec.visible_at(version)]
-
     def interaction_count(self, person_a: int, person_b: int) -> int:
         history = self.store._interactions.get(_pair(person_a, person_b))
         return _count_at(history, self.version) if history else 0
@@ -200,8 +204,12 @@ class ReferenceStore:
         self._indexes: dict[str, list[tuple[str, str, dict]]] = {
             c: [(attr, parent, self._by_parent[c, parent]) for parent, attr in PARENTS[c]]
             for c in COLLECTIONS}
-        # The path queries and CR3 read these on every hop.
+        # The path queries and CR3 read this on every hop.
         self._knows_by_person = self._by_parent["knows", "persons"]
+        # CR3 and SR2 read creator -> (creation times, message records),
+        # both in creation order.  The record lists are the ones the
+        # creator index below holds, which only _add_to_timeline fills.
+        self._timelines: dict[int, tuple[list[int], list[_Rec]]] = {}
         self._messages_by_creator = self._by_parent["messages", "persons"]
         # Per collection, the (child collection, index) pairs whose live
         # records die with one of its entities.
@@ -228,7 +236,8 @@ class ReferenceStore:
         Everything becomes visible at version 1.  Every reference is
         checked before the first record is added, so a rejected load
         leaves the store empty.  Interaction counts are derived from the
-        loaded comment threads.
+        loaded comment threads.  Messages load in (creation, id) order,
+        so each one lands at the end of its creator's timeline.
         """
         with self._lock:
             if self._version != 0:
@@ -237,7 +246,7 @@ class ReferenceStore:
             for collection in COLLECTIONS:
                 entities = getattr(data, collection).values()
                 if collection == "messages":
-                    entities = sorted(entities, key=lambda m: m.id)
+                    entities = sorted(entities, key=lambda m: (m.lifecycle.creation, m.id))
                 for entity in entities:
                     self._add(collection, entity, 1)
             for rec in self._tables["messages"].values():
@@ -258,8 +267,30 @@ class ReferenceStore:
         table[key] = rec
         for attr, _parent, index in self._indexes[collection]:
             ref = getattr(entity, attr)
-            if ref is not None:
+            if ref is None:
+                continue
+            if index is self._messages_by_creator:
+                self._add_to_timeline(ref, rec)
+            else:
                 index.setdefault(ref, []).append(rec)
+
+    def _add_to_timeline(self, creator: int, rec: _Rec) -> None:
+        """File a message record in creation order (see the module note)."""
+        creation = rec.value.lifecycle.creation
+        timeline = self._timelines.get(creator)
+        if timeline is None:
+            records = [rec]
+            self._timelines[creator] = ([creation], records)
+        else:
+            times, records = timeline
+            if creation >= times[-1]:
+                records.append(rec)
+                times.append(creation)
+                return
+            at = bisect_right(times, creation)
+            records = records[:at] + [rec] + records[at:]
+            self._timelines[creator] = (times[:at] + [creation] + times[at:], records)
+        self._messages_by_creator[creator] = records
 
     def _bump_interactions_unlocked(self, comment: Message, delta: int,
                                     version: int) -> None:
@@ -400,20 +431,27 @@ class ReferenceStore:
         start = params["startDate"]
         end = start + params["durationDays"] * 86_400_000
         version = snap.version
+        timelines = self._timelines
         rows = []
         for pid in self._two_hop(snap, params["personId"]):
+            timeline = timelines.get(pid)
+            if timeline is None:
+                continue
+            times, records = timeline
+            lo = bisect_left(times, start)
+            hi = bisect_left(times, end, lo)
+            if lo == hi:  # most candidates: no person lookup needed
+                continue
             candidate = snap.person(pid)
             if candidate is None or candidate.country_id in (cx, cy):
                 continue
             x_count = y_count = 0
-            # The window rules out most messages, and costs less to test
-            # than visibility.
-            for rec in self._messages_by_creator.get(pid, ()):
-                message = rec.value
-                if start <= message.lifecycle.creation < end and rec.visible_at(version):
-                    if message.country_id == cx:
+            for rec in records[lo:hi]:
+                if rec.visible_at(version):
+                    country = rec.value.country_id
+                    if country == cx:
                         x_count += 1
-                    if message.country_id == cy:
+                    if country == cy:
                         y_count += 1
             if x_count and y_count:
                 rows.append({"personId": pid, "xCount": x_count,
@@ -505,7 +543,21 @@ class ReferenceStore:
                     heapq.heappush(heap, (nd, peer))
 
     def _sr2(self, snap: Snapshot, params: dict) -> list[dict]:
-        messages = snap.messages_of(params["personId"])
+        """The creator's newest visible messages, newest first, ties by
+        higher id.  The timeline is walked from its end until SR2_LIMIT
+        are kept and the next one is older than the last kept."""
+        timeline = self._timelines.get(params["personId"])
+        if timeline is None:
+            return []
+        version = snap.version
+        messages: list[Message] = []
+        for rec in reversed(timeline[1]):
+            message = rec.value
+            if (len(messages) >= SR2_LIMIT
+                    and message.lifecycle.creation < messages[-1].lifecycle.creation):
+                break
+            if rec.visible_at(version):
+                messages.append(message)
         messages.sort(key=lambda m: (-m.lifecycle.creation, -m.id))
         rows = []
         for message in messages[:SR2_LIMIT]:

@@ -5,6 +5,11 @@ across processes and interpreter versions, unlike tuple seeding (hash
 based, deprecated).  Benchmark and validation runs must derive identical
 generators for the same key, so every composite-seed construction goes
 through here.
+
+The seeding is deferred to the first draw.  The driver derives a
+generator for every query it runs, but only a few answers trigger a
+draw, and the sha512 plus Mersenne Twister seeding costs several times
+what the rest of a short read does.
 """
 
 from __future__ import annotations
@@ -12,6 +17,50 @@ from __future__ import annotations
 import random
 
 
+class _DeferredRandom(random.Random):
+    """A Random that seeds itself from its key on its first use.
+
+    Every draw goes through random() or getrandbits(), so overriding
+    both covers them all.  Overriding getrandbits also keeps
+    Random.__init_subclass__ choosing _randbelow_with_getrandbits, so
+    choice, shuffle and sample draw the same streams as a plain Random.
+    """
+
+    def __init__(self, key: str | None = None):
+        # random.Random.__init__ would seed at once; this only records
+        # the key.  A key of None is the no-argument constructor that
+        # copy and pickle call before setstate.
+        self._key = key
+        self.gauss_next = None
+
+    def _seed_pending(self) -> None:
+        if self._key is not None:
+            self.seed(self._key)
+
+    def seed(self, a=None, version=2) -> None:
+        self._key = None
+        super().seed(a, version)
+
+    def setstate(self, state) -> None:
+        self._key = None
+        super().setstate(state)
+
+    def getstate(self):
+        self._seed_pending()
+        return super().getstate()
+
+    def random(self) -> float:
+        self._seed_pending()
+        return super().random()
+
+    def getrandbits(self, k: int) -> int:
+        self._seed_pending()
+        return super().getrandbits(k)
+
+
 def derive_rng(*parts) -> random.Random:
-    """A Random whose stream depends only on the given parts."""
-    return random.Random(repr(parts))
+    """A Random whose stream depends only on the given parts.
+
+    It draws what random.Random(repr(parts)) draws.
+    """
+    return _DeferredRandom(repr(parts))

@@ -48,7 +48,7 @@ from socialbench.simtime import (
     parse_day,
 )
 
-from test_refstore import _assert_no_dangling, _closure_oracle
+from test_refstore import _assert_no_dangling, _assert_timelines_sound, _closure_oracle
 
 
 def criterion(number, title):
@@ -288,6 +288,8 @@ def test_c05_dependency_tracking(capsys, sas, gen_config, dense):
         assert len(audit) == len(dense_sas.stream)
         premature = [e for e in audit if e["clockAtRelease"] < e["dependencyMs"]]
         assert premature == [], (run_index, premature[:3])
+        # Writers may commit one creator's messages out of creation order.
+        _assert_timelines_sound(store)
 
 
 # --- criterion 6: cheapest-path weights vs exhaustive enumeration ------------

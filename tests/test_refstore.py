@@ -628,6 +628,177 @@ class TestPathsAcrossDeletes:
         assert any(answers[pinned, s, t] != answers[final, s, t] for s, t in pairs)
 
 
+def _assert_timelines_sound(store):
+    """Each creator's timeline holds exactly that creator's message
+    records, in creation order, and is the list the cascade index reads."""
+    by_creator = {}
+    for rec in store._tables["messages"].values():
+        by_creator.setdefault(rec.value.creator_person_id, set()).add(id(rec))
+    assert store._timelines.keys() == by_creator.keys()
+    for creator, (times, records) in store._timelines.items():
+        assert times == [rec.value.lifecycle.creation for rec in records], creator
+        assert times == sorted(times), creator
+        assert len(records) == len(by_creator[creator]), creator
+        assert {id(rec) for rec in records} == by_creator[creator], creator
+        assert store._messages_by_creator[creator] is records, creator
+
+
+def _timeline_world():
+    """Person 1 knows 2 and 3; 2 knows 4.  Persons 2 and 4 write from
+    countries 5 and 6; 3 lives in country 5."""
+    stores = _BothStores()
+    for pid, country in [(1, 1), (2, 2), (3, 5), (4, 3)]:
+        _person(stores, pid, country)
+    for a, b in [(1, 2), (1, 3), (2, 4)]:
+        _knows(stores, a, b)
+    _forum(stores, 100, 1)
+    _post(stores, 200, 1, 100, country=1)
+    return stores
+
+
+class TestCreatorTimeline:
+    @staticmethod
+    def _message(stores, mid, creator, t, country):
+        _op(stores, "INS7", {"id": mid, "creatorPersonId": creator,
+                             "replyToMessageId": 200, "countryId": country,
+                             "tagIds": []}, t=t)
+
+    def _answers(self, stores, ref_snap=None, naive_snap=None):
+        """CR3 over windows that cut the messages every way, and SR2 of
+        each person, from both stores; they must agree."""
+        out = []
+        for start in range(T0, T0 + 16 * MS_PER_DAY, MS_PER_DAY // 2):
+            for days in (1, 3, 30):
+                params = {"personId": 1, "countryXId": 5, "countryYId": 6,
+                          "startDate": start, "durationDays": days}
+                out.append(stores.ref.execute_query("CR3a", params, ref_snap))
+                assert out[-1] == stores.naive.execute_query("CR3a", params, naive_snap), params
+        for pid in (1, 2, 3, 4):
+            out.append(stores.ref.execute_query("SR2", {"personId": pid}, ref_snap))
+            assert out[-1] == stores.naive.execute_query(
+                "SR2", {"personId": pid}, naive_snap), pid
+        return out
+
+    def test_newest_first_inserts(self):
+        """Two writers can commit one creator's independent inserts either
+        way round: here every one comes before a newer one already in."""
+        stores = _timeline_world()
+        mid = 1_000
+        for creator in (2, 4):
+            for i in range(14):
+                t = T0 + (14 - i) * MS_PER_DAY + (i % 3) * 1000  # some ties at a day
+                self._message(stores, mid, creator, t, 5 if i % 2 else 6)
+                mid += 1
+            self._message(stores, mid, creator, T0 + 7 * MS_PER_DAY, 5)  # equal to one in
+            mid += 1
+        _assert_timelines_sound(stores.ref)
+        answers = self._answers(stores)
+        assert any(len(rows) == 2 for rows in answers[:-4])
+        assert [len(rows) for rows in answers[-4:]] == [1, 10, 0, 10]
+
+    def test_pinned_snapshot_keeps_its_answer_across_an_older_insert(self):
+        stores = _timeline_world()
+        for i, creator in enumerate((2, 2, 2, 4, 4, 4)):
+            self._message(stores, 1_000 + i, creator, T0 + (i + 2) * MS_PER_DAY,
+                          5 if i % 2 else 6)
+        ref_snap, naive_snap = stores.ref.begin_read(), stores.naive.begin_read()
+        before = self._answers(stores, ref_snap, naive_snap)
+        old_times, old_records = old = stores.ref._timelines[2]
+        lengths = len(old_times), len(old_records)
+        for i, creator in enumerate((2, 4)):
+            self._message(stores, 2_000 + i, creator, T0 + MS_PER_DAY + 1, 5 + i)
+        # Copy-on-write: the creator has a new pair, and the old one is as
+        # it was for any reader still walking it.
+        assert stores.ref._timelines[2] is not old
+        assert (len(old_times), len(old_records)) == lengths
+        _assert_timelines_sound(stores.ref)
+        assert self._answers(stores, ref_snap, naive_snap) == before
+        assert self._answers(stores) != before
+
+    def test_cr3_window_edges(self):
+        stores = _timeline_world()
+        start = T0 + 3 * MS_PER_DAY
+        end = start + 2 * MS_PER_DAY
+        for mid, t, country in [(1_000, start, 5), (1_001, end, 6),
+                                (1_002, end - 1, 6), (1_003, start + 1, 6)]:
+            self._message(stores, mid, 2, t, country)
+        params = {"personId": 1, "countryXId": 5, "countryYId": 6,
+                  "startDate": start, "durationDays": 2}
+        # 1_000 at startDate counts, 1_001 at startDate + durationDays
+        # does not.
+        assert stores.ref.execute_query("CR3a", params) == [
+            {"personId": 2, "xCount": 1, "yCount": 2, "totalCount": 3}]
+        _op(stores, "DEL7", {"messageId": 1_002})
+        assert stores.ref.execute_query("CR3a", params) == [
+            {"personId": 2, "xCount": 1, "yCount": 1, "totalCount": 2}]
+        assert stores.naive.execute_query("CR3a", params) == stores.ref.execute_query(
+            "CR3a", params)
+        _op(stores, "DEL7", {"messageId": 1_000})
+        assert stores.ref.execute_query("CR3a", params) == []
+        _assert_timelines_sound(stores.ref)
+
+    def test_readers_racing_out_of_order_writers(self):
+        """Four writers commit messages in shuffled creation order while
+        two readers pin snapshots and ask CR3 and SR2.  Each answer must
+        equal the one the same snapshot gives once the writers are done,
+        so no reader ever walked a timeline that shifted under it."""
+        stores = _timeline_world()
+        store = stores.ref
+        rng = random.Random(17)
+        inserts = [(1_000 + i, rng.choice((2, 4)), T0 + rng.randrange(20 * MS_PER_DAY),
+                    rng.choice((5, 6))) for i in range(1_200)]
+        pending = iter(inserts)
+        take = threading.Lock()
+        queries = [("SR2", {"personId": pid}) for pid in (2, 4)] + [
+            ("CR3a", {"personId": 1, "countryXId": 5, "countryYId": 6,
+                      "startDate": T0 + day * MS_PER_DAY, "durationDays": 3})
+            for day in range(0, 20, 4)]
+        writing, done = threading.Event(), threading.Event()
+        answers = []
+
+        def writer():
+            while True:
+                with take:
+                    job = next(pending, None)
+                if job is None:
+                    return
+                self._message(store, *job)
+                writing.set()
+
+        def reader():
+            assert writing.wait(timeout=60)
+            while not done.is_set():
+                snap = store.begin_read()
+                answers.extend((snap, variant, params, store.execute_query(variant, params, snap))
+                               for variant, params in queries)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=writer) for _ in range(4)]
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers + readers)
+        assert store.version == stores.naive.version + len(inserts)
+        _assert_timelines_sound(store)
+        assert len({snap.version for snap, *_ in answers}) > 10
+        for snap, variant, params, answer in answers:
+            assert store.execute_query(variant, params, snap) == answer, (snap.version, params)
+
+    def test_bulk_load_fills_timelines_in_creation_order(self, sas):
+        store = ReferenceStore()
+        store.bulk_load(sas.snapshot)
+        _assert_timelines_sound(store)
+
+
 @pytest.mark.parametrize("store_cls", [ReferenceStore, NaiveStore])
 class TestBulkLoad:
     def test_rejected_load_leaves_store_empty(self, store_cls, sas):
