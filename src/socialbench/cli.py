@@ -10,6 +10,7 @@ means success, 1 means the run completed but failed its checks.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,11 +29,20 @@ from .datagen import (
     split_at_cutoff,
     write_dataset,
 )
-from .driver import BenchmarkRunner, DriverConfig, TriggerConfig, build_schedule, cross_validate
-from .errors import ConfigInvalid, SocialBenchError, check_config_keys
+from .driver import DriverConfig, build_schedule
+from .errors import ConfigInvalid, SocialBenchError, load_config
 from .paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
-from .pipeline import PipelineConfig, emit_stats, render_summary, run_pipeline
-from .refstore import NaiveStore, ReferenceStore
+from .pipeline import (
+    SECTIONS,
+    PipelineConfig,
+    emit_stats,
+    render_summary,
+    run_benchmark,
+    run_pipeline,
+    run_validation,
+)
+from .refstore import ReferenceStore
+from .simtime import MS_PER_SECOND
 
 _STORES = {
     "reference": ReferenceStore,
@@ -56,16 +66,16 @@ def _write_json(path: str | None, payload: dict) -> None:
         handle.write("\n")
 
 
+def _given(args: argparse.Namespace, cls, prefix: str = "") -> dict:
+    """The flags given for the fields of the dataclass cls, keyed by field;
+    a flag's dest is prefix + field."""
+    return {f.name: getattr(args, prefix + f.name)
+            for f in dataclasses.fields(cls) if hasattr(args, prefix + f.name)}
+
+
 def cmd_datagen(args: argparse.Namespace) -> int:
-    config = GenConfig(
-        seed=args.seed, num_persons=args.persons,
-        cutoff_fraction=args.cutoff_fraction,
-        t_safe=int(args.t_safe_secs * 1000),
-        degree_exponent=args.degree_exponent,
-        homophily_weight=args.homophily,
-        flashmob_count=args.flashmobs,
-        person_deletion_rate=args.deletion_rate,
-        content_scale=args.content_scale)
+    config = load_config(GenConfig, {**PipelineConfig().gen.to_dict(),
+                                     **_given(args, GenConfig)}, "datagen")
     graph = generate_temporal_graph(config)
     sas = split_at_cutoff(graph, config)
     write_dataset(graph, sas, config, args.out)
@@ -78,10 +88,7 @@ def cmd_datagen(args: argparse.Namespace) -> int:
 
 def cmd_paramgen(args: argparse.Namespace) -> int:
     graph, sas, gen_config = read_dataset(args.graph)
-    options = ParamGenOptions(seed=args.seed, per_day=args.per_day,
-                              hop_count=args.k,
-                              min_group_size=args.min_group_size,
-                              cr3_duration_days=args.cr3_duration_days)
+    options = load_config(ParamGenOptions, _given(args, ParamGenOptions), "paramgen")
     buckets = generate_parameters(graph, sas.cutoff, options,
                                   simulation_end=gen_config.simulation_end)
     write_buckets(buckets, args.out)
@@ -93,31 +100,15 @@ def cmd_paramgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _driver_setup(args: argparse.Namespace):
+def cmd_driver(args: argparse.Namespace) -> int:
     sas = deserialize(args.stream)
     buckets = read_buckets(args.params)
-    moderator_cascade = True
-    config_path = Path(args.stream) / "config.json"
-    if config_path.exists():
-        with config_path.open("r", encoding="utf-8") as handle:
-            gen = GenConfig.from_dict(json.load(handle))
-        moderator_cascade = gen.delete_forums_of_deleted_moderator
-    config = DriverConfig(
-        tcr=args.tcr, read_threads=args.read_threads,
-        write_threads=args.write_threads, seed=args.seed, pacing=args.pace,
-        warmup_secs=args.warmup_secs, window_secs=args.window_secs)
+    with (Path(args.stream) / "config.json").open("r", encoding="utf-8") as handle:
+        gen = GenConfig.from_dict(json.load(handle))
+    config = load_config(DriverConfig, _given(args, DriverConfig), "driver")
     schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
-    return sas, schedule, config, moderator_cascade
-
-
-def cmd_driver(args: argparse.Namespace) -> int:
-    sas, schedule, config, moderator_cascade = _driver_setup(args)
     if args.mode == "validate":
-        ref = ReferenceStore(delete_forums_of_deleted_moderator=moderator_cascade)
-        naive = NaiveStore(delete_forums_of_deleted_moderator=moderator_cascade)
-        ref.bulk_load(sas.snapshot)
-        naive.bulk_load(sas.snapshot)
-        result = cross_validate(ref, naive, schedule, config)
+        result = run_validation(gen, sas, schedule, config)
         _write_json(args.report, result)
         print(f"validated {result['updates']} updates / {result['queries']} queries: "
               f"{result['diffCount']} divergences")
@@ -125,10 +116,7 @@ def cmd_driver(args: argparse.Namespace) -> int:
             print(f"  {diff['variant']} at {diff['at']}")
         return 1 if result["diffCount"] else 0
 
-    store = ReferenceStore(delete_forums_of_deleted_moderator=moderator_cascade)
-    store.bulk_load(sas.snapshot)
-    runner = BenchmarkRunner(store, schedule, config)
-    report = runner.run()
+    runner, report = run_benchmark(gen, sas, schedule, config)
     _write_json(args.report, report.to_dict())
     if args.audit_log:
         audit_path = Path(args.audit_log)
@@ -163,71 +151,37 @@ def cmd_acid(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _load_section(cls, data: dict, section: str):
-    """The dataclass cls built from data and validated; a ConfigInvalid
-    names its field under section."""
-    check_config_keys(cls, data, section)
-    config = cls(**data)
-    try:
-        config.validate()
-    except ConfigInvalid as exc:
-        raise ConfigInvalid(f"{section}.{exc.field}", exc.reason) from exc
-    return config
-
-
 def _object(value, name: str) -> dict:
-    """A copy of the config object value; anything else is ConfigInvalid."""
+    """The config object value; anything else is ConfigInvalid."""
     if not isinstance(value, dict):
         raise ConfigInvalid(name, "not an object")
-    return dict(value)
+    return value
 
 
-def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    # Each section of the config file goes over PipelineConfig's defaults;
+    # explicit flags win over both.
     file_conf: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             file_conf = _object(json.load(handle), "(top level)")
-    unknown = sorted(set(file_conf) - {"datagen", "driver", "paramgen"})
+    unknown = sorted(set(file_conf) - set(SECTIONS))
     if unknown:
         raise ConfigInvalid(unknown[0], "unknown section")
-
-    gen_dict = _object(file_conf.get("datagen", {}), "datagen")
-    driver_dict = _object(file_conf.get("driver", {}), "driver")
-    param_dict = _object(file_conf.get("paramgen", {}), "paramgen")
-    # Explicit flags win over the config file.
-    overrides = {
-        "seed": ("seed", gen_dict), "persons": ("num_persons", gen_dict),
-        "content_scale": ("content_scale", gen_dict),
-        "cutoff_fraction": ("cutoff_fraction", gen_dict),
-        "tcr": ("tcr", driver_dict),
-        "read_threads": ("read_threads", driver_dict),
-        "write_threads": ("write_threads", driver_dict),
-        "per_day": ("per_day", param_dict),
-    }
-    for flag, (key, target) in overrides.items():
-        value = getattr(args, flag)
-        if value is not None:
-            target[key] = value
-
-    gen_dict.setdefault("seed", 1)
-    gen_dict.setdefault("num_persons", 200)
-    gen = _load_section(GenConfig, gen_dict, "datagen")
-    driver_dict.setdefault("pacing", False)
-    triggers = driver_dict.pop("triggers", None)
-    if triggers is not None:
-        driver_dict["triggers"] = _load_section(
-            TriggerConfig, _object(triggers, "driver.triggers"), "driver.triggers")
-    driver = _load_section(DriverConfig, driver_dict, "driver")
-    params = _load_section(ParamGenOptions, param_dict, "paramgen")
-    return PipelineConfig(gen=gen, driver=driver, params=params,
-                          out_dir=args.out, validate_stores=not args.no_validate)
-
-
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args)
-    report = run_pipeline(config)
+    defaults = PipelineConfig()
+    parts = {}
+    for section, name in SECTIONS.items():
+        base = getattr(defaults, name)
+        data = {**dataclasses.asdict(base), **_object(file_conf.get(section, {}), section),
+                **_given(args, type(base), f"{section}.")}
+        parts[name] = load_config(type(base), data, section)
+    report = run_pipeline(PipelineConfig(**parts, **_given(args, PipelineConfig)))
     print(render_summary(report), end="")
     return 0 if report["passed"] else 1
+
+
+def _secs_as_ms(text: str) -> int:
+    return int(float(text) * MS_PER_SECOND)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,45 +190,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal social-network benchmark toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("datagen", help="generate a dataset directory")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--persons", type=int, default=200)
+    # A config flag sets only what the user gives, into the dest of the
+    # dataclass field it overrides: every default is the dataclass's own.
+    p = sub.add_parser("datagen", help="generate a dataset directory",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--persons", dest="num_persons", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--cutoff-fraction", type=float, default=0.97)
-    p.add_argument("--t-safe-secs", type=float, default=10.0)
-    p.add_argument("--degree-exponent", type=float, default=2.5)
-    p.add_argument("--homophily", type=float, default=0.5)
-    p.add_argument("--flashmobs", type=int, default=2)
-    p.add_argument("--deletion-rate", type=float, default=0.04)
-    p.add_argument("--content-scale", type=float, default=1.0)
+    p.add_argument("--cutoff-fraction", type=float)
+    p.add_argument("--t-safe-secs", dest="t_safe", type=_secs_as_ms)
+    p.add_argument("--degree-exponent", type=float)
+    p.add_argument("--homophily", dest="homophily_weight", type=float)
+    p.add_argument("--flashmobs", dest="flashmob_count", type=int)
+    p.add_argument("--deletion-rate", dest="person_deletion_rate", type=float)
+    p.add_argument("--content-scale", type=float)
     p.set_defaults(func=cmd_datagen)
 
-    p = sub.add_parser("paramgen", help="curate per-day query parameters")
+    p = sub.add_parser("paramgen", help="curate per-day query parameters",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--graph", required=True, help="dataset directory from datagen")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=4, help="hop distance for path pairs")
-    p.add_argument("--per-day", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-group-size", type=int, default=10)
-    p.add_argument("--cr3-duration-days", type=int, default=28)
+    p.add_argument("--k", dest="hop_count", type=int, help="hop distance for path pairs")
+    p.add_argument("--per-day", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--min-group-size", type=int)
+    p.add_argument("--cr3-duration-days", type=int)
     p.set_defaults(func=cmd_paramgen)
 
-    p = sub.add_parser("driver", help="run or validate a workload")
+    p = sub.add_parser("driver", help="run or validate a workload",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--mode", choices=["benchmark", "validate"], default="benchmark")
-    p.add_argument("--tcr", type=float, default=0.02)
+    p.add_argument("--tcr", type=float)
     p.add_argument("--stream", required=True, help="dataset directory")
     p.add_argument("--params", required=True, help="parameter bucket directory")
-    p.add_argument("--warmup-secs", type=float, default=0.0)
-    p.add_argument("--window-secs", type=float, default=None)
-    p.add_argument("--read-threads", type=int, default=2)
-    p.add_argument("--write-threads", type=int, default=2)
+    p.add_argument("--warmup-secs", type=float)
+    p.add_argument("--window-secs", type=float)
+    p.add_argument("--read-threads", type=int)
+    p.add_argument("--write-threads", type=int)
     p.add_argument("--report", default=None, help="write the run report JSON here")
     p.add_argument("--audit-log", default=None,
                    help="write the commit audit trail as line-delimited JSON")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-pace", dest="pace", action="store_false",
+    p.add_argument("--seed", type=int)
+    p.add_argument("--no-pace", dest="pacing", action="store_false",
                    help="dispatch without sleeping between scheduled slots")
-    p.set_defaults(func=cmd_driver, pace=True)
+    p.set_defaults(func=cmd_driver)
 
     p = sub.add_parser("acid", help="run isolation scenarios")
     p.add_argument("--store", choices=sorted(_STORES), default="reference")
@@ -284,18 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_acid)
 
-    p = sub.add_parser("pipeline", help="full run: generate, curate, bench, report")
+    p = sub.add_parser("pipeline", help="full run: generate, curate, bench, report",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--config", default=None, help="JSON config file; flags override")
-    p.add_argument("--out", default=None, help="artifact directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--persons", type=int, default=None)
-    p.add_argument("--content-scale", type=float, default=None)
-    p.add_argument("--cutoff-fraction", type=float, default=None)
-    p.add_argument("--tcr", type=float, default=None)
-    p.add_argument("--read-threads", type=int, default=None)
-    p.add_argument("--write-threads", type=int, default=None)
-    p.add_argument("--per-day", type=int, default=None)
-    p.add_argument("--no-validate", action="store_true")
+    p.add_argument("--out", dest="out_dir", help="artifact directory")
+    p.add_argument("--seed", dest="datagen.seed", type=int)
+    p.add_argument("--persons", dest="datagen.num_persons", type=int)
+    p.add_argument("--content-scale", dest="datagen.content_scale", type=float)
+    p.add_argument("--cutoff-fraction", dest="datagen.cutoff_fraction", type=float)
+    p.add_argument("--tcr", dest="driver.tcr", type=float)
+    p.add_argument("--read-threads", dest="driver.read_threads", type=int)
+    p.add_argument("--write-threads", dest="driver.write_threads", type=int)
+    p.add_argument("--per-day", dest="paramgen.per_day", type=int)
+    p.add_argument("--no-validate", dest="validate_stores", action="store_false")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ..errors import ConfigInvalid, check_config_keys, check_config_types
+from ..errors import ConfigInvalid, check_config_types, load_config
 from ..simtime import MS_PER_SECOND, SIM_END, SIM_START
 
 
@@ -59,7 +59,4 @@ class GenConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "GenConfig":
-        check_config_keys(GenConfig, data, "datagen")
-        cfg = GenConfig(**data)
-        cfg.validate()
-        return cfg
+        return load_config(GenConfig, data, "datagen")

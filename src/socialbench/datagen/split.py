@@ -20,22 +20,6 @@ from dataclasses import dataclass, replace
 
 from ..model import (
     COLLECTIONS,
-    DEL_COMMENT,
-    DEL_FORUM,
-    DEL_KNOWS,
-    DEL_LIKE_COMMENT,
-    DEL_LIKE_POST,
-    DEL_MEMBER,
-    DEL_PERSON,
-    DEL_POST,
-    INS_COMMENT,
-    INS_FORUM,
-    INS_KNOWS,
-    INS_LIKE_COMMENT,
-    INS_LIKE_POST,
-    INS_MEMBER,
-    INS_PERSON,
-    INS_POST,
     Lifecycle,
     TemporalGraph,
     UpdateOperation,
@@ -46,13 +30,6 @@ from ..model import (
 )
 from ..simtime import day_start
 from .config import GenConfig
-
-_TYPE_RANK = {
-    INS_PERSON: 0, INS_LIKE_POST: 1, INS_LIKE_COMMENT: 2, INS_FORUM: 3,
-    INS_MEMBER: 4, INS_POST: 5, INS_COMMENT: 6, INS_KNOWS: 7,
-    DEL_PERSON: 8, DEL_LIKE_POST: 9, DEL_LIKE_COMMENT: 10, DEL_FORUM: 11,
-    DEL_MEMBER: 12, DEL_POST: 13, DEL_COMMENT: 14, DEL_KNOWS: 15,
-}
 
 EntityKey = tuple[str, object]
 
@@ -181,6 +158,7 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
             if dep is not None:
                 ops.append(delete_op(graph, collection, ident, dep))
 
-    ops.sort(key=lambda op: (op.scheduled_time, _TYPE_RANK[op.op_type],
+    # At one instant inserts go before deletes, each in op-code order.
+    ops.sort(key=lambda op: (op.scheduled_time, not op.is_insert, op.op_type,
                              json.dumps(op.payload, sort_keys=True)))
     return SnapshotAndStream(cutoff=cutoff, snapshot=snapshot, stream=ops, retired=retired)

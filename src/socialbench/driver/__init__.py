@@ -4,8 +4,6 @@ from .clock import GlobalClock
 from .config import DEFAULT_FREQUENCIES, DriverConfig, TriggerConfig
 from .runner import BenchmarkRunner
 from .schedule import (
-    QUERY,
-    UPDATE,
     QueryInstance,
     Schedule,
     ScheduleEntry,
@@ -25,8 +23,6 @@ __all__ = [
     "QueryInstance",
     "Schedule",
     "ScheduleEntry",
-    "QUERY",
-    "UPDATE",
     "build_schedule",
     "wall_offset",
     "RunReport",

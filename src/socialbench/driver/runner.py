@@ -28,7 +28,7 @@ from ..errors import DeadlockSuspected
 from ..rng import derive_rng
 from .clock import GlobalClock
 from .config import DriverConfig
-from .schedule import UPDATE, QueryInstance, Schedule
+from .schedule import QueryInstance, Schedule
 from .stats import RunReport, summarize_run
 from .triggers import derive_triggers
 
@@ -55,7 +55,7 @@ class BenchmarkRunner:
         self.config = config or DriverConfig()
         self.config.validate()
         sim_times = [entry.op.scheduled_time for entry in schedule.entries
-                     if entry.kind == UPDATE]
+                     if entry.op is not None]
         self.clock = GlobalClock(schedule.cutoff, sim_times)
         self.audit_log: list[dict] = []
         self._measurements: list[dict] = []
@@ -120,7 +120,7 @@ class BenchmarkRunner:
                 if delay > 0:
                     time.sleep(delay)
             scheduled_ms = scheduled_secs * 1000.0
-            if entry.kind == UPDATE:
+            if entry.op is not None:
                 self._write_q.put((entry, scheduled_ms))
             else:
                 self._read_q.put(_ReadTask(entry.query, scheduled_ms, (entry.seq,)))

@@ -18,10 +18,6 @@ from ..paramgen.buckets import ParameterBucket
 from ..simtime import day_start
 from .config import DriverConfig
 
-UPDATE = "update"
-QUERY = "query"
-
-
 @dataclass(frozen=True)
 class QueryInstance:
     variant: str
@@ -33,8 +29,9 @@ class QueryInstance:
 
 @dataclass(frozen=True)
 class ScheduleEntry:
+    """One slot of the schedule: an update when op is set, else a query."""
+
     seq: int
-    kind: str
     wall_offset_ms: Fraction
     op: UpdateOperation | None = None
     op_index: int | None = None
@@ -51,7 +48,7 @@ class Schedule:
     def class_counts(self) -> dict[str, int]:
         out = {"CR": 0, "INS": 0, "DEL": 0}
         for entry in self.entries:
-            if entry.kind == UPDATE:
+            if entry.op is not None:
                 out["INS" if entry.op.is_insert else "DEL"] += 1
             else:
                 out["CR"] += 1
@@ -86,7 +83,7 @@ def build_schedule(stream: list[UpdateOperation],
     for op_index, op in enumerate(stream):
         offset = wall_offset(op.scheduled_time, cutoff, tcr_exact)
         schedule.entries.append(ScheduleEntry(
-            seq=seq, kind=UPDATE, wall_offset_ms=offset, op=op, op_index=op_index))
+            seq=seq, wall_offset_ms=offset, op=op, op_index=op_index))
         seq += 1
 
         update_number = op_index + 1
@@ -103,7 +100,7 @@ def build_schedule(stream: list[UpdateOperation],
                 skipped[variant] = skipped.get(variant, 0) + 1
                 continue
             schedule.entries.append(ScheduleEntry(
-                seq=seq, kind=QUERY, wall_offset_ms=offset,
+                seq=seq, wall_offset_ms=offset,
                 query=QueryInstance(variant=variant, params=params, bucket_day=day,
                                     instance_index=instance_counts[variant] - 1)))
             seq += 1

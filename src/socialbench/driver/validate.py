@@ -1,32 +1,24 @@
 """Lockstep cross-validation of two stores.
 
 Runs the same schedule sequentially against both stores, comparing
-every result as it appears.  Query results must match exactly, except
-the weighted-path query where any cheapest path is acceptable, so only
-reachability and total weight are compared.  Triggered short reads are
-derived from the first store's results and then executed on both, which
-keeps the two stores answering exactly the same question stream even
-when their tie-breaking differs.
+every result as it appears.  Query results must match exactly: both
+stores break ties the same way, so the weighted-path query returns the
+same cheapest path from each.  Triggered short reads are derived from
+the first store's results and then executed on both, which keeps the
+two stores answering exactly the same question stream even when they
+diverge.
 """
 
 from __future__ import annotations
 
 from ..rng import derive_rng
 from .config import DriverConfig
-from .schedule import UPDATE, Schedule
+from .schedule import Schedule
 from .triggers import derive_triggers
 
 # Divergences kept as examples in the report per variant; diffCount
 # counts them all.
 MAX_DIFFS_PER_VARIANT = 3
-
-
-def _results_match(variant: str, a, b) -> bool:
-    if variant.startswith("CR14"):
-        if (a is None) != (b is None):
-            return False
-        return a is None or a["weight"] == b["weight"]
-    return a == b
 
 
 def cross_validate(store_a, store_b, schedule: Schedule,
@@ -48,7 +40,7 @@ def cross_validate(store_a, store_b, schedule: Schedule,
         queries += 1
         a = store_a.execute_query(variant, params)
         b = store_b.execute_query(variant, params)
-        if not _results_match(variant, a, b):
+        if a != b:
             record(variant, params, a, b, f"entry {key[0]}")
         rng = derive_rng(config.seed, *key)
         for ordinal, (child_variant, child_params, child_depth) in enumerate(
@@ -56,7 +48,7 @@ def cross_validate(store_a, store_b, schedule: Schedule,
             run_query(child_variant, child_params, child_depth, key + (ordinal,))
 
     for entry in schedule.entries:
-        if entry.kind == UPDATE:
+        if entry.op is not None:
             updates += 1
             ra = store_a.execute_update(entry.op)
             rb = store_b.execute_update(entry.op)

@@ -25,17 +25,30 @@ class ConfigInvalid(SocialBenchError):
         super().__init__(f"invalid config field {field!r}: {reason}")
 
 
-def check_config_keys(cls, data: dict, section: str) -> None:
-    """Raise ConfigInvalid naming the first key of data that the dataclass
-    cls has no field for, or the first required field data lacks."""
+def load_config(cls, data, section: str):
+    """The dataclass cls built from the dict data and validated; a field
+    that is a dataclass is loaded from its own dict.  A ConfigInvalid
+    names its field under section."""
+    if not isinstance(data, dict):
+        raise ConfigInvalid(section, "not an object")
     fields = dataclasses.fields(cls)
     unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
         raise ConfigInvalid(f"{section}.{unknown[0]}", "unknown key")
+    hints = typing.get_type_hints(cls)
+    values = dict(data)
     for f in fields:
-        if (f.name not in data and f.default is dataclasses.MISSING
+        if f.name in data and dataclasses.is_dataclass(hints[f.name]):
+            values[f.name] = load_config(hints[f.name], data[f.name], f"{section}.{f.name}")
+        elif (f.name not in data and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
             raise ConfigInvalid(f"{section}.{f.name}", "required")
+    config = cls(**values)
+    try:
+        config.validate()
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{section}.{exc.field}", exc.reason) from exc
+    return config
 
 
 def check_config_types(config) -> None:
@@ -118,7 +131,7 @@ class DeadlockSuspected(SocialBenchError):
 class StageFailed(SocialBenchError):
     """A pipeline stage raised; carries the stage name and the cause."""
 
-    def __init__(self, stage: str, cause: BaseException):
+    def __init__(self, stage: str, cause: Exception):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")

@@ -25,12 +25,16 @@ from .datagen import (
     split_at_cutoff,
     write_dataset,
 )
-from .driver import BenchmarkRunner, DriverConfig, build_schedule, cross_validate
+from .driver import BenchmarkRunner, DriverConfig, RunReport, build_schedule, cross_validate
 from .errors import ConfigInvalid, StageFailed
 from .model import TemporalGraph
 from .paramgen import ParamGenOptions, generate_parameters, write_buckets
 from .refstore import NaiveStore, ReferenceStore
 from .simtime import format_instant
+
+
+# Section of a config file and of the report -> its PipelineConfig field.
+SECTIONS = {"datagen": "gen", "driver": "driver", "paramgen": "params"}
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,8 @@ class PipelineConfig:
     validate_stores: bool = True
 
     def validate(self) -> None:
-        self.gen.validate()
-        self.driver.validate()
-        self.params.validate()
+        for name in SECTIONS.values():
+            getattr(self, name).validate()
         if self.out_dir is not None:
             try:
                 Path(self.out_dir).mkdir(parents=True, exist_ok=True)
@@ -80,6 +83,26 @@ def emit_stats(graph: TemporalGraph, sas=None) -> dict:
     return stats
 
 
+def _loaded(store_cls, gen: GenConfig, sas):
+    """A store_cls that cascades as the dataset gen made, holding its snapshot."""
+    store = store_cls(delete_forums_of_deleted_moderator=gen.delete_forums_of_deleted_moderator)
+    store.bulk_load(sas.snapshot)
+    return store
+
+
+def run_benchmark(gen: GenConfig, sas, schedule,
+                  driver: DriverConfig) -> tuple[BenchmarkRunner, RunReport]:
+    """The benchmark stage: the schedule run against a ReferenceStore."""
+    runner = BenchmarkRunner(_loaded(ReferenceStore, gen, sas), schedule, driver)
+    return runner, runner.run()
+
+
+def run_validation(gen: GenConfig, sas, schedule, driver: DriverConfig) -> dict:
+    """The validate stage: the schedule cross-validated against a NaiveStore."""
+    return cross_validate(_loaded(ReferenceStore, gen, sas), _loaded(NaiveStore, gen, sas),
+                          schedule, driver)
+
+
 def _environment() -> dict:
     return {
         "platform": platform.platform(),
@@ -101,9 +124,7 @@ def run_pipeline(config: PipelineConfig | None = None) -> dict:
         started = time.perf_counter()
         try:
             yield
-        except StageFailed:
-            raise
-        except BaseException as exc:
+        except Exception as exc:
             raise StageFailed(name, exc) from exc
         stages.append({"name": name, "seconds": time.perf_counter() - started})
 
@@ -125,29 +146,16 @@ def run_pipeline(config: PipelineConfig | None = None) -> dict:
         schedule = build_schedule(sas.stream, buckets, sas.cutoff, config.driver)
 
     with stage("benchmark"):
-        store = ReferenceStore(
-            delete_forums_of_deleted_moderator=config.gen.delete_forums_of_deleted_moderator)
-        store.bulk_load(sas.snapshot)
-        runner = BenchmarkRunner(store, schedule, config.driver)
-        run_report = runner.run()
+        _, run_report = run_benchmark(config.gen, sas, schedule, config.driver)
 
     validation = None
     if config.validate_stores:
         with stage("validate"):
-            ref = ReferenceStore(
-                delete_forums_of_deleted_moderator=config.gen.delete_forums_of_deleted_moderator)
-            naive = NaiveStore(
-                delete_forums_of_deleted_moderator=config.gen.delete_forums_of_deleted_moderator)
-            ref.bulk_load(sas.snapshot)
-            naive.bulk_load(sas.snapshot)
-            validation = cross_validate(ref, naive, schedule, config.driver)
+            validation = run_validation(config.gen, sas, schedule, config.driver)
 
     report = {
-        "configuration": {
-            "datagen": config.gen.to_dict(),
-            "driver": dataclasses.asdict(config.driver),
-            "paramgen": dataclasses.asdict(config.params),
-        },
+        "configuration": {section: dataclasses.asdict(getattr(config, name))
+                          for section, name in SECTIONS.items()},
         "dataStats": emit_stats(graph, sas),
         "schedule": {
             "classTotals": schedule.class_counts(),

@@ -1,12 +1,19 @@
 """Command line surface: each subcommand end to end over a shared tree."""
 
+import argparse
+import dataclasses
 import json
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
-from socialbench.cli import main
+from socialbench import cli, pipeline
+from socialbench.cli import build_parser, main
 from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cutoff, write_dataset
+from socialbench.driver import DriverConfig
+from socialbench.paramgen import ParamGenOptions
+from socialbench.pipeline import PipelineConfig
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +229,92 @@ class TestModeratorCascadeOff:
         assert json.loads(report.read_text())["diffCount"] == 0
         assert main(["driver", "--mode", "benchmark", "--no-pace", "--stream", str(dataset),
                      "--params", str(params)]) == 0
+
+
+class TestDefaults:
+    """Without config flags each subcommand builds its dataclass defaults."""
+
+    class Stop(Exception):
+        pass
+
+    def capture(self, monkeypatch, name, pick):
+        """Stop the command at cli.name and record the config it was handed."""
+        seen = []
+
+        def stop(*args, **kwargs):
+            seen.append(pick(*args))
+            raise self.Stop
+
+        monkeypatch.setattr(cli, name, stop)
+        return seen
+
+    def test_datagen(self, monkeypatch, tmp_path):
+        seen = self.capture(monkeypatch, "generate_temporal_graph", lambda config: config)
+        with pytest.raises(self.Stop):
+            main(["datagen", "--out", str(tmp_path)])
+        assert seen == [PipelineConfig().gen]
+
+    def test_paramgen(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "read_dataset", lambda graph: (
+            None, SimpleNamespace(cutoff=0), PipelineConfig().gen))
+        seen = self.capture(monkeypatch, "generate_parameters",
+                            lambda graph, cutoff, options: options)
+        with pytest.raises(self.Stop):
+            main(["paramgen", "--graph", str(tmp_path), "--out", str(tmp_path)])
+        assert seen == [ParamGenOptions()]
+
+    def test_driver(self, monkeypatch, tree):
+        seen = self.capture(monkeypatch, "build_schedule",
+                            lambda stream, buckets, cutoff, config: config)
+        with pytest.raises(self.Stop):
+            main(["driver", "--stream", str(tree / "dataset"),
+                  "--params", str(tree / "params")])
+        assert seen == [DriverConfig()]
+
+    def test_pipeline(self, monkeypatch):
+        seen = self.capture(monkeypatch, "run_pipeline", lambda config: config)
+        with pytest.raises(self.Stop):
+            main(["pipeline"])
+        assert seen == [PipelineConfig()]
+
+    def test_t_safe_flag_takes_seconds(self):
+        args = build_parser().parse_args(["datagen", "--out", "x", "--t-safe-secs", "2.5"])
+        assert args.t_safe == 2_500
+
+    def test_every_config_flag_names_a_field(self):
+        """A flag's dest is its field (section.field under pipeline)."""
+        not_config = {"help", "out", "graph", "stream", "params", "mode",
+                      "report", "audit_log", "config"}
+        owners = {"datagen": GenConfig, "paramgen": ParamGenOptions,
+                  "driver": DriverConfig, "pipeline": PipelineConfig}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, cls in owners.items():
+            dests = [a.dest for a in subparsers.choices[command]._actions
+                     if a.dest not in not_config]
+            assert dests, command
+            for dest in dests:
+                section, _, name = dest.rpartition(".")
+                fields = dataclasses.fields(owners[section] if section else cls)
+                assert name in {f.name for f in fields}, (command, dest)
+
+
+class TestDatasetConfigEcho:
+    def test_driver_needs_the_datasets_config(self, tree, tmp_path, capsys):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(tree / "dataset", dataset)
+        (dataset / "config.json").unlink()
+        assert main(["driver", "--mode", "validate", "--stream", str(dataset),
+                     "--params", str(tree / "params")]) == 1
+        assert "config.json" in capsys.readouterr().err
+
+
+class TestInterrupt:
+    def test_ctrl_c_is_not_a_stage_failure(self, monkeypatch, capsys):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "generate_temporal_graph", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["pipeline", "--persons", "0"])
+        assert "failed" not in capsys.readouterr().err

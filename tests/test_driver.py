@@ -87,7 +87,7 @@ class TestBuildSchedule:
         schedule = build_schedule(self._stream(3000), buckets, self.CUTOFF, config)
         counts = schedule.class_counts()
         assert counts == {"CR": 400, "INS": 3000, "DEL": 0}
-        variants = [e.query.variant for e in schedule.entries if e.kind == "query"]
+        variants = [e.query.variant for e in schedule.entries if e.op is None]
         assert variants.count("CR3a") == 300
         assert variants.count("CR13b") == 100
 
@@ -97,7 +97,7 @@ class TestBuildSchedule:
         config = DriverConfig(frequencies={"CR3a": 10})
         schedule = build_schedule(self._stream(20), buckets, self.CUTOFF, config)
         entry = schedule.entries[10]
-        assert entry.kind == "query"
+        assert entry.op is None
         assert entry.query.variant == "CR3a"
         assert entry.wall_offset_ms == schedule.entries[9].wall_offset_ms
         assert schedule.entries[21].query.instance_index == 1

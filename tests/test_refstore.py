@@ -13,12 +13,20 @@ import random
 import sys
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cutoff
+from socialbench.driver import (
+    DriverConfig,
+    QueryInstance,
+    Schedule,
+    ScheduleEntry,
+    cross_validate,
+)
 from socialbench.errors import (
     DependencyMissing,
     IntegrityError,
@@ -28,7 +36,7 @@ from socialbench.errors import (
 from socialbench.model import COUNTRIES, UpdateOperation, check_temporal_invariants
 from socialbench.refstore import NaiveStore, ReferenceStore, edge_weight
 from socialbench.refstore import naive as naive_module
-from socialbench.simtime import MS_PER_DAY, SIM_START
+from socialbench.simtime import MS_PER_DAY, SIM_START, day_start
 
 T0 = SIM_START + 30 * MS_PER_DAY
 _tick = [0]
@@ -92,6 +100,26 @@ def _toy_store():
 @pytest.fixture
 def toy():
     return _toy_store()
+
+
+def _two_routes_of_weight_76():
+    """A store with two cheapest routes from 31 to 34, both of weight 76:
+    31-32-34 (39 + 37) and 31-33-34 (38 + 38)."""
+    store = ReferenceStore()
+    for pid in (31, 32, 33, 34):
+        _person(store, pid)
+    for a, b in [(31, 32), (32, 34), (31, 33), (33, 34)]:
+        _knows(store, a, b)
+    _forum(store, 310, 31)
+    for pid in (31, 32, 33):
+        _post(store, 700 + pid, pid, 310)
+    next_id = 800
+    for author, replier, times in [(31, 32, 1), (32, 34, 9), (31, 33, 4), (33, 34, 4)]:
+        for _ in range(times):
+            _comment(store, next_id, replier, 700 + author)
+            next_id += 1
+    assert [edge_weight(n) for n in (1, 9, 4)] == [39, 37, 38]
+    return store
 
 
 class TestEdgeWeight:
@@ -216,28 +244,34 @@ class TestQueries:
         assert result == {"path": [11, 12], "weight": 35}
 
     def test_cr14_tie_break_follows_person1(self):
-        """Two routes of weight 76: 31-32-34 (39 + 37) and 31-33-34
-        (38 + 38).  The search from person1 settles 33 first and keeps the
-        first route it finds to the target, so each direction returns a
+        """The search from person1 settles 33 first and keeps the first
+        route it finds to the target, so each direction returns a
         different path.  Triggered SR2 reads follow ``path[:3]``."""
-        store = ReferenceStore()
-        for pid in (31, 32, 33, 34):
-            _person(store, pid)
-        for a, b in [(31, 32), (32, 34), (31, 33), (33, 34)]:
-            _knows(store, a, b)
-        _forum(store, 310, 31)
-        for pid in (31, 32, 33):
-            _post(store, 700 + pid, pid, 310)
-        next_id = 800
-        for author, replier, times in [(31, 32, 1), (32, 34, 9), (31, 33, 4), (33, 34, 4)]:
-            for _ in range(times):
-                _comment(store, next_id, replier, 700 + author)
-                next_id += 1
-        assert [edge_weight(n) for n in (1, 9, 4)] == [39, 37, 38]
+        store = _two_routes_of_weight_76()
         forward = store.execute_query("CR14b", {"person1Id": 31, "person2Id": 34})
         assert forward == {"path": [31, 33, 34], "weight": 76}
         backward = store.execute_query("CR14b", {"person1Id": 34, "person2Id": 31})
         assert backward == {"path": [34, 32, 31], "weight": 76}
+
+    def test_cross_validate_compares_whole_cr14_paths(self):
+        """A store that answers the other route of the same weight diverges."""
+        store = _two_routes_of_weight_76()
+
+        class OtherRoute:
+            def execute_query(self, variant, params, snapshot=None):
+                result = store.execute_query(variant, params, snapshot)
+                if variant == "CR14b":
+                    return {**result, "path": [31, 32, 34]}
+                return result
+
+        pair = {"person1Id": 31, "person2Id": 34}
+        assert store.execute_query("CR14b", pair)["path"] == [31, 33, 34]
+        entry = ScheduleEntry(seq=0, wall_offset_ms=Fraction(0), query=QueryInstance(
+            variant="CR14b", params=pair, bucket_day=day_start(T0), instance_index=0))
+        schedule = Schedule(cutoff=T0, tcr_exact=Fraction(1, 50), entries=[entry])
+        outcome = cross_validate(store, OtherRoute(), schedule, DriverConfig(pacing=False))
+        assert outcome["diffCount"] == 1
+        assert outcome["variantsWithDiffs"] == ["CR14b"]
 
     def test_sr2_orders_recent_first_and_caps_at_ten(self, toy):
         for i in range(12):
