@@ -9,6 +9,7 @@ from .pathcuration import (
     connected_components,
     curate_reachable_pairs,
     curate_unreachable_pairs,
+    sweep_bound_graphs,
 )
 from .buckets import (
     ParameterBucket,
@@ -29,6 +30,7 @@ __all__ = [
     "connected_components",
     "curate_reachable_pairs",
     "curate_unreachable_pairs",
+    "sweep_bound_graphs",
     "ParameterBucket",
     "ParamGenOptions",
     "generate_parameters",

@@ -11,17 +11,22 @@ partial buckets carrying warnings instead of failing the whole run.
 from __future__ import annotations
 
 import json
+import logging
 import random
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigInvalid, NoQualifyingGroup, ParseError, check_config_types
-from ..model import TemporalGraph
-from ..simtime import MS_PER_DAY, SIM_END, day_date, day_starts_between, parse_day
+from ..model import Lifecycle, TemporalGraph
+from ..simtime import MS_PER_DAY, SIM_END, day_date, day_start, day_starts_between, parse_day
 from ..rng import derive_rng
 from .factors import FactorTable, build_factor_tables
-from .pathcuration import build_bound_graphs, curate_reachable_pairs, curate_unreachable_pairs
-from .selection import select_percentile, select_window
+from .pathcuration import curate_reachable_pairs, curate_unreachable_pairs, sweep_bound_graphs
+from .selection import select_percentile, select_window, select_window_of_rows
+from .sweep import SweptPool
+
+logger = logging.getLogger(__name__)
 
 QUERY_VARIANTS = ("CR3a", "CR3b", "CR13a", "CR13b", "CR14a", "CR14b", "SR2", "SR6")
 
@@ -67,20 +72,6 @@ class ParameterBucket:
         return entries[index % len(entries)]
 
 
-def _alive_all_day(entity, day_start: int) -> bool:
-    return entity.lifecycle.alive_throughout(day_start, day_start + MS_PER_DAY)
-
-
-def _person_pool(window_keys: list[tuple], graph: TemporalGraph,
-                 day_start: int) -> list[int]:
-    pool = [key[0] for key in window_keys
-            if _alive_all_day(graph.persons[key[0]], day_start)]
-    if pool:
-        return pool
-    return [pid for pid, person in sorted(graph.persons.items())
-            if _alive_all_day(person, day_start)]
-
-
 def _window_or_all(table: FactorTable, min_group_size: int) -> list[tuple]:
     # Graphs too small for any flat band fall back to every active row.
     try:
@@ -89,14 +80,14 @@ def _window_or_all(table: FactorTable, min_group_size: int) -> list[tuple]:
         return [key for key, _ in table.sorted_rows()]
 
 
-def _start_date(day_table: FactorTable, day_start: int, duration_ms: int,
-                min_group_size: int, rng: random.Random) -> int:
-    eligible = {key: freq for key, freq in day_table.rows.items()
-                if key[0] + duration_ms <= day_start}
+def _start_date(eligible: list[tuple[tuple, int]], day_start: int, duration_ms: int,
+                min_group_size: int, rng: random.Random, spreads: dict) -> int:
+    # eligible: the messageCountPerDay rows of the days whose CR3 window
+    # closes by day_start, in sorted_rows order; it grows by a row a day.
     if eligible:
-        sub = FactorTable(name=day_table.name, rows=eligible)
         try:
-            window = select_window(sub, min_group_size)
+            window = select_window_of_rows("messageCountPerDay", eligible,
+                                           min_group_size, spreads)
             return rng.choice(window)[0]
         except NoQualifyingGroup:
             pass
@@ -106,9 +97,15 @@ def _start_date(day_table: FactorTable, day_start: int, duration_ms: int,
 def generate_parameters(graph: TemporalGraph, cutoff: int,
                         options: ParamGenOptions | None = None,
                         simulation_end: int = SIM_END) -> dict[int, ParameterBucket]:
-    """One ParameterBucket per day from the cutoff day to the end of time."""
+    """One ParameterBucket per day from the cutoff day to the end of time.
+
+    The days are swept once: the bound graphs and the pools of live
+    persons and messages are updated as entities join and leave, not
+    rebuilt for every day.
+    """
     options = options or ParamGenOptions()
     options.validate()
+    started = time.perf_counter()
     tables = build_factor_tables(graph)
     n = options.per_day
 
@@ -118,20 +115,53 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
     message_window = _window_or_all(tables["personNumMessages"], options.min_group_size)
     duration_ms = options.cr3_duration_days * MS_PER_DAY
 
+    first_day = day_start(cutoff)
+    days = len(day_starts_between(cutoff, simulation_end))
+    persons, messages = graph.persons, graph.messages
+
+    def pool(entries) -> SweptPool:
+        return SweptPool(entries, first_day, days)
+
+    def window_pool(window: list[tuple]) -> SweptPool:
+        return pool((position, key[0], persons[key[0]].lifecycle)
+                    for position, key in enumerate(window))
+
+    # The persons and messages alive all day: the CR3 and SR2 windows in
+    # window order, every person in id order (the fallback of an empty
+    # window), and every message in id order.
+    cr3_pool, sr2_pool = window_pool(friend_window), window_pool(message_window)
+    everyone = pool((pid, pid, persons[pid].lifecycle) for pid in sorted(persons))
+    live_messages = pool((mid, mid, messages[mid].lifecycle) for mid in sorted(messages))
+    # A day's message count becomes a CR3 start date once a window that
+    # starts on it closes by the day drawn for, and stays one.
+    start_rows = pool(((freq, key), (key, freq), Lifecycle(key[0] + duration_ms))
+                      for key, freq in tables["messageCountPerDay"].sorted_rows())
+    pools = (cr3_pool, sr2_pool, everyone, live_messages, start_rows)
+    start_spreads: dict = {}
+
     buckets: dict[int, ParameterBucket] = {}
-    for index, day in enumerate(day_starts_between(cutoff, simulation_end)):
+    for index, bound in enumerate(sweep_bound_graphs(graph, first_day, days)):
+        day = bound.day_start
+        for swept in pools:
+            swept.advance(index)
         rng = derive_rng(options.seed, index)
         bucket = ParameterBucket(day_start=day)
-        bound = build_bound_graphs(graph, day)
 
         reachable = curate_reachable_pairs(
             bound, options.hop_count, n, seed=rng.randrange(2**32), allow_fewer=True)
         unreachable = curate_unreachable_pairs(
             bound, n, seed=rng.randrange(2**32), allow_fewer=True)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "%s: floor %d persons and %d knows, ceiling %d persons and %d knows; "
+                "%d reachable and %d unreachable pairs", day_date(day),
+                len(bound.floor_vertices), _edge_count(bound.floor_adj),
+                len(bound.ceiling_vertices), _edge_count(bound.ceiling_adj),
+                len(reachable), len(unreachable))
 
-        cr3_people = _person_pool(friend_window, graph, day)
-        start_date = _start_date(tables["messageCountPerDay"], day, duration_ms,
-                                 options.min_group_size, rng)
+        cr3_people = cr3_pool.values or everyone.values
+        start_date = _start_date(start_rows.values, day, duration_ms,
+                                 options.min_group_size, rng, start_spreads)
         for variant, pair in (("CR3a", pair_a), ("CR3b", pair_b)):
             if cr3_people and pair:
                 bucket.params[variant] = [
@@ -148,15 +178,13 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
             bucket.params[variant] = [
                 {"person1Id": a, "person2Id": b} for a, b in pairs]
 
-        sr2_people = _person_pool(message_window, graph, day)
+        sr2_people = sr2_pool.values or everyone.values
         bucket.params["SR2"] = [{"personId": rng.choice(sr2_people)}
                                 for _ in range(n)] if sr2_people else []
 
-        live_messages = [mid for mid, msg in sorted(graph.messages.items())
-                         if _alive_all_day(msg, day)]
+        live = live_messages.values
         bucket.params["SR6"] = [
-            {"messageId": mid}
-            for mid in rng.sample(live_messages, min(n, len(live_messages)))]
+            {"messageId": mid} for mid in rng.sample(live, min(n, len(live)))]
 
         for variant in QUERY_VARIANTS:
             got = len(bucket.params[variant])
@@ -164,7 +192,14 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
                 bucket.warnings.append(
                     f"{day_date(day)}: {variant} has {got}/{n} parameter sets")
         buckets[day] = bucket
+    logger.info("curated %d days, %d partial, in %.2f s", len(buckets),
+                sum(bucket.partial for bucket in buckets.values()),
+                time.perf_counter() - started)
     return buckets
+
+
+def _edge_count(adj: dict[int, list[int]]) -> int:
+    return sum(map(len, adj.values())) // 2
 
 
 def write_buckets(buckets: dict[int, ParameterBucket], directory: str | Path) -> None:

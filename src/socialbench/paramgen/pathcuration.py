@@ -18,15 +18,21 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..errors import InsufficientPairs
 from ..model import TemporalGraph
 from ..simtime import MS_PER_DAY
+from .sweep import DayEvents, KeyedList, day_span
 
 
 @dataclass
 class DayBoundGraphs:
-    """Floor and ceiling friendship graphs for one simulation day."""
+    """Floor and ceiling friendship graphs for one simulation day.
+
+    One that sweep_bound_graphs yields is the sweep's own state: it holds
+    only until the next day is drawn.
+    """
 
     day_start: int
     day_end: int
@@ -36,36 +42,58 @@ class DayBoundGraphs:
     ceiling_adj: dict[int, list[int]] = field(default_factory=dict)
 
 
-def _alive_some_instant(lifecycle, start: int, end: int) -> bool:
-    # Half-open [creation, deletion) against half-open [start, end).
-    if lifecycle.creation >= end:
-        return False
-    return lifecycle.deletion is None or lifecycle.deletion > start
+def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
+                       days: int) -> Iterator[DayBoundGraphs]:
+    """The bound graphs of `days` consecutive days from first_day, in order.
+
+    Each person and knows edge is scheduled once per bound, on the range
+    of days it counts on there; an edge's range is cut to its endpoints'.
+    One DayBoundGraphs is updated in place and yielded for each day, so a
+    yielded bound holds only until the next day is drawn.  Every adjacency
+    list stays in graph.knows order, as a rebuild from scratch makes it,
+    so searches over it visit vertices in the same order.
+    """
+    bound = DayBoundGraphs(day_start=first_day, day_end=first_day + MS_PER_DAY)
+    sides = []
+    for whole_day, vertices, adj in ((True, bound.floor_vertices, bound.floor_adj),
+                                     (False, bound.ceiling_vertices, bound.ceiling_adj)):
+        spans = {pid: day_span(person.lifecycle, first_day, days, whole_day)
+                 for pid, person in graph.persons.items()}
+        persons = DayEvents(days)
+        for pid, span in spans.items():
+            persons.add(span, pid)
+        edges = DayEvents(days)
+        for index, ((p1, p2), edge) in enumerate(graph.knows.items()):
+            span = day_span(edge.lifecycle, first_day, days, whole_day)
+            span1, span2 = spans[p1], spans[p2]
+            edges.add(range(max(span.start, span1.start, span2.start),
+                            min(span.stop, span1.stop, span2.stop)), (index, p1, p2))
+        sides.append((vertices, adj, {}, persons, edges))
+
+    for index in range(days):
+        bound.day_start = first_day + index * MS_PER_DAY
+        bound.day_end = bound.day_start + MS_PER_DAY
+        # An edge leaves no later than its endpoints and joins no earlier.
+        for vertices, adj, by_edge, persons, edges in sides:
+            for edge_index, p1, p2 in edges.leaves[index]:
+                by_edge[p1].remove(edge_index)
+                by_edge[p2].remove(edge_index)
+            for pid in persons.leaves[index]:
+                vertices.discard(pid)
+                del adj[pid], by_edge[pid]
+            for pid in persons.joins[index]:
+                vertices.add(pid)
+                by_edge[pid] = KeyedList()
+                adj[pid] = by_edge[pid].values
+            for edge_index, p1, p2 in edges.joins[index]:
+                by_edge[p1].insert(edge_index, p2)
+                by_edge[p2].insert(edge_index, p1)
+        yield bound
 
 
 def build_bound_graphs(graph: TemporalGraph, day_start: int) -> DayBoundGraphs:
-    day_end = day_start + MS_PER_DAY
-    bound = DayBoundGraphs(day_start=day_start, day_end=day_end)
-
-    for pid, person in graph.persons.items():
-        if person.lifecycle.alive_throughout(day_start, day_end):
-            bound.floor_vertices.add(pid)
-            bound.floor_adj[pid] = []
-        if _alive_some_instant(person.lifecycle, day_start, day_end):
-            bound.ceiling_vertices.add(pid)
-            bound.ceiling_adj[pid] = []
-
-    for (p1, p2), edge in graph.knows.items():
-        if (p1 in bound.floor_vertices and p2 in bound.floor_vertices
-                and edge.lifecycle.alive_throughout(day_start, day_end)):
-            bound.floor_adj[p1].append(p2)
-            bound.floor_adj[p2].append(p1)
-        if (p1 in bound.ceiling_vertices and p2 in bound.ceiling_vertices
-                and _alive_some_instant(edge.lifecycle, day_start, day_end)):
-            bound.ceiling_adj[p1].append(p2)
-            bound.ceiling_adj[p2].append(p1)
-
-    return bound
+    """The bound graphs of the day-long window starting at any instant."""
+    return next(sweep_bound_graphs(graph, day_start, 1))
 
 
 def bfs_distances(adj: dict[int, list[int]], source: int,

@@ -28,9 +28,20 @@ def select_window(table: FactorTable, min_group_size: int) -> list[tuple]:
     flat band keeps the runtime of queries parameterized by these keys
     stable regardless of which key a run draws.
     """
-    rows = table.sorted_rows()
+    return select_window_of_rows(table.name, table.sorted_rows(), min_group_size)
+
+
+def select_window_of_rows(name: str, rows: list[tuple[tuple, int]], min_group_size: int,
+                          spreads: dict | None = None) -> list[tuple]:
+    """select_window over (key, frequency) rows already in sorted_rows order.
+
+    spreads memoizes each group's standard deviation and median by its
+    frequencies.  Both are exact over the integers, and so slow; a caller
+    that asks again about nearly the same rows passes one dict each time.
+    """
+    spreads = {} if spreads is None else spreads
     if not rows:
-        raise NoQualifyingGroup(f"{table.name}: table is empty")
+        raise NoQualifyingGroup(f"{name}: table is empty")
 
     groups: list[list[tuple[tuple, int]]] = [[rows[0]]]
     for row in rows[1:]:
@@ -43,12 +54,15 @@ def select_window(table: FactorTable, min_group_size: int) -> list[tuple]:
     qualifying = [g for g in groups if len(g) >= min_group_size]
     if not qualifying:
         raise NoQualifyingGroup(
-            f"{table.name}: no group of size >= {min_group_size} (largest was "
+            f"{name}: no group of size >= {min_group_size} (largest was "
             f"{max(len(g) for g in groups)})")
 
     def rank(group: list[tuple[tuple, int]]):
-        freqs = [f for _, f in group]
-        return (statistics.pstdev(freqs), -len(group), statistics.median(freqs), group[0][0])
+        freqs = tuple(f for _, f in group)
+        if freqs not in spreads:
+            spreads[freqs] = statistics.pstdev(freqs), statistics.median(freqs)
+        spread, median = spreads[freqs]
+        return (spread, -len(group), median, group[0][0])
 
     best = min(qualifying, key=rank)
     return [key for key, _ in best]

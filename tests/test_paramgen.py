@@ -1,6 +1,8 @@
 """Factor tables, window selection, path curation, and parameter buckets."""
 
+import hashlib
 import json
+import logging
 import random
 import statistics
 from collections import Counter
@@ -25,8 +27,10 @@ from socialbench.paramgen import (
     read_buckets,
     select_percentile,
     select_window,
+    sweep_bound_graphs,
     write_buckets,
 )
+from socialbench.paramgen.sweep import SweptPool
 from socialbench.simtime import MS_PER_DAY, SIM_END, SIM_START, day_start, parse_day
 
 
@@ -205,11 +209,126 @@ class TestBoundGraphs:
         assert set(bound.floor_adj[1]) == {2}
         assert sorted(bound.ceiling_adj[3]) == [1, 2]
 
+    def test_sweep_moves_across_day_boundaries(self):
+        third = NEXT + MS_PER_DAY
+        graph = _mini_graph({
+            1: (T0, None),
+            2: (NEXT, None),           # created exactly at the second day's start
+            3: (DAY, NEXT),            # deleted exactly at the first day's end
+            4: (T0, third),            # deleted exactly at the third day's start
+            5: (DAY + 5, third + 9),   # created and deleted mid-day
+        }, {})
+        seen = [(bound.day_start, set(bound.floor_vertices), set(bound.ceiling_vertices))
+                for bound in sweep_bound_graphs(graph, DAY, 3)]
+        assert seen == [
+            (DAY, {1, 3, 4}, {1, 3, 4, 5}),
+            (NEXT, {1, 2, 4, 5}, {1, 2, 4, 5}),
+            (third, {1, 2}, {1, 2, 5}),
+        ]
+
+    def test_edge_outliving_an_endpoint_leaves_with_it(self):
+        graph = _mini_graph(
+            {1: (T0, None), 2: (T0, NEXT + 5), 3: (T0, None)},
+            {(1, 2): (T0, None), (1, 3): (T0, None)})
+        # A swept bound changes with the next day: keep copies.
+        adjacency = [tuple({v: list(peers) for v, peers in adj.items()}
+                           for adj in (bound.floor_adj, bound.ceiling_adj))
+                     for bound in sweep_bound_graphs(graph, DAY, 3)]
+        assert adjacency[0] == ({1: [2, 3], 2: [1], 3: [1]},) * 2
+        assert adjacency[1] == ({1: [3], 3: [1]}, {1: [2, 3], 2: [1], 3: [1]})
+        assert adjacency[2] == ({1: [3], 3: [1]},) * 2
+
+    def test_adjacency_keeps_knows_order_as_edges_come_and_go(self):
+        graph = _mini_graph(
+            {v: (T0, None) for v in range(1, 6)},
+            {(1, 5): (T0, None), (1, 2): (DAY + 5, None), (1, 4): (T0, NEXT + 5),
+             (1, 3): (NEXT, None)})
+        ceiling = [list(bound.ceiling_adj[1]) for bound in sweep_bound_graphs(graph, DAY, 3)]
+        assert ceiling == [[5, 2, 4], [5, 2, 4, 3], [5, 2, 3]]
+
+    def test_bounds_of_a_window_that_starts_mid_day(self):
+        start = DAY + 6 * 3_600_000
+        graph = _mini_graph({
+            1: (DAY + 5, None),                 # before the window: floor
+            2: (start, start + MS_PER_DAY),     # exactly the window: floor
+            3: (start + 1, None),               # inside it: ceiling only
+            4: (T0, start),                     # gone at its start: neither
+            5: (start + MS_PER_DAY, None),      # born at its end: neither
+        }, {(1, 2): (start, None), (1, 3): (T0, None)})
+        bound = build_bound_graphs(graph, start)
+        assert (bound.day_start, bound.day_end) == (start, start + MS_PER_DAY)
+        assert bound.floor_vertices == {1, 2}
+        assert bound.ceiling_vertices == {1, 2, 3}
+        assert bound.floor_adj == {1: [2], 2: [1]}
+        assert bound.ceiling_adj == {1: [2, 3], 2: [1], 3: [1]}
+
     def test_floor_is_subset_of_ceiling_on_generated_graph(self, graph, cutoff):
         bound = build_bound_graphs(graph, cutoff)
         assert bound.floor_vertices <= bound.ceiling_vertices
         for v, neighbors in bound.floor_adj.items():
             assert set(neighbors) <= set(bound.ceiling_adj.get(v, ()))
+
+
+def _rebuilt_bounds(graph, day):
+    """The bound graphs of one day, from every lifecycle: floor is alive
+    all day, ceiling alive at the day's first instant the entity exists."""
+    end = day + MS_PER_DAY
+
+    def floor(lc):
+        return lc.alive_throughout(day, end)
+
+    def ceiling(lc):
+        first = max(day, lc.creation)
+        return first < end and lc.alive_at(first)
+
+    bounds = []
+    for rule in (floor, ceiling):
+        adj = {pid: [] for pid, person in graph.persons.items() if rule(person.lifecycle)}
+        for (a, b), edge in graph.knows.items():
+            if a in adj and b in adj and rule(edge.lifecycle):
+                adj[a].append(b)
+                adj[b].append(a)
+        bounds.append(adj)
+    return bounds
+
+
+class TestSweepMatchesRebuild:
+    """Every day of a world with person deletions, swept from its first
+    day, against a rebuild from scratch."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return generate_temporal_graph(_DELETIONS_WORLD)
+
+    def test_bound_graphs(self, world):
+        first = day_start(SIM_START)
+        days = len(range(first, SIM_END, MS_PER_DAY))
+        deleted = {day_start(p.lifecycle.deletion) for p in world.persons.values()
+                   if p.lifecycle.deletion is not None}
+        assert len(deleted) >= 5
+        count = 0
+        for index, bound in enumerate(sweep_bound_graphs(world, first, days)):
+            day = first + index * MS_PER_DAY
+            assert (bound.day_start, bound.day_end) == (day, day + MS_PER_DAY)
+            floor, ceiling = _rebuilt_bounds(world, day)
+            assert bound.floor_vertices == set(floor), day
+            assert bound.ceiling_vertices == set(ceiling), day
+            assert bound.floor_adj == floor, day
+            assert bound.ceiling_adj == ceiling, day
+            count += 1
+        assert count == days
+
+    def test_live_message_pool(self, world):
+        first = day_start(cutoff_instant(_DELETIONS_WORLD))
+        days = len(range(first, SIM_END, MS_PER_DAY))
+        pool = SweptPool(((mid, mid, world.messages[mid].lifecycle)
+                          for mid in sorted(world.messages)), first, days)
+        for index in range(days):
+            day = first + index * MS_PER_DAY
+            pool.advance(index)
+            assert pool.values == [
+                mid for mid, msg in sorted(world.messages.items())
+                if msg.lifecycle.alive_throughout(day, day + MS_PER_DAY)], day
 
 
 class TestBfsHelpers:
@@ -447,6 +566,41 @@ class TestBuckets:
         (directory / "2012-11-02.ldjson").write_text(json.dumps(good) + "\n")
         assert next(iter(read_buckets(directory).values())).params["SR6"] == [good["params"]]
 
+    def test_cutoff_after_simulation_end_gives_no_buckets(self):
+        graph = _chain_graph([1, 2, 3])
+        assert generate_parameters(graph, DAY + 2 * MS_PER_DAY, ParamGenOptions(),
+                                   simulation_end=DAY) == {}
+
+    def test_every_person_fallback_pool_is_in_id_order(self):
+        """With no messages the SR2 pool falls back to every live person, in
+        id order whatever order the graph holds them in."""
+        specs = {pid: (T0, None) for pid in range(1, 9)}
+        forward = _mini_graph(specs, {})
+        backward = _mini_graph(dict(reversed(specs.items())), {})
+        assert list(backward.persons) != sorted(backward.persons)
+        opts = ParamGenOptions(seed=4, per_day=10)
+        picks = [[p["personId"] for p in
+                  generate_parameters(g, DAY, opts, simulation_end=DAY)[DAY].params["SR2"]]
+                 for g in (forward, backward)]
+        assert picks[0] == picks[1]
+        assert len(set(picks[0])) > 1
+
+    def test_progress_is_logged(self, caplog):
+        cfg = GenConfig(seed=9, num_persons=60, cutoff_fraction=0.98)
+        graph = generate_temporal_graph(cfg)
+        with caplog.at_level(logging.DEBUG, logger="socialbench.paramgen.buckets"):
+            buckets = generate_parameters(graph, cutoff_instant(cfg),
+                                          ParamGenOptions(per_day=2))
+        records = [r for r in caplog.records if r.name == "socialbench.paramgen.buckets"]
+        per_day = [r for r in records if r.levelno == logging.DEBUG]
+        assert len(per_day) == len(buckets)
+        assert all("floor" in r.getMessage() and "ceiling" in r.getMessage()
+                   and "pairs" in r.getMessage() for r in per_day)
+        done = [r for r in records if r.levelno == logging.INFO]
+        assert len(done) == 1
+        partial = sum(bucket.partial for bucket in buckets.values())
+        assert f"curated {len(buckets)} days, {partial} partial" in done[0].getMessage()
+
     def test_options_validation(self):
         with pytest.raises(ConfigInvalid):
             ParamGenOptions(per_day=0).validate()
@@ -454,3 +608,33 @@ class TestBuckets:
             ParamGenOptions(hop_count=0).validate()
         with pytest.raises(ConfigInvalid):
             ParamGenOptions(cr3_duration_days=0).validate()
+
+
+def _buckets_digest(buckets, directory):
+    write_buckets(buckets, directory)
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+# 329 days, 185 of them partial, persons deleted on five of them.
+_DELETIONS_WORLD = GenConfig(seed=9, num_persons=60, cutoff_fraction=0.7,
+                             person_deletion_rate=0.3)
+
+
+class TestGoldenParameters:
+    """The written buckets, warnings and order included, are pinned by hash:
+    a faster paramgen must curate exactly the same parameters."""
+
+    def test_shared_world(self, buckets, tmp_path):
+        assert _buckets_digest(buckets, tmp_path) == (
+            "ee43f9a6d681a67fef9fdbf7aa08e338afaf123cc481713cce4c9e3d718ffc49")
+
+    def test_world_with_person_deletions(self, tmp_path):
+        cfg = _DELETIONS_WORLD
+        buckets = generate_parameters(generate_temporal_graph(cfg), cutoff_instant(cfg),
+                                      ParamGenOptions(seed=3, per_day=10))
+        assert _buckets_digest(buckets, tmp_path) == (
+            "b73211d2b5d82722fbb431c3ba61c6ec6cefdd9a0a5a0b88005a3d35e3153106")
