@@ -25,6 +25,7 @@ from .datagen import (
     GenConfig,
     deserialize,
     generate_temporal_graph,
+    read_config,
     read_dataset,
     split_at_cutoff,
     write_dataset,
@@ -103,8 +104,7 @@ def cmd_paramgen(args: argparse.Namespace) -> int:
 def cmd_driver(args: argparse.Namespace) -> int:
     sas = deserialize(args.stream)
     buckets = read_buckets(args.params)
-    with (Path(args.stream) / "config.json").open("r", encoding="utf-8") as handle:
-        gen = GenConfig.from_dict(json.load(handle))
+    gen = read_config(args.stream)
     config = load_config(DriverConfig, _given(args, DriverConfig), "driver")
     schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
     if args.mode == "validate":
@@ -122,11 +122,13 @@ def cmd_driver(args: argparse.Namespace) -> int:
         audit_path = Path(args.audit_log)
         audit_path.parent.mkdir(parents=True, exist_ok=True)
         with audit_path.open("w", encoding="utf-8") as handle:
-            for entry in sorted(runner.audit_log, key=lambda e: e["opIndex"]):
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            updates = [record for record in runner.log if "opIndex" in record]
+            for record in sorted(updates, key=lambda r: r["opIndex"]):
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+    verdict = "n/a" if report.valid is None else report.valid
     print(f"mode={report.mode} measured={report.total_operations} "
-          f"on-time={report.on_time_ratio:.4f} valid={report.valid}")
-    return 0 if report.valid else 1
+          f"on-time={report.on_time_ratio:.4f} valid={verdict}")
+    return 1 if report.valid is False else 0
 
 
 def cmd_acid(args: argparse.Namespace) -> int:
@@ -223,13 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tcr", type=float)
     p.add_argument("--stream", required=True, help="dataset directory")
     p.add_argument("--params", required=True, help="parameter bucket directory")
-    p.add_argument("--warmup-secs", type=float)
     p.add_argument("--window-secs", type=float)
     p.add_argument("--read-threads", type=int)
     p.add_argument("--write-threads", type=int)
     p.add_argument("--report", default=None, help="write the run report JSON here")
     p.add_argument("--audit-log", default=None,
-                   help="write the commit audit trail as line-delimited JSON")
+                   help="write each update's log record as line-delimited JSON")
     p.add_argument("--seed", type=int)
     p.add_argument("--no-pace", dest="pacing", action="store_false",
                    help="dispatch without sleeping between scheduled slots")

@@ -5,6 +5,7 @@ from .generator import generate_temporal_graph
 from .split import SnapshotAndStream, cutoff_instant, split_at_cutoff
 from .serialize import (
     deserialize,
+    read_config,
     read_dataset,
     read_stream,
     read_temporal_graph,
@@ -23,6 +24,7 @@ __all__ = [
     "serialize",
     "deserialize",
     "write_dataset",
+    "read_config",
     "read_dataset",
     "read_stream",
     "read_temporal_graph",

@@ -203,13 +203,18 @@ def serialize(sas: SnapshotAndStream, directory: str | Path) -> None:
         fh.write("\n")
 
 
+def _read_json(path: Path):
+    """The JSON document at path; malformed JSON raises ParseError with
+    the path and line."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, exc.msg) from exc
+
+
 def deserialize(directory: str | Path) -> SnapshotAndStream:
     directory = Path(directory)
-    meta_path = directory / "dataset.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(meta_path), exc.lineno, exc.msg) from exc
+    meta = _read_json(directory / "dataset.json")
     return SnapshotAndStream(
         cutoff=parse_instant(meta["cutoff"]),
         snapshot=_read_entities(directory / "snapshot", temporal=False),
@@ -237,12 +242,13 @@ def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfi
         fh.write("\n")
 
 
+def read_config(directory: str | Path) -> GenConfig:
+    """The generator configuration a dataset directory was written with."""
+    return GenConfig.from_dict(_read_json(Path(directory) / "config.json"))
+
+
 def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream, GenConfig]:
     directory = Path(directory)
-    config_path = directory / "config.json"
-    try:
-        config = GenConfig.from_dict(json.loads(config_path.read_text()))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(config_path), exc.lineno, exc.msg) from exc
+    config = read_config(directory)
     graph = read_temporal_graph(directory / "temporal")
     return graph, deserialize(directory), config

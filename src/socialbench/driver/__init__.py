@@ -10,7 +10,8 @@ from .schedule import (
     build_schedule,
     wall_offset,
 )
-from .stats import RunReport, compute_stats, on_time, percentile, summarize_run
+from .stats import (ON_TIME_MS, ON_TIME_TARGET, RunReport, compute_stats, on_time,
+                    percentile, summarize_run)
 from .triggers import derive_triggers
 from .validate import cross_validate
 
@@ -25,6 +26,8 @@ __all__ = [
     "ScheduleEntry",
     "build_schedule",
     "wall_offset",
+    "ON_TIME_MS",
+    "ON_TIME_TARGET",
     "RunReport",
     "compute_stats",
     "on_time",

@@ -44,10 +44,10 @@ class DriverConfig:
     order and all bookkeeping stay identical but nothing sleeps, which
     is the practical mode for replay-style validation runs.
 
-    warmup_secs and window_secs are positions on the scheduled wall
-    timeline: operations scheduled before the warmup ends still run but
-    are not measured, and the run stops dispatching once the window
-    closes.  window_secs None means run the schedule to the end.
+    window_secs is a position on the scheduled wall timeline: the run
+    stops dispatching once the window closes, and only operations due
+    inside it are measured.  None means run the schedule to the end.
+    The on-time rule is fixed (driver.stats.ON_TIME_MS, ON_TIME_TARGET).
     """
 
     tcr: float = 0.02
@@ -55,10 +55,7 @@ class DriverConfig:
     write_threads: int = 2
     seed: int = 0
     pacing: bool = True
-    warmup_secs: float = 0.0
     window_secs: float | None = None
-    on_time_threshold_ms: int = 1_000
-    on_time_target: float = 0.95
     frequencies: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_FREQUENCIES))
     triggers: TriggerConfig = field(default_factory=TriggerConfig)
 
@@ -68,14 +65,8 @@ class DriverConfig:
             raise ConfigInvalid("tcr", "must be positive")
         if self.read_threads < 1 or self.write_threads < 1:
             raise ConfigInvalid("threads", "need at least one of each kind")
-        if self.warmup_secs < 0:
-            raise ConfigInvalid("warmup_secs", "must be non-negative")
         if self.window_secs is not None and self.window_secs <= 0:
             raise ConfigInvalid("window_secs", "must be positive when set")
-        if self.on_time_threshold_ms < 0:
-            raise ConfigInvalid("on_time_threshold_ms", "must be non-negative")
-        if not 0.0 <= self.on_time_target <= 1.0:
-            raise ConfigInvalid("on_time_target", "must be within [0, 1]")
         for variant, freq in self.frequencies.items():
             if variant not in QUERY_VARIANTS:
                 raise ConfigInvalid("frequencies", f"unknown query variant {variant!r}")

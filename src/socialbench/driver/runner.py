@@ -33,21 +33,15 @@ from .stats import RunReport, summarize_run
 from .triggers import derive_triggers
 
 
-class _ReadTask:
-    __slots__ = ("instance", "scheduled_ms", "key")
-
-    def __init__(self, instance: QueryInstance, scheduled_ms: float, key: tuple):
-        self.instance = instance
-        self.scheduled_ms = scheduled_ms
-        self.key = key
-
-
-def _query_class(variant: str) -> str:
-    return "CR" if variant.startswith("CR") else "SR"
-
-
 class BenchmarkRunner:
-    """One benchmark run against one store."""
+    """One benchmark run against one store.
+
+    log gets one record per executed operation, in completion order:
+    kind ("INS"/"DEL"/"CR"/"SR"), opType, scheduledWallMs, actualWallMs
+    and latencyMs.  An update's record also carries opIndex,
+    dependencyMs, clockAtRelease (the completion clock when the gate let
+    it through) and gateWaitMs.
+    """
 
     def __init__(self, store, schedule: Schedule, config: DriverConfig | None = None):
         self.store = store
@@ -57,8 +51,7 @@ class BenchmarkRunner:
         sim_times = [entry.op.scheduled_time for entry in schedule.entries
                      if entry.op is not None]
         self.clock = GlobalClock(schedule.cutoff, sim_times)
-        self.audit_log: list[dict] = []
-        self._measurements: list[dict] = []
+        self.log: list[dict] = []
         self._write_q: queue.Queue = queue.Queue()
         self._read_q: queue.Queue = queue.Queue()
         self._abort = threading.Event()
@@ -93,11 +86,9 @@ class BenchmarkRunner:
             raise self._errors[0]
 
         wall = time.monotonic() - run_start
-        report = summarize_run(self._measurements, wall,
-                               self.config.on_time_threshold_ms,
-                               self.config.on_time_target,
+        report = summarize_run(self._measured(), wall,
                                "paced" if self.config.pacing else "throughput")
-        report.deferrals = sum(1 for entry in self.audit_log if entry["gateWaitMs"])
+        report.deferrals = sum(1 for record in self.log if record.get("gateWaitMs"))
         report.warnings.extend(self.schedule.warnings)
         if self.config.window_secs is not None and not truncated:
             report.schedule_exhausted = True
@@ -106,14 +97,12 @@ class BenchmarkRunner:
 
     def _dispatch(self, run_start: float) -> bool:
         """Feed the queues; returns True if the window cut the schedule short."""
-        window_end = None
-        if self.config.window_secs is not None:
-            window_end = self.config.warmup_secs + self.config.window_secs
+        window_secs = self.config.window_secs
         for entry in self.schedule.entries:
             if self._abort.is_set():
                 return True
             scheduled_secs = float(entry.wall_offset_ms) / 1000.0
-            if window_end is not None and scheduled_secs > window_end:
+            if window_secs is not None and scheduled_secs > window_secs:
                 return True
             if self.config.pacing:
                 delay = run_start + scheduled_secs - time.monotonic()
@@ -123,7 +112,7 @@ class BenchmarkRunner:
             if entry.op is not None:
                 self._write_q.put((entry, scheduled_ms))
             else:
-                self._read_q.put(_ReadTask(entry.query, scheduled_ms, (entry.seq,)))
+                self._read_q.put((entry.query, scheduled_ms, (entry.seq,)))
         return False
 
     def _fail(self, exc: BaseException) -> None:
@@ -131,13 +120,13 @@ class BenchmarkRunner:
         self._abort.set()
         self.clock.halt()
 
-    def _measured(self, scheduled_ms: float) -> bool:
-        if scheduled_ms < self.config.warmup_secs * 1000.0:
-            return False
+    def _measured(self) -> list[dict]:
+        """The log records due inside the window: a short read triggered
+        after the window closes runs but is not measured."""
         if self.config.window_secs is None:
-            return True
-        end = (self.config.warmup_secs + self.config.window_secs) * 1000.0
-        return scheduled_ms <= end
+            return self.log
+        end_ms = self.config.window_secs * 1000.0
+        return [record for record in self.log if record["scheduledWallMs"] <= end_ms]
 
     # -- workers -----------------------------------------------------------
 
@@ -171,23 +160,17 @@ class BenchmarkRunner:
                 return
             latency_ms = (time.perf_counter() - started) * 1000.0
             self.clock.mark_done(entry.op_index)
-            self.audit_log.append({
-                "opIndex": entry.op_index,
+            self.log.append({
+                "kind": "INS" if op.is_insert else "DEL",
                 "opType": op.op_type,
+                "scheduledWallMs": scheduled_ms,
+                "actualWallMs": actual_ms,
+                "latencyMs": latency_ms,
+                "opIndex": entry.op_index,
                 "dependencyMs": op.dependency_time,
                 "clockAtRelease": clock_now,
                 "gateWaitMs": gate_wait_ms,
-                "scheduledWallMs": scheduled_ms,
-                "actualWallMs": actual_ms,
             })
-            if self._measured(scheduled_ms):
-                self._measurements.append({
-                    "kind": "INS" if op.is_insert else "DEL",
-                    "variant": op.op_type,
-                    "scheduled_ms": scheduled_ms,
-                    "actual_ms": actual_ms,
-                    "latency_ms": latency_ms,
-                })
 
     def _read_worker(self, run_start: float) -> None:
         while True:
@@ -196,27 +179,26 @@ class BenchmarkRunner:
                 return
             try:
                 if not self._abort.is_set():
-                    self._run_read(task, run_start)
+                    self._run_read(*task, run_start)
             except BaseException as exc:
                 self._fail(exc)
             finally:
                 self._read_q.task_done()
 
-    def _run_read(self, task: _ReadTask, run_start: float) -> None:
-        instance = task.instance
+    def _run_read(self, instance: QueryInstance, scheduled_ms: float, key: tuple,
+                  run_start: float) -> None:
+        """Run one read; key seeds the short reads its result triggers."""
         actual_ms = (time.monotonic() - run_start) * 1000.0
         started = time.perf_counter()
         result = self.store.execute_query(instance.variant, instance.params)
-        latency_ms = (time.perf_counter() - started) * 1000.0
-        if self._measured(task.scheduled_ms):
-            self._measurements.append({
-                "kind": _query_class(instance.variant),
-                "variant": instance.variant,
-                "scheduled_ms": task.scheduled_ms,
-                "actual_ms": actual_ms,
-                "latency_ms": latency_ms,
-            })
-        rng = derive_rng(self.config.seed, *task.key)
+        self.log.append({
+            "kind": instance.variant[:2],  # "CR" or "SR"
+            "opType": instance.variant,
+            "scheduledWallMs": scheduled_ms,
+            "actualWallMs": actual_ms,
+            "latencyMs": (time.perf_counter() - started) * 1000.0,
+        })
+        rng = derive_rng(self.config.seed, *key)
         children = derive_triggers(instance.variant, instance.params, result,
                                    rng, self.config.triggers, instance.depth)
         now_ms = (time.monotonic() - run_start) * 1000.0
@@ -225,4 +207,4 @@ class BenchmarkRunner:
                                   bucket_day=instance.bucket_day,
                                   instance_index=instance.instance_index,
                                   depth=depth)
-            self._read_q.put(_ReadTask(child, now_ms, task.key + (ordinal,)))
+            self._read_q.put((child, now_ms, key + (ordinal,)))

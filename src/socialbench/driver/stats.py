@@ -7,6 +7,12 @@ from dataclasses import dataclass, field
 
 PERCENTILES = (50, 90, 95, 99)
 
+# The on-time rule: an operation is on time when it starts at most
+# ON_TIME_MS after its scheduled slot, and a paced run is valid when at
+# least ON_TIME_TARGET of its measured operations are on time.
+ON_TIME_MS = 1_000
+ON_TIME_TARGET = 0.95
+
 
 def percentile(sorted_values: list[float], p: float) -> float:
     """Nearest-rank percentile over an ascending list."""
@@ -32,9 +38,9 @@ def compute_stats(values: list[float]) -> dict[str, float]:
     return out
 
 
-def on_time(scheduled_ms: float, actual_ms: float, threshold_ms: float = 1_000.0) -> bool:
-    """An operation is on time if it started within threshold of its slot."""
-    return actual_ms - scheduled_ms <= threshold_ms
+def on_time(scheduled_ms: float, actual_ms: float) -> bool:
+    """An operation is on time if it started within ON_TIME_MS of its slot."""
+    return actual_ms - scheduled_ms <= ON_TIME_MS
 
 
 @dataclass
@@ -49,8 +55,7 @@ class RunReport:
     on_time_count: int = 0
     late_count: int = 0
     on_time_ratio: float = 1.0
-    on_time_target: float = 0.95
-    valid: bool = True
+    valid: bool | None = True  # None: no verdict, the run was not paced
     wall_seconds: float = 0.0
     throughput_ops_per_sec: float = 0.0
     deferrals: int = 0
@@ -68,7 +73,7 @@ class RunReport:
                 "count": self.on_time_count,
                 "late": self.late_count,
                 "ratio": self.on_time_ratio,
-                "target": self.on_time_target,
+                "target": ON_TIME_TARGET,
                 "valid": self.valid,
             },
             "wallSeconds": self.wall_seconds,
@@ -79,24 +84,24 @@ class RunReport:
         }
 
 
-def summarize_run(measurements: list[dict], wall_seconds: float,
-                  threshold_ms: float, target: float, mode: str) -> RunReport:
-    """Fold per-operation measurement records into a RunReport.
+def summarize_run(records: list[dict], wall_seconds: float, mode: str) -> RunReport:
+    """Fold per-operation log records into a RunReport.
 
-    Each record carries: kind ("CR"/"SR"/"INS"/"DEL"), variant,
-    scheduled_ms, actual_ms, latency_ms.
+    Each record carries kind ("CR"/"SR"/"INS"/"DEL"), opType,
+    scheduledWallMs, actualWallMs and latencyMs.  Only a paced run is
+    graded on time: in throughput mode nothing waits for its slot, so
+    valid is None while the counts and the ratio are still reported.
     """
-    report = RunReport(mode=mode, on_time_target=target, wall_seconds=wall_seconds)
-    report.total_operations = len(measurements)
+    report = RunReport(mode=mode, wall_seconds=wall_seconds)
+    report.total_operations = len(records)
     by_variant: dict[str, list[float]] = {}
     delays: list[float] = []
-    for record in measurements:
+    for record in records:
         report.class_totals[record["kind"]] = (
             report.class_totals.get(record["kind"], 0) + 1)
-        by_variant.setdefault(record["variant"], []).append(record["latency_ms"])
-        delay = record["actual_ms"] - record["scheduled_ms"]
-        delays.append(delay)
-        if on_time(record["scheduled_ms"], record["actual_ms"], threshold_ms):
+        by_variant.setdefault(record["opType"], []).append(record["latencyMs"])
+        delays.append(record["actualWallMs"] - record["scheduledWallMs"])
+        if on_time(record["scheduledWallMs"], record["actualWallMs"]):
             report.on_time_count += 1
         else:
             report.late_count += 1
@@ -108,5 +113,5 @@ def summarize_run(measurements: list[dict], wall_seconds: float,
         report.on_time_ratio = report.on_time_count / report.total_operations
         if wall_seconds > 0:
             report.throughput_ops_per_sec = report.total_operations / wall_seconds
-    report.valid = report.on_time_ratio >= target
+    report.valid = report.on_time_ratio >= ON_TIME_TARGET if mode == "paced" else None
     return report

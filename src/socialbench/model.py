@@ -297,12 +297,14 @@ def check_references(graph: TemporalGraph, delete_forums_of_deleted_moderator: b
                     raise IntegrityError(f"{collection} {key} references missing {parent} {ref}")
 
 
-def check_temporal_invariants(graph: TemporalGraph) -> list[str]:
+def check_temporal_invariants(graph: TemporalGraph,
+                              delete_forums_of_deleted_moderator: bool) -> list[str]:
     """Structural audit of a temporal graph; returns human-readable violations.
 
     Checks keys, reference integrity and lifecycle containment along
-    PARENTS (nothing is created before or outlives what it depends on),
-    and that every reply chain reaches its stored root post.
+    PARENTS (nothing is created before what it depends on, or outlives
+    what it is deleted with; see cascade_parents), and that every reply
+    chain reaches its stored root post.
     """
     bad: list[str] = []
 
@@ -310,6 +312,8 @@ def check_temporal_invariants(graph: TemporalGraph) -> list[str]:
         return float("inf") if lc.deletion is None else lc.deletion
 
     for collection in COLLECTIONS:
+        cascades = {parent for parent, _ in
+                    cascade_parents(collection, delete_forums_of_deleted_moderator)}
         for key, entity in getattr(graph, collection).items():
             where = f"{collection} {key}"
             if key != key_of(collection, entity):
@@ -319,18 +323,17 @@ def check_temporal_invariants(graph: TemporalGraph) -> list[str]:
                 target = getattr(graph, parent).get(ref)
                 if target is None:
                     bad.append(f"{where}: missing {parent} {ref}")
-                elif collection == "forums":
-                    # Deleting a moderator may leave their forums standing.
-                    if not target.lifecycle.alive_at(life.creation):
-                        bad.append(f"{where}: moderator not alive at forum creation")
-                else:
-                    created = target.lifecycle.creation
-                    # A comment comes strictly after the message it replies to.
-                    if life.creation < created or (parent == collection
-                                                   and life.creation == created):
-                        bad.append(f"{where}: not created after {parent} {ref}")
+                    continue
+                created = target.lifecycle.creation
+                # A comment comes strictly after the message it replies to.
+                if life.creation < created or (parent == collection
+                                               and life.creation == created):
+                    bad.append(f"{where}: not created after {parent} {ref}")
+                if parent in cascades:
                     if deletion(life) > deletion(target.lifecycle):
                         bad.append(f"{where}: outlives {parent} {ref}")
+                elif life.creation >= deletion(target.lifecycle):
+                    bad.append(f"{where}: created after {parent} {ref} was deleted")
             if collection == "messages" and entity.kind == COMMENT:
                 try:
                     root = root_post_of(key, graph.messages)

@@ -166,8 +166,9 @@ def run_pipeline(config: PipelineConfig | None = None) -> dict:
         "validation": validation,
         "environment": _environment(),
         "stages": stages,
-        "passed": run_report.valid and (validation is None
-                                        or validation["diffCount"] == 0),
+        # Only a paced run has an on-time verdict; valid is None otherwise.
+        "passed": run_report.valid is not False and (validation is None
+                                                     or validation["diffCount"] == 0),
     }
     if out is not None:
         try:
@@ -198,7 +199,8 @@ def render_summary(report: dict) -> str:
         f"run mode: {run['mode']}; measured ops: {run['totalOperations']}; "
         f"throughput: {run['throughputOpsPerSec']:.0f} ops/s",
         f"on-time ratio: {run['onTime']['ratio']:.4f} "
-        f"(target {run['onTime']['target']}); valid: {run['onTime']['valid']}",
+        f"(target {run['onTime']['target']}); valid: "
+        f"{'n/a' if run['onTime']['valid'] is None else run['onTime']['valid']}",
     ]
     if report["validation"] is not None:
         lines.append(f"validation: {report['validation']['queries']} queries, "

@@ -72,7 +72,7 @@ class TestDriver:
                      "--no-pace", "--seed", "5"])
         assert code == 0
         report = json.loads(report_path.read_text())
-        assert report["onTime"]["valid"] is True
+        assert report["onTime"]["valid"] is None  # an unpaced run has no verdict
         assert report["totalOperations"] > 0
         assert report["mode"] == "throughput"
 
@@ -81,6 +81,8 @@ class TestDriver:
         indexes = [entry["opIndex"] for entry in lines]
         assert indexes == sorted(indexes)
         for entry in lines:
+            assert {"opIndex", "opType", "dependencyMs", "clockAtRelease", "gateWaitMs",
+                    "scheduledWallMs", "actualWallMs"} <= set(entry)
             assert entry["clockAtRelease"] >= entry["dependencyMs"]
 
     def test_validate_mode_compares_stores(self, tree, tmp_path, capsys):
@@ -180,6 +182,9 @@ class TestBadInput:
         ({"paramgen": {"perday": 2}}, "paramgen.perday"),
         ({"drivr": {"tcr": 0.1}}, "drivr"),
         ({"driver": {"t_safe": 5_000}}, "driver.t_safe"),
+        ({"driver": {"warmup_secs": 1.0}}, "driver.warmup_secs"),
+        ({"driver": {"on_time_threshold_ms": 500}}, "driver.on_time_threshold_ms"),
+        ({"driver": {"on_time_target": 0.9}}, "driver.on_time_target"),
     ])
     def test_unknown_config_key(self, tmp_path, capsys, conf, field):
         cfg_path = tmp_path / "cfg.json"
@@ -307,6 +312,16 @@ class TestDatasetConfigEcho:
         assert main(["driver", "--mode", "validate", "--stream", str(dataset),
                      "--params", str(tree / "params")]) == 1
         assert "config.json" in capsys.readouterr().err
+
+    def test_malformed_config_names_the_file(self, tree, tmp_path, capsys):
+        """driver and paramgen read a dataset's config.json through one loader."""
+        dataset = tmp_path / "dataset"
+        shutil.copytree(tree / "dataset", dataset)
+        (dataset / "config.json").write_text("{seed: 1}\n")
+        for argv in (["driver", "--stream", str(dataset), "--params", str(tree / "params")],
+                     ["paramgen", "--graph", str(dataset), "--out", str(tmp_path / "p")]):
+            assert main(argv) == 1
+            assert f"error: {dataset / 'config.json'}:1:" in capsys.readouterr().err
 
 
 class TestInterrupt:

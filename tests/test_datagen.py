@@ -88,8 +88,9 @@ class TestGeneration:
         b = generate_temporal_graph(GenConfig(seed=2, num_persons=120))
         assert a != b
 
-    def test_invariants_hold(self, graph):
-        assert check_temporal_invariants(graph) == []
+    def test_invariants_hold(self, graph, gen_config):
+        flag = gen_config.delete_forums_of_deleted_moderator
+        assert check_temporal_invariants(graph, flag) == []
 
     def test_attribute_values_come_from_dictionaries(self, graph):
         country_ids = {c.id for c in COUNTRIES}

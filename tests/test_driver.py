@@ -23,7 +23,6 @@ from socialbench.driver import (
     compute_stats,
     cross_validate,
     derive_triggers,
-    on_time,
     percentile,
     summarize_run,
     wall_offset,
@@ -189,46 +188,30 @@ class TestStats:
         assert stats["p50"] == 2.0
         assert compute_stats([]) == {"count": 0}
 
-    def test_on_time_boundary_is_inclusive(self):
-        assert on_time(0.0, 1_000.0)
-        assert not on_time(0.0, 1_000.0001)
-        assert on_time(500.0, 1_400.0)
-
-    def _measurements(self, late, total):
-        records = []
-        for i in range(total):
-            delay = 2_000.0 if i < late else 0.0
-            records.append({"kind": "INS", "variant": "INS1",
-                            "scheduled_ms": 0.0, "actual_ms": delay,
-                            "latency_ms": 1.0})
-        return records
-
-    def test_validity_flips_exactly_at_target(self):
-        exactly = summarize_run(self._measurements(1, 20), 1.0, 1_000.0, 0.95,
-                                "throughput")
-        assert exactly.on_time_ratio == 0.95
-        assert exactly.valid
-        below = summarize_run(self._measurements(2, 20), 1.0, 1_000.0, 0.95,
-                              "throughput")
-        assert below.on_time_ratio == 0.9
-        assert not below.valid
-
-    def test_synthetic_lateness_reproduces_ratio(self):
-        for late, total in [(0, 50), (5, 50), (17, 100), (50, 50)]:
-            report = summarize_run(self._measurements(late, total), 1.0,
-                                   1_000.0, 0.95, "throughput")
-            assert report.on_time_ratio == (total - late) / total
-            assert report.late_count == late
-        assert summarize_run([], 1.0, 1_000.0, 0.95, "x").on_time_ratio == 1.0
+    def _records(self, late, total):
+        """total update records, the first late of them 5 s late."""
+        return [{"kind": "INS", "opType": "INS1", "scheduledWallMs": 0.0,
+                 "actualWallMs": 5_000.0 if i < late else 0.0, "latencyMs": 1.0}
+                for i in range(total)]
 
     def test_report_dict_shape(self):
-        report = summarize_run(self._measurements(1, 4), 2.0, 1_000.0, 0.95,
-                               "throughput")
+        report = summarize_run(self._records(1, 4), 2.0, "paced")
         data = report.to_dict()
         assert data["totalOperations"] == 4
         assert data["onTime"]["late"] == 1
+        assert data["onTime"]["target"] == 0.95
         assert data["classTotals"] == {"INS": 4}
         assert data["throughputOpsPerSec"] == 2.0
+
+    def test_throughput_run_has_no_on_time_verdict(self):
+        """Nothing paces a throughput run, so its lateness grades nothing:
+        the counts and the ratio stay, the verdict is None."""
+        records = self._records(20, 20)
+        report = summarize_run(records, 1.0, "throughput")
+        assert (report.late_count, report.on_time_ratio) == (20, 0.0)
+        assert report.valid is None
+        assert report.to_dict()["onTime"]["valid"] is None
+        assert summarize_run(records, 1.0, "paced").valid is False
 
 
 class TestTriggers:
@@ -294,7 +277,8 @@ class TestRunner:
         config = DriverConfig(pacing=False)
         report = BenchmarkRunner(ReferenceStore(), schedule, config).run()
         assert report.total_operations == 0
-        assert report.valid
+        assert report.on_time_ratio == 1.0
+        assert report.valid is None
 
     def test_throughput_run_executes_everything(self):
         graph, sas, buckets = _mini_dataset()
@@ -305,7 +289,9 @@ class TestRunner:
         runner = BenchmarkRunner(store, schedule, config)
         report = runner.run()
         assert runner.clock.complete
-        assert len(runner.audit_log) == len(sas.stream)
+        # One record per executed operation, updates and reads alike.
+        assert len(runner.log) == report.total_operations
+        assert len([r for r in runner.log if "opIndex" in r]) == len(sas.stream)
         counts = schedule.class_counts()
         # measured records cover updates, scheduled reads, and triggered reads
         assert report.total_operations >= counts["INS"] + counts["DEL"] + counts["CR"]
@@ -319,8 +305,9 @@ class TestRunner:
         schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
         runner = BenchmarkRunner(store, schedule, config)
         runner.run()
-        for entry in runner.audit_log:
-            assert entry["clockAtRelease"] >= entry["dependencyMs"], entry
+        for record in runner.log:
+            if "opIndex" in record:
+                assert record["clockAtRelease"] >= record["dependencyMs"], record
 
     def test_many_writers_with_fast_thread_switching(self):
         """More writers than cores, switching threads every microsecond:
@@ -341,9 +328,10 @@ class TestRunner:
             sys.setswitchinterval(interval)
         assert not thread.is_alive(), "run() hangs"
         assert runner.clock.complete
-        assert len(runner.audit_log) == len(sas.stream)
-        for entry in runner.audit_log:
-            assert entry["clockAtRelease"] >= entry["dependencyMs"], entry
+        updates = [r for r in runner.log if "opIndex" in r]
+        assert len(updates) == len(sas.stream)
+        for record in updates:
+            assert record["clockAtRelease"] >= record["dependencyMs"], record
 
     def test_deadlock_detection_on_corrupt_dependency(self):
         cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
@@ -389,9 +377,44 @@ class TestRunner:
         schedule = build_schedule(stream, {}, cutoff, config)
         runner = BenchmarkRunner(FiveMsStore(), schedule, config)
         runner.run()
-        second = max(runner.audit_log, key=lambda e: e["opIndex"])
+        second = max(runner.log, key=lambda r: r["opIndex"])
         assert second["scheduledWallMs"] == pytest.approx(20.02)
         assert second["actualWallMs"] - second["scheduledWallMs"] < 100, second
+
+    def test_window_stops_dispatch_and_measures_only_inside_it(self):
+        """A paced 270 ms window over updates 50 ms apart, with a CR3a after
+        every second one: dispatch stops at the window, and a short read
+        triggered after it closes runs but is not measured."""
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 5_000 * i, ident=i) for i in range(1, 9)]
+        buckets = {cutoff: _bucket(cutoff, {"CR3a": [{"personId": 1}, {"personId": 2}]})}
+
+        class WindowStore(ReferenceStore):
+            def __init__(self):
+                super().__init__()
+                self.updates, self.reads = [], []
+
+            def execute_update(self, op):
+                self.updates.append(op.payload["id"])
+                return super().execute_update(op)
+
+            def execute_query(self, variant, params, snapshot=None):
+                self.reads.append(variant)
+                if variant != "CR3a":
+                    return []
+                if params["personId"] == 2:  # the CR3a at 200 ms ends after the window
+                    time.sleep(0.2)
+                return [{"personId": params["personId"]}]
+
+        config = DriverConfig(tcr=0.01, frequencies={"CR3a": 2}, window_secs=0.27)
+        schedule = build_schedule(stream, buckets, cutoff, config)
+        store = WindowStore()
+        report = BenchmarkRunner(store, schedule, config).run()
+        assert store.updates == [1, 2, 3, 4, 5]  # offsets 50..250 ms
+        assert not report.schedule_exhausted
+        assert sorted(store.reads) == ["CR3a", "CR3a", "SR2", "SR2"]
+        assert report.class_totals == {"INS": 5, "CR": 2, "SR": 1}
+        assert report.total_operations == 8
 
     def test_store_error_releases_a_waiting_writer(self):
         """One writer's store raises while the other waits at the gate."""
@@ -429,8 +452,6 @@ class TestRunner:
             DriverConfig(tcr=0.0).validate()
         with pytest.raises(ConfigInvalid):
             DriverConfig(read_threads=0).validate()
-        with pytest.raises(ConfigInvalid):
-            DriverConfig(on_time_target=1.5).validate()
 
 
 class TestCrossValidate:

@@ -169,12 +169,13 @@ class TestGraphInvariants:
     def test_empty_graph(self):
         graph = TemporalGraph()
         assert graph.entity_count() == 0
-        assert check_temporal_invariants(graph) == []
+        assert check_temporal_invariants(graph, True) == []
         assert set(graph.counts()) == {"persons", "knows", "forums", "messages",
                                        "likes", "members"}
 
-    def test_generated_graph_holds_invariants(self, graph):
-        assert check_temporal_invariants(graph) == []
+    def test_generated_graph_holds_invariants(self, graph, gen_config):
+        flag = gen_config.delete_forums_of_deleted_moderator
+        assert check_temporal_invariants(graph, flag) == []
 
     def test_lifecycle_containment_violation_detected(self, graph):
         # Clone one forum with a creation before its moderator existed.
@@ -189,8 +190,18 @@ class TestGraphInvariants:
                                 messages=graph.messages,
                                 likes=graph.likes,
                                 members=graph.members)
-        problems = check_temporal_invariants(mutated)
+        problems = check_temporal_invariants(mutated, True)
         assert any(str(bad.id) in p for p in problems)
+
+        # A forum kept open past its moderator's deletion outlives them
+        # only when deleting a moderator deletes their forums.
+        forum = next(f for f in graph.forums.values()
+                     if graph.persons[f.moderator_person_id].lifecycle.deletion is not None)
+        kept = replace(forum, lifecycle=Lifecycle(forum.lifecycle.creation))
+        mutated = replace(graph, forums={**graph.forums, forum.id: kept})
+        assert check_temporal_invariants(mutated, True) == [
+            f"forums {forum.id}: outlives persons {forum.moderator_person_id}"]
+        assert check_temporal_invariants(mutated, False) == []
 
 
 class TestCodec:

@@ -1034,7 +1034,7 @@ class TestGeneratedStreamsReplay:
         cfg = GenConfig(seed=1, num_persons=150, cutoff_fraction=0.6,
                         person_deletion_rate=0.3, delete_forums_of_deleted_moderator=False)
         graph = generate_temporal_graph(cfg)
-        assert check_temporal_invariants(graph) == []
+        assert check_temporal_invariants(graph, False) == []
         sas = split_at_cutoff(graph, cfg)
         for store_cls in (ReferenceStore, NaiveStore):
             store = store_cls(delete_forums_of_deleted_moderator=False)
