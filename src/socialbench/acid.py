@@ -24,7 +24,6 @@ import random
 import threading
 from dataclasses import dataclass, field
 
-from .errors import UnknownEntity
 from .model import (
     COMMENT,
     DEL_POST,
@@ -37,7 +36,6 @@ from .model import (
     INS_POST,
     DEL_PERSON,
     UpdateOperation,
-    delete_target,
 )
 from .refstore import ReferenceStore, Snapshot
 from .simtime import SIM_START
@@ -82,11 +80,8 @@ class SplitCascadeStore(ReferenceStore):
         self.between_commits = None
 
     def _apply_delete(self, op: UpdateOperation) -> tuple[int, int]:
-        collection, key = delete_target(op)
         with self._lock:
-            closure = self._closure_unlocked(collection, key)
-            if not closure:
-                raise UnknownEntity(f"{collection} {key} is absent or already deleted")
+            closure = self._delete_closure_unlocked(op)
             half = max(1, len(closure) // 2)
             version = self._version + 1
             nodes = self._tombstone_all(closure[:half], version)
@@ -188,6 +183,9 @@ def run_traversal_anomaly(store_factory=ReferenceStore, seed: int = 0,
 
 # -- scenario 2: cascade atomicity --------------------------------------------
 
+# Ordered probe rounds per run; the delete fires after a seeded one.
+PROBE_ROUNDS = 40
+
 
 def _probe_orphans(store) -> list[str]:
     """One snapshot-consistent ancestry check over all visible comments."""
@@ -211,8 +209,7 @@ def _probe_orphans(store) -> list[str]:
     return problems
 
 
-def run_cascade_atomicity(store_factory=ReferenceStore, seed: int = 0,
-                          probe_rounds: int = 40) -> ScenarioResult:
+def run_cascade_atomicity(store_factory=ReferenceStore, seed: int = 0) -> ScenarioResult:
     """Readers hunt for torn cascades while a reply tree is deleted.
 
     A post with a comment chain (and likes) is cascade-deleted after a
@@ -251,7 +248,7 @@ def run_cascade_atomicity(store_factory=ReferenceStore, seed: int = 0,
             mid_probe_ran = True
         store.between_commits = midpoint_probe
 
-    fire_round = rng.randrange(1, probe_rounds)
+    fire_round = rng.randrange(1, PROBE_ROUNDS)
     stop = threading.Event()
     probe_errors: list[BaseException] = []
 
@@ -266,7 +263,7 @@ def run_cascade_atomicity(store_factory=ReferenceStore, seed: int = 0,
     probe_thread = threading.Thread(target=prober, name="prober", daemon=True)
     probe_thread.start()
     try:
-        for round_no in range(probe_rounds):
+        for round_no in range(PROBE_ROUNDS):
             violations.extend(_probe_orphans(store))
             if round_no == fire_round:
                 store.execute_update(_op(DEL_POST, t + 100, {"messageId": 9301}))
@@ -280,5 +277,5 @@ def run_cascade_atomicity(store_factory=ReferenceStore, seed: int = 0,
         violations.append("post 9301 still visible after its delete")
     return ScenarioResult(
         name="cascade_atomicity", passed=not violations, violations=violations,
-        details={"fireRound": fire_round, "probeRounds": probe_rounds,
+        details={"fireRound": fire_round, "probeRounds": PROBE_ROUNDS,
                  "midProbeRan": mid_probe_ran})

@@ -75,7 +75,7 @@ def _given(args: argparse.Namespace, cls, prefix: str = "") -> dict:
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
-    config = load_config(GenConfig, {**PipelineConfig().gen.to_dict(),
+    config = load_config(GenConfig, {**dataclasses.asdict(PipelineConfig().gen),
                                      **_given(args, GenConfig)}, "datagen")
     graph = generate_temporal_graph(config)
     sas = split_at_cutoff(graph, config)
@@ -102,6 +102,8 @@ def cmd_paramgen(args: argparse.Namespace) -> int:
 
 
 def cmd_driver(args: argparse.Namespace) -> int:
+    if args.mode == "validate" and args.audit_log:
+        raise ConfigInvalid("audit_log", "validate mode runs no benchmark to audit")
     sas = deserialize(args.stream)
     buckets = read_buckets(args.params)
     gen = read_config(args.stream)

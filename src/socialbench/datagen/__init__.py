@@ -8,11 +8,9 @@ from .serialize import (
     read_config,
     read_dataset,
     read_stream,
-    read_temporal_graph,
     serialize,
     write_dataset,
     write_stream,
-    write_temporal_graph,
 )
 
 __all__ = [
@@ -27,7 +25,5 @@ __all__ = [
     "read_config",
     "read_dataset",
     "read_stream",
-    "read_temporal_graph",
     "write_stream",
-    "write_temporal_graph",
 ]

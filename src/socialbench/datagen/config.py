@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from ..errors import ConfigInvalid, check_config_types, load_config
+from ..errors import ConfigInvalid, check_config_types
 from ..simtime import MS_PER_SECOND, SIM_END, SIM_START
 
 
@@ -53,10 +53,3 @@ class GenConfig:
             raise ConfigInvalid("person_deletion_rate", "must be in [0, 1]")
         if self.content_scale <= 0:
             raise ConfigInvalid("content_scale", "must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "GenConfig":
-        return load_config(GenConfig, data, "datagen")

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
-from ..errors import CycleDetected, MalformedOperation, ParseError
+from ..errors import CycleDetected, MalformedOperation, ParseError, load_config
 from ..model import (
     COLLECTIONS,
     COMMENT,
@@ -222,33 +222,25 @@ def deserialize(directory: str | Path) -> SnapshotAndStream:
         retired=int(meta["retired"]))
 
 
-def write_temporal_graph(graph: TemporalGraph, directory: str | Path) -> None:
-    _write_entities(Path(directory), graph, temporal=True)
-
-
-def read_temporal_graph(directory: str | Path) -> TemporalGraph:
-    return _read_entities(Path(directory), temporal=True)
-
-
 def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfig,
                   directory: str | Path) -> None:
     """Write the complete dataset: config echo, temporal graph, snapshot, stream."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     serialize(sas, directory)
-    write_temporal_graph(graph, directory / "temporal")
+    _write_entities(directory / "temporal", graph, temporal=True)
     with (directory / "config.json").open("w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_config(directory: str | Path) -> GenConfig:
     """The generator configuration a dataset directory was written with."""
-    return GenConfig.from_dict(_read_json(Path(directory) / "config.json"))
+    return load_config(GenConfig, _read_json(Path(directory) / "config.json"), "datagen")
 
 
 def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream, GenConfig]:
     directory = Path(directory)
     config = read_config(directory)
-    graph = read_temporal_graph(directory / "temporal")
+    graph = _read_entities(directory / "temporal", temporal=True)
     return graph, deserialize(directory), config

@@ -25,12 +25,11 @@ import threading
 import time
 
 from ..errors import DeadlockSuspected
-from ..rng import derive_rng
 from .clock import GlobalClock
 from .config import DriverConfig
 from .schedule import QueryInstance, Schedule
 from .stats import RunReport, summarize_run
-from .triggers import derive_triggers
+from .triggers import follow_ups
 
 
 class BenchmarkRunner:
@@ -198,13 +197,8 @@ class BenchmarkRunner:
             "actualWallMs": actual_ms,
             "latencyMs": (time.perf_counter() - started) * 1000.0,
         })
-        rng = derive_rng(self.config.seed, *key)
-        children = derive_triggers(instance.variant, instance.params, result,
-                                   rng, self.config.triggers, instance.depth)
+        children = follow_ups(self.config.seed, key, instance.variant, instance.params,
+                              result, self.config.triggers, instance.depth)
         now_ms = (time.monotonic() - run_start) * 1000.0
-        for ordinal, (variant, params, depth) in enumerate(children):
-            child = QueryInstance(variant=variant, params=params,
-                                  bucket_day=instance.bucket_day,
-                                  instance_index=instance.instance_index,
-                                  depth=depth)
-            self._read_q.put((child, now_ms, key + (ordinal,)))
+        for variant, params, depth, child_key in children:
+            self._read_q.put((QueryInstance(variant, params, depth), now_ms, child_key))

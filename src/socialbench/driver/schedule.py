@@ -22,8 +22,6 @@ from .config import DriverConfig
 class QueryInstance:
     variant: str
     params: dict
-    bucket_day: int
-    instance_index: int
     depth: int = 0
 
 
@@ -41,7 +39,6 @@ class ScheduleEntry:
 @dataclass
 class Schedule:
     cutoff: int
-    tcr_exact: Fraction
     entries: list[ScheduleEntry] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -55,9 +52,9 @@ class Schedule:
         return out
 
 
-def wall_offset(sim_time: int, cutoff: int, tcr_exact: Fraction) -> Fraction:
+def wall_offset(sim_time: int, cutoff: int, tcr: Fraction) -> Fraction:
     """Exact wall milliseconds after run start for a simulation instant."""
-    return tcr_exact * (sim_time - cutoff)
+    return tcr * (sim_time - cutoff)
 
 
 def build_schedule(stream: list[UpdateOperation],
@@ -74,14 +71,14 @@ def build_schedule(stream: list[UpdateOperation],
     """
     config = config or DriverConfig()
     config.validate()
-    tcr_exact = Fraction(str(config.tcr))
-    schedule = Schedule(cutoff=cutoff, tcr_exact=tcr_exact)
+    tcr = Fraction(str(config.tcr))
+    schedule = Schedule(cutoff=cutoff)
     instance_counts = {variant: 0 for variant in config.frequencies}
     skipped: dict[str, int] = {}
     seq = 0
 
     for op_index, op in enumerate(stream):
-        offset = wall_offset(op.scheduled_time, cutoff, tcr_exact)
+        offset = wall_offset(op.scheduled_time, cutoff, tcr)
         schedule.entries.append(ScheduleEntry(
             seq=seq, wall_offset_ms=offset, op=op, op_index=op_index))
         seq += 1
@@ -90,8 +87,7 @@ def build_schedule(stream: list[UpdateOperation],
         for variant, freq in sorted(config.frequencies.items()):
             if update_number % freq != 0:
                 continue
-            day = day_start(op.scheduled_time)
-            bucket = buckets.get(day)
+            bucket = buckets.get(day_start(op.scheduled_time))
             if bucket is None:
                 raise MissingBucket(f"no parameter bucket for day of {op.scheduled_time}")
             params = bucket.draw(variant, instance_counts[variant])
@@ -101,8 +97,7 @@ def build_schedule(stream: list[UpdateOperation],
                 continue
             schedule.entries.append(ScheduleEntry(
                 seq=seq, wall_offset_ms=offset,
-                query=QueryInstance(variant=variant, params=params, bucket_day=day,
-                                    instance_index=instance_counts[variant] - 1)))
+                query=QueryInstance(variant=variant, params=params)))
             seq += 1
 
     for variant, count in sorted(skipped.items()):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from ..rng import derive_rng
 from .config import TriggerConfig
 
 
@@ -39,3 +40,15 @@ def derive_triggers(variant: str, params: dict, result,
                 author = rng.choice(rows)["rootAuthorId"]
                 out.append(("SR2", {"personId": author}, depth + 1))
     return out
+
+
+def follow_ups(seed: int, key: tuple, variant: str, params: dict, result,
+               config: TriggerConfig, depth: int) -> list[tuple[str, dict, int, tuple]]:
+    """The (variant, params, depth, key) reads one result triggers.
+
+    key names the read within the run: a scheduled read's is (seq,), and
+    the ordinal-th read it triggers gets key + (ordinal,).  The key seeds
+    the draw, so every evaluator of one schedule follows the same links.
+    """
+    children = derive_triggers(variant, params, result, derive_rng(seed, *key), config, depth)
+    return [(*child, key + (ordinal,)) for ordinal, child in enumerate(children)]

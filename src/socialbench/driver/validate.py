@@ -11,10 +11,9 @@ diverge.
 
 from __future__ import annotations
 
-from ..rng import derive_rng
 from .config import DriverConfig
 from .schedule import Schedule
-from .triggers import derive_triggers
+from .triggers import follow_ups
 
 # Divergences kept as examples in the report per variant; diffCount
 # counts them all.
@@ -42,10 +41,9 @@ def cross_validate(store_a, store_b, schedule: Schedule,
         b = store_b.execute_query(variant, params)
         if a != b:
             record(variant, params, a, b, f"entry {key[0]}")
-        rng = derive_rng(config.seed, *key)
-        for ordinal, (child_variant, child_params, child_depth) in enumerate(
-                derive_triggers(variant, params, a, rng, config.triggers, depth)):
-            run_query(child_variant, child_params, child_depth, key + (ordinal,))
+        for child in follow_ups(config.seed, key, variant, params, a,
+                                config.triggers, depth):
+            run_query(*child)
 
     for entry in schedule.entries:
         if entry.op is not None:

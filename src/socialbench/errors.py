@@ -95,18 +95,6 @@ class NoQualifyingGroup(SocialBenchError):
     """Window selection found no frequency group of the required size."""
 
 
-class InsufficientPairs(SocialBenchError):
-    """Path curation found fewer qualifying person pairs than requested."""
-
-    def __init__(self, requested: int, found: int, detail: str = ""):
-        self.requested = requested
-        self.found = found
-        msg = f"requested {requested} pairs, found {found}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-
 class MissingBucket(SocialBenchError):
     """A scheduled read lands on a day with no curated parameters."""
 

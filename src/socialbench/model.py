@@ -554,7 +554,6 @@ TAGS: tuple[Tag, ...] = (
     Tag(222, "running"), Tag(223, "board games"), Tag(224, "street food"),
 )
 
-COUNTRIES_BY_ID = {c.id: c for c in COUNTRIES}
 UNIVERSITIES_BY_COUNTRY: dict[int, tuple[University, ...]] = {}
 for _u in UNIVERSITIES:
     UNIVERSITIES_BY_COUNTRY.setdefault(_u.country_id, ())

@@ -147,10 +147,9 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
         rng = derive_rng(options.seed, index)
         bucket = ParameterBucket(day_start=day)
 
-        reachable = curate_reachable_pairs(
-            bound, options.hop_count, n, seed=rng.randrange(2**32), allow_fewer=True)
-        unreachable = curate_unreachable_pairs(
-            bound, n, seed=rng.randrange(2**32), allow_fewer=True)
+        reachable = curate_reachable_pairs(bound, options.hop_count, n,
+                                           seed=rng.randrange(2**32))
+        unreachable = curate_unreachable_pairs(bound, n, seed=rng.randrange(2**32))
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "%s: floor %d persons and %d knows, ceiling %d persons and %d knows; "
@@ -166,7 +165,7 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
             if cr3_people and pair:
                 bucket.params[variant] = [
                     {"personId": rng.choice(cr3_people),
-                     "countryXId": pair[0][0], "countryYId": pair[0][1],
+                     "countryXId": pair[0], "countryYId": pair[1],
                      "startDate": start_date,
                      "durationDays": options.cr3_duration_days}
                     for _ in range(n)]

@@ -20,15 +20,12 @@ class FactorTable:
     name: str
     rows: dict[tuple, int] = field(default_factory=dict)
 
-    def add(self, key: tuple, amount: int = 1) -> None:
-        self.rows[key] = self.rows.get(key, 0) + amount
+    def add(self, key: tuple) -> None:
+        self.rows[key] = self.rows.get(key, 0) + 1
 
     def sorted_rows(self) -> list[tuple[tuple, int]]:
         """Rows ordered by ascending frequency, ties by key."""
         return sorted(self.rows.items(), key=lambda kv: (kv[1], kv[0]))
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def build_factor_tables(graph: TemporalGraph) -> dict[str, FactorTable]:

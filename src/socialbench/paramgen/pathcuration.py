@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..errors import InsufficientPairs
 from ..model import TemporalGraph
 from ..simtime import MS_PER_DAY
 from .sweep import DayEvents, KeyedList, day_span
@@ -35,7 +34,6 @@ class DayBoundGraphs:
     """
 
     day_start: int
-    day_end: int
     floor_vertices: set[int] = field(default_factory=set)
     ceiling_vertices: set[int] = field(default_factory=set)
     floor_adj: dict[int, list[int]] = field(default_factory=dict)
@@ -53,7 +51,7 @@ def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
     list stays in graph.knows order, as a rebuild from scratch makes it,
     so searches over it visit vertices in the same order.
     """
-    bound = DayBoundGraphs(day_start=first_day, day_end=first_day + MS_PER_DAY)
+    bound = DayBoundGraphs(day_start=first_day)
     sides = []
     for whole_day, vertices, adj in ((True, bound.floor_vertices, bound.floor_adj),
                                      (False, bound.ceiling_vertices, bound.ceiling_adj)):
@@ -72,7 +70,6 @@ def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
 
     for index in range(days):
         bound.day_start = first_day + index * MS_PER_DAY
-        bound.day_end = bound.day_start + MS_PER_DAY
         # An edge leaves no later than its endpoints and joins no earlier.
         for vertices, adj, by_edge, persons, edges in sides:
             for edge_index, p1, p2 in edges.leaves[index]:
@@ -126,11 +123,12 @@ def connected_components(adj: dict[int, list[int]]) -> dict[int, int]:
 
 
 def curate_reachable_pairs(bound: DayBoundGraphs, k: int, count: int,
-                           seed: int, allow_fewer: bool = False) -> list[tuple[int, int]]:
-    """Distinct person pairs at hop distance exactly k all day long.
+                           seed: int) -> list[tuple[int, int]]:
+    """Up to count distinct person pairs at hop distance exactly k all day.
 
     A pair qualifies when both bounding graphs agree on distance k.  The
-    search order is seeded so the same inputs yield the same pairs.
+    search order is seeded so the same inputs yield the same pairs; a day
+    with fewer qualifying pairs returns the ones it has.
     """
     rng = random.Random(seed)
     sources = sorted(bound.floor_vertices)
@@ -157,16 +155,13 @@ def curate_reachable_pairs(bound: DayBoundGraphs, k: int, count: int,
             pairs.append(pair)
             if len(pairs) >= count:
                 break
-
-    if len(pairs) < count and not allow_fewer:
-        raise InsufficientPairs(count, len(pairs),
-                                f"distance-{k} pairs on day {bound.day_start}")
     return pairs
 
 
-def curate_unreachable_pairs(bound: DayBoundGraphs, count: int, seed: int,
-                             allow_fewer: bool = False) -> list[tuple[int, int]]:
-    """Distinct person pairs that no live edge set can connect that day."""
+def curate_unreachable_pairs(bound: DayBoundGraphs, count: int,
+                             seed: int) -> list[tuple[int, int]]:
+    """Up to count distinct person pairs that no live edge set can
+    connect that day."""
     rng = random.Random(seed)
     label = connected_components(bound.ceiling_adj)
     by_component: dict[int, list[int]] = {}
@@ -191,8 +186,4 @@ def curate_unreachable_pairs(bound: DayBoundGraphs, count: int, seed: int,
                 continue
             seen.add(pair)
             pairs.append(pair)
-
-    if len(pairs) < count and not allow_fewer:
-        raise InsufficientPairs(count, len(pairs),
-                                f"unreachable pairs on day {bound.day_start}")
     return pairs

@@ -68,21 +68,16 @@ def select_window_of_rows(name: str, rows: list[tuple[tuple, int]], min_group_si
     return [key for key, _ in best]
 
 
-def select_percentile(table: FactorTable, p: float, count: int = 1) -> list[tuple]:
-    """The count keys nearest the p-th percentile of the frequency ranking.
+def select_percentile(table: FactorTable, p: float) -> tuple | None:
+    """The key at the p-th percentile of the frequency ranking, or None
+    for an empty table.
 
-    Nearest-rank: the anchor is row ceil(p * N) (1-based) of the ascending
-    frequency order; additional keys expand outward from it, preferring the
-    lower index on distance ties.
+    Nearest-rank: the key of row ceil(p * N) (1-based) of the ascending
+    frequency order.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"percentile {p} outside [0, 1]")
-    if count < 1:
-        raise ValueError("count must be at least 1")
     rows = table.sorted_rows()
     if not rows:
-        return []
-    n = len(rows)
-    anchor = max(1, math.ceil(p * n)) - 1
-    order = sorted(range(n), key=lambda i: (abs(i - anchor), i))
-    return [rows[i][0] for i in order[:count]]
+        return None
+    return rows[max(1, math.ceil(p * len(rows))) - 1][0]

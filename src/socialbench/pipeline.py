@@ -57,30 +57,28 @@ class PipelineConfig:
                 raise ConfigInvalid("out_dir", f"not creatable: {exc}") from exc
 
 
-def emit_stats(graph: TemporalGraph, sas=None) -> dict:
-    """Size statistics of a generated dataset.
+def emit_stats(graph: TemporalGraph, sas) -> dict:
+    """Size statistics of a generated dataset and its cutoff split.
 
     Nodes are persons, forums, and messages; edges are knows, likes,
-    and membership edges.  When the snapshot/stream split is supplied
-    the operation counts and their ratio are included.
+    and membership edges.  The split adds the operation counts and
+    their ratio.
     """
     counts = graph.counts()
-    stats = {
+    partition = sas.partition_counts()
+    inserts, deletes = partition["inserts"], partition["deletes"]
+    return {
         "nodes": counts["persons"] + counts["forums"] + counts["messages"],
         "edges": counts["knows"] + counts["likes"] + counts["members"],
         "collections": counts,
+        "cutoff": sas.cutoff,
+        "cutoffDate": format_instant(sas.cutoff),
+        "snapshotEntities": partition["snapshot"],
+        "insertOperations": inserts,
+        "deleteOperations": deletes,
+        "retiredEntities": partition["retired"],
+        "deleteInsertRatio": deletes / inserts if inserts else 0.0,
     }
-    if sas is not None:
-        partition = sas.partition_counts()
-        inserts, deletes = partition["inserts"], partition["deletes"]
-        stats["cutoff"] = sas.cutoff
-        stats["cutoffDate"] = format_instant(sas.cutoff)
-        stats["snapshotEntities"] = partition["snapshot"]
-        stats["insertOperations"] = inserts
-        stats["deleteOperations"] = deletes
-        stats["retiredEntities"] = partition["retired"]
-        stats["deleteInsertRatio"] = deletes / inserts if inserts else 0.0
-    return stats
 
 
 def _loaded(store_cls, gen: GenConfig, sas):
@@ -191,10 +189,10 @@ def render_summary(report: dict) -> str:
         "==========================",
         f"generated: {data['nodes']} nodes, {data['edges']} edges "
         f"({data['collections']['persons']} persons)",
-        f"cutoff: {data.get('cutoffDate', 'n/a')}",
-        f"stream: {data.get('insertOperations', 0)} inserts, "
-        f"{data.get('deleteOperations', 0)} deletes "
-        f"(ratio {data.get('deleteInsertRatio', 0.0):.4f})",
+        f"cutoff: {data['cutoffDate']}",
+        f"stream: {data['insertOperations']} inserts, "
+        f"{data['deleteOperations']} deletes "
+        f"(ratio {data['deleteInsertRatio']:.4f})",
         f"schedule: {report['schedule']['classTotals']}",
         f"run mode: {run['mode']}; measured ops: {run['totalOperations']}; "
         f"throughput: {run['throughputOpsPerSec']:.0f} ops/s",

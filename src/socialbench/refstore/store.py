@@ -340,16 +340,22 @@ class ReferenceStore:
             self._version = version
         return version
 
-    def _apply_delete(self, op: UpdateOperation) -> tuple[int, int]:
+    def _delete_closure_unlocked(self, op: UpdateOperation) -> list[tuple[str, object, _Rec]]:
+        """The live closure a delete removes, its target first.  An absent
+        or dead target is UnknownEntity; a message delete aimed at the
+        other message kind is IntegrityError."""
         collection, key = delete_target(op)
+        closure = self._closure_unlocked(collection, key)
+        if not closure:
+            raise UnknownEntity(f"{collection} {key} is absent or already deleted")
+        target = closure[0][2].value
+        if collection == "messages" and target.kind != OP_TARGET[op.op_type][1]:
+            raise IntegrityError(f"delete op {op.op_type} targets a {target.kind} message")
+        return closure
+
+    def _apply_delete(self, op: UpdateOperation) -> tuple[int, int]:
         with self._lock:
-            closure = self._closure_unlocked(collection, key)
-            if not closure:
-                raise UnknownEntity(f"{collection} {key} is absent or already deleted")
-            target = closure[0][2].value
-            if collection == "messages" and target.kind != OP_TARGET[op.op_type][1]:
-                raise IntegrityError(
-                    f"delete op {op.op_type} targets a {target.kind} message")
+            closure = self._delete_closure_unlocked(op)
             version = self._version + 1
             nodes = self._tombstone_all(closure, version)
             self._version = version

@@ -96,6 +96,17 @@ class TestDriver:
         assert report["diffCount"] == 0
         assert report["updates"] > 0
 
+    def test_validate_mode_refuses_an_audit_log(self, tree, tmp_path, capsys):
+        """Validation runs no benchmark, so it has no update log to write."""
+        audit_path = tmp_path / "audit.ldjson"
+        code = main(["driver", "--mode", "validate",
+                     "--stream", str(tree / "dataset"),
+                     "--params", str(tree / "params"),
+                     "--audit-log", str(audit_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid config field 'audit_log'")
+        assert not audit_path.exists()
+
 
 class TestAcid:
     def test_reference_store_passes(self, tmp_path):

@@ -11,6 +11,7 @@ import json
 import math
 import statistics
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -24,7 +25,7 @@ from socialbench.datagen import (
     write_dataset,
     write_stream,
 )
-from socialbench.errors import ConfigInvalid, ParseError
+from socialbench.errors import ConfigInvalid, ParseError, load_config
 from socialbench.model import (
     COUNTRIES,
     DELETE_OPS,
@@ -62,7 +63,7 @@ class TestConfig:
     def test_dict_round_trip(self):
         cfg = GenConfig(seed=99, num_persons=42, cutoff_fraction=0.5,
                         homophily_weight=0.25, flashmob_count=5)
-        assert GenConfig.from_dict(cfg.to_dict()) == cfg
+        assert load_config(GenConfig, asdict(cfg), "datagen") == cfg
 
     @pytest.mark.parametrize("data,named", [
         ({"seed": 1, "num_persons": 5, "num_person": 5}, "num_person"),
@@ -70,7 +71,7 @@ class TestConfig:
     ])
     def test_from_dict_names_unknown_or_missing_key(self, data, named):
         with pytest.raises(ConfigInvalid) as err:
-            GenConfig.from_dict(data)
+            load_config(GenConfig, data, "datagen")
         assert err.value.field == f"datagen.{named}"
 
 

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -92,14 +93,15 @@ class TestBuildSchedule:
 
     def test_instance_follows_triggering_update(self):
         day = self.CUTOFF
-        buckets = {day: _bucket(day, {"CR3a": [{"personId": 7}]})}
+        buckets = {day: _bucket(day, {"CR3a": [{"personId": 7}, {"personId": 8}]})}
         config = DriverConfig(frequencies={"CR3a": 10})
         schedule = build_schedule(self._stream(20), buckets, self.CUTOFF, config)
         entry = schedule.entries[10]
         assert entry.op is None
         assert entry.query.variant == "CR3a"
+        assert entry.query.params == {"personId": 7}
         assert entry.wall_offset_ms == schedule.entries[9].wall_offset_ms
-        assert schedule.entries[21].query.instance_index == 1
+        assert schedule.entries[21].query.params == {"personId": 8}
 
     def test_missing_bucket_is_fatal(self):
         with pytest.raises(MissingBucket):
@@ -273,7 +275,7 @@ def _mini_dataset(num_persons=120, seed=31):
 
 class TestRunner:
     def test_empty_schedule(self):
-        schedule = Schedule(cutoff=SIM_START, tcr_exact=Fraction(1, 50))
+        schedule = Schedule(cutoff=SIM_START)
         config = DriverConfig(pacing=False)
         report = BenchmarkRunner(ReferenceStore(), schedule, config).run()
         assert report.total_operations == 0
@@ -511,3 +513,27 @@ class TestCrossValidate:
         assert outcome["diffCount"] == 48
         # Examples stay capped: CR13a and CR13b keep three each.
         assert len(outcome["diffs"]) == 2 * MAX_DIFFS_PER_VARIANT
+
+    def test_runner_and_validation_follow_the_same_links(self):
+        """Both evaluators seed a read's follow-ups by its key, so over the
+        same reads they issue the same triggered reads."""
+        class Recording(ReferenceStore):
+            def execute_query(self, variant, params, snapshot=None):
+                self.reads.append((variant, tuple(sorted(params.items()))))
+                return super().execute_query(variant, params, snapshot)
+
+        _, sas, buckets = _mini_dataset(num_persons=80, seed=13)
+        config = DriverConfig(pacing=False, seed=4, read_threads=1)
+        full = build_schedule(sas.stream, buckets, sas.cutoff, config)
+        reads_only = Schedule(cutoff=full.cutoff,
+                              entries=[e for e in full.entries if e.op is None])
+        stores = [Recording(), Recording(), NaiveStore()]
+        for store in stores:
+            store.reads = []
+            store.bulk_load(sas.snapshot)
+            for op in sas.stream:  # the reads then find the entities they name
+                store.execute_update(op)
+        BenchmarkRunner(stores[0], reads_only, config).run()
+        assert cross_validate(stores[1], stores[2], reads_only, config)["diffCount"] == 0
+        assert Counter(stores[0].reads) == Counter(stores[1].reads)
+        assert len(stores[0].reads) > len(reads_only.entries)  # some reads triggered

@@ -9,7 +9,6 @@ from socialbench.errors import CycleDetected, MalformedOperation
 from socialbench.model import (
     COMMENT,
     COUNTRIES,
-    COUNTRIES_BY_ID,
     POST,
     TAGS,
     UNIVERSITIES,
@@ -153,14 +152,14 @@ class TestStaticDictionaries:
         assert len(TAGS) == 24
 
     def test_every_country_resolvable(self):
+        assert len({country.id for country in COUNTRIES}) == len(COUNTRIES)
         for country in COUNTRIES:
-            assert COUNTRIES_BY_ID[country.id] is country
             assert len(country.first_names) == 6
             assert len(country.last_names) == 6
 
     def test_universities_grouped_by_country(self):
         for country_id, unis in UNIVERSITIES_BY_COUNTRY.items():
-            assert country_id in COUNTRIES_BY_ID
+            assert country_id in {country.id for country in COUNTRIES}
             for uni in unis:
                 assert uni.country_id == country_id
 

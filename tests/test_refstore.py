@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialbench.acid import SplitCascadeStore
 from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cutoff
 from socialbench.driver import (
     DriverConfig,
@@ -36,7 +37,7 @@ from socialbench.errors import (
 from socialbench.model import COUNTRIES, UpdateOperation, check_temporal_invariants
 from socialbench.refstore import NaiveStore, ReferenceStore, edge_weight
 from socialbench.refstore import naive as naive_module
-from socialbench.simtime import MS_PER_DAY, SIM_START, day_start
+from socialbench.simtime import MS_PER_DAY, SIM_START
 
 T0 = SIM_START + 30 * MS_PER_DAY
 _tick = [0]
@@ -75,10 +76,10 @@ def _comment(store, mid, creator, parent, country=1):
                                "tagIds": []})
 
 
-def _toy_store():
+def _toy_store(store_cls=ReferenceStore):
     """Chain 1-2-3-4-5 plus spur 1-6 and isolated person 7, one forum,
     posts and a comment thread with cross-author replies."""
-    store = ReferenceStore()
+    store = store_cls()
     for pid, country in [(1, 1), (2, 2), (3, 2), (4, 3), (5, 4), (6, 2), (7, 1)]:
         _person(store, pid, country)
     for a, b in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 6)]:
@@ -266,9 +267,9 @@ class TestQueries:
 
         pair = {"person1Id": 31, "person2Id": 34}
         assert store.execute_query("CR14b", pair)["path"] == [31, 33, 34]
-        entry = ScheduleEntry(seq=0, wall_offset_ms=Fraction(0), query=QueryInstance(
-            variant="CR14b", params=pair, bucket_day=day_start(T0), instance_index=0))
-        schedule = Schedule(cutoff=T0, tcr_exact=Fraction(1, 50), entries=[entry])
+        entry = ScheduleEntry(seq=0, wall_offset_ms=Fraction(0),
+                              query=QueryInstance(variant="CR14b", params=pair))
+        schedule = Schedule(cutoff=T0, entries=[entry])
         outcome = cross_validate(store, OtherRoute(), schedule, DriverConfig(pacing=False))
         assert outcome["diffCount"] == 1
         assert outcome["variantsWithDiffs"] == ["CR14b"]
@@ -332,16 +333,23 @@ class TestErrorContracts:
         with pytest.raises(IntegrityError):
             _op(toy, "INS2", {"personId": 1, "messageId": 300})  # 300 is a comment
 
-    def test_delete_kind_must_match_target(self, toy):
-        with pytest.raises(IntegrityError):
-            _op(toy, "DEL6", {"messageId": 300})  # comment via post delete
+    # SplitCascadeStore commits a cascade differently, but refuses the
+    # same deletes.
+    def test_delete_kind_must_match_target(self):
+        for store_cls in (ReferenceStore, SplitCascadeStore):
+            store = _toy_store(store_cls)
+            with pytest.raises(IntegrityError):
+                _op(store, "DEL6", {"messageId": 300})  # comment via post delete
+            assert store.begin_read().message(300) is not None, store_cls
 
-    def test_delete_absent_or_dead(self, toy):
-        with pytest.raises(UnknownEntity):
-            _op(toy, "DEL1", {"personId": 999})
-        _op(toy, "DEL7", {"messageId": 303})
-        with pytest.raises(UnknownEntity):
-            _op(toy, "DEL7", {"messageId": 303})
+    def test_delete_absent_or_dead(self):
+        for store_cls in (ReferenceStore, SplitCascadeStore):
+            store = _toy_store(store_cls)
+            with pytest.raises(UnknownEntity):
+                _op(store, "DEL1", {"personId": 999})
+            _op(store, "DEL7", {"messageId": 303})
+            with pytest.raises(UnknownEntity):
+                _op(store, "DEL7", {"messageId": 303})
 
 
 def _closure_oracle(state, kind, key, moderated_forums=True):
