@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write each update's log record as line-delimited JSON")
     p.add_argument("--seed", type=int)
     p.add_argument("--no-pace", dest="pacing", action="store_false",
-                   help="dispatch without sleeping between scheduled slots")
+                   help="workers take each entry as soon as they are free, "
+                        "without sleeping until its slot")
     p.set_defaults(func=cmd_driver)
 
     p = sub.add_parser("acid", help="run isolation scenarios")

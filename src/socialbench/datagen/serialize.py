@@ -25,7 +25,7 @@ import json
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from ..errors import CycleDetected, MalformedOperation, ParseError, load_config
+from ..errors import CycleDetected, MalformedOperation, ParseError, load_config, utf8_lines
 from ..model import (
     COLLECTIONS,
     COMMENT,
@@ -116,32 +116,31 @@ def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
         columns = _columns(collection, temporal)
         header = [name for name, _ in columns]
         entities = getattr(graph, collection)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            found = next(reader, None)
-            if found is None:
-                raise ParseError(str(path), 1, "missing header")
-            if found != header:
-                raise ParseError(str(path), 1,
-                                 f"unexpected header {found!r}, wanted {header!r}")
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ParseError(str(path), line_no,
-                                     f"expected {len(header)} fields, got {len(row)}")
-                try:
-                    values = {attr: _parse(attr, cell) for (_, attr), cell in zip(columns, row)}
-                    life = Lifecycle(values.pop("creation"), values.pop("deletion", None))
-                    if collection == "messages" and not temporal:
-                        # A comment's root is found once every message is read.
-                        values["root_post_id"] = (None if values["kind"] == COMMENT
-                                                  else values["id"])
-                    entity = ENTITY_CLASSES[collection](lifecycle=life, **values)
-                except ValueError as exc:
-                    raise ParseError(str(path), line_no, str(exc)) from exc
-                key = key_of(collection, entity)
-                entities[key] = entity
-                if collection == "messages" and entity.root_post_id is None:
-                    unrooted[key] = line_no
+        reader = csv.reader(utf8_lines(path))
+        found = next(reader, None)
+        if found is None:
+            raise ParseError(str(path), 1, "missing header")
+        if found != header:
+            raise ParseError(str(path), 1,
+                             f"unexpected header {found!r}, wanted {header!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(str(path), line_no,
+                                 f"expected {len(header)} fields, got {len(row)}")
+            try:
+                values = {attr: _parse(attr, cell) for (_, attr), cell in zip(columns, row)}
+                life = Lifecycle(values.pop("creation"), values.pop("deletion", None))
+                if collection == "messages" and not temporal:
+                    # A comment's root is found once every message is read.
+                    values["root_post_id"] = (None if values["kind"] == COMMENT
+                                              else values["id"])
+                entity = ENTITY_CLASSES[collection](lifecycle=life, **values)
+            except ValueError as exc:
+                raise ParseError(str(path), line_no, str(exc)) from exc
+            key = key_of(collection, entity)
+            entities[key] = entity
+            if collection == "messages" and entity.root_post_id is None:
+                unrooted[key] = line_no
     messages = graph.messages
     for mid, line_no in unrooted.items():
         try:
@@ -166,28 +165,27 @@ def write_stream(stream: list[UpdateOperation], path: Path) -> None:
 
 def read_stream(path: Path) -> list[UpdateOperation]:
     ops: list[UpdateOperation] = []
-    with Path(path).open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                op = UpdateOperation(
-                    op_type=record["opType"],
-                    scheduled_time=parse_instant(record["scheduledTime"]),
-                    dependency_time=parse_instant(record["dependencyTime"]),
-                    payload=record["payload"],
-                )
-                # Reject here a payload the stores could not decode.
-                if op.is_insert:
-                    decode_insert(op)
-                else:
-                    delete_target(op)
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-                    MalformedOperation) as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
-            ops.append(op)
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            op = UpdateOperation(
+                op_type=record["opType"],
+                scheduled_time=parse_instant(record["scheduledTime"]),
+                dependency_time=parse_instant(record["dependencyTime"]),
+                payload=record["payload"],
+            )
+            # Reject here a payload the stores could not decode.
+            if op.is_insert:
+                decode_insert(op)
+            else:
+                delete_target(op)
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+                MalformedOperation) as exc:
+            raise ParseError(str(path), line_no, str(exc)) from exc
+        ops.append(op)
     return ops
 
 
@@ -206,20 +204,27 @@ def serialize(sas: SnapshotAndStream, directory: str | Path) -> None:
 def _read_json(path: Path):
     """The JSON document at path; malformed JSON raises ParseError with
     the path and line."""
+    text = "".join(utf8_lines(path))
     try:
-        return json.loads(path.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.msg) from exc
 
 
 def deserialize(directory: str | Path) -> SnapshotAndStream:
     directory = Path(directory)
-    meta = _read_json(directory / "dataset.json")
+    path = directory / "dataset.json"
+    meta = _read_json(path)
+    try:
+        cutoff, retired = parse_instant(meta["cutoff"]), int(meta["retired"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(str(path), 1, "want an object with a cutoff instant and a "
+                         f"retired count: {exc!r}") from exc
     return SnapshotAndStream(
-        cutoff=parse_instant(meta["cutoff"]),
+        cutoff=cutoff,
         snapshot=_read_entities(directory / "snapshot", temporal=False),
         stream=read_stream(directory / "stream.ldjson"),
-        retired=int(meta["retired"]))
+        retired=retired)
 
 
 def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfig,

@@ -44,8 +44,8 @@ class DriverConfig:
     order and all bookkeeping stay identical but nothing sleeps, which
     is the practical mode for replay-style validation runs.
 
-    window_secs is a position on the scheduled wall timeline: the run
-    stops dispatching once the window closes, and only operations due
+    window_secs is a position on the scheduled wall timeline: no worker
+    takes an entry due after the window closes, and only operations due
     inside it are measured.  None means run the schedule to the end.
     The on-time rule is fixed (driver.stats.ON_TIME_MS, ON_TIME_TARGET).
     """

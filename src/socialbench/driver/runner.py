@@ -1,33 +1,29 @@
 """Concurrent benchmark execution.
 
-A dispatcher walks the schedule and feeds two thread pools: writers
-apply update operations, readers run queries.  Updates pass through the
-dependency gate first; an update whose dependency the completion clock
-has not covered yet waits on the clock until a commit covers it.
-Writers take updates in stream order from one queue, so every update
-before a gated one is already held by a writer and commits: a wait ends
-unless the update depends on its own scheduled time or later, where it
-would wait for itself.  Such an update aborts the run as a deadlock
-before it waits.  Readers fan query results out into triggered short
-reads, which join the read queue; the run ends once that queue is
-drained.
-
-With pacing enabled the dispatcher sleeps until each entry's scheduled
-wall instant; with pacing disabled it dispatches as fast as the queues
-drain, which keeps every ordering and gating property intact while
-letting replay-style runs finish quickly.
+Writers apply update operations and readers run queries.  Each worker
+takes the next schedule entry of its own kind under one lock and, with
+pacing enabled, sleeps until it is due; with pacing disabled it runs it
+at once, which keeps every ordering and gating property intact while
+letting replay-style runs finish quickly.  An update whose dependency
+the completion clock has not covered yet waits on the clock until a
+commit covers it.  Writers take updates in stream order, so every
+update before a gated one is already held by a writer and commits: a
+wait ends unless the update depends on its own scheduled time or later,
+where it would wait for itself.  Such an update aborts the run as a
+deadlock before it waits.  A reader runs the short reads a result
+triggers depth-first, in the order cross_validate runs them, before it
+takes its next entry.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 
 from ..errors import DeadlockSuspected
 from .clock import GlobalClock
 from .config import DriverConfig
-from .schedule import QueryInstance, Schedule
+from .schedule import Schedule
 from .stats import RunReport, summarize_run
 from .triggers import follow_ups
 
@@ -51,68 +47,60 @@ class BenchmarkRunner:
                      if entry.op is not None]
         self.clock = GlobalClock(schedule.cutoff, sim_times)
         self.log: list[dict] = []
-        self._write_q: queue.Queue = queue.Queue()
-        self._read_q: queue.Queue = queue.Queue()
+        self._take_lock = threading.Lock()  # one generator, one caller at a time
         self._abort = threading.Event()
         self._errors: list[BaseException] = []
+        self._truncated = False  # an entry lay past the window
 
     # -- lifecycle ---------------------------------------------------------
 
     def run(self) -> RunReport:
-        run_start = time.monotonic()
-        writers = [threading.Thread(target=self._write_worker, name=f"writer-{i}",
-                                    args=(run_start,), daemon=True)
+        self._start = time.monotonic()
+        entries = self.schedule.entries
+        updates = (entry for entry in entries if entry.op is not None)
+        reads = (entry for entry in entries if entry.op is None)
+        threads = [threading.Thread(target=self._write_worker, name=f"writer-{i}",
+                                    args=(updates,), daemon=True)
                    for i in range(self.config.write_threads)]
-        readers = [threading.Thread(target=self._read_worker, name=f"reader-{i}",
-                                    args=(run_start,), daemon=True)
-                   for i in range(self.config.read_threads)]
-        for thread in writers + readers:
+        threads += [threading.Thread(target=self._read_worker, name=f"reader-{i}",
+                                     args=(reads,), daemon=True)
+                    for i in range(self.config.read_threads)]
+        for thread in threads:
             thread.start()
-
-        truncated = self._dispatch(run_start)
-
-        for _ in writers:
-            self._write_q.put(None)
-        for thread in writers:
-            thread.join()
-        self._read_q.join()
-        for _ in readers:
-            self._read_q.put(None)
-        for thread in readers:
+        for thread in threads:
             thread.join()
 
         if self._errors:
             raise self._errors[0]
 
-        wall = time.monotonic() - run_start
+        wall = time.monotonic() - self._start
         report = summarize_run(self._measured(), wall,
                                "paced" if self.config.pacing else "throughput")
         report.deferrals = sum(1 for record in self.log if record.get("gateWaitMs"))
         report.warnings.extend(self.schedule.warnings)
-        if self.config.window_secs is not None and not truncated:
+        if self.config.window_secs is not None and not self._truncated:
             report.schedule_exhausted = True
             report.warnings.append("schedule ended before the measurement window closed")
         return report
 
-    def _dispatch(self, run_start: float) -> bool:
-        """Feed the queues; returns True if the window cut the schedule short."""
-        window_secs = self.config.window_secs
-        for entry in self.schedule.entries:
-            if self._abort.is_set():
-                return True
-            scheduled_secs = float(entry.wall_offset_ms) / 1000.0
-            if window_secs is not None and scheduled_secs > window_secs:
-                return True
-            if self.config.pacing:
-                delay = run_start + scheduled_secs - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-            scheduled_ms = scheduled_secs * 1000.0
-            if entry.op is not None:
-                self._write_q.put((entry, scheduled_ms))
-            else:
-                self._read_q.put((entry.query, scheduled_ms, (entry.seq,)))
-        return False
+    def _take(self, entries) -> tuple | None:
+        """The next of entries and its due instant in ms, once it is due;
+        None when none is left inside the window or the run aborted."""
+        with self._take_lock:
+            entry = next(entries, None)
+            if entry is None:
+                return None
+            due_secs = float(entry.wall_offset_ms) / 1000.0
+            if self.config.window_secs is not None and due_secs > self.config.window_secs:
+                self._truncated = True
+                return None
+        if self.config.pacing:
+            delay = self._start + due_secs - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+        if self._abort.is_set():
+            return None
+        return entry, due_secs * 1000.0
 
     def _fail(self, exc: BaseException) -> None:
         self._errors.append(exc)
@@ -129,14 +117,9 @@ class BenchmarkRunner:
 
     # -- workers -----------------------------------------------------------
 
-    def _write_worker(self, run_start: float) -> None:
-        while True:
-            item = self._write_q.get()
-            if item is None:
-                return
-            if self._abort.is_set():
-                continue
-            entry, scheduled_ms = item
+    def _write_worker(self, updates) -> None:
+        while (taken := self._take(updates)) is not None:
+            entry, scheduled_ms = taken
             op = entry.op
             if op.dependency_time >= op.scheduled_time:
                 self._fail(DeadlockSuspected(
@@ -150,7 +133,7 @@ class BenchmarkRunner:
                     return
                 gate_wait_ms = (time.perf_counter() - arrived) * 1000.0
             clock_now = self.clock.value()
-            actual_ms = (time.monotonic() - run_start) * 1000.0
+            actual_ms = (time.monotonic() - self._start) * 1000.0
             started = time.perf_counter()
             try:
                 self.store.execute_update(op)
@@ -171,34 +154,30 @@ class BenchmarkRunner:
                 "gateWaitMs": gate_wait_ms,
             })
 
-    def _read_worker(self, run_start: float) -> None:
-        while True:
-            task = self._read_q.get()
-            if task is None:
-                return
-            try:
-                if not self._abort.is_set():
-                    self._run_read(*task, run_start)
-            except BaseException as exc:
-                self._fail(exc)
-            finally:
-                self._read_q.task_done()
+    def _read_worker(self, reads) -> None:
+        try:
+            while (taken := self._take(reads)) is not None:
+                entry, scheduled_ms = taken
+                self._run_read(entry.query.variant, entry.query.params, entry.query.depth,
+                               (entry.seq,), scheduled_ms)
+        except BaseException as exc:
+            self._fail(exc)
 
-    def _run_read(self, instance: QueryInstance, scheduled_ms: float, key: tuple,
-                  run_start: float) -> None:
-        """Run one read; key seeds the short reads its result triggers."""
-        actual_ms = (time.monotonic() - run_start) * 1000.0
+    def _run_read(self, variant: str, params: dict, depth: int, key: tuple,
+                  scheduled_ms: float) -> None:
+        """Run one read, then the short reads its result triggers, due
+        when it answered; key seeds their draw."""
+        actual_ms = (time.monotonic() - self._start) * 1000.0
         started = time.perf_counter()
-        result = self.store.execute_query(instance.variant, instance.params)
+        result = self.store.execute_query(variant, params)
         self.log.append({
-            "kind": instance.variant[:2],  # "CR" or "SR"
-            "opType": instance.variant,
+            "kind": variant[:2],  # "CR" or "SR"
+            "opType": variant,
             "scheduledWallMs": scheduled_ms,
             "actualWallMs": actual_ms,
             "latencyMs": (time.perf_counter() - started) * 1000.0,
         })
-        children = follow_ups(self.config.seed, key, instance.variant, instance.params,
-                              result, self.config.triggers, instance.depth)
-        now_ms = (time.monotonic() - run_start) * 1000.0
-        for variant, params, depth, child_key in children:
-            self._read_q.put((QueryInstance(variant, params, depth), now_ms, child_key))
+        answered_ms = (time.monotonic() - self._start) * 1000.0
+        for child in follow_ups(self.config.seed, key, variant, params, result,
+                                self.config.triggers, depth):
+            self._run_read(*child, answered_ms)

@@ -82,13 +82,22 @@ class MalformedOperation(SocialBenchError):
 
 
 class ParseError(SocialBenchError):
-    """A serialized file could not be parsed; carries file and line number."""
+    """A serialized file could not be parsed; carries its line number."""
 
     def __init__(self, path: str, line_no: int, reason: str):
-        self.path = path
         self.line_no = line_no
-        self.reason = reason
         super().__init__(f"{path}:{line_no}: {reason}")
+
+
+def utf8_lines(path):
+    """Yield the lines of the file at path decoded as UTF-8, line endings
+    kept; a line that does not decode raises ParseError with its number."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(str(path), line_no, f"not UTF-8: {exc}") from exc
 
 
 class NoQualifyingGroup(SocialBenchError):
@@ -117,9 +126,7 @@ class DeadlockSuspected(SocialBenchError):
 
 
 class StageFailed(SocialBenchError):
-    """A pipeline stage raised; carries the stage name and the cause."""
+    """A pipeline stage raised; the message names the stage and the cause."""
 
     def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import ConfigInvalid, NoQualifyingGroup, ParseError, check_config_types
+from ..errors import ConfigInvalid, NoQualifyingGroup, ParseError, check_config_types, utf8_lines
 from ..model import Lifecycle, TemporalGraph
 from ..simtime import MS_PER_DAY, SIM_END, day_date, day_start, day_starts_between, parse_day
 from ..rng import derive_rng
@@ -235,19 +235,18 @@ def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
         day = parse_day(path.stem)
         bucket = ParameterBucket(day_start=day,
                                  params={variant: [] for variant in QUERY_VARIANTS})
-        with path.open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    if "warning" in record:
-                        bucket.warnings.append(record["warning"])
-                    else:
-                        variant, params = record["query"], record["params"]
-                        _check_params(variant, params)
-                        bucket.params[variant].append(params)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ParseError(str(path), line_no, str(exc)) from exc
+        for line_no, line in enumerate(utf8_lines(path), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if "warning" in record:
+                    bucket.warnings.append(record["warning"])
+                else:
+                    variant, params = record["query"], record["params"]
+                    _check_params(variant, params)
+                    bucket.params[variant].append(params)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ParseError(str(path), line_no, str(exc)) from exc
         buckets[day] = bucket
     return buckets

@@ -186,6 +186,16 @@ class TestBadInput:
         assert code == 1
         assert f"error: {stream}:1:" in capsys.readouterr().err
 
+    def test_stream_byte_that_is_not_utf8(self, tree, tmp_path, capsys):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(tree / "dataset", dataset)
+        stream = dataset / "stream.ldjson"
+        stream.write_bytes(b"\xff" + stream.read_bytes())
+        code = main(["driver", "--mode", "validate", "--stream", str(dataset),
+                     "--params", str(tree / "params")])
+        assert code == 1
+        assert f"error: {stream}:1:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("conf,field", [
         ({"datagen": {"seed": 1, "num_persons": 20, "persons": 5}}, "datagen.persons"),
         ({"driver": {"tcrr": 0.1}}, "driver.tcrr"),

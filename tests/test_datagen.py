@@ -9,6 +9,7 @@ simulation window.
 import filecmp
 import json
 import math
+import shutil
 import statistics
 from collections import Counter
 from dataclasses import asdict
@@ -26,6 +27,7 @@ from socialbench.datagen import (
     write_stream,
 )
 from socialbench.errors import ConfigInvalid, ParseError, load_config
+from socialbench.paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
 from socialbench.model import (
     COUNTRIES,
     DELETE_OPS,
@@ -424,3 +426,55 @@ class TestSerialization:
                 read_dataset(out)
             assert err.value.line_no == 4, victim
             assert str(path) in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def small_tree(tmp_path_factory):
+    """A 60-person dataset and its parameter files."""
+    root = tmp_path_factory.mktemp("small")
+    cfg = GenConfig(seed=9, num_persons=60, cutoff_fraction=0.6)
+    graph = generate_temporal_graph(cfg)
+    write_dataset(graph, split_at_cutoff(graph, cfg), cfg, root / "dataset")
+    write_buckets(generate_parameters(graph, cutoff_instant(cfg), ParamGenOptions(per_day=2)),
+                  root / "params")
+    return root
+
+
+def _bad_byte(data: bytes) -> bytes:
+    """An invalid UTF-8 byte at the start of the second line."""
+    at = data.index(b"\n") + 1
+    return data[:at] + b"\xff" + data[at:]
+
+
+def _without(key):
+    def damage(data: bytes) -> bytes:
+        meta = json.loads(data)
+        del meta[key]
+        return json.dumps(meta).encode()
+    return damage
+
+
+@pytest.mark.parametrize("victim,damage", [
+    ("dataset/stream.ldjson", _bad_byte),
+    ("dataset/snapshot/persons.csv", _bad_byte),
+    ("dataset/temporal/messages.csv", _bad_byte),
+    ("dataset/dataset.json", _bad_byte),
+    ("dataset/config.json", _bad_byte),
+    ("params/*.ldjson", _bad_byte),
+    ("dataset/dataset.json", _without("cutoff")),
+    ("dataset/dataset.json", _without("retired")),
+    ("dataset/dataset.json", lambda data: b"[1]"),
+], ids=["stream", "snapshot-csv", "temporal-csv", "dataset-json", "config-json",
+        "params", "no-cutoff", "no-retired", "not-an-object"])
+def test_undecodable_or_incomplete_file_is_a_parse_error(small_tree, tmp_path, victim, damage):
+    shutil.copytree(small_tree, tmp_path, dirs_exist_ok=True)
+    path = sorted(tmp_path.glob(victim))[0]
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ParseError) as err:
+        if victim.startswith("params"):
+            read_buckets(tmp_path / "params")
+        else:
+            read_dataset(tmp_path / "dataset")
+    assert str(err.value).startswith(f"{path}:")
+    if damage is _bad_byte:
+        assert err.value.line_no == 2

@@ -4,7 +4,6 @@ import random
 import sys
 import threading
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -312,12 +311,13 @@ class TestRunner:
                 assert record["clockAtRelease"] >= record["dependencyMs"], record
 
     def test_many_writers_with_fast_thread_switching(self):
-        """More writers than cores, switching threads every microsecond:
-        every update commits, none before its dependency, none left waiting."""
+        """More writers and readers than cores, switching threads every
+        microsecond: every update commits, none before its dependency, none
+        left waiting, and every scheduled read runs once."""
         _, sas, buckets = _mini_dataset()
         store = ReferenceStore()
         store.bulk_load(sas.snapshot)
-        config = DriverConfig(pacing=False, seed=5, write_threads=8)
+        config = DriverConfig(pacing=False, seed=5, write_threads=8, read_threads=4)
         schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
         runner = BenchmarkRunner(store, schedule, config)
         interval = sys.getswitchinterval()
@@ -334,6 +334,8 @@ class TestRunner:
         assert len(updates) == len(sas.stream)
         for record in updates:
             assert record["clockAtRelease"] >= record["dependencyMs"], record
+        complex_reads = [r for r in runner.log if r["kind"] == "CR"]
+        assert len(complex_reads) == schedule.class_counts()["CR"]
 
     def test_deadlock_detection_on_corrupt_dependency(self):
         cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
@@ -385,7 +387,7 @@ class TestRunner:
 
     def test_window_stops_dispatch_and_measures_only_inside_it(self):
         """A paced 270 ms window over updates 50 ms apart, with a CR3a after
-        every second one: dispatch stops at the window, and a short read
+        every second one: the workers stop at the window, and a short read
         triggered after it closes runs but is not measured."""
         cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
         stream = [_ins_op(cutoff + 5_000 * i, ident=i) for i in range(1, 9)]
@@ -417,6 +419,16 @@ class TestRunner:
         assert sorted(store.reads) == ["CR3a", "CR3a", "SR2", "SR2"]
         assert report.class_totals == {"INS": 5, "CR": 2, "SR": 1}
         assert report.total_operations == 8
+
+    def test_window_past_the_last_entry_reports_the_schedule_exhausted(self):
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 1_000 * i, ident=i) for i in range(1, 4)]
+        config = DriverConfig(tcr=0.01, frequencies={}, window_secs=0.5)
+        schedule = build_schedule(stream, {}, cutoff, config)
+        report = BenchmarkRunner(ReferenceStore(), schedule, config).run()
+        assert report.class_totals == {"INS": 3}
+        assert report.schedule_exhausted
+        assert "schedule ended before the measurement window closed" in report.warnings
 
     def test_store_error_releases_a_waiting_writer(self):
         """One writer's store raises while the other waits at the gate."""
@@ -515,8 +527,9 @@ class TestCrossValidate:
         assert len(outcome["diffs"]) == 2 * MAX_DIFFS_PER_VARIANT
 
     def test_runner_and_validation_follow_the_same_links(self):
-        """Both evaluators seed a read's follow-ups by its key, so over the
-        same reads they issue the same triggered reads."""
+        """Both evaluators seed a read's follow-ups by its key and run them
+        depth-first, so with one reader they issue the same reads in the
+        same order."""
         class Recording(ReferenceStore):
             def execute_query(self, variant, params, snapshot=None):
                 self.reads.append((variant, tuple(sorted(params.items()))))
@@ -535,5 +548,5 @@ class TestCrossValidate:
                 store.execute_update(op)
         BenchmarkRunner(stores[0], reads_only, config).run()
         assert cross_validate(stores[1], stores[2], reads_only, config)["diffCount"] == 0
-        assert Counter(stores[0].reads) == Counter(stores[1].reads)
+        assert stores[0].reads == stores[1].reads
         assert len(stores[0].reads) > len(reads_only.entries)  # some reads triggered
