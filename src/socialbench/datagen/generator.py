@@ -15,9 +15,16 @@ Deletions propagate at generation time: an entity's effective deletion is
 its own sampled removal, which must come at least t_safe before the first
 deletion among the parents it dies with (its cascade parents), or else
 that first deletion, at the same instant as the root.
+
+The world is numpy's PCG64 stream from default_rng(seed); _Draws takes its bounded
+draws in Python, draw for draw as numpy does, and golden hashes in the tests pin it.
 """
 
 from __future__ import annotations
+
+import logging
+import time
+from bisect import bisect_right
 
 import numpy as np
 
@@ -75,16 +82,136 @@ CREATION_LAG = {
 }
 
 
+logger = logging.getLogger(__name__)
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
 def generate_temporal_graph(config: GenConfig) -> TemporalGraph:
     """Generate the full temporal graph for a config. Deterministic per seed."""
     config.validate()
-    return _Builder(config).build()
+    started = time.perf_counter()
+    graph = _Builder(config).build()
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("generated %s in %.2f s", _counts(graph), time.perf_counter() - started)
+    return graph
+
+
+def _counts(graph: TemporalGraph) -> str:
+    return ", ".join(f"{len(getattr(graph, c))} {c}" for c in COLLECTIONS)
+
+
+class _Draws:
+    """The draws of a numpy Generator that take 32-bit words, in Python.
+
+    A scalar Generator.integers call costs microseconds of call overhead.
+    These take the same raw PCG64 words by numpy's own algorithms, so both
+    the stream and every result are numpy's: Lemire's bounded integers on
+    the word's low then high 32-bit half (the high half kept for the next
+    draw, as PCG64 keeps it), or on whole words for bounds above 2**32,
+    and shuffle's masked rejection.  numpy's own half-word buffer stays
+    empty, so no numpy call that draws 32 bits may be made alongside;
+    random, exponential, poisson, normal and zipf draw whole words.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self.random = rng.random
+        self._half: int | None = None
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._raw()
+            self._half = word >> 32
+            return word & _MASK32
+        self._half = None
+        return half
+
+    def below(self, n: int) -> int:
+        """Generator.integers(n), for n >= 1: Lemire's method on a
+        half-word for n <= 2**32, else on a whole word."""
+        if n > 1 << 32:
+            m = self._raw() * n
+            if m & _MASK64 < n:
+                threshold = (1 << 64) % n
+                while m & _MASK64 < threshold:
+                    m = self._raw() * n
+            return m >> 64
+        if n == 1:
+            return 0
+        # _uint32() inline: nearly every draw of the generator comes here.
+        half = self._half
+        if half is None:
+            word = self._raw()
+            self._half = word >> 32
+            m = (word & _MASK32) * n
+        else:
+            self._half = None
+            m = half * n
+        if m & _MASK32 < n:
+            threshold = (1 << 32) % n
+            while m & _MASK32 < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def shuffle(self, items: list) -> None:
+        """Generator.shuffle, in place: Fisher-Yates from the back, each
+        index drawn by masked rejection."""
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            items[i], items[j] = items[j], items[i]
+
+    def pick(self, cdf: list[float]) -> int:
+        """Generator.choice(len(p), p=p), given cdf = _cumulative(p)."""
+        return bisect_right(cdf, self.random())
+
+    def picks(self, p: np.ndarray, cdf: list[float], k: int) -> list[int]:
+        """Generator.choice(len(p), size=k, replace=False, p=p), given
+        cdf = _cumulative(p): numpy draws the picks still missing in rounds,
+        each against p with the picks found so far weighted zero."""
+        found: list[int] = []
+        while len(found) < k:
+            draws = self.random(k - len(found)).tolist()
+            if found:
+                weights = p.copy()
+                weights[found] = 0.0
+                cdf = _cumulative(weights)
+            for x in draws:
+                i = bisect_right(cdf, x)
+                if i not in found:
+                    found.append(i)
+        return found
+
+    def sample(self, n: int, k: int) -> list[int]:
+        """Generator.choice(n, size=k, replace=False), for n <= 10000:
+        Floyd's algorithm, then a shuffle of the picks by bounded draws."""
+        picks: list[int] = []
+        for j in range(n - k, n):
+            value = self.below(j + 1)
+            picks.append(j if value in picks else value)
+        for i in range(k - 1, 0, -1):
+            j = self.below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+
+def _cumulative(p) -> list[float]:
+    """The normalized cumulative sums Generator.choice searches for p."""
+    cdf = np.cumsum(p, dtype=float)
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 class _Builder:
     def __init__(self, config: GenConfig):
         self.cfg = config
         self.rng = np.random.default_rng(config.seed)
+        self.draw = _Draws(self.rng)
         self.graph = TemporalGraph()
         self.start = config.simulation_start
         self.end = config.simulation_end
@@ -106,17 +233,19 @@ class _Builder:
     # -- small sampling helpers -------------------------------------------
 
     def _instant(self, lo: int, hi: int) -> int:
-        return int(self.rng.integers(lo, hi + 1))
+        return lo + self.draw.below(hi - lo + 1)
 
     def _lagged_instant(self, lo: int, hi: int, kind: str) -> int:
         """Draw a creation instant a decaying lag after its lower bound."""
         span = hi - lo
-        offset = int(self.rng.exponential(CREATION_LAG[kind]))
+        lag = CREATION_LAG[kind]
+        exponential = self.rng.exponential
+        offset = int(exponential(lag))
         for _ in range(4):
             if offset <= span:
                 return lo + offset
-            offset = int(self.rng.exponential(CREATION_LAG[kind]))
-        return lo + int(self.rng.integers(0, span + 1))
+            offset = int(exponential(lag))
+        return lo + self.draw.below(span + 1)
 
     def _window(self, collection: str, **refs) -> tuple[int, int, int | None] | None:
         """Where an entity of collection may be placed, given its parents'
@@ -127,16 +256,19 @@ class _Builder:
         is the first deletion among the parents it dies with, or None.
         Returns None when no instant satisfies both margins.
         """
-        lo, hi, bound = self.start, self.end + 1 - self.t_safe, None
+        t_safe = self.t_safe
+        lo, hi, bound = self.start, self.end + 1 - t_safe, None
         for table, attr, cascades in self._parents[collection]:
             ref = refs.get(attr)
             if ref is None:
                 continue
             life = table[ref].lifecycle
-            lo = max(lo, life.creation + self.t_safe)
+            if life.creation + t_safe > lo:
+                lo = life.creation + t_safe
             deletion = life.deletion
             if deletion is not None:
-                hi = min(hi, deletion - self.t_safe)
+                if deletion - t_safe < hi:
+                    hi = deletion - t_safe
                 if cascades and (bound is None or deletion < bound):
                     bound = deletion
         return (lo, hi, bound) if lo <= hi else None
@@ -160,36 +292,40 @@ class _Builder:
     # -- stages ------------------------------------------------------------
 
     def build(self) -> TemporalGraph:
-        self._sample_persons()
-        self._sample_knows()
-        self._sample_forums()
-        self._sample_members()
-        self._sample_threads()
-        self._sample_likes()
-        self._sample_flashmobs()
+        started = time.perf_counter()
+        for name, stage in (("persons", self._sample_persons), ("knows", self._sample_knows),
+                            ("forums", self._sample_forums), ("members", self._sample_members),
+                            ("threads", self._sample_threads), ("likes", self._sample_likes),
+                            ("flashmobs", self._sample_flashmobs)):
+            stage()
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug("stage %s done at %.3f s: %s", name,
+                             time.perf_counter() - started, _counts(self.graph))
         return self.graph
 
     def _sample_persons(self) -> None:
         n = self.cfg.num_persons
         if n == 0:
             return
+        draw = self.draw
         window = self.end - self.start
         ranks = np.arange(1, len(COUNTRIES) + 1, dtype=float)
         country_p = ranks**-0.7
         country_p /= country_p.sum()
+        country_cdf = _cumulative(country_p)
+        tag_ranks = np.arange(1, len(TAGS) + 1, dtype=float) ** -0.6
+        tag_p = tag_ranks / tag_ranks.sum()
+        tag_cdf = _cumulative(tag_p)
         for pid in range(1, n + 1):
-            country = COUNTRIES[int(self.rng.choice(len(COUNTRIES), p=country_p))]
-            first = country.first_names[int(self.rng.integers(len(country.first_names)))]
-            last = country.last_names[int(self.rng.integers(len(country.last_names)))]
+            country = COUNTRIES[draw.pick(country_cdf)]
+            first = country.first_names[draw.below(len(country.first_names))]
+            last = country.last_names[draw.below(len(country.last_names))]
             university = None
             unis = UNIVERSITIES_BY_COUNTRY.get(country.id, ())
             if unis and self.rng.random() < 0.55:
-                university = unis[int(self.rng.integers(len(unis)))].id
+                university = unis[draw.below(len(unis))].id
             tag_count = min(5, 1 + int(self.rng.poisson(1.5)))
-            tag_ranks = np.arange(1, len(TAGS) + 1, dtype=float) ** -0.6
-            tag_p = tag_ranks / tag_ranks.sum()
-            picks = self.rng.choice(len(TAGS), size=tag_count, replace=False, p=tag_p)
-            tags = frozenset(TAGS[int(i)].id for i in picks)
+            tags = frozenset(TAGS[i].id for i in draw.picks(tag_p, tag_cdf, tag_count))
 
             creation = self._instant(self.start, self.start + int(window * 0.85))
             deletion = None
@@ -234,45 +370,45 @@ class _Builder:
             for t in sorted(p.tag_interests):
                 by_tag.setdefault(t, []).append(pid)
 
-        stubs = np.repeat(np.array(ids, dtype=np.int64), targets)
-        self.rng.shuffle(stubs)
-        pair_keys: set[tuple[int, int]] = set()
+        # Each person's peer pools in the order a stub tries them, those
+        # with someone besides the person only.
+        peer_pools: dict[int, list[list[int]]] = {}
+        for pid in ids:
+            p = persons[pid]
+            pools = [by_university[p.university_id]] if p.university_id is not None else []
+            pools.append(by_country[p.country_id])
+            pools += [by_tag[t] for t in sorted(p.tag_interests)]
+            peer_pools[pid] = [pool for pool in pools if len(pool) > 1]
 
-        def eligible(me: int, cand: int) -> bool:
-            return (cand != me and remaining.get(cand, 0) > 0
-                    and (min(me, cand), max(me, cand)) not in pair_keys)
+        stubs = np.repeat(np.array(ids, dtype=np.int64), targets).tolist()
+        self.draw.shuffle(stubs)
+        pair_keys: set[tuple[int, int]] = set()
+        below = self.draw.below
+        random = self.rng.random
+        homophily = self.cfg.homophily_weight
 
         def pick_from(pool: list[int], me: int, tries: int) -> int | None:
+            """The first of tries uniform draws from pool that may still
+            become a new friend of me."""
+            size = len(pool)
             for _ in range(tries):
-                cand = pool[int(self.rng.integers(len(pool)))]
-                if eligible(me, cand):
+                cand = pool[below(size)]
+                if (cand != me and remaining[cand] > 0
+                        and ((me, cand) if me < cand else (cand, me)) not in pair_keys):
                     return cand
             return None
 
         for me in stubs:
-            me = int(me)
             if remaining[me] <= 0:
                 continue
-            person = persons[me]
             partner = None
-            if self.rng.random() < self.cfg.homophily_weight:
-                pools = []
-                if person.university_id is not None:
-                    pools.append(by_university.get(person.university_id, []))
-                pools.append(by_country.get(person.country_id, []))
-                for t in sorted(person.tag_interests):
-                    pools.append(by_tag.get(t, []))
-                for pool in pools:
-                    if len(pool) > 1:
-                        partner = pick_from(pool, me, tries=8)
-                        if partner is not None:
-                            break
-            if partner is None:
-                for _ in range(15):
-                    cand = int(stubs[int(self.rng.integers(len(stubs)))])
-                    if eligible(me, cand):
-                        partner = cand
+            if random() < homophily:
+                for pool in peer_pools[me]:
+                    partner = pick_from(pool, me, 8)
+                    if partner is not None:
                         break
+            if partner is None:
+                partner = pick_from(stubs, me, 15)
             if partner is None:
                 continue
 
@@ -298,7 +434,7 @@ class _Builder:
         count = max(1, round(FORUMS_PER_PERSON * len(persons)))
         ids = sorted(persons)
         for _ in range(count):
-            moderator = ids[int(self.rng.integers(len(ids)))]
+            moderator = ids[self.draw.below(len(ids))]
             win = self._window("forums", moderator_person_id=moderator)
             if win is None:
                 continue
@@ -335,19 +471,18 @@ class _Builder:
                     pool = by_country[mod_country]
                 else:
                     pool = ids
-                pid = pool[int(self.rng.integers(len(pool)))]
-                self._join(fid, pid)
+                self._join(fid, pool[self.draw.below(len(pool))])
 
     def _message_country(self, author: Person) -> int:
         # Mostly the author's home country; sometimes written while abroad.
         if self.rng.random() < 0.75:
             return author.country_id
-        return COUNTRIES[int(self.rng.integers(len(COUNTRIES)))].id
+        return COUNTRIES[self.draw.below(len(COUNTRIES))].id
 
     def _message_tags(self, author: Person, extra: int | None = None) -> frozenset[int]:
         interests = sorted(author.tag_interests)
-        k = min(len(interests), int(self.rng.integers(0, 3)))
-        picks = set(int(interests[i]) for i in self.rng.choice(len(interests), size=k, replace=False)) if k else set()
+        k = min(len(interests), self.draw.below(3))
+        picks = {interests[i] for i in self.draw.sample(len(interests), k)}
         if extra is not None:
             picks.add(extra)
         return frozenset(picks)
@@ -387,16 +522,16 @@ class _Builder:
                 continue
             n_posts = int(self.rng.poisson(MEAN_POSTS_PER_FORUM * self.scale))
             for _ in range(n_posts):
-                author_id = members[int(self.rng.integers(len(members)))]
+                author_id = members[self.draw.below(len(members))]
                 post = self._add_message(author_id, fid, None)
                 if post is None:
                     continue
                 thread = [post]
                 n_comments = int(self.rng.poisson(MEAN_COMMENTS_PER_POST * self.scale))
                 for _ in range(n_comments):
-                    parent = thread[int(self.rng.integers(len(thread)))]
+                    parent = thread[self.draw.below(len(thread))]
                     commenter_pool = members + self._friends.get(parent.creator_person_id, [])
-                    author_id = commenter_pool[int(self.rng.integers(len(commenter_pool)))]
+                    author_id = commenter_pool[self.draw.below(len(commenter_pool))]
                     comment = self._add_message(author_id, None, parent)
                     if comment is not None:
                         thread.append(comment)
@@ -414,7 +549,7 @@ class _Builder:
             if not pool:
                 continue
             for _ in range(n):
-                pid = pool[int(self.rng.integers(len(pool)))]
+                pid = pool[self.draw.below(len(pool))]
                 if (pid, mid) in self.graph.likes:
                     continue
                 win = self._window("likes", person_id=pid, message_id=mid)
@@ -430,10 +565,10 @@ class _Builder:
         forum_ids = sorted(self.graph.forums)
         for _ in range(self.cfg.flashmob_count):
             center = self._instant(self.start + int(window * 0.1), self.end - int(window * 0.1))
-            tag = TAGS[int(self.rng.integers(len(TAGS)))].id
+            tag = TAGS[self.draw.below(len(TAGS))].id
             forum = None
             for _ in range(30):
-                fid = forum_ids[int(self.rng.integers(len(forum_ids)))]
+                fid = forum_ids[self.draw.below(len(forum_ids))]
                 f = self.graph.forums[fid]
                 lo = center - 2 * MS_PER_HOUR
                 hi = center + 2 * MS_PER_HOUR
@@ -447,10 +582,10 @@ class _Builder:
             burst: list[Message] = []
             for _ in range(size):
                 at = int(self.rng.normal(center, 35 * MS_PER_MINUTE))
-                author_id = members[int(self.rng.integers(len(members)))]
+                author_id = members[self.draw.below(len(members))]
                 parent = None
                 if burst and self.rng.random() < 0.6:
-                    parent = burst[int(self.rng.integers(len(burst)))]
+                    parent = burst[self.draw.below(len(burst))]
                 msg = self._add_message(author_id, forum.id if parent is None else None,
                                         parent, tag, at)
                 if msg is not None:

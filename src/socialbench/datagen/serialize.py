@@ -25,7 +25,14 @@ import json
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from ..errors import CycleDetected, MalformedOperation, ParseError, load_config, utf8_lines
+from ..errors import (
+    ConfigInvalid,
+    CycleDetected,
+    MalformedOperation,
+    ParseError,
+    load_config,
+    utf8_lines,
+)
 from ..model import (
     COLLECTIONS,
     COMMENT,
@@ -106,6 +113,16 @@ def _write_entities(directory: Path, graph: TemporalGraph, temporal: bool) -> No
                              for key in sorted(entities))
 
 
+def _csv_rows(path: Path):
+    """The rows of the CSV file at path; a line the csv module cannot
+    split raises ParseError with the path and line."""
+    reader = csv.reader(utf8_lines(path))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(path), reader.line_num, str(exc)) from exc
+
+
 def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
     """Read every collection's CSV; a file that does not parse raises
     ParseError with its path and line."""
@@ -116,14 +133,14 @@ def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
         columns = _columns(collection, temporal)
         header = [name for name, _ in columns]
         entities = getattr(graph, collection)
-        reader = csv.reader(utf8_lines(path))
-        found = next(reader, None)
+        rows = _csv_rows(path)
+        found = next(rows, None)
         if found is None:
             raise ParseError(str(path), 1, "missing header")
         if found != header:
             raise ParseError(str(path), 1,
                              f"unexpected header {found!r}, wanted {header!r}")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(rows, start=2):
             if len(row) != len(header):
                 raise ParseError(str(path), line_no,
                                  f"expected {len(header)} fields, got {len(row)}")
@@ -240,8 +257,13 @@ def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfi
 
 
 def read_config(directory: str | Path) -> GenConfig:
-    """The generator configuration a dataset directory was written with."""
-    return load_config(GenConfig, _read_json(Path(directory) / "config.json"), "datagen")
+    """The generator configuration a dataset directory was written with; a
+    config.json that is not a valid GenConfig raises ParseError naming it."""
+    path = Path(directory) / "config.json"
+    try:
+        return load_config(GenConfig, _read_json(path), "datagen")
+    except ConfigInvalid as exc:
+        raise ParseError(str(path), 1, str(exc)) from exc
 
 
 def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream, GenConfig]:

@@ -16,6 +16,8 @@ ancestor's delete, and the replaying store recreates the cascade.
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass, replace
 
 from ..model import (
@@ -28,8 +30,10 @@ from ..model import (
     insert_op,
     references,
 )
-from ..simtime import day_start
+from ..simtime import day_date, day_start
 from .config import GenConfig
+
+logger = logging.getLogger(__name__)
 
 EntityKey = tuple[str, object]
 
@@ -130,6 +134,7 @@ def _delete_dependencies(graph: TemporalGraph, config: GenConfig,
 def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStream:
     """Partition a temporal graph into snapshot, update stream, and retired
     entities.  Ties at the cutoff instant go to the stream."""
+    started = time.perf_counter()
     cutoff = cutoff_instant(config)
     snapshot = TemporalGraph()
     ops: list[UpdateOperation] = []
@@ -161,4 +166,10 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
     # At one instant inserts go before deletes, each in op-code order.
     ops.sort(key=lambda op: (op.scheduled_time, not op.is_insert, op.op_type,
                              json.dumps(op.payload, sort_keys=True)))
-    return SnapshotAndStream(cutoff=cutoff, snapshot=snapshot, stream=ops, retired=retired)
+    sas = SnapshotAndStream(cutoff=cutoff, snapshot=snapshot, stream=ops, retired=retired)
+    if logger.isEnabledFor(logging.INFO):
+        counts = sas.partition_counts()
+        logger.info("split at %s: %d snapshot, %d inserts, %d deletes, %d retired, in %.2f s",
+                    day_date(cutoff), counts["snapshot"], counts["inserts"], counts["deletes"],
+                    counts["retired"], time.perf_counter() - started)
+    return sas

@@ -7,13 +7,17 @@ simulation window.
 """
 
 import filecmp
+import hashlib
 import json
+import logging
 import math
+import random
 import shutil
 import statistics
 from collections import Counter
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from socialbench.datagen import (
@@ -26,9 +30,11 @@ from socialbench.datagen import (
     write_dataset,
     write_stream,
 )
-from socialbench.errors import ConfigInvalid, ParseError, load_config
+from socialbench.datagen.generator import _cumulative, _Draws
+from socialbench.errors import ConfigInvalid, ParseError, SocialBenchError, load_config
 from socialbench.paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
 from socialbench.model import (
+    COLLECTIONS,
     COUNTRIES,
     DELETE_OPS,
     INSERT_OPS,
@@ -165,6 +171,91 @@ class TestGeneration:
 
         assert max_burst(2) >= 8
         assert max_burst(0) <= 4
+
+
+class TestProgressLog:
+    def test_generate_and_split_log_their_progress(self, caplog):
+        cfg = GenConfig(seed=9, num_persons=60)
+        with caplog.at_level(logging.DEBUG, logger="socialbench.datagen"):
+            graph = generate_temporal_graph(cfg)
+            sas = split_at_cutoff(graph, cfg)
+        records = [r for r in caplog.records if r.name == "socialbench.datagen.generator"]
+        stages = [r.getMessage().split()[1] for r in records if r.levelno == logging.DEBUG]
+        assert stages == ["persons", "knows", "forums", "members", "threads", "likes",
+                          "flashmobs"]
+        done = [r.getMessage() for r in records if r.levelno == logging.INFO]
+        assert len(done) == 1
+        for collection in COLLECTIONS:
+            assert f"{len(getattr(graph, collection))} {collection}" in done[0]
+        split = [r.getMessage() for r in caplog.records
+                 if r.name == "socialbench.datagen.split"]
+        counts = sas.partition_counts()
+        assert len(split) == 1
+        assert (f"{counts['snapshot']} snapshot, {counts['inserts']} inserts, "
+                f"{counts['deletes']} deletes, {counts['retired']} retired") in split[0]
+
+    def test_nothing_is_logged_at_warning(self, caplog):
+        cfg = GenConfig(seed=9, num_persons=60)
+        with caplog.at_level(logging.WARNING, logger="socialbench.datagen"):
+            split_at_cutoff(generate_temporal_graph(cfg), cfg)
+        assert caplog.records == []
+
+
+class TestDraws:
+    """_Draws takes numpy's bounded draws in Python: every result, and the
+    stream position after it, must be the Generator's own."""
+
+    # 2**31 + 1 and 2**63 + 1 reject about half their first draws.
+    SIZES = (1, 2, 3, 7, 2**31 + 1, 2**32, 2**32 + 1, 10**11, 2**63 + 1)
+    # The tag distribution the generator samples interests from, and a flat one.
+    WEIGHTS = (np.arange(1, len(TAGS) + 1, dtype=float) ** -0.6, np.full(5, 0.2))
+
+    @staticmethod
+    def _steps(draw, ref, script):
+        """(ours, numpy's) results of one scripted call on each side."""
+        kind = script.choice(("integers", "shuffle", "choice-p", "choice-k-p", "choice-k"))
+        if kind == "integers":
+            n = script.choice(TestDraws.SIZES)
+            return draw.below(n), int(ref.integers(n, dtype=np.uint64))
+        if kind == "shuffle":
+            size = script.choice((0, 1, 2, 5, 40, 300))
+            ours, theirs = list(range(size)), np.arange(size, dtype=np.int64)
+            draw.shuffle(ours)
+            ref.shuffle(theirs)
+            return ours, theirs.tolist()
+        p = script.choice(TestDraws.WEIGHTS)
+        p = p / p.sum()
+        if kind == "choice-p":
+            return draw.pick(_cumulative(p)), int(ref.choice(len(p), p=p))
+        if kind == "choice-k-p":
+            k = script.randint(1, 5)
+            return (draw.picks(p, _cumulative(p), k),
+                    ref.choice(len(p), size=k, replace=False, p=p).tolist())
+        n = script.randint(1, 5)
+        k = script.randint(0, min(n, 2))
+        return draw.sample(n, k), ref.choice(n, size=k, replace=False).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
+    def test_same_draws_as_numpy(self, seed):
+        ours = np.random.default_rng(seed)
+        draw = _Draws(ours)
+        ref = np.random.default_rng(seed)
+        script = random.Random(seed)
+        for step in range(600):
+            got, want = self._steps(draw, ref, script)
+            assert got == want, step
+            # Whole-word draws interleave with the buffered half-word.
+            between = script.choice(("random", "exponential", "poisson", "none"))
+            if between == "random":
+                assert ours.random() == ref.random()
+            elif between == "exponential":
+                assert ours.exponential(3.0) == ref.exponential(3.0)
+            elif between == "poisson":
+                assert ours.poisson(1.5) == ref.poisson(1.5)
+            state = ref.bit_generator.state
+            assert ours.bit_generator.state["state"] == state["state"], step
+            assert draw._half == (state["uinteger"] if state["has_uint32"] else None), step
+            assert ours.random() == ref.random(), step
 
 
 class TestSplit:
@@ -372,6 +463,24 @@ class TestSerialization:
             mismatch += bad + err
         assert mismatch == []
 
+    @pytest.mark.parametrize("cfg,expected", [
+        (GenConfig(seed=17, num_persons=300, cutoff_fraction=0.975, degree_exponent=1.7,
+                   person_deletion_rate=0.08, content_scale=2.0),
+         "fd331168f7e478b561c280951800028d4e3b5478e1cd4f8b7676422e2d4e7e5a"),
+        (GenConfig(seed=23, num_persons=300),
+         "c3bfbe7323a23721bffe90b7c2b44e0b9facf89267ab9937b39d84ca3e01c286"),
+    ], ids=["paths-shaped", "default-shaped"])
+    def test_golden_world(self, cfg, expected, tmp_path):
+        """The written dataset is pinned by hash, so a faster generator
+        must draw exactly the same world from the seed."""
+        graph = generate_temporal_graph(cfg)
+        write_dataset(graph, split_at_cutoff(graph, cfg), cfg, tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(tmp_path).as_posix().encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == expected
+
     def test_stream_round_trip(self, sas, tmp_path):
         path = tmp_path / "stream.ldjson"
         write_stream(sas.stream, path)
@@ -446,6 +555,12 @@ def _bad_byte(data: bytes) -> bytes:
     return data[:at] + b"\xff" + data[at:]
 
 
+def _stray_carriage_return(data: bytes) -> bytes:
+    """A carriage return inside the second line, which csv cannot split."""
+    at = data.index(b"\n") + 3
+    return data[:at] + b"\r" + data[at:]
+
+
 def _without(key):
     def damage(data: bytes) -> bytes:
         meta = json.loads(data)
@@ -464,8 +579,11 @@ def _without(key):
     ("dataset/dataset.json", _without("cutoff")),
     ("dataset/dataset.json", _without("retired")),
     ("dataset/dataset.json", lambda data: b"[1]"),
+    ("dataset/temporal/knows.csv", _stray_carriage_return),
+    ("dataset/config.json", _without("num_persons")),
 ], ids=["stream", "snapshot-csv", "temporal-csv", "dataset-json", "config-json",
-        "params", "no-cutoff", "no-retired", "not-an-object"])
+        "params", "no-cutoff", "no-retired", "not-an-object", "csv-carriage-return",
+        "config-missing-field"])
 def test_undecodable_or_incomplete_file_is_a_parse_error(small_tree, tmp_path, victim, damage):
     shutil.copytree(small_tree, tmp_path, dirs_exist_ok=True)
     path = sorted(tmp_path.glob(victim))[0]
@@ -476,5 +594,75 @@ def test_undecodable_or_incomplete_file_is_a_parse_error(small_tree, tmp_path, v
         else:
             read_dataset(tmp_path / "dataset")
     assert str(err.value).startswith(f"{path}:")
-    if damage is _bad_byte:
+    if damage in (_bad_byte, _stray_carriage_return):
         assert err.value.line_no == 2
+
+
+def _mutate(data: bytes, path, rng) -> tuple[str, bytes]:
+    """One seeded single mutation of a file's bytes, and its name."""
+    lines = data.splitlines(keepends=True)
+    kinds = ["flip", "truncate", "drop-line", "duplicate-line"]
+    if path.suffix in (".json", ".ldjson"):
+        kinds.append("drop-key")
+    kind = rng.choice(kinds)
+    if kind == "flip":
+        at = rng.randrange(len(data))
+        return kind, data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
+    if kind == "truncate":
+        return kind, data[:rng.randrange(len(data))]
+    if kind == "drop-line":
+        at = rng.randrange(len(lines))
+        return kind, b"".join(lines[:at] + lines[at + 1:])
+    if kind == "duplicate-line":
+        at = rng.randrange(len(lines))
+        return kind, b"".join(lines[:at + 1] + lines[at:])
+    if path.suffix == ".json":
+        doc = json.loads(data)
+        del doc[rng.choice(sorted(doc))]
+        return kind, json.dumps(doc).encode()
+    at = rng.randrange(len(lines))
+    record = json.loads(lines[at])
+    inner = record.get("payload") or record.get("params")
+    victim = inner if inner and rng.random() < 0.5 else record
+    del victim[rng.choice(sorted(victim))]
+    lines[at] = json.dumps(record).encode() + b"\n"
+    return kind, b"".join(lines)
+
+
+def test_seeded_corruption_sweep(small_tree, tmp_path):
+    """Seeded single mutations of every kind of file: each either loads or
+    fails with a SocialBenchError that names the damaged file."""
+    rng = random.Random(20261019)
+    dataset = sorted(p for p in (small_tree / "dataset").rglob("*") if p.is_file())
+    params = sorted((small_tree / "params").iterdir())
+    work = tmp_path / "tree"
+    shutil.copytree(small_tree / "dataset", work / "dataset")
+    (work / "params").mkdir()
+    outcomes = Counter()
+    escapes = []
+    for _ in range(200):
+        # A parameter file is read alone: read_buckets reads each file apart.
+        original = rng.choice(dataset + [None]) or rng.choice(params)
+        path = work / original.relative_to(small_tree)
+        kind, damaged = _mutate(original.read_bytes(), path, rng)
+        path.write_bytes(damaged)
+        try:
+            if path.parent.name == "params":
+                read_buckets(path.parent)
+            elif path.name == "stream.ldjson":
+                read_stream(path)
+            else:
+                read_dataset(work / "dataset")
+            outcomes["loaded"] += 1
+        except SocialBenchError as exc:
+            outcomes["refused"] += 1
+            if str(path) not in str(exc):
+                escapes.append((str(path.relative_to(work)), kind, repr(exc)))
+        except Exception as exc:  # any other exception is an escape
+            escapes.append((str(path.relative_to(work)), kind, repr(exc)))
+        if path.parent.name == "params":
+            path.unlink()
+        else:
+            path.write_bytes(original.read_bytes())
+    assert escapes == [], "\n".join(map(str, escapes))
+    assert outcomes["refused"] > 50 and outcomes["loaded"] > 0, outcomes
