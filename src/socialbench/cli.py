@@ -31,7 +31,7 @@ from .datagen import (
     write_dataset,
 )
 from .driver import DriverConfig, build_schedule
-from .errors import ConfigInvalid, SocialBenchError, load_config
+from .errors import ConfigInvalid, ParseError, SocialBenchError, load_config, read_json
 from .paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
 from .pipeline import (
     SECTIONS,
@@ -162,24 +162,41 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    # Each section of the config file goes over PipelineConfig's defaults;
-    # explicit flags win over both.
-    file_conf: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            file_conf = _object(json.load(handle), "(top level)")
-    unknown = sorted(set(file_conf) - set(SECTIONS))
+def _laid_over(base: PipelineConfig, sections) -> PipelineConfig:
+    """base with each section's dict laid over its own part."""
+    sections = _object(sections, "(top level)")
+    unknown = sorted(set(sections) - set(SECTIONS))
     if unknown:
         raise ConfigInvalid(unknown[0], "unknown section")
-    defaults = PipelineConfig()
     parts = {}
     for section, name in SECTIONS.items():
-        base = getattr(defaults, name)
-        data = {**dataclasses.asdict(base), **_object(file_conf.get(section, {}), section),
-                **_given(args, type(base), f"{section}.")}
-        parts[name] = load_config(type(base), data, section)
-    report = run_pipeline(PipelineConfig(**parts, **_given(args, PipelineConfig)))
+        part = getattr(base, name)
+        parts[name] = load_config(type(part), {**dataclasses.asdict(part),
+                                               **_object(sections.get(section, {}), section)},
+                                  section)
+    return dataclasses.replace(base, **parts)
+
+
+def pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """The configuration `pipeline` runs with, not yet run.
+
+    The --config file goes over PipelineConfig's defaults and must be
+    valid by itself: a file that does not parse or load raises ParseError
+    naming it.  Explicit flags win over both.
+    """
+    config = PipelineConfig()
+    if args.config:
+        try:
+            config = _laid_over(config, read_json(args.config))
+        except ConfigInvalid as exc:
+            raise ParseError(args.config, 1, str(exc)) from exc
+    flags = {section: _given(args, type(getattr(config, name)), f"{section}.")
+             for section, name in SECTIONS.items()}
+    return dataclasses.replace(_laid_over(config, flags), **_given(args, PipelineConfig))
+
+
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    report = run_pipeline(pipeline_config(args))
     print(render_summary(report), end="")
     return 0 if report["passed"] else 1
 
@@ -270,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SocialBenchError, OSError, json.JSONDecodeError) as exc:
+    except (SocialBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,7 @@ from ..errors import (
     MalformedOperation,
     ParseError,
     load_config,
+    read_json,
     utf8_lines,
 )
 from ..model import (
@@ -218,20 +219,10 @@ def serialize(sas: SnapshotAndStream, directory: str | Path) -> None:
         fh.write("\n")
 
 
-def _read_json(path: Path):
-    """The JSON document at path; malformed JSON raises ParseError with
-    the path and line."""
-    text = "".join(utf8_lines(path))
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, exc.msg) from exc
-
-
 def deserialize(directory: str | Path) -> SnapshotAndStream:
     directory = Path(directory)
     path = directory / "dataset.json"
-    meta = _read_json(path)
+    meta = read_json(path)
     try:
         cutoff, retired = parse_instant(meta["cutoff"]), int(meta["retired"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -261,7 +252,7 @@ def read_config(directory: str | Path) -> GenConfig:
     config.json that is not a valid GenConfig raises ParseError naming it."""
     path = Path(directory) / "config.json"
     try:
-        return load_config(GenConfig, _read_json(path), "datagen")
+        return load_config(GenConfig, read_json(path), "datagen")
     except ConfigInvalid as exc:
         raise ParseError(str(path), 1, str(exc)) from exc
 

@@ -152,7 +152,9 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
                 retired += 1
                 continue
             if created < cutoff:
-                snap_coll[ident] = replace(entity, lifecycle=Lifecycle(created, None))
+                # Entities are frozen, so one never deleted is shared as it is.
+                snap_coll[ident] = entity if deleted is None else replace(
+                    entity, lifecycle=Lifecycle(created, None))
             else:
                 # An insert waits for the youngest entity it depends on.
                 dep = max((getattr(graph, parent)[ref].lifecycle.creation

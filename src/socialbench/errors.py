@@ -7,6 +7,7 @@ can catch harness failures without swallowing genuine bugs.
 from __future__ import annotations
 
 import dataclasses
+import json
 import numbers
 import types
 import typing
@@ -98,6 +99,16 @@ def utf8_lines(path):
                 yield raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(str(path), line_no, f"not UTF-8: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON document in the file at path; a file that is not UTF-8 or
+    not JSON raises ParseError with the path and line."""
+    text = "".join(utf8_lines(path))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, exc.msg) from exc
 
 
 class NoQualifyingGroup(SocialBenchError):

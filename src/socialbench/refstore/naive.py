@@ -1,16 +1,16 @@
 """Brute-force twin of the reference store.
 
 Same interface, deliberately different internals: plain dicts of live
-entities and no index at all.  Each query reads every collection it needs
-at most once and builds what lookups it wants (friend sets, interaction
-counts, weighted edges) from that pass; they are dropped when the query
-returns, so nothing derived from the state outlives an operation.  Reply
-chains are walked instead of stored root pointers, and the cheapest path
-is an O(V^2) loop instead of a heap.  An unpinned read runs on the live
-state while holding the store's lock, so no writer commits during it;
-a snapshot pinned with ``begin_read()`` is a literal copy of the state.
-It exists so the two implementations can disagree only when one of them
-is wrong.
+entities and no index at all.  Searches run on scans: a BFS level or a
+CR3 hop is one scan of the knows edges, and the cheapest path takes the
+cheapest reached, unsettled person by a linear scan, with no heap.  The
+lookups a query builds (interaction counts, weighted edges, tentative
+distances) are dropped when it returns: no lookup outlives the query.
+Reply chains are walked instead of stored root pointers.  An unpinned
+read runs on the live state while holding the store's lock, so no writer
+commits during it; a snapshot pinned with ``begin_read()`` is a literal
+copy of the state.  It exists so the two implementations can disagree
+only when one of them is wrong.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _naive_weight(interactions: int) -> int:
 class NaiveStore:
     """Index-free oracle store.
 
-    A query makes one pass over each collection it reads and keeps no
+    A query scans the collections its search reaches and keeps no
     lookup after it returns.  Unpinned reads hold the lock and read the
     live state; ``begin_read()`` snapshots are copies of it.
     """
@@ -237,22 +237,22 @@ class NaiveStore:
         raise IntegrityError(f"unknown query variant {variant}")
 
     @staticmethod
-    def _friends(state: TemporalGraph) -> dict[int, set[int]]:
-        """Everyone's friends, from one scan of the knows edges."""
-        out: dict[int, set[int]] = {}
+    def _neighbours(state: TemporalGraph, persons: set[int]) -> set[int]:
+        """Everyone who knows one of ``persons``: one scan of the knows edges."""
+        out: set[int] = set()
         for (a, b) in state.knows:
-            out.setdefault(a, set()).add(b)
-            out.setdefault(b, set()).add(a)
+            if a in persons:
+                out.add(b)
+            if b in persons:
+                out.add(a)
         return out
 
     def _cr3(self, state: TemporalGraph, params: dict) -> list[dict]:
         root = params["personId"]
         if root not in state.persons:
             return []
-        friends = self._friends(state)
-        candidates = set(friends.get(root, ()))
-        for friend in list(candidates):
-            candidates |= friends[friend]
+        friends = self._neighbours(state, {root})
+        candidates = friends | self._neighbours(state, friends)
         candidates.discard(root)
         cx, cy = params["countryXId"], params["countryYId"]
         start = params["startDate"]
@@ -279,7 +279,6 @@ class NaiveStore:
         source, target = params["person1Id"], params["person2Id"]
         if source not in state.persons or target not in state.persons:
             return {"shortestPathLength": -1}
-        friends = self._friends(state)
         seen = {source}
         frontier = {source}
         hops = 0
@@ -287,8 +286,7 @@ class NaiveStore:
             if target in frontier:
                 return {"shortestPathLength": hops}
             hops += 1
-            frontier = {peer for node in frontier
-                        for peer in friends.get(node, ())} - seen
+            frontier = self._neighbours(state, frontier) - seen
             seen |= frontier
         return {"shortestPathLength": -1}
 
@@ -323,27 +321,31 @@ class NaiveStore:
                 w = _naive_weight(n)
                 edges.setdefault(a, []).append((b, w))
                 edges.setdefault(b, []).append((a, w))
-        unvisited = set(state.persons)
-        dist = dict.fromkeys(unvisited, math.inf)
-        dist[source] = 0
+        # Reached but unsettled persons and their tentative distances.  A
+        # person never reached would only be picked once no reached one is
+        # left, where the search stops, so settling the cheapest of these
+        # by (distance, id) is Dijkstra over every person.
+        tentative = {source: 0}
+        settled: set[int] = set()
         parent: dict[int, int] = {}
-        while unvisited:
-            node = min(unvisited, key=lambda v: (dist[v], v))
-            if math.isinf(dist[node]) or node == target:
+        while tentative:
+            cost, node = min((d, v) for v, d in tentative.items())
+            if node == target:
                 break
-            unvisited.discard(node)
+            del tentative[node]
+            settled.add(node)
             for peer, w in edges.get(node, ()):
-                if peer not in unvisited:
+                if peer in settled:
                     continue
-                if dist[node] + w < dist[peer]:
-                    dist[peer] = dist[node] + w
+                if cost + w < tentative.get(peer, math.inf):
+                    tentative[peer] = cost + w
                     parent[peer] = node
-        if math.isinf(dist[target]):
+        if target not in tentative:
             return None
         path = [target]
         while path[-1] != source:
             path.append(parent[path[-1]])
-        return {"path": path[::-1], "weight": int(dist[target])}
+        return {"path": path[::-1], "weight": tentative[target]}
 
     @staticmethod
     def _root_post(state: TemporalGraph, message: Message) -> Message:

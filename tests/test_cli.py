@@ -3,15 +3,18 @@
 import argparse
 import dataclasses
 import json
+import random
 import shutil
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from socialbench import cli, pipeline
-from socialbench.cli import build_parser, main
+from socialbench.cli import build_parser, main, pipeline_config
 from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cutoff, write_dataset
 from socialbench.driver import DriverConfig
+from socialbench.errors import SocialBenchError
 from socialbench.paramgen import ParamGenOptions
 from socialbench.pipeline import PipelineConfig
 
@@ -171,6 +174,39 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
 
+_SMALL_PIPELINE_CONFIG = json.dumps({
+    "datagen": {"seed": 4, "num_persons": 60, "cutoff_fraction": 0.6},
+    "driver": {"tcr": 0.5, "read_threads": 1, "frequencies": {"CR13a": 10, "CR14b": 20},
+               "triggers": {"sr2_per_cr": 2, "sr2_self_prob": 0.25}},
+    "paramgen": {"per_day": 2, "cr3_duration_days": 14},
+}, indent=2).encode()
+
+_WRONG_TYPES = ["x", None, True, 1.5, -3, [1], {"a": 1}]
+
+
+def _mutate_config(rng) -> tuple[str, bytes]:
+    """One seeded single mutation of the small pipeline config, and its name."""
+    data = _SMALL_PIPELINE_CONFIG
+    kind = rng.choice(["flip", "truncate", "drop-key", "wrong-type"])
+    if kind == "flip":
+        at = rng.randrange(len(data))
+        return kind, data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
+    if kind == "truncate":
+        return kind, data[:rng.randrange(len(data))]
+    doc = json.loads(data)
+    holder = doc
+    while True:
+        key = rng.choice(sorted(holder))
+        if not isinstance(holder[key], dict) or rng.random() < 0.3:
+            break
+        holder = holder[key]
+    if kind == "drop-key":
+        del holder[key]
+    else:
+        holder[key] = rng.choice([v for v in _WRONG_TYPES if type(v) is not type(holder[key])])
+    return kind, json.dumps(doc).encode()
+
+
 class TestBadInput:
     def test_stream_line_missing_a_payload_key(self, tree, tmp_path, capsys):
         dataset = tmp_path / "dataset"
@@ -231,6 +267,39 @@ class TestBadInput:
         code = main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert code == 1
         assert f"invalid config field '{field}'" in capsys.readouterr().err
+
+    def test_seeded_corruption_sweep_of_the_pipeline_config(self, tmp_path):
+        """Seeded single mutations of a pipeline config: each either loads
+        or fails with a SocialBenchError that names the file."""
+        rng = random.Random(20261019)
+        path = tmp_path / "cfg.json"
+        args = build_parser().parse_args(["pipeline", "--config", str(path)])
+        outcomes, escapes = Counter(), []
+        for _ in range(60):
+            kind, damaged = _mutate_config(rng)
+            path.write_bytes(damaged)
+            try:
+                pipeline_config(args)
+                outcomes["loaded"] += 1
+            except SocialBenchError as exc:
+                outcomes["refused"] += 1
+                if str(path) not in str(exc):
+                    escapes.append((kind, damaged, repr(exc)))
+            except Exception as exc:  # any other exception is an escape
+                escapes.append((kind, damaged, repr(exc)))
+        assert escapes == [], "\n".join(map(str, escapes))
+        assert outcomes["refused"] > 20 and outcomes["loaded"] > 5, outcomes
+
+    @pytest.mark.parametrize("damaged", [
+        _SMALL_PIPELINE_CONFIG[:40],
+        _SMALL_PIPELINE_CONFIG.replace(b"datagen", b"data\xffgen"),
+    ], ids=["truncated", "not-utf8"])
+    def test_refused_config_exits_1_naming_the_file(self, tmp_path, capsys, damaged):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(damaged)
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+        assert not (tmp_path / "run").exists()
 
 
 class TestModeratorCascadeOff:

@@ -7,7 +7,9 @@ independent answers for the randomized comparisons.
 
 import ast
 import bisect
+import hashlib
 import inspect
+import json
 import math
 import random
 import sys
@@ -26,6 +28,7 @@ from socialbench.driver import (
     QueryInstance,
     Schedule,
     ScheduleEntry,
+    build_schedule,
     cross_validate,
 )
 from socialbench.errors import (
@@ -35,6 +38,7 @@ from socialbench.errors import (
     UnknownEntity,
 )
 from socialbench.model import COUNTRIES, UpdateOperation, check_temporal_invariants
+from socialbench.paramgen import ParamGenOptions, generate_parameters
 from socialbench.refstore import NaiveStore, ReferenceStore, edge_weight
 from socialbench.refstore import naive as naive_module
 from socialbench.simtime import MS_PER_DAY, SIM_START
@@ -103,10 +107,10 @@ def toy():
     return _toy_store()
 
 
-def _two_routes_of_weight_76():
+def _two_routes_of_weight_76(store_cls=ReferenceStore):
     """A store with two cheapest routes from 31 to 34, both of weight 76:
     31-32-34 (39 + 37) and 31-33-34 (38 + 38)."""
-    store = ReferenceStore()
+    store = store_cls()
     for pid in (31, 32, 33, 34):
         _person(store, pid)
     for a, b in [(31, 32), (32, 34), (31, 33), (33, 34)]:
@@ -927,7 +931,56 @@ class TestNaiveEquivalence:
         assert total == result["weight"]
 
 
+class _AnswerLog:
+    """Delegates to a store, hashing every update result and query answer."""
+
+    def __init__(self, inner):
+        self.inner, self.digest, self.entries = inner, hashlib.sha256(), 0
+
+    def _log(self, result):
+        self.digest.update(json.dumps(result, sort_keys=True).encode() + b"\n")
+        self.entries += 1
+        return result
+
+    def execute_update(self, op):
+        return self._log(self.inner.execute_update(op))
+
+    def execute_query(self, variant, params, snapshot=None):
+        return self._log(self.inner.execute_query(variant, params, snapshot))
+
+
 class TestNaiveStore:
+    def test_cr14_tie_break_follows_person1(self):
+        """The oracle settles persons in the store's (distance, id) order
+        and keeps a parent unless a strictly cheaper one turns up."""
+        store = _two_routes_of_weight_76(NaiveStore)
+        forward = store.execute_query("CR14b", {"person1Id": 31, "person2Id": 34})
+        assert forward == {"path": [31, 33, 34], "weight": 76}
+        backward = store.execute_query("CR14b", {"person1Id": 34, "person2Id": 31})
+        assert backward == {"path": [34, 32, 31], "weight": 76}
+
+    def test_answer_log_is_pinned(self):
+        """Every answer NaiveStore gives over a cross-validated schedule of
+        a dense 300-person world, pinned by hash, so a faster oracle must
+        give exactly the same answers."""
+        cfg = GenConfig(seed=17, num_persons=300, cutoff_fraction=0.9,
+                        degree_exponent=1.7, person_deletion_rate=0.08,
+                        content_scale=2.0)
+        graph = generate_temporal_graph(cfg)
+        sas = split_at_cutoff(graph, cfg)
+        buckets = generate_parameters(graph, sas.cutoff, ParamGenOptions(seed=17),
+                                      simulation_end=cfg.simulation_end)
+        config = DriverConfig(pacing=False, seed=5)
+        schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
+        ref, naive = ReferenceStore(), _AnswerLog(NaiveStore())
+        ref.bulk_load(sas.snapshot)
+        naive.inner.bulk_load(sas.snapshot)
+        outcome = cross_validate(ref, naive, schedule, config)
+        assert outcome["diffCount"] == 0
+        assert naive.entries == outcome["updates"] + outcome["queries"]
+        assert naive.digest.hexdigest() == (
+            "4559d8a1eeb28ef24f5fcd5d254d0d482c87298bbd80df41fd99bd43bd30b5f0")
+
     def test_pinned_snapshot_keeps_a_deleted_edge(self):
         store = NaiveStore()
         for pid in (1, 2, 3):
