@@ -75,6 +75,7 @@ def build_schedule(stream: list[UpdateOperation],
     schedule = Schedule(cutoff=cutoff)
     instance_counts = {variant: 0 for variant in config.frequencies}
     skipped: dict[str, int] = {}
+    frequencies = sorted(config.frequencies.items())
     seq = 0
 
     for op_index, op in enumerate(stream):
@@ -84,12 +85,13 @@ def build_schedule(stream: list[UpdateOperation],
         seq += 1
 
         update_number = op_index + 1
-        for variant, freq in sorted(config.frequencies.items()):
-            if update_number % freq != 0:
-                continue
-            bucket = buckets.get(day_start(op.scheduled_time))
-            if bucket is None:
-                raise MissingBucket(f"no parameter bucket for day of {op.scheduled_time}")
+        firing = [variant for variant, freq in frequencies if update_number % freq == 0]
+        if not firing:
+            continue
+        bucket = buckets.get(day_start(op.scheduled_time))
+        if bucket is None:
+            raise MissingBucket(f"no parameter bucket for day of {op.scheduled_time}")
+        for variant in firing:
             params = bucket.draw(variant, instance_counts[variant])
             instance_counts[variant] += 1
             if params is None:

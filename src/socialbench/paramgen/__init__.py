@@ -6,7 +6,6 @@ from .pathcuration import (
     DayBoundGraphs,
     bfs_distances,
     build_bound_graphs,
-    connected_components,
     curate_reachable_pairs,
     curate_unreachable_pairs,
     sweep_bound_graphs,
@@ -27,7 +26,6 @@ __all__ = [
     "DayBoundGraphs",
     "build_bound_graphs",
     "bfs_distances",
-    "connected_components",
     "curate_reachable_pairs",
     "curate_unreachable_pairs",
     "sweep_bound_graphs",

@@ -23,8 +23,8 @@ from ..simtime import MS_PER_DAY, SIM_END, day_date, day_start, day_starts_betwe
 from ..rng import derive_rng
 from .factors import FactorTable, build_factor_tables
 from .pathcuration import curate_reachable_pairs, curate_unreachable_pairs, sweep_bound_graphs
-from .selection import select_percentile, select_window, select_window_of_rows
-from .sweep import SweptPool
+from .selection import GroupedRows, select_percentile, select_window
+from .sweep import DayEvents, SweptPool, day_span
 
 logger = logging.getLogger(__name__)
 
@@ -80,18 +80,14 @@ def _window_or_all(table: FactorTable, min_group_size: int) -> list[tuple]:
         return [key for key, _ in table.sorted_rows()]
 
 
-def _start_date(eligible: list[tuple[tuple, int]], day_start: int, duration_ms: int,
-                min_group_size: int, rng: random.Random, spreads: dict) -> int:
-    # eligible: the messageCountPerDay rows of the days whose CR3 window
-    # closes by day_start, in sorted_rows order; it grows by a row a day.
-    if eligible:
-        try:
-            window = select_window_of_rows("messageCountPerDay", eligible,
-                                           min_group_size, spreads)
-            return rng.choice(window)[0]
-        except NoQualifyingGroup:
-            pass
-    return day_start - duration_ms
+def _start_date(start_rows: GroupedRows, day_start: int, duration_ms: int,
+                rng: random.Random) -> int:
+    # start_rows: the messageCountPerDay rows of the days whose CR3 window
+    # closes by day_start; it grows by a row a day.
+    try:
+        return rng.choice(start_rows.window())[0]
+    except NoQualifyingGroup:
+        return day_start - duration_ms
 
 
 def generate_parameters(graph: TemporalGraph, cutoff: int,
@@ -132,18 +128,24 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
     cr3_pool, sr2_pool = window_pool(friend_window), window_pool(message_window)
     everyone = pool((pid, pid, persons[pid].lifecycle) for pid in sorted(persons))
     live_messages = pool((mid, mid, messages[mid].lifecycle) for mid in sorted(messages))
+    pools = (cr3_pool, sr2_pool, everyone, live_messages)
     # A day's message count becomes a CR3 start date once a window that
     # starts on it closes by the day drawn for, and stays one.
-    start_rows = pool(((freq, key), (key, freq), Lifecycle(key[0] + duration_ms))
-                      for key, freq in tables["messageCountPerDay"].sorted_rows())
-    pools = (cr3_pool, sr2_pool, everyone, live_messages, start_rows)
-    start_spreads: dict = {}
+    start_rows = GroupedRows("messageCountPerDay", options.min_group_size)
+    start_joins = DayEvents(days)
+    for key, freq in tables["messageCountPerDay"].sorted_rows():
+        start_joins.add(day_span(Lifecycle(key[0] + duration_ms), first_day, days),
+                        (key, freq))
 
     buckets: dict[int, ParameterBucket] = {}
+    rebuilds = 0
     for index, bound in enumerate(sweep_bound_graphs(graph, first_day, days)):
+        rebuilds = bound.ceiling_components.rebuilds
         day = bound.day_start
         for swept in pools:
             swept.advance(index)
+        for key, freq in start_joins.joins[index]:
+            start_rows.insert(key, freq)
         rng = derive_rng(options.seed, index)
         bucket = ParameterBucket(day_start=day)
 
@@ -152,15 +154,14 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
         unreachable = curate_unreachable_pairs(bound, n, seed=rng.randrange(2**32))
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "%s: floor %d persons and %d knows, ceiling %d persons and %d knows; "
-                "%d reachable and %d unreachable pairs", day_date(day),
+                "%s: floor %d persons and %d knows, ceiling %d persons, %d knows and "
+                "%d components; %d reachable and %d unreachable pairs", day_date(day),
                 len(bound.floor_vertices), _edge_count(bound.floor_adj),
                 len(bound.ceiling_vertices), _edge_count(bound.ceiling_adj),
-                len(reachable), len(unreachable))
+                bound.ceiling_components.count, len(reachable), len(unreachable))
 
         cr3_people = cr3_pool.values or everyone.values
-        start_date = _start_date(start_rows.values, day, duration_ms,
-                                 options.min_group_size, rng, start_spreads)
+        start_date = _start_date(start_rows, day, duration_ms, rng)
         for variant, pair in (("CR3a", pair_a), ("CR3b", pair_b)):
             if cr3_people and pair:
                 bucket.params[variant] = [
@@ -191,9 +192,9 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
                 bucket.warnings.append(
                     f"{day_date(day)}: {variant} has {got}/{n} parameter sets")
         buckets[day] = bucket
-    logger.info("curated %d days, %d partial, in %.2f s", len(buckets),
-                sum(bucket.partial for bucket in buckets.values()),
-                time.perf_counter() - started)
+    logger.info("curated %d days, %d partial, ceiling components rebuilt on %d, "
+                "in %.2f s", len(buckets), sum(bucket.partial for bucket in buckets.values()),
+                rebuilds, time.perf_counter() - started)
     return buckets
 
 

@@ -11,6 +11,13 @@ between the two, so:
     they do not);
   * two floor vertices in different ceiling components can never be
     connected during the day, no matter which edges are live.
+
+The days are swept, not rebuilt: each person and knows edge joins and
+leaves each bound once, on the days its lifecycle gives.  The ceiling's
+component labels are swept with it.  Joins only merge components, so on
+a day where nothing leaves the ceiling the joined persons and edges are
+unioned into the day before's labels; on the few days where a person or
+an edge leaves it, the labels are rebuilt from that day's ceiling.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..model import TemporalGraph
+from ..rng import shuffle
 from ..simtime import MS_PER_DAY
-from .sweep import DayEvents, KeyedList, day_span
+from .sweep import Components, DayEvents, KeyedList, day_span
 
 
 @dataclass
@@ -38,6 +46,9 @@ class DayBoundGraphs:
     ceiling_vertices: set[int] = field(default_factory=set)
     floor_adj: dict[int, list[int]] = field(default_factory=dict)
     ceiling_adj: dict[int, list[int]] = field(default_factory=dict)
+    # Union-find labels of the ceiling graph's components; their
+    # `rebuilds` counts the days swept so far on which they were rebuilt.
+    ceiling_components: Components = field(default_factory=Components)
 
 
 def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
@@ -49,7 +60,9 @@ def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
     One DayBoundGraphs is updated in place and yielded for each day, so a
     yielded bound holds only until the next day is drawn.  Every adjacency
     list stays in graph.knows order, as a rebuild from scratch makes it,
-    so searches over it visit vertices in the same order.
+    so searches over it visit vertices in the same order.  The ceiling's
+    components take the day's joins, or are rebuilt on a day where
+    anything leaves the ceiling.
     """
     bound = DayBoundGraphs(day_start=first_day)
     sides = []
@@ -67,6 +80,8 @@ def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
             edges.add(range(max(span.start, span1.start, span2.start),
                             min(span.stop, span1.stop, span2.stop)), (index, p1, p2))
         sides.append((vertices, adj, {}, persons, edges))
+    ceiling_persons, ceiling_edges = sides[1][3:]
+    components = bound.ceiling_components
 
     for index in range(days):
         bound.day_start = first_day + index * MS_PER_DAY
@@ -85,6 +100,13 @@ def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
             for edge_index, p1, p2 in edges.joins[index]:
                 by_edge[p1].insert(edge_index, p2)
                 by_edge[p2].insert(edge_index, p1)
+        if ceiling_persons.leaves[index] or ceiling_edges.leaves[index]:
+            components.rebuild(bound.ceiling_adj)
+        else:
+            for pid in ceiling_persons.joins[index]:
+                components.add(pid)
+            for _, p1, p2 in ceiling_edges.joins[index]:
+                components.union(p1, p2)
         yield bound
 
 
@@ -110,18 +132,6 @@ def bfs_distances(adj: dict[int, list[int]], source: int,
     return dist
 
 
-def connected_components(adj: dict[int, list[int]]) -> dict[int, int]:
-    """Map each vertex to a component label (the smallest id it can reach)."""
-    label: dict[int, int] = {}
-    for start in sorted(adj):
-        if start in label:
-            continue
-        members = bfs_distances(adj, start)
-        for node in members:
-            label[node] = start
-    return label
-
-
 def curate_reachable_pairs(bound: DayBoundGraphs, k: int, count: int,
                            seed: int) -> list[tuple[int, int]]:
     """Up to count distinct person pairs at hop distance exactly k all day.
@@ -132,7 +142,7 @@ def curate_reachable_pairs(bound: DayBoundGraphs, k: int, count: int,
     """
     rng = random.Random(seed)
     sources = sorted(bound.floor_vertices)
-    rng.shuffle(sources)
+    shuffle(rng, sources)
 
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -144,7 +154,7 @@ def curate_reachable_pairs(bound: DayBoundGraphs, k: int, count: int,
         if not targets:
             continue
         ceiling_dist = bfs_distances(bound.ceiling_adj, source, max_depth=k)
-        rng.shuffle(targets)
+        shuffle(rng, targets)
         for target in targets:
             if ceiling_dist.get(target) != k:
                 continue
@@ -163,11 +173,11 @@ def curate_unreachable_pairs(bound: DayBoundGraphs, count: int,
     """Up to count distinct person pairs that no live edge set can
     connect that day."""
     rng = random.Random(seed)
-    label = connected_components(bound.ceiling_adj)
+    floor = sorted(bound.floor_vertices)
     by_component: dict[int, list[int]] = {}
-    for vertex in bound.floor_vertices:
-        by_component.setdefault(label[vertex], []).append(vertex)
-    components = [sorted(vs) for _, vs in sorted(by_component.items())]
+    for vertex, label in zip(floor, bound.ceiling_components.labels(floor)):
+        by_component.setdefault(label, []).append(vertex)
+    components = [by_component[label] for label in sorted(by_component)]
 
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

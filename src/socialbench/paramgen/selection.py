@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left, insort
+from operator import itemgetter
 
 from ..errors import NoQualifyingGroup
 from .factors import FactorTable
@@ -28,44 +30,86 @@ def select_window(table: FactorTable, min_group_size: int) -> list[tuple]:
     flat band keeps the runtime of queries parameterized by these keys
     stable regardless of which key a run draws.
     """
-    return select_window_of_rows(table.name, table.sorted_rows(), min_group_size)
+    grouped = GroupedRows(table.name, min_group_size)
+    for key, freq in table.sorted_rows():
+        grouped.insert(key, freq)
+    return grouped.window()
 
 
-def select_window_of_rows(name: str, rows: list[tuple[tuple, int]], min_group_size: int,
-                          spreads: dict | None = None) -> list[tuple]:
-    """select_window over (key, frequency) rows already in sorted_rows order.
+def _apart(low: int, high: int) -> bool:
+    """Whether a row of frequency high starts a new group after one of low."""
+    return high - low > GAP_FRACTION * max(low, 1)
 
-    spreads memoizes each group's standard deviation and median by its
-    frequencies.  Both are exact over the integers, and so slow; a caller
-    that asks again about nearly the same rows passes one dict each time.
+
+def _rank(group: list[tuple[int, tuple]]) -> tuple:
+    # Exact over the integers, and so slow: a group is ranked once.
+    freqs = [freq for freq, _ in group]
+    return statistics.pstdev(freqs), -len(group), statistics.median(freqs), group[0][1]
+
+
+class GroupedRows:
+    """A factor table's rows, grouped as select_window groups them, under
+    inserts.
+
+    An inserted row never splits a group: its gaps to its neighbours are
+    no wider than theirs was, and the gap allowed only grows with the
+    frequency.  So a row joins the group before it, the group after it,
+    both (merging them) or neither (a group of its own), and only a group
+    it touched is ranked again.
     """
-    spreads = {} if spreads is None else spreads
-    if not rows:
-        raise NoQualifyingGroup(f"{name}: table is empty")
 
-    groups: list[list[tuple[tuple, int]]] = [[rows[0]]]
-    for row in rows[1:]:
-        prev_freq = groups[-1][-1][1]
-        if row[1] - prev_freq > GAP_FRACTION * max(prev_freq, 1):
-            groups.append([row])
+    __slots__ = ("name", "min_group_size", "_groups", "_ranks")
+
+    def __init__(self, name: str, min_group_size: int):
+        self.name = name
+        self.min_group_size = min_group_size
+        # Each group's (frequency, key) rows in sorted_rows order, and its
+        # rank once one is asked for.
+        self._groups: list[list[tuple[int, tuple]]] = []
+        self._ranks: list[tuple | None] = []
+
+    def insert(self, key: tuple, freq: int) -> None:
+        row = (freq, key)
+        groups, ranks = self._groups, self._ranks
+        after = bisect_left(groups, row, key=itemgetter(0))
+        before = after - 1
+        if before >= 0 and row < groups[before][-1]:
+            insort(groups[before], row)
+            ranks[before] = None
+            return
+        join_before = before >= 0 and not _apart(groups[before][-1][0], freq)
+        join_after = after < len(groups) and not _apart(freq, groups[after][0][0])
+        if join_before and join_after:
+            groups[before] += [row] + groups.pop(after)
+            del ranks[after]
+            ranks[before] = None
+        elif join_before:
+            groups[before].append(row)
+            ranks[before] = None
+        elif join_after:
+            groups[after].insert(0, row)
+            ranks[after] = None
         else:
-            groups[-1].append(row)
+            groups.insert(after, [row])
+            ranks.insert(after, None)
 
-    qualifying = [g for g in groups if len(g) >= min_group_size]
-    if not qualifying:
-        raise NoQualifyingGroup(
-            f"{name}: no group of size >= {min_group_size} (largest was "
-            f"{max(len(g) for g in groups)})")
-
-    def rank(group: list[tuple[tuple, int]]):
-        freqs = tuple(f for _, f in group)
-        if freqs not in spreads:
-            spreads[freqs] = statistics.pstdev(freqs), statistics.median(freqs)
-        spread, median = spreads[freqs]
-        return (spread, -len(group), median, group[0][0])
-
-    best = min(qualifying, key=rank)
-    return [key for key, _ in best]
+    def window(self) -> list[tuple]:
+        """select_window over the rows inserted so far."""
+        groups, ranks = self._groups, self._ranks
+        if not groups:
+            raise NoQualifyingGroup(f"{self.name}: table is empty")
+        best = None
+        for index, group in enumerate(groups):
+            if len(group) >= self.min_group_size:
+                if ranks[index] is None:
+                    ranks[index] = _rank(group)
+                if best is None or ranks[index] < ranks[best]:
+                    best = index
+        if best is None:
+            raise NoQualifyingGroup(
+                f"{self.name}: no group of size >= {self.min_group_size} (largest was "
+                f"{max(map(len, groups))})")
+        return [key for _, key in groups[best]]
 
 
 def select_percentile(table: FactorTable, p: float) -> tuple | None:

@@ -6,7 +6,8 @@ alive at some instant of it (the ceiling rule).  A lifecycle is one
 half-open interval, so the days on which it counts form one contiguous
 range of day indices.  A sweep computes that range once per entity and
 applies the joins and leaves as the days advance, instead of testing
-every entity again on every day.
+every entity again on every day.  Components keeps a graph's connected
+components under such joins.
 """
 
 from __future__ import annotations
@@ -98,3 +99,68 @@ class SweptPool(KeyedList):
             self.remove(key)
         for key, value in self._events.joins[index]:
             self.insert(key, value)
+
+
+class Components:
+    """Connected components of a graph that gains vertices and edges
+    (union-find).  A component's label is its smallest vertex, so a union
+    makes the smaller root the parent.
+
+    Removals are not supported: after one, rebuild from the adjacency.
+    """
+
+    __slots__ = ("parent", "count", "rebuilds")
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+        self.count = 0
+        self.rebuilds = 0
+
+    def add(self, vertex: int) -> None:
+        self.parent[vertex] = vertex
+        self.count += 1
+
+    def label(self, vertex: int) -> int:
+        """The smallest vertex of vertex's component."""
+        parent = self.parent
+        while (up := parent[vertex]) != vertex:
+            # Path halving: point every other vertex on the way at its
+            # grandparent.
+            parent[vertex] = vertex = parent[up]
+        return vertex
+
+    def labels(self, vertices: list[int]) -> list[int]:
+        """The label of each of vertices, in order."""
+        parent, label = self.parent, self.label
+        # Most vertices hang right below their root; the rest take a walk.
+        ups = [parent[vertex] for vertex in vertices]
+        return [up if parent[up] == up else label(vertex)
+                for vertex, up in zip(vertices, ups)]
+
+    def union(self, a: int, b: int) -> None:
+        a, b = self.label(a), self.label(b)
+        if a != b:
+            if a < b:
+                self.parent[b] = a
+            else:
+                self.parent[a] = b
+            self.count -= 1
+
+    def rebuild(self, adj: dict[int, list[int]]) -> None:
+        """Label the components of adj from scratch, one search each from
+        its smallest vertex, which every member then points at."""
+        parent: dict[int, int] = {}
+        self.count = 0
+        self.rebuilds += 1
+        for root in sorted(adj):
+            if root in parent:
+                continue
+            self.count += 1
+            parent[root] = root
+            stack = [root]
+            while stack:
+                for peer in adj[stack.pop()]:
+                    if peer not in parent:
+                        parent[peer] = root
+                        stack.append(peer)
+        self.parent = parent

@@ -20,7 +20,6 @@ from socialbench.paramgen import (
     bfs_distances,
     build_bound_graphs,
     build_factor_tables,
-    connected_components,
     curate_reachable_pairs,
     curate_unreachable_pairs,
     generate_parameters,
@@ -30,6 +29,7 @@ from socialbench.paramgen import (
     sweep_bound_graphs,
     write_buckets,
 )
+from socialbench.paramgen.selection import GroupedRows
 from socialbench.paramgen.sweep import SweptPool
 from socialbench.simtime import MS_PER_DAY, SIM_END, SIM_START, day_start, parse_day
 
@@ -62,24 +62,51 @@ class TestSelectWindow:
            st.integers(min_value=1, max_value=6))
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, freqs, min_size):
-        """Independent re-derivation: enumerate gap-delimited runs over the
-        sorted rows and rank them by (stdev, -size, median, first key)."""
+        """select_window against an independent re-derivation."""
         table = _table(freqs)
-        rows = table.sorted_rows()
-        groups = [[rows[0]]]
-        for prev, cur in zip(rows, rows[1:]):
-            if cur[1] - prev[1] > 0.05 * max(prev[1], 1):
-                groups.append([])
-            groups[-1].append(cur)
-        candidates = [g for g in groups if len(g) >= min_size]
-        if not candidates:
+        best = _brute_force_window(table.sorted_rows(), min_size)
+        if best is None:
             with pytest.raises(NoQualifyingGroup):
                 select_window(table, min_size)
             return
-        best = min(candidates, key=lambda g: (
-            statistics.pstdev([f for _, f in g]), -len(g),
-            statistics.median(f for _, f in g), g[0][0]))
-        assert select_window(table, min_size) == [k for k, _ in best]
+        assert select_window(table, min_size) == best
+
+    @given(st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=60),
+           st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_grouped_rows_under_inserts_in_any_order(self, freqs, min_size, rnd):
+        """Rows inserted in any order group and rank as the rows so far do
+        from scratch, after every insert."""
+        rows = _table(freqs).sorted_rows()
+        rnd.shuffle(rows)
+        grouped = GroupedRows("t", min_size)
+        for count, (key, freq) in enumerate(rows, start=1):
+            grouped.insert(key, freq)
+            best = _brute_force_window(sorted(rows[:count], key=lambda r: (r[1], r[0])),
+                                       min_size)
+            if best is None:
+                with pytest.raises(NoQualifyingGroup):
+                    grouped.window()
+            else:
+                assert grouped.window() == best
+
+
+def _brute_force_window(rows, min_size):
+    """Independent re-derivation: enumerate gap-delimited runs over the
+    sorted rows and rank them by (stdev, -size, median, first key).  None
+    when no run is large enough."""
+    groups = [[rows[0]]]
+    for prev, cur in zip(rows, rows[1:]):
+        if cur[1] - prev[1] > 0.05 * max(prev[1], 1):
+            groups.append([])
+        groups[-1].append(cur)
+    candidates = [g for g in groups if len(g) >= min_size]
+    if not candidates:
+        return None
+    best = min(candidates, key=lambda g: (
+        statistics.pstdev([f for _, f in g]), -len(g),
+        statistics.median(f for _, f in g), g[0][0]))
+    return [k for k, _ in best]
 
 
 class TestSelectPercentile:
@@ -310,6 +337,26 @@ class TestSweepMatchesRebuild:
             count += 1
         assert count == days
 
+    def test_ceiling_labels(self, world, graph):
+        """The swept ceiling labels equal a fresh labelling on every day of
+        both worlds, and each world took both ways of keeping them: joins
+        unioned into the day before's labels, and a rebuild."""
+        first = day_start(SIM_START)
+        days = len(range(first, SIM_END, MS_PER_DAY))
+        for each in (graph, world):
+            kept = {"unioned": 0, "rebuilt": 0}
+            rebuilds = 0
+            for bound in sweep_bound_graphs(each, first, days):
+                components = bound.ceiling_components
+                expected = connected_components(bound.ceiling_adj)
+                vertices = sorted(bound.ceiling_vertices)
+                assert components.labels(vertices) == [expected[v] for v in vertices]
+                assert {v: components.label(v) for v in vertices} == expected
+                assert components.count == len(set(expected.values()))
+                kept["rebuilt" if components.rebuilds > rebuilds else "unioned"] += 1
+                rebuilds = components.rebuilds
+            assert kept["unioned"] >= 1 and kept["rebuilt"] >= 1, kept
+
     def test_live_message_pool(self, world):
         first = day_start(cutoff_instant(_DELETIONS_WORLD))
         days = len(range(first, SIM_END, MS_PER_DAY))
@@ -321,6 +368,17 @@ class TestSweepMatchesRebuild:
             assert pool.values == [
                 mid for mid, msg in sorted(world.messages.items())
                 if msg.lifecycle.alive_throughout(day, day + MS_PER_DAY)], day
+
+
+def connected_components(adj):
+    """Map each vertex to a component label (the smallest id it can reach),
+    one breadth-first search per component."""
+    label = {}
+    for start in sorted(adj):
+        if start not in label:
+            for node in bfs_distances(adj, start):
+                label[node] = start
+    return label
 
 
 class TestBfsHelpers:
@@ -573,20 +631,37 @@ class TestBuckets:
         assert len(set(picks[0])) > 1
 
     def test_progress_is_logged(self, caplog):
-        cfg = GenConfig(seed=9, num_persons=60, cutoff_fraction=0.98)
-        graph = generate_temporal_graph(cfg)
-        with caplog.at_level(logging.DEBUG, logger="socialbench.paramgen.buckets"):
-            buckets = generate_parameters(graph, cutoff_instant(cfg),
-                                          ParamGenOptions(per_day=2))
-        records = [r for r in caplog.records if r.name == "socialbench.paramgen.buckets"]
-        per_day = [r for r in records if r.levelno == logging.DEBUG]
-        assert len(per_day) == len(buckets)
-        assert all("floor" in r.getMessage() and "ceiling" in r.getMessage()
-                   and "pairs" in r.getMessage() for r in per_day)
-        done = [r for r in records if r.levelno == logging.INFO]
-        assert len(done) == 1
-        partial = sum(bucket.partial for bucket in buckets.values())
-        assert f"curated {len(buckets)} days, {partial} partial" in done[0].getMessage()
+        """One DEBUG line a day with the ceiling's component count, and one
+        INFO line with the days on which something left the ceiling."""
+        worlds = (GenConfig(seed=9, num_persons=60, cutoff_fraction=0.98), _DELETIONS_WORLD)
+        for cfg, least_rebuilt in zip(worlds, (0, 1)):
+            caplog.clear()
+            graph = generate_temporal_graph(cfg)
+            with caplog.at_level(logging.DEBUG, logger="socialbench.paramgen.buckets"):
+                buckets = generate_parameters(graph, cutoff_instant(cfg),
+                                              ParamGenOptions(per_day=2))
+            records = [r for r in caplog.records if r.name == "socialbench.paramgen.buckets"]
+            per_day = [r.getMessage() for r in records if r.levelno == logging.DEBUG]
+            assert len(per_day) == len(buckets)
+            assert all("floor" in line and "ceiling" in line and "pairs" in line
+                       for line in per_day)
+            days = len(buckets)
+            counts, rebuilt = [], 0
+            before = (set(), set())
+            for bound in sweep_bound_graphs(graph, min(buckets), days):
+                counts.append(len(set(connected_components(bound.ceiling_adj).values())))
+                now = (set(bound.ceiling_vertices),
+                       {(a, b) for a, peers in bound.ceiling_adj.items() for b in peers})
+                rebuilt += bool(before[0] - now[0] or before[1] - now[1])
+                before = now
+            assert [f"{count} components;" in line
+                    for line, count in zip(per_day, counts)] == [True] * days
+            assert rebuilt >= least_rebuilt
+            done = [r for r in records if r.levelno == logging.INFO]
+            assert len(done) == 1
+            partial = sum(bucket.partial for bucket in buckets.values())
+            assert (f"curated {days} days, {partial} partial, ceiling components rebuilt "
+                    f"on {rebuilt}, in ") in done[0].getMessage()
 
     def test_options_validation(self):
         with pytest.raises(ConfigInvalid):

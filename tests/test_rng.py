@@ -1,4 +1,5 @@
-"""derive_rng: the same streams as random.Random(repr(parts)), seeded late."""
+"""derive_rng: the same streams as random.Random(repr(parts)), seeded late;
+shuffle: the same order and draws as random.Random.shuffle."""
 
 import copy
 import pickle
@@ -6,7 +7,7 @@ import random
 
 import pytest
 
-from socialbench.rng import derive_rng
+from socialbench.rng import derive_rng, shuffle
 
 PARTS = (7, 123, (4, 0))
 
@@ -61,3 +62,14 @@ def test_explicit_seed_and_setstate_replace_the_pending_key():
 def test_copies_draw_the_same_stream(clone):
     expected = random.Random(repr(PARTS))
     assert clone(derive_rng(*PARTS)).random() == expected.random()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 17, 64, 65, 1000])
+@pytest.mark.parametrize("seed", range(5))
+def test_shuffle_draws_what_random_shuffle_draws(size, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    items, expected = list(range(size)), list(range(size))
+    shuffle(ours, items)
+    theirs.shuffle(expected)
+    assert items == expected
+    assert ours.random() == theirs.random()
