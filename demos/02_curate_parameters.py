@@ -55,9 +55,9 @@ def main():
     floor_edges = sum(len(v) for v in bound.floor_adj.values()) // 2
     ceiling_edges = sum(len(v) for v in bound.ceiling_adj.values()) // 2
     print(f"\nbound graphs for {day_date(day)}:")
-    print(f"  floor:   {len(bound.floor_vertices):4d} persons, "
+    print(f"  floor:   {len(bound.floor_adj):4d} persons, "
           f"{floor_edges:4d} friendships (alive all day)")
-    print(f"  ceiling: {len(bound.ceiling_vertices):4d} persons, "
+    print(f"  ceiling: {len(bound.ceiling_adj):4d} persons, "
           f"{ceiling_edges:4d} friendships (alive at some point)")
 
     reachable = curate_reachable_pairs(bound, k=4, count=5, seed=1)

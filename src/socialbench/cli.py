@@ -134,6 +134,8 @@ def cmd_driver(args: argparse.Namespace) -> int:
 
 
 def cmd_acid(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise ConfigInvalid("runs", "must be at least 1")
     store_factory = _STORES[args.store]
     names = list(_SCENARIOS) if args.scenario == "all" else [args.scenario]
     results = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigInvalid, check_config_types
@@ -43,7 +44,7 @@ class GenConfig:
             raise ConfigInvalid("cutoff_fraction", "must be in (0, 1]")
         if self.t_safe <= 0:
             raise ConfigInvalid("t_safe", "must be positive")
-        if self.degree_exponent <= 1.0:
+        if not self.degree_exponent > 1.0:
             raise ConfigInvalid("degree_exponent", "must exceed 1")
         if not 0.0 <= self.homophily_weight <= 1.0:
             raise ConfigInvalid("homophily_weight", "must be in [0, 1]")
@@ -51,5 +52,5 @@ class GenConfig:
             raise ConfigInvalid("flashmob_count", "must be non-negative")
         if not 0.0 <= self.person_deletion_rate <= 1.0:
             raise ConfigInvalid("person_deletion_rate", "must be in [0, 1]")
-        if self.content_scale <= 0:
-            raise ConfigInvalid("content_scale", "must be positive")
+        if not 0 < self.content_scale < math.inf:
+            raise ConfigInvalid("content_scale", "must be positive and finite")

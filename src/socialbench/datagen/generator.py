@@ -16,17 +16,17 @@ its own sampled removal, which must come at least t_safe before the first
 deletion among the parents it dies with (its cascade parents), or else
 that first deletion, at the same instant as the root.
 
-The world is numpy's PCG64 stream from default_rng(seed); _Draws takes its bounded
-draws in Python, draw for draw as numpy does, and golden hashes in the tests pin it.
+Every draw comes from one random.Random(seed), so the world is pinned to
+CPython's random algorithms; golden hashes in the tests pin it.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import random
 import time
-from bisect import bisect_right
-
-import numpy as np
+from itertools import accumulate
 
 from ..model import (
     COLLECTIONS,
@@ -46,6 +46,7 @@ from ..model import (
     TemporalGraph,
     cascade_parents,
 )
+from ..rng import shuffle
 from ..simtime import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE
 from .config import GenConfig
 
@@ -84,9 +85,6 @@ CREATION_LAG = {
 
 logger = logging.getLogger(__name__)
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 def generate_temporal_graph(config: GenConfig) -> TemporalGraph:
     """Generate the full temporal graph for a config. Deterministic per seed."""
@@ -102,116 +100,46 @@ def _counts(graph: TemporalGraph) -> str:
     return ", ".join(f"{len(getattr(graph, c))} {c}" for c in COLLECTIONS)
 
 
-class _Draws:
-    """The draws of a numpy Generator that take 32-bit words, in Python.
-
-    A scalar Generator.integers call costs microseconds of call overhead.
-    These take the same raw PCG64 words by numpy's own algorithms, so both
-    the stream and every result are numpy's: Lemire's bounded integers on
-    the word's low then high 32-bit half (the high half kept for the next
-    draw, as PCG64 keeps it), or on whole words for bounds above 2**32,
-    and shuffle's masked rejection.  numpy's own half-word buffer stays
-    empty, so no numpy call that draws 32 bits may be made alongside;
-    random, exponential, poisson, normal and zipf draw whole words.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._raw = rng.bit_generator.random_raw
-        self.random = rng.random
-        self._half: int | None = None
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is None:
-            word = self._raw()
-            self._half = word >> 32
-            return word & _MASK32
-        self._half = None
-        return half
-
-    def below(self, n: int) -> int:
-        """Generator.integers(n), for n >= 1: Lemire's method on a
-        half-word for n <= 2**32, else on a whole word."""
-        if n > 1 << 32:
-            m = self._raw() * n
-            if m & _MASK64 < n:
-                threshold = (1 << 64) % n
-                while m & _MASK64 < threshold:
-                    m = self._raw() * n
-            return m >> 64
-        if n == 1:
-            return 0
-        # _uint32() inline: nearly every draw of the generator comes here.
-        half = self._half
-        if half is None:
-            word = self._raw()
-            self._half = word >> 32
-            m = (word & _MASK32) * n
-        else:
-            self._half = None
-            m = half * n
-        if m & _MASK32 < n:
-            threshold = (1 << 32) % n
-            while m & _MASK32 < threshold:
-                m = self._uint32() * n
-        return m >> 32
-
-    def shuffle(self, items: list) -> None:
-        """Generator.shuffle, in place: Fisher-Yates from the back, each
-        index drawn by masked rejection."""
-        for i in range(len(items) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self._uint32() & mask
-            while j > i:
-                j = self._uint32() & mask
-            items[i], items[j] = items[j], items[i]
-
-    def pick(self, cdf: list[float]) -> int:
-        """Generator.choice(len(p), p=p), given cdf = _cumulative(p)."""
-        return bisect_right(cdf, self.random())
-
-    def picks(self, p: np.ndarray, cdf: list[float], k: int) -> list[int]:
-        """Generator.choice(len(p), size=k, replace=False, p=p), given
-        cdf = _cumulative(p): numpy draws the picks still missing in rounds,
-        each against p with the picks found so far weighted zero."""
-        found: list[int] = []
-        while len(found) < k:
-            draws = self.random(k - len(found)).tolist()
-            if found:
-                weights = p.copy()
-                weights[found] = 0.0
-                cdf = _cumulative(weights)
-            for x in draws:
-                i = bisect_right(cdf, x)
-                if i not in found:
-                    found.append(i)
-        return found
-
-    def sample(self, n: int, k: int) -> list[int]:
-        """Generator.choice(n, size=k, replace=False), for n <= 10000:
-        Floyd's algorithm, then a shuffle of the picks by bounded draws."""
-        picks: list[int] = []
-        for j in range(n - k, n):
-            value = self.below(j + 1)
-            picks.append(j if value in picks else value)
-        for i in range(k - 1, 0, -1):
-            j = self.below(i + 1)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
+def _poisson(rng: random.Random, lam: float) -> int:
+    """A Poisson(lam) count: Knuth's product of uniforms, one slice of lam
+    at most 500 at a time (counts of the slices sum to a Poisson(lam)
+    count), so exp(-slice) never underflows."""
+    count = 0
+    while lam > 0:
+        part = min(lam, 500.0)
+        lam -= part
+        limit = math.exp(-part)
+        product = rng.random()
+        while product > limit:
+            count += 1
+            product *= rng.random()
+    return count
 
 
-def _cumulative(p) -> list[float]:
-    """The normalized cumulative sums Generator.choice searches for p."""
-    cdf = np.cumsum(p, dtype=float)
-    cdf /= cdf[-1]
-    return cdf.tolist()
+def _zipf(rng: random.Random, a: float) -> int:
+    """A Zipf(a) draw, a > 1, by numpy's rejection loop.  A draw above
+    e**43 is drawn again, as numpy redraws one past the 64-bit integers;
+    testing it on the logarithm keeps u ** (-1 / (a - 1)) from
+    overflowing a float when a is close to 1."""
+    if a >= 1025:
+        return 1
+    am1 = a - 1.0
+    b = 2.0**am1
+    while True:
+        u = 1.0 - rng.random()
+        v = rng.random()
+        if -math.log(u) > 43 * am1:
+            continue
+        x = math.floor(u ** (-1.0 / am1))
+        t = (1.0 + 1.0 / x) ** am1
+        if v * x * (t - 1.0) / (b - 1.0) <= t / b:
+            return x
 
 
 class _Builder:
     def __init__(self, config: GenConfig):
         self.cfg = config
-        self.rng = np.random.default_rng(config.seed)
-        self.draw = _Draws(self.rng)
+        self.rng = random.Random(config.seed)
         self.graph = TemporalGraph()
         self.start = config.simulation_start
         self.end = config.simulation_end
@@ -232,20 +160,17 @@ class _Builder:
 
     # -- small sampling helpers -------------------------------------------
 
-    def _instant(self, lo: int, hi: int) -> int:
-        return lo + self.draw.below(hi - lo + 1)
-
     def _lagged_instant(self, lo: int, hi: int, kind: str) -> int:
         """Draw a creation instant a decaying lag after its lower bound."""
         span = hi - lo
-        lag = CREATION_LAG[kind]
-        exponential = self.rng.exponential
-        offset = int(exponential(lag))
+        rate = 1.0 / CREATION_LAG[kind]
+        expovariate = self.rng.expovariate
+        offset = int(expovariate(rate))
         for _ in range(4):
             if offset <= span:
                 return lo + offset
-            offset = int(exponential(lag))
-        return lo + self.draw.below(span + 1)
+            offset = int(expovariate(rate))
+        return lo + self.rng.randrange(span + 1)
 
     def _window(self, collection: str, **refs) -> tuple[int, int, int | None] | None:
         """Where an entity of collection may be placed, given its parents'
@@ -284,7 +209,7 @@ class _Builder:
         creation = self._lagged_instant(lo, hi, kind)
         prob, mean = OWN_DELETE[kind]
         if self.rng.random() < prob:
-            d = creation + max(self.t_safe, int(self.rng.exponential(mean)))
+            d = creation + max(self.t_safe, int(self.rng.expovariate(1.0 / mean)))
             if d < self.end and (bound is None or d <= bound - self.t_safe):
                 return Lifecycle(creation, d)
         return Lifecycle(creation, bound)
@@ -307,37 +232,35 @@ class _Builder:
         n = self.cfg.num_persons
         if n == 0:
             return
-        draw = self.draw
+        rng = self.rng
         window = self.end - self.start
-        ranks = np.arange(1, len(COUNTRIES) + 1, dtype=float)
-        country_p = ranks**-0.7
-        country_p /= country_p.sum()
-        country_cdf = _cumulative(country_p)
-        tag_ranks = np.arange(1, len(TAGS) + 1, dtype=float) ** -0.6
-        tag_p = tag_ranks / tag_ranks.sum()
-        tag_cdf = _cumulative(tag_p)
+        country_weights = list(accumulate(r**-0.7 for r in range(1, len(COUNTRIES) + 1)))
+        tag_weights = list(accumulate(r**-0.6 for r in range(1, len(TAGS) + 1)))
         for pid in range(1, n + 1):
-            country = COUNTRIES[draw.pick(country_cdf)]
-            first = country.first_names[draw.below(len(country.first_names))]
-            last = country.last_names[draw.below(len(country.last_names))]
+            country = rng.choices(COUNTRIES, cum_weights=country_weights)[0]
+            first = rng.choice(country.first_names)
+            last = rng.choice(country.last_names)
             university = None
             unis = UNIVERSITIES_BY_COUNTRY.get(country.id, ())
-            if unis and self.rng.random() < 0.55:
-                university = unis[draw.below(len(unis))].id
-            tag_count = min(5, 1 + int(self.rng.poisson(1.5)))
-            tags = frozenset(TAGS[i].id for i in draw.picks(tag_p, tag_cdf, tag_count))
+            if unis and rng.random() < 0.55:
+                university = rng.choice(unis).id
+            tag_count = min(5, 1 + _poisson(rng, 1.5))
+            # Distinct tags, each drawn by weight; a repeat is drawn again.
+            tags: set[int] = set()
+            while len(tags) < tag_count:
+                tags.add(rng.choices(TAGS, cum_weights=tag_weights)[0].id)
 
-            creation = self._instant(self.start, self.start + int(window * 0.85))
+            creation = rng.randint(self.start, self.start + int(window * 0.85))
             deletion = None
-            if self.rng.random() < self.cfg.person_deletion_rate:
-                lifetime = max(4 * self.t_safe, int(self.rng.exponential(window * 0.5)))
+            if rng.random() < self.cfg.person_deletion_rate:
+                lifetime = max(4 * self.t_safe, int(rng.expovariate(1.0 / (window * 0.5))))
                 d = creation + lifetime
                 if d < self.end:
                     deletion = d
             self._friends[pid] = []
             self.graph.persons[pid] = Person(
                 id=pid, first_name=first, last_name=last, country_id=country.id,
-                university_id=university, tag_interests=tags,
+                university_id=university, tag_interests=frozenset(tags),
                 lifecycle=Lifecycle(creation, deletion))
 
     def _sample_knows(self) -> None:
@@ -356,8 +279,8 @@ class _Builder:
             return
         ids = sorted(persons)
         cap = min(n - 1, MAX_TARGET_DEGREE)
-        targets = np.minimum(self.rng.zipf(self.cfg.degree_exponent, size=n), cap)
-        remaining = {pid: int(t) for pid, t in zip(ids, targets)}
+        targets = [min(_zipf(self.rng, self.cfg.degree_exponent), cap) for _ in ids]
+        remaining = dict(zip(ids, targets))
 
         by_university: dict[int, list[int]] = {}
         by_country: dict[int, list[int]] = {}
@@ -380,19 +303,18 @@ class _Builder:
             pools += [by_tag[t] for t in sorted(p.tag_interests)]
             peer_pools[pid] = [pool for pool in pools if len(pool) > 1]
 
-        stubs = np.repeat(np.array(ids, dtype=np.int64), targets).tolist()
-        self.draw.shuffle(stubs)
+        stubs = [pid for pid, target in zip(ids, targets) for _ in range(target)]
+        shuffle(self.rng, stubs)
         pair_keys: set[tuple[int, int]] = set()
-        below = self.draw.below
+        choice = self.rng.choice
         random = self.rng.random
         homophily = self.cfg.homophily_weight
 
         def pick_from(pool: list[int], me: int, tries: int) -> int | None:
             """The first of tries uniform draws from pool that may still
             become a new friend of me."""
-            size = len(pool)
             for _ in range(tries):
-                cand = pool[below(size)]
+                cand = choice(pool)
                 if (cand != me and remaining[cand] > 0
                         and ((me, cand) if me < cand else (cand, me)) not in pair_keys):
                     return cand
@@ -434,7 +356,7 @@ class _Builder:
         count = max(1, round(FORUMS_PER_PERSON * len(persons)))
         ids = sorted(persons)
         for _ in range(count):
-            moderator = ids[self.draw.below(len(ids))]
+            moderator = self.rng.choice(ids)
             win = self._window("forums", moderator_person_id=moderator)
             if win is None:
                 continue
@@ -465,24 +387,23 @@ class _Builder:
             forum = self.graph.forums[fid]
             self._join(fid, forum.moderator_person_id)
             mod_country = persons[forum.moderator_person_id].country_id
-            n = 1 + int(self.rng.poisson(MEAN_MEMBERS_PER_FORUM * self.scale))
+            n = 1 + _poisson(self.rng, MEAN_MEMBERS_PER_FORUM * self.scale)
             for _ in range(n):
                 if self.rng.random() < 0.5:
                     pool = by_country[mod_country]
                 else:
                     pool = ids
-                self._join(fid, pool[self.draw.below(len(pool))])
+                self._join(fid, self.rng.choice(pool))
 
     def _message_country(self, author: Person) -> int:
         # Mostly the author's home country; sometimes written while abroad.
         if self.rng.random() < 0.75:
             return author.country_id
-        return COUNTRIES[self.draw.below(len(COUNTRIES))].id
+        return self.rng.choice(COUNTRIES).id
 
     def _message_tags(self, author: Person, extra: int | None = None) -> frozenset[int]:
         interests = sorted(author.tag_interests)
-        k = min(len(interests), self.draw.below(3))
-        picks = {interests[i] for i in self.draw.sample(len(interests), k)}
+        picks = set(self.rng.sample(interests, min(len(interests), self.rng.randrange(3))))
         if extra is not None:
             picks.add(extra)
         return frozenset(picks)
@@ -520,18 +441,18 @@ class _Builder:
             members = self._forum_members[fid]
             if not members:
                 continue
-            n_posts = int(self.rng.poisson(MEAN_POSTS_PER_FORUM * self.scale))
+            n_posts = _poisson(self.rng, MEAN_POSTS_PER_FORUM * self.scale)
             for _ in range(n_posts):
-                author_id = members[self.draw.below(len(members))]
+                author_id = self.rng.choice(members)
                 post = self._add_message(author_id, fid, None)
                 if post is None:
                     continue
                 thread = [post]
-                n_comments = int(self.rng.poisson(MEAN_COMMENTS_PER_POST * self.scale))
+                n_comments = _poisson(self.rng, MEAN_COMMENTS_PER_POST * self.scale)
                 for _ in range(n_comments):
-                    parent = thread[self.draw.below(len(thread))]
+                    parent = self.rng.choice(thread)
                     commenter_pool = members + self._friends.get(parent.creator_person_id, [])
-                    author_id = commenter_pool[self.draw.below(len(commenter_pool))]
+                    author_id = self.rng.choice(commenter_pool)
                     comment = self._add_message(author_id, None, parent)
                     if comment is not None:
                         thread.append(comment)
@@ -539,7 +460,7 @@ class _Builder:
     def _sample_likes(self) -> None:
         for mid in sorted(self.graph.messages):
             msg = self.graph.messages[mid]
-            n = int(self.rng.poisson(MEAN_LIKES_PER_MESSAGE * self.scale))
+            n = _poisson(self.rng, MEAN_LIKES_PER_MESSAGE * self.scale)
             if n == 0:
                 continue
             root = self.graph.messages[msg.root_post_id]
@@ -549,7 +470,7 @@ class _Builder:
             if not pool:
                 continue
             for _ in range(n):
-                pid = pool[self.draw.below(len(pool))]
+                pid = self.rng.choice(pool)
                 if (pid, mid) in self.graph.likes:
                     continue
                 win = self._window("likes", person_id=pid, message_id=mid)
@@ -564,11 +485,11 @@ class _Builder:
         window = self.end - self.start
         forum_ids = sorted(self.graph.forums)
         for _ in range(self.cfg.flashmob_count):
-            center = self._instant(self.start + int(window * 0.1), self.end - int(window * 0.1))
-            tag = TAGS[self.draw.below(len(TAGS))].id
+            center = self.rng.randint(self.start + int(window * 0.1), self.end - int(window * 0.1))
+            tag = self.rng.choice(TAGS).id
             forum = None
             for _ in range(30):
-                fid = forum_ids[self.draw.below(len(forum_ids))]
+                fid = self.rng.choice(forum_ids)
                 f = self.graph.forums[fid]
                 lo = center - 2 * MS_PER_HOUR
                 hi = center + 2 * MS_PER_HOUR
@@ -578,14 +499,14 @@ class _Builder:
             if forum is None:
                 continue
             members = self._forum_members[forum.id]
-            size = 15 + int(self.rng.poisson(20 * self.scale))
+            size = 15 + _poisson(self.rng, 20 * self.scale)
             burst: list[Message] = []
             for _ in range(size):
-                at = int(self.rng.normal(center, 35 * MS_PER_MINUTE))
-                author_id = members[self.draw.below(len(members))]
+                at = int(self.rng.gauss(center, 35 * MS_PER_MINUTE))
+                author_id = self.rng.choice(members)
                 parent = None
                 if burst and self.rng.random() < 0.6:
-                    parent = burst[self.draw.below(len(burst))]
+                    parent = self.rng.choice(burst)
                 msg = self._add_message(author_id, forum.id if parent is None else None,
                                         parent, tag, at)
                 if msg is not None:

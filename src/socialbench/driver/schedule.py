@@ -15,7 +15,7 @@ from fractions import Fraction
 from ..errors import MissingBucket
 from ..model import UpdateOperation
 from ..paramgen.buckets import ParameterBucket
-from ..simtime import day_start
+from ..simtime import day_date, day_start
 from .config import DriverConfig
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def build_schedule(stream: list[UpdateOperation],
             continue
         bucket = buckets.get(day_start(op.scheduled_time))
         if bucket is None:
-            raise MissingBucket(f"no parameter bucket for day of {op.scheduled_time}")
+            raise MissingBucket(f"no parameter bucket for {day_date(op.scheduled_time)}")
         for variant in firing:
             params = bucket.draw(variant, instance_counts[variant])
             instance_counts[variant] += 1

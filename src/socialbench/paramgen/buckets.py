@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import ConfigInvalid, NoQualifyingGroup, ParseError, check_config_types, utf8_lines
+from ..errors import (ConfigInvalid, NoQualifyingGroup, ParseError, SocialBenchError,
+                      check_config_types, utf8_lines)
 from ..model import Lifecycle, TemporalGraph
 from ..simtime import MS_PER_DAY, SIM_END, day_date, day_start, day_starts_between, parse_day
 from ..rng import derive_rng
@@ -156,8 +157,8 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
             logger.debug(
                 "%s: floor %d persons and %d knows, ceiling %d persons, %d knows and "
                 "%d components; %d reachable and %d unreachable pairs", day_date(day),
-                len(bound.floor_vertices), _edge_count(bound.floor_adj),
-                len(bound.ceiling_vertices), _edge_count(bound.ceiling_adj),
+                len(bound.floor_adj), _edge_count(bound.floor_adj),
+                len(bound.ceiling_adj), _edge_count(bound.ceiling_adj),
                 bound.ceiling_components.count, len(reachable), len(unreachable))
 
         cr3_people = cr3_pool.values or everyone.values
@@ -229,10 +230,15 @@ def _check_params(variant: str, params) -> None:
 
 def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
     """Load what write_buckets wrote.  A line that is not a warning or a
-    known variant with exactly its integer parameters is a ParseError."""
+    known variant with exactly its integer parameters is a ParseError; a
+    directory that holds no parameter file is a SocialBenchError."""
     directory = Path(directory)
+    paths = sorted(directory.glob("*.ldjson"))
+    if not paths:
+        reason = "holds no *.ldjson file" if directory.is_dir() else "is not a directory"
+        raise SocialBenchError(f"parameter directory {directory} {reason}")
     buckets: dict[int, ParameterBucket] = {}
-    for path in sorted(directory.glob("*.ldjson")):
+    for path in paths:
         day = parse_day(path.stem)
         bucket = ParameterBucket(day_start=day,
                                  params={variant: [] for variant in QUERY_VARIANTS})

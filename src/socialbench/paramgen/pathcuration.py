@@ -42,8 +42,7 @@ class DayBoundGraphs:
     """
 
     day_start: int
-    floor_vertices: set[int] = field(default_factory=set)
-    ceiling_vertices: set[int] = field(default_factory=set)
+    # Each bound's persons are its adjacency's keys.
     floor_adj: dict[int, list[int]] = field(default_factory=dict)
     ceiling_adj: dict[int, list[int]] = field(default_factory=dict)
     # Union-find labels of the ceiling graph's components; their
@@ -66,8 +65,7 @@ def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
     """
     bound = DayBoundGraphs(day_start=first_day)
     sides = []
-    for whole_day, vertices, adj in ((True, bound.floor_vertices, bound.floor_adj),
-                                     (False, bound.ceiling_vertices, bound.ceiling_adj)):
+    for whole_day, adj in ((True, bound.floor_adj), (False, bound.ceiling_adj)):
         spans = {pid: day_span(person.lifecycle, first_day, days, whole_day)
                  for pid, person in graph.persons.items()}
         persons = DayEvents(days)
@@ -79,22 +77,20 @@ def sweep_bound_graphs(graph: TemporalGraph, first_day: int,
             span1, span2 = spans[p1], spans[p2]
             edges.add(range(max(span.start, span1.start, span2.start),
                             min(span.stop, span1.stop, span2.stop)), (index, p1, p2))
-        sides.append((vertices, adj, {}, persons, edges))
-    ceiling_persons, ceiling_edges = sides[1][3:]
+        sides.append((adj, {}, persons, edges))
+    ceiling_persons, ceiling_edges = sides[1][2:]
     components = bound.ceiling_components
 
     for index in range(days):
         bound.day_start = first_day + index * MS_PER_DAY
         # An edge leaves no later than its endpoints and joins no earlier.
-        for vertices, adj, by_edge, persons, edges in sides:
+        for adj, by_edge, persons, edges in sides:
             for edge_index, p1, p2 in edges.leaves[index]:
                 by_edge[p1].remove(edge_index)
                 by_edge[p2].remove(edge_index)
             for pid in persons.leaves[index]:
-                vertices.discard(pid)
                 del adj[pid], by_edge[pid]
             for pid in persons.joins[index]:
-                vertices.add(pid)
                 by_edge[pid] = KeyedList()
                 adj[pid] = by_edge[pid].values
             for edge_index, p1, p2 in edges.joins[index]:
@@ -141,7 +137,7 @@ def curate_reachable_pairs(bound: DayBoundGraphs, k: int, count: int,
     with fewer qualifying pairs returns the ones it has.
     """
     rng = random.Random(seed)
-    sources = sorted(bound.floor_vertices)
+    sources = sorted(bound.floor_adj)
     shuffle(rng, sources)
 
     pairs: list[tuple[int, int]] = []
@@ -173,7 +169,7 @@ def curate_unreachable_pairs(bound: DayBoundGraphs, count: int,
     """Up to count distinct person pairs that no live edge set can
     connect that day."""
     rng = random.Random(seed)
-    floor = sorted(bound.floor_vertices)
+    floor = sorted(bound.floor_adj)
     by_component: dict[int, list[int]] = {}
     for vertex, label in zip(floor, bound.ceiling_components.labels(floor)):
         by_component.setdefault(label, []).append(vertex)

@@ -12,7 +12,7 @@ from socialbench.datagen import (
 
 @pytest.fixture(scope="session")
 def gen_config():
-    return GenConfig(seed=20260819, num_persons=500)
+    return GenConfig(seed=24, num_persons=500)
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,11 @@ def graph(gen_config):
 
 @pytest.fixture(scope="session")
 def sas(graph, gen_config):
-    return split_at_cutoff(graph, gen_config)
+    split = split_at_cutoff(graph, gen_config)
+    # Tests of deletes read the shared stream; it must keep at least the
+    # delete kinds it has held so far, so that their coverage cannot shrink.
+    assert {op.op_type for op in split.stream} >= {"DEL1", "DEL8"}
+    return split
 
 
 @pytest.fixture(scope="session")

@@ -99,6 +99,13 @@ class TestDriver:
         assert report["diffCount"] == 0
         assert report["updates"] > 0
 
+    def test_missing_parameter_directory_names_itself(self, tree, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        code = main(["driver", "--stream", str(tree / "dataset"), "--params", str(missing)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: parameter directory {missing} is not a directory\n")
+
     def test_validate_mode_refuses_an_audit_log(self, tree, tmp_path, capsys):
         """Validation runs no benchmark, so it has no update log to write."""
         audit_path = tmp_path / "audit.ldjson"
@@ -124,6 +131,16 @@ class TestAcid:
     def test_split_cascade_control_fails(self):
         assert main(["acid", "--store", "split-cascade",
                      "--scenario", "cascade", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_no_runs_is_refused(self, runs, tmp_path, capsys):
+        """A run of no scenario passes nothing, so it is not a pass."""
+        report_path = tmp_path / "acid.json"
+        code = main(["acid", "--store", "split-cascade", "--runs", runs,
+                     "--report", str(report_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid config field 'runs'")
+        assert not report_path.exists()
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
@@ -303,17 +320,26 @@ class TestBadInput:
 
 
 class TestModeratorCascadeOff:
-    def test_driver_uses_the_datasets_setting(self, tmp_path):
-        cfg = GenConfig(seed=3, num_persons=100, cutoff_fraction=0.6,
-                        delete_forums_of_deleted_moderator=False)
-        graph = generate_temporal_graph(cfg)
-        sas = split_at_cutoff(graph, cfg)
-        deleted = {op.payload["personId"]: op.scheduled_time
-                   for op in sas.stream if op.op_type == "DEL1"}
-        assert any(f.moderator_person_id in deleted
+    @staticmethod
+    def _world_with_a_forum_outliving_its_moderator():
+        """The first seed's world whose stream deletes the moderator of a
+        forum that lives on."""
+        for seed in range(1, 50):
+            cfg = GenConfig(seed=seed, num_persons=100, cutoff_fraction=0.6,
+                            delete_forums_of_deleted_moderator=False)
+            graph = generate_temporal_graph(cfg)
+            sas = split_at_cutoff(graph, cfg)
+            deleted = {op.payload["personId"]: op.scheduled_time
+                       for op in sas.stream if op.op_type == "DEL1"}
+            if any(f.moderator_person_id in deleted
                    and (f.lifecycle.deletion is None
                         or f.lifecycle.deletion > deleted[f.moderator_person_id])
-                   for f in graph.forums.values()), "no forum outlives its moderator"
+                   for f in graph.forums.values()):
+                return cfg, graph, sas
+        pytest.fail("no forum outlives its moderator")
+
+    def test_driver_uses_the_datasets_setting(self, tmp_path):
+        cfg, graph, sas = self._world_with_a_forum_outliving_its_moderator()
         dataset, params = tmp_path / "dataset", tmp_path / "params"
         write_dataset(graph, sas, cfg, dataset)
         assert main(["paramgen", "--graph", str(dataset), "--out", str(params),

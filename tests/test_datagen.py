@@ -11,13 +11,16 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
 import shutil
 import statistics
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from socialbench.datagen import (
@@ -30,7 +33,7 @@ from socialbench.datagen import (
     write_dataset,
     write_stream,
 )
-from socialbench.datagen.generator import _cumulative, _Draws
+from socialbench.datagen.generator import _poisson, _zipf
 from socialbench.errors import ConfigInvalid, ParseError, SocialBenchError, load_config
 from socialbench.paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
 from socialbench.model import (
@@ -55,10 +58,13 @@ class TestConfig:
         ("cutoff_fraction", 1.5),
         ("t_safe", 0),
         ("degree_exponent", 1.0),
+        ("degree_exponent", math.nan),
         ("homophily_weight", -0.1),
         ("person_deletion_rate", 1.1),
         ("flashmob_count", -2),
         ("content_scale", 0.0),
+        ("content_scale", math.inf),
+        ("content_scale", math.nan),
     ])
     def test_rejects_bad_field(self, field, value):
         kwargs = {"seed": 0, "num_persons": 10}
@@ -201,61 +207,53 @@ class TestProgressLog:
         assert caplog.records == []
 
 
-class TestDraws:
-    """_Draws takes numpy's bounded draws in Python: every result, and the
-    stream position after it, must be the Generator's own."""
+class TestSamplers:
+    """The generator's own Poisson and Zipf samplers match their
+    distributions, within three standard errors at a fixed seed."""
 
-    # 2**31 + 1 and 2**63 + 1 reject about half their first draws.
-    SIZES = (1, 2, 3, 7, 2**31 + 1, 2**32, 2**32 + 1, 10**11, 2**63 + 1)
-    # The tag distribution the generator samples interests from, and a flat one.
-    WEIGHTS = (np.arange(1, len(TAGS) + 1, dtype=float) ** -0.6, np.full(5, 0.2))
+    @pytest.mark.parametrize("lam,draws", [(0.4, 20_000), (1.5, 20_000), (40, 5_000),
+                                           (1200, 2_000)])
+    def test_poisson_mean_and_variance(self, lam, draws):
+        """1200 takes three slices of at most 500."""
+        rng = random.Random(5)
+        counts = [_poisson(rng, lam) for _ in range(draws)]
+        mean, var = statistics.fmean(counts), statistics.variance(counts)
+        assert abs(mean - lam) <= 3 * math.sqrt(lam / draws), mean
+        # The sample variance of a Poisson has variance (lam + 2 lam**2) / n.
+        assert abs(var - lam) <= 3 * math.sqrt((lam + 2 * lam**2) / draws), var
 
-    @staticmethod
-    def _steps(draw, ref, script):
-        """(ours, numpy's) results of one scripted call on each side."""
-        kind = script.choice(("integers", "shuffle", "choice-p", "choice-k-p", "choice-k"))
-        if kind == "integers":
-            n = script.choice(TestDraws.SIZES)
-            return draw.below(n), int(ref.integers(n, dtype=np.uint64))
-        if kind == "shuffle":
-            size = script.choice((0, 1, 2, 5, 40, 300))
-            ours, theirs = list(range(size)), np.arange(size, dtype=np.int64)
-            draw.shuffle(ours)
-            ref.shuffle(theirs)
-            return ours, theirs.tolist()
-        p = script.choice(TestDraws.WEIGHTS)
-        p = p / p.sum()
-        if kind == "choice-p":
-            return draw.pick(_cumulative(p)), int(ref.choice(len(p), p=p))
-        if kind == "choice-k-p":
-            k = script.randint(1, 5)
-            return (draw.picks(p, _cumulative(p), k),
-                    ref.choice(len(p), size=k, replace=False, p=p).tolist())
-        n = script.randint(1, 5)
-        k = script.randint(0, min(n, 2))
-        return draw.sample(n, k), ref.choice(n, size=k, replace=False).tolist()
+    @pytest.mark.parametrize("a", [1.7, 2.5])
+    def test_zipf_frequencies(self, a):
+        draws = 20_000
+        rng = random.Random(5)
+        counts = Counter(_zipf(rng, a) for _ in range(draws))
+        # zeta(a): the sum to n, and the Euler-Maclaurin tail past it.
+        n = 1000
+        zeta = sum(k**-a for k in range(1, n + 1)) + n ** (1 - a) / (a - 1) - n**-a / 2
+        for k in (1, 2, 3):
+            p = k**-a / zeta
+            assert abs(counts[k] / draws - p) <= 3 * math.sqrt(p * (1 - p) / draws), (k, counts)
 
-    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
-    def test_same_draws_as_numpy(self, seed):
-        ours = np.random.default_rng(seed)
-        draw = _Draws(ours)
-        ref = np.random.default_rng(seed)
-        script = random.Random(seed)
-        for step in range(600):
-            got, want = self._steps(draw, ref, script)
-            assert got == want, step
-            # Whole-word draws interleave with the buffered half-word.
-            between = script.choice(("random", "exponential", "poisson", "none"))
-            if between == "random":
-                assert ours.random() == ref.random()
-            elif between == "exponential":
-                assert ours.exponential(3.0) == ref.exponential(3.0)
-            elif between == "poisson":
-                assert ours.poisson(1.5) == ref.poisson(1.5)
-            state = ref.bit_generator.state
-            assert ours.bit_generator.state["state"] == state["state"], step
-            assert draw._half == (state["uinteger"] if state["has_uint32"] else None), step
-            assert ours.random() == ref.random(), step
+    def test_zipf_of_a_huge_exponent_is_one(self):
+        assert _zipf(random.Random(5), 2000.0) == 1
+
+
+def test_no_numpy_in_the_pipeline():
+    """Generating, splitting and curating a world imports no numpy."""
+    script = (
+        "import sys\n"
+        "from socialbench.datagen import GenConfig, cutoff_instant, generate_temporal_graph, "
+        "split_at_cutoff\n"
+        "from socialbench.paramgen import ParamGenOptions, generate_parameters\n"
+        "cfg = GenConfig(seed=3, num_persons=60)\n"
+        "graph = generate_temporal_graph(cfg)\n"
+        "assert split_at_cutoff(graph, cfg).stream\n"
+        "assert generate_parameters(graph, cutoff_instant(cfg), ParamGenOptions())\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 class TestSplit:
@@ -466,9 +464,9 @@ class TestSerialization:
     @pytest.mark.parametrize("cfg,expected", [
         (GenConfig(seed=17, num_persons=300, cutoff_fraction=0.975, degree_exponent=1.7,
                    person_deletion_rate=0.08, content_scale=2.0),
-         "fd331168f7e478b561c280951800028d4e3b5478e1cd4f8b7676422e2d4e7e5a"),
+         "d2515666629041938aab9288364a290f1343eae2f12fd40643c193654b174e79"),
         (GenConfig(seed=23, num_persons=300),
-         "c3bfbe7323a23721bffe90b7c2b44e0b9facf89267ab9937b39d84ca3e01c286"),
+         "9c0e9bfd71867c910f310ef4e0d3d4368dfcc1d500def22d2937334bcdc20e0b"),
     ], ids=["paths-shaped", "default-shaped"])
     def test_golden_world(self, cfg, expected, tmp_path):
         """The written dataset is pinned by hash, so a faster generator

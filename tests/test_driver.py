@@ -32,7 +32,7 @@ from socialbench.errors import ConfigInvalid, DeadlockSuspected, MissingBucket
 from socialbench.model import UpdateOperation
 from socialbench.paramgen import ParamGenOptions, ParameterBucket, generate_parameters
 from socialbench.refstore import NaiveStore, ReferenceStore
-from socialbench.simtime import MS_PER_DAY, SIM_START, day_start
+from socialbench.simtime import MS_PER_DAY, SIM_START, day_date, day_start
 
 
 class TestWallOffsets:
@@ -103,9 +103,10 @@ class TestBuildSchedule:
         assert schedule.entries[21].query.params == {"personId": 8}
 
     def test_missing_bucket_is_fatal(self):
-        with pytest.raises(MissingBucket):
+        with pytest.raises(MissingBucket) as err:
             build_schedule(self._stream(10), {}, self.CUTOFF,
                            DriverConfig(frequencies={"CR3a": 10}))
+        assert str(err.value) == f"no parameter bucket for {day_date(self.CUTOFF)}"
 
     def test_empty_variant_skips_with_warning(self):
         day = self.CUTOFF

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialbench.datagen import GenConfig, cutoff_instant, generate_temporal_graph
-from socialbench.errors import ConfigInvalid, NoQualifyingGroup, ParseError
+from socialbench.errors import ConfigInvalid, NoQualifyingGroup, ParseError, SocialBenchError
 from socialbench.model import KnowsEdge, Lifecycle, Person, TemporalGraph
 from socialbench.paramgen import (
     FactorTable,
@@ -215,9 +215,8 @@ class TestBoundGraphs:
             7: (T0, DAY),              # deleted at day start: neither
         }, {})
         bound = build_bound_graphs(graph, DAY)
-        assert bound.floor_vertices == {1, 2, 3}
-        assert bound.ceiling_vertices == {1, 2, 3, 4, 5}
-        assert bound.floor_vertices <= bound.ceiling_vertices
+        assert bound.floor_adj.keys() == {1, 2, 3}
+        assert bound.ceiling_adj.keys() == {1, 2, 3, 4, 5}
 
     def test_edge_needs_live_endpoints(self):
         graph = _mini_graph(
@@ -237,7 +236,7 @@ class TestBoundGraphs:
             4: (T0, third),            # deleted exactly at the third day's start
             5: (DAY + 5, third + 9),   # created and deleted mid-day
         }, {})
-        seen = [(bound.day_start, set(bound.floor_vertices), set(bound.ceiling_vertices))
+        seen = [(bound.day_start, set(bound.floor_adj), set(bound.ceiling_adj))
                 for bound in sweep_bound_graphs(graph, DAY, 3)]
         assert seen == [
             (DAY, {1, 3, 4}, {1, 3, 4, 5}),
@@ -276,14 +275,12 @@ class TestBoundGraphs:
         }, {(1, 2): (start, None), (1, 3): (T0, None)})
         bound = build_bound_graphs(graph, start)
         assert bound.day_start == start
-        assert bound.floor_vertices == {1, 2}
-        assert bound.ceiling_vertices == {1, 2, 3}
         assert bound.floor_adj == {1: [2], 2: [1]}
         assert bound.ceiling_adj == {1: [2, 3], 2: [1], 3: [1]}
 
     def test_floor_is_subset_of_ceiling_on_generated_graph(self, graph, cutoff):
         bound = build_bound_graphs(graph, cutoff)
-        assert bound.floor_vertices <= bound.ceiling_vertices
+        assert bound.floor_adj.keys() <= bound.ceiling_adj.keys()
         for v, neighbors in bound.floor_adj.items():
             assert set(neighbors) <= set(bound.ceiling_adj.get(v, ()))
 
@@ -330,8 +327,6 @@ class TestSweepMatchesRebuild:
             day = first + index * MS_PER_DAY
             assert bound.day_start == day
             floor, ceiling = _rebuilt_bounds(world, day)
-            assert bound.floor_vertices == set(floor), day
-            assert bound.ceiling_vertices == set(ceiling), day
             assert bound.floor_adj == floor, day
             assert bound.ceiling_adj == ceiling, day
             count += 1
@@ -349,7 +344,7 @@ class TestSweepMatchesRebuild:
             for bound in sweep_bound_graphs(each, first, days):
                 components = bound.ceiling_components
                 expected = connected_components(bound.ceiling_adj)
-                vertices = sorted(bound.ceiling_vertices)
+                vertices = sorted(bound.ceiling_adj)
                 assert components.labels(vertices) == [expected[v] for v in vertices]
                 assert {v: components.label(v) for v in vertices} == expected
                 assert components.count == len(set(expected.values()))
@@ -431,7 +426,7 @@ class TestCuration:
         pairs = curate_unreachable_pairs(bound, 4, seed=1)
         assert len(pairs) == 4
         for a, b in pairs:
-            assert {a, b} <= bound.floor_vertices
+            assert {a, b} <= bound.floor_adj.keys()
             assert ({a, b} <= {1, 2}) is False
             assert ({a, b} <= {3, 4}) is False
 
@@ -574,6 +569,15 @@ class TestBuckets:
             assert loaded[day].partial == bucket.partial
             assert loaded[day].warnings == bucket.warnings
 
+    def test_a_directory_without_parameter_files_names_itself(self, tmp_path):
+        missing = tmp_path / "params"
+        with pytest.raises(SocialBenchError, match=f"{missing} is not a directory"):
+            read_buckets(missing)
+        missing.mkdir()
+        (missing / "notes.txt").write_text("no buckets here\n")
+        with pytest.raises(SocialBenchError, match=f"{missing} holds no"):
+            read_buckets(missing)
+
     def test_parse_error_names_file_and_line(self, buckets, tmp_path):
         write_buckets(buckets, tmp_path / "params")
         victim = sorted((tmp_path / "params").iterdir())[0]
@@ -650,7 +654,7 @@ class TestBuckets:
             before = (set(), set())
             for bound in sweep_bound_graphs(graph, min(buckets), days):
                 counts.append(len(set(connected_components(bound.ceiling_adj).values())))
-                now = (set(bound.ceiling_vertices),
+                now = (set(bound.ceiling_adj),
                        {(a, b) for a, peers in bound.ceiling_adj.items() for b in peers})
                 rebuilt += bool(before[0] - now[0] or before[1] - now[1])
                 before = now
@@ -681,7 +685,7 @@ def _buckets_digest(buckets, directory):
     return digest.hexdigest()
 
 
-# 329 days, 185 of them partial, persons deleted on five of them.
+# 329 days, every one partial, persons deleted on nine of them.
 _DELETIONS_WORLD = GenConfig(seed=9, num_persons=60, cutoff_fraction=0.7,
                              person_deletion_rate=0.3)
 
@@ -692,11 +696,11 @@ class TestGoldenParameters:
 
     def test_shared_world(self, buckets, tmp_path):
         assert _buckets_digest(buckets, tmp_path) == (
-            "ee43f9a6d681a67fef9fdbf7aa08e338afaf123cc481713cce4c9e3d718ffc49")
+            "c568bc66ba73b6fc512ea1d5e5cee366c9142f0b34c0da0e2685b27100b59530")
 
     def test_world_with_person_deletions(self, tmp_path):
         cfg = _DELETIONS_WORLD
         buckets = generate_parameters(generate_temporal_graph(cfg), cutoff_instant(cfg),
                                       ParamGenOptions(seed=3, per_day=10))
         assert _buckets_digest(buckets, tmp_path) == (
-            "b73211d2b5d82722fbb431c3ba61c6ec6cefdd9a0a5a0b88005a3d35e3153106")
+            "c67ae53fc4fff7fa0b81f06808102c185938774c725ecd1e56a3f7a3d30d8bee")
