@@ -64,71 +64,47 @@ def cutoff_instant(config: GenConfig) -> int:
     return day_start(raw)
 
 
-def _cascade_roots(graph: TemporalGraph, config: GenConfig) -> dict[EntityKey, EntityKey]:
-    """Map every deleted entity to the root entity whose removal caused it.
+def _delete_dependencies(graph: TemporalGraph, config: GenConfig) -> dict[EntityKey, int]:
+    """The dependency time of each cascade root's delete operation.
 
-    An entity is its own root when nothing it depends on died at the same
-    instant.  Candidates are checked in PARENTS order, owner first.
-    """
-    roots: dict[EntityKey, EntityKey] = {}
-
-    def root_of(key: EntityKey) -> EntityKey:
-        cached = roots.get(key)
-        if cached is not None:
-            return cached
-        collection, ident = key
-        entity = getattr(graph, collection)[ident]
-        deletion = entity.lifecycle.deletion
-        assert deletion is not None
-        result = key
-        for parent, attr in cascade_parents(collection, config.delete_forums_of_deleted_moderator):
-            ref = getattr(entity, attr)
-            if ref is not None and getattr(graph, parent)[ref].lifecycle.deletion == deletion:
-                result = root_of((parent, ref))
-                break
-        roots[key] = result
-        return result
-
-    for collection in COLLECTIONS:
-        for ident, entity in getattr(graph, collection).items():
-            if entity.lifecycle.deletion is not None:
-                root_of((collection, ident))
-    return roots
-
-
-def _delete_dependencies(graph: TemporalGraph, config: GenConfig,
-                         roots: dict[EntityKey, EntityKey]) -> dict[EntityKey, int]:
-    """The dependency time of each root's delete operation.
-
-    A delete waits for every insert and every earlier delete its cascade
-    could reach in the full history: the latest creation among what the
-    root's cascade reaches, and the latest deletion among the reached
-    entities that are roots of earlier deletes.  Otherwise a gated delete
-    could overtake the insert of something it kills, or an earlier delete
-    of it.  Every descendant of a deleted entity is deleted, so only
+    A deleted entity is a root when nothing it depends on died at the same
+    instant.  A delete waits for every insert and every earlier delete its
+    cascade could reach in the full history: the latest creation among
+    what the root's cascade reaches, and the latest deletion among the
+    reached entities that are roots of earlier deletes.  Otherwise a gated
+    delete could overtake the insert of something it kills, or an earlier
+    delete of it.  Every descendant of a deleted entity is deleted, so only
     deleted entities are indexed.
     """
     lifecycles: dict[EntityKey, Lifecycle] = {}
     children: dict[EntityKey, list[EntityKey]] = {}
-    for key in roots:
-        collection, ident = key
-        entity = getattr(graph, collection)[ident]
-        lifecycles[key] = entity.lifecycle
-        for parent, attr in cascade_parents(collection, config.delete_forums_of_deleted_moderator):
-            ref = getattr(entity, attr)
-            if ref is not None:
-                children.setdefault((parent, ref), []).append(key)
+    roots: set[EntityKey] = set()
+    for collection in COLLECTIONS:
+        parents = cascade_parents(collection, config.delete_forums_of_deleted_moderator)
+        for ident, entity in getattr(graph, collection).items():
+            deletion = entity.lifecycle.deletion
+            if deletion is None:
+                continue
+            key = (collection, ident)
+            lifecycles[key] = entity.lifecycle
+            roots.add(key)
+            for parent, attr in parents:
+                ref = getattr(entity, attr)
+                if ref is not None:
+                    children.setdefault((parent, ref), []).append(key)
+                    if getattr(graph, parent)[ref].lifecycle.deletion == deletion:
+                        roots.discard(key)
 
     # Latest instant that a delete reaching the entity waits for.  Children
     # are created after their parents, so the newest entity goes first.
     latest: dict[EntityKey, int] = {}
-    for key in sorted(roots, key=lambda k: lifecycles[k].creation, reverse=True):
+    for key in sorted(lifecycles, key=lambda k: lifecycles[k].creation, reverse=True):
         life = lifecycles[key]
-        own = life.deletion if roots[key] == key else life.creation
+        own = life.deletion if key in roots else life.creation
         latest[key] = max([own] + [latest[child] for child in children.get(key, ())])
     return {key: max([lifecycles[key].creation]
                      + [latest[child] for child in children.get(key, ())])
-            for key, root in roots.items() if root == key}
+            for key in roots}
 
 
 def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStream:
@@ -140,8 +116,7 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
     ops: list[UpdateOperation] = []
     retired = 0
 
-    roots = _cascade_roots(graph, config)
-    delete_dependency = _delete_dependencies(graph, config, roots)
+    delete_dependency = _delete_dependencies(graph, config)
 
     for collection in COLLECTIONS:
         snap_coll = getattr(snapshot, collection)
@@ -165,7 +140,8 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
             if dep is not None:
                 ops.append(delete_op(graph, collection, ident, dep))
 
-    # At one instant inserts go before deletes, each in op-code order.
+    # At one instant inserts go before deletes, each in op-code order.  The
+    # payload orders same-instant ops of one code, which early cutoffs make.
     ops.sort(key=lambda op: (op.scheduled_time, not op.is_insert, op.op_type,
                              json.dumps(op.payload, sort_keys=True)))
     sas = SnapshotAndStream(cutoff=cutoff, snapshot=snapshot, stream=ops, retired=retired)

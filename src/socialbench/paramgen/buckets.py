@@ -29,6 +29,8 @@ from .sweep import DayEvents, SweptPool, day_span
 
 logger = logging.getLogger(__name__)
 
+# A parameter file's name: the day its bucket is for.
+_DAY_FILE = "[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9].ldjson"
 QUERY_VARIANTS = ("CR3a", "CR3b", "CR13a", "CR13b", "CR14a", "CR14b", "SR2", "SR6")
 
 _CR3_KEYS = {"personId", "countryXId", "countryYId", "startDate", "durationDays"}
@@ -124,12 +126,11 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
                     for position, key in enumerate(window))
 
     # The persons and messages alive all day: the CR3 and SR2 windows in
-    # window order, every person in id order (the fallback of an empty
-    # window), and every message in id order.
+    # window order, and every message in id order.  An empty window falls
+    # back to every person alive all day: the floor graph's persons.
     cr3_pool, sr2_pool = window_pool(friend_window), window_pool(message_window)
-    everyone = pool((pid, pid, persons[pid].lifecycle) for pid in sorted(persons))
     live_messages = pool((mid, mid, messages[mid].lifecycle) for mid in sorted(messages))
-    pools = (cr3_pool, sr2_pool, everyone, live_messages)
+    pools = (cr3_pool, sr2_pool, live_messages)
     # A day's message count becomes a CR3 start date once a window that
     # starts on it closes by the day drawn for, and stays one.
     start_rows = GroupedRows("messageCountPerDay", options.min_group_size)
@@ -161,7 +162,7 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
                 len(bound.ceiling_adj), _edge_count(bound.ceiling_adj),
                 bound.ceiling_components.count, len(reachable), len(unreachable))
 
-        cr3_people = cr3_pool.values or everyone.values
+        cr3_people = cr3_pool.values or sorted(bound.floor_adj)
         start_date = _start_date(start_rows, day, duration_ms, rng)
         for variant, pair in (("CR3a", pair_a), ("CR3b", pair_b)):
             if cr3_people and pair:
@@ -179,7 +180,7 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
             bucket.params[variant] = [
                 {"person1Id": a, "person2Id": b} for a, b in pairs]
 
-        sr2_people = sr2_pool.values or everyone.values
+        sr2_people = sr2_pool.values or sorted(bound.floor_adj)
         bucket.params["SR2"] = [{"personId": rng.choice(sr2_people)}
                                 for _ in range(n)] if sr2_people else []
 
@@ -205,9 +206,11 @@ def _edge_count(adj: dict[int, list[int]]) -> int:
 
 def write_buckets(buckets: dict[int, ParameterBucket], directory: str | Path) -> None:
     """One YYYY-MM-DD.ldjson file per bucket: one parameter set per line,
-    then one line per warning."""
+    then one line per warning.  The day files already there go first."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for stale in directory.glob(_DAY_FILE):
+        stale.unlink()
     for day, bucket in sorted(buckets.items()):
         path = directory / f"{day_date(day)}.ldjson"
         with path.open("w", encoding="utf-8") as handle:
@@ -229,9 +232,10 @@ def _check_params(variant: str, params) -> None:
 
 
 def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
-    """Load what write_buckets wrote.  A line that is not a warning or a
-    known variant with exactly its integer parameters is a ParseError; a
-    directory that holds no parameter file is a SocialBenchError."""
+    """Load what write_buckets wrote.  A *.ldjson file not named after a
+    day, or a line that is not a warning or a known variant with exactly
+    its integer parameters, is a ParseError; a directory that holds no
+    parameter file is a SocialBenchError."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.ldjson"))
     if not paths:
@@ -239,7 +243,12 @@ def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
         raise SocialBenchError(f"parameter directory {directory} {reason}")
     buckets: dict[int, ParameterBucket] = {}
     for path in paths:
-        day = parse_day(path.stem)
+        try:
+            if not path.match(_DAY_FILE):
+                raise ValueError
+            day = parse_day(path.stem)
+        except ValueError as exc:
+            raise ParseError(str(path), 1, "file name is not a YYYY-MM-DD day") from exc
         bucket = ParameterBucket(day_start=day,
                                  params={variant: [] for variant in QUERY_VARIANTS})
         for line_no, line in enumerate(utf8_lines(path), start=1):

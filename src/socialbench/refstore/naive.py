@@ -131,17 +131,14 @@ class NaiveStore:
         table[key] = entity
 
     def _delete(self, op: UpdateOperation) -> int:
+        """Delete the op's live target and everything depending on it;
+        returns the number of nodes removed."""
         collection, key = delete_target(op)
         target = getattr(self._state, collection).get(key)
         if target is None:
             raise UnknownEntity(f"{collection} {key}")
         if collection == "messages" and target.kind != OP_TARGET[op.op_type][1]:
             raise IntegrityError(f"{op.op_type} targets wrong message kind")
-        return self._cascade(collection, key)
-
-    def _cascade(self, collection: str, key) -> int:
-        """Delete one live entity and everything depending on it; returns
-        the number of nodes removed."""
         if collection == "persons":
             return self._delete_person(key)
         if collection == "forums":
@@ -195,23 +192,6 @@ class NaiveStore:
             if child in state.messages:
                 nodes += self._delete_message(child)
         return nodes
-
-    def cascade_preview(self, kind: str, key) -> list[tuple[str, object]]:
-        """Dry-run of a delete: run it on a copy, diff what disappeared."""
-        with self._lock:
-            saved = self._state
-            self._state = saved.copy()
-            try:
-                self._cascade(kind, key)
-            finally:
-                after, self._state = self._state, saved
-        gone = []
-        for coll in COLLECTIONS:
-            kept = getattr(after, coll)
-            for k in getattr(saved, coll):
-                if k not in kept:
-                    gone.append((coll, k))
-        return sorted(gone)
 
     # -- queries -----------------------------------------------------------
 

@@ -106,6 +106,15 @@ class TestDriver:
         assert capsys.readouterr().err == (
             f"error: parameter directory {missing} is not a directory\n")
 
+    def test_a_file_not_named_after_a_day_is_refused(self, tree, capsys):
+        """A dataset directory passed as the parameter directory holds
+        stream.ldjson."""
+        dataset = tree / "dataset"
+        code = main(["driver", "--stream", str(dataset), "--params", str(dataset)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {dataset / 'stream.ldjson'}:1: file name is not a YYYY-MM-DD day\n")
+
     def test_validate_mode_refuses_an_audit_log(self, tree, tmp_path, capsys):
         """Validation runs no benchmark, so it has no update log to write."""
         audit_path = tmp_path / "audit.ldjson"

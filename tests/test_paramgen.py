@@ -569,6 +569,21 @@ class TestBuckets:
             assert loaded[day].partial == bucket.partial
             assert loaded[day].warnings == bucket.warnings
 
+    def test_a_rewrite_replaces_the_day_files(self, tmp_path):
+        directory = tmp_path / "params"
+        for cutoff_fraction, days in ((0.8, 220), (0.95, 55)):
+            cfg = GenConfig(seed=5, num_persons=80, cutoff_fraction=cutoff_fraction)
+            buckets = generate_parameters(generate_temporal_graph(cfg), cutoff_instant(cfg))
+            assert len(buckets) == days
+            write_buckets(buckets, directory)
+            for name in ("notes.txt", "stream.ldjson"):
+                (directory / name).write_text("kept\n")
+        # Only the day files go; read_buckets would refuse stream.ldjson.
+        for name in ("notes.txt", "stream.ldjson"):
+            assert (directory / name).read_text() == "kept\n"
+        (directory / "stream.ldjson").unlink()
+        assert sorted(read_buckets(directory)) == sorted(buckets)
+
     def test_a_directory_without_parameter_files_names_itself(self, tmp_path):
         missing = tmp_path / "params"
         with pytest.raises(SocialBenchError, match=f"{missing} is not a directory"):

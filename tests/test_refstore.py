@@ -323,31 +323,39 @@ def test_variant_names_are_exact(store_cls):
 
 
 class TestErrorContracts:
-    def test_duplicate_insert(self, toy):
-        with pytest.raises(IntegrityError):
-            _person(toy, 1)
+    """The oracle refuses what the reference store refuses."""
 
-    def test_missing_reference(self, toy):
-        with pytest.raises(DependencyMissing):
-            _op(toy, "INS3", {"personId": 1, "messageId": 888})
-        with pytest.raises(DependencyMissing):
-            _comment(toy, 900, 1, 888)
+    STORES = (ReferenceStore, NaiveStore)
 
-    def test_like_kind_must_match_target(self, toy):
-        with pytest.raises(IntegrityError):
-            _op(toy, "INS2", {"personId": 1, "messageId": 300})  # 300 is a comment
+    def test_duplicate_insert(self):
+        for store_cls in self.STORES:
+            with pytest.raises(IntegrityError):
+                _person(_toy_store(store_cls), 1)
+
+    def test_missing_reference(self):
+        for store_cls in self.STORES:
+            store = _toy_store(store_cls)
+            with pytest.raises(DependencyMissing):
+                _op(store, "INS3", {"personId": 1, "messageId": 888})
+            with pytest.raises(DependencyMissing):
+                _comment(store, 900, 1, 888)
+
+    def test_like_kind_must_match_target(self):
+        for store_cls in self.STORES:
+            with pytest.raises(IntegrityError):  # 300 is a comment
+                _op(_toy_store(store_cls), "INS2", {"personId": 1, "messageId": 300})
 
     # SplitCascadeStore commits a cascade differently, but refuses the
     # same deletes.
     def test_delete_kind_must_match_target(self):
-        for store_cls in (ReferenceStore, SplitCascadeStore):
+        for store_cls in self.STORES + (SplitCascadeStore,):
             store = _toy_store(store_cls)
             with pytest.raises(IntegrityError):
                 _op(store, "DEL6", {"messageId": 300})  # comment via post delete
-            assert store.begin_read().message(300) is not None, store_cls
+            assert 300 in store.state_at()["messages"], store_cls
 
     def test_delete_absent_or_dead(self):
-        for store_cls in (ReferenceStore, SplitCascadeStore):
+        for store_cls in self.STORES + (SplitCascadeStore,):
             store = _toy_store(store_cls)
             with pytest.raises(UnknownEntity):
                 _op(store, "DEL1", {"personId": 999})
@@ -406,6 +414,11 @@ def _closure_oracle(state, kind, key, moderated_forums=True):
     return sorted(doomed)
 
 
+def _gone(before, after):
+    """What a state_at() dump lost between before and after."""
+    return {(kind, key) for kind in before for key in before[kind] if key not in after[kind]}
+
+
 def _assert_no_dangling(state):
     for (a, b) in state["knows"]:
         assert a in state["persons"] and b in state["persons"]
@@ -436,20 +449,25 @@ class TestCascades:
         before = toy.state_at()
         result = _op(toy, "DEL1", {"personId": 2})
         after = toy.state_at()
-        gone = {(kind, key) for kind in before
-                for key in before[kind] if key not in after[kind]}
-        assert gone == expected
+        assert _gone(before, after) == expected
         assert result["cascadeNodes"] == sum(
             1 for kind, _ in expected if kind in ("persons", "forums", "messages"))
         _assert_no_dangling(after)
 
-    def test_forum_delete_takes_posts_and_threads(self, toy):
-        expected = set(_closure_oracle(toy.state_at(), "forums", 100))
-        _op(toy, "DEL4", {"forumId": 100})
-        state = toy.state_at()
-        assert ("messages", 303) in expected
-        assert not state["messages"]  # every message lived in forum 100
-        _assert_no_dangling(state)
+    def test_forum_delete_takes_posts_and_threads(self):
+        """On the reference store and on the oracle alike."""
+        for store_cls in (ReferenceStore, NaiveStore):
+            store = _toy_store(store_cls)
+            before = store.state_at()
+            expected = set(_closure_oracle(before, "forums", 100))
+            result = _op(store, "DEL4", {"forumId": 100})
+            state = store.state_at()
+            assert ("messages", 303) in expected
+            assert _gone(before, state) == expected, store_cls
+            # The forum, its two posts and their four comments.
+            assert result["cascadeNodes"] == 7, store_cls
+            assert not state["messages"]  # every message lived in forum 100
+            _assert_no_dangling(state)
 
     def test_moderator_death_fells_forum(self, toy):
         expected = set(_closure_oracle(toy.state_at(), "persons", 1))
