@@ -9,6 +9,7 @@ two operations that the simulation ordered.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,6 +18,9 @@ from ..model import UpdateOperation
 from ..paramgen.buckets import ParameterBucket
 from ..simtime import day_date, day_start
 from .config import DriverConfig
+
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class QueryInstance:
@@ -105,4 +109,8 @@ def build_schedule(stream: list[UpdateOperation],
     for variant, count in sorted(skipped.items()):
         schedule.warnings.append(
             f"{variant}: skipped {count} instances on days without parameters")
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("schedule: %d entries, %d complex reads, %d instances skipped",
+                    len(schedule.entries), len(schedule.entries) - len(stream),
+                    sum(skipped.values()))
     return schedule

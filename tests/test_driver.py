@@ -1,5 +1,6 @@
 """Schedule construction, gating clock, runner, stats, and validation."""
 
+import logging
 import random
 import sys
 import threading
@@ -69,6 +70,14 @@ def _ins_op(t, dep=SIM_START, ident=0):
 
 def _bucket(day, params):
     return ParameterBucket(day_start=day, params=params)
+
+
+class _EchoStore(ReferenceStore):
+    """A CR3a answers with its own person, which triggers short reads;
+    every other read answers nothing."""
+
+    def execute_query(self, variant, params, snapshot=None):
+        return [{"personId": params["personId"]}] if variant == "CR3a" else []
 
 
 class TestBuildSchedule:
@@ -462,11 +471,78 @@ class TestRunner:
         assert [str(exc) for exc in raised] == ["store failed"]
         assert not runner.clock.covered(cutoff + 1_000)
 
+    def test_failed_paced_run_returns_at_once(self):
+        """A writer's store fails 10 ms in while a CR3a is due at 3 s:
+        run() raises without waiting for the read's instant."""
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 1_000, ident=1), _ins_op(cutoff + 300_000, ident=2)]
+        buckets = {cutoff: _bucket(cutoff, {"CR3a": [{"personId": 1}]})}
+
+        class FailingStore(_EchoStore):
+            def execute_update(self, op):
+                raise RuntimeError("store failed")
+
+        config = DriverConfig(tcr=0.01, frequencies={"CR3a": 2})
+        schedule = build_schedule(stream, buckets, cutoff, config)
+        assert float(schedule.entries[-1].wall_offset_ms) == 3_000.0
+        runner = BenchmarkRunner(FailingStore(), schedule, config)
+        raised = []
+
+        def run():
+            try:
+                runner.run()
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        started = time.monotonic()
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "run() hangs after a store error"
+        assert [str(exc) for exc in raised] == ["store failed"]
+        assert time.monotonic() - started < 1.0
+        assert runner.log == []
+
+    def test_no_paced_operation_starts_early(self):
+        """Updates 3 ms apart with a CR3a after every second one: every
+        update, complex read and triggered short read starts at or after
+        its scheduled instant."""
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 300 * i, ident=i) for i in range(1, 41)]
+        buckets = {cutoff: _bucket(cutoff, {"CR3a": [{"personId": 1}, {"personId": 2}]})}
+        config = DriverConfig(tcr=0.01, frequencies={"CR3a": 2})
+        schedule = build_schedule(stream, buckets, cutoff, config)
+        runner = BenchmarkRunner(_EchoStore(), schedule, config)
+        report = runner.run()
+        assert report.class_totals["INS"] == 40
+        assert report.class_totals["CR"] == 20
+        assert report.class_totals["SR"] >= 20
+        for record in runner.log:
+            assert record["actualWallMs"] >= record["scheduledWallMs"] - 1e-6, record
+
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
             DriverConfig(tcr=0.0).validate()
         with pytest.raises(ConfigInvalid):
             DriverConfig(read_threads=0).validate()
+
+
+class TestProgressLog:
+    def test_schedule_and_run_log_one_line_each(self, caplog):
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 1_000 * i, ident=i) for i in range(1, 7)]
+        buckets = {cutoff: _bucket(cutoff, {"CR3a": [{"personId": 1}], "CR3b": []})}
+        config = DriverConfig(tcr=0.001, frequencies={"CR3a": 2, "CR3b": 3})
+        with caplog.at_level(logging.DEBUG, logger="socialbench.driver"):
+            schedule = build_schedule(stream, buckets, cutoff, config)
+            report = BenchmarkRunner(_EchoStore(), schedule, config).run()
+        records = [r for r in caplog.records if r.name.startswith("socialbench.driver")]
+        assert all(r.levelno == logging.INFO for r in records)
+        delay = report.delay_ms
+        assert [r.getMessage() for r in records] == [
+            "schedule: 9 entries, 3 complex reads, 2 instances skipped",
+            f"paced run: {report.total_operations} operations in {report.wall_seconds:.2f} s, "
+            f"delay p50 {delay['p50']:.3f} ms, p90 {delay['p90']:.3f} ms"]
 
 
 class TestCrossValidate:

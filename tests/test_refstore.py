@@ -805,14 +805,19 @@ class TestCreatorTimeline:
         """Four writers commit messages in shuffled creation order while
         two readers pin snapshots and ask CR3 and SR2.  Each answer must
         equal the one the same snapshot gives once the writers are done,
-        so no reader ever walked a timeline that shifted under it."""
+        so no reader ever walked a timeline that shifted under it.  Every
+        100th insert, the writers pause until a reader has answered at the
+        version they reached, so the answers span at least eleven versions
+        however the machine schedules the threads."""
         stores = _timeline_world()
         store = stores.ref
         rng = random.Random(17)
         inserts = [(1_000 + i, rng.choice((2, 4)), T0 + rng.randrange(20 * MS_PER_DAY),
                     rng.choice((5, 6))) for i in range(1_200)]
-        pending = iter(inserts)
+        pending = enumerate(inserts)
         take = threading.Lock()
+        answered = threading.Condition()
+        newest = [-1]  # the newest version a reader has answered at
         queries = [("SR2", {"personId": pid}) for pid in (2, 4)] + [
             ("CR3a", {"personId": 1, "countryXId": 5, "countryYId": 6,
                       "startDate": T0 + day * MS_PER_DAY, "durationDays": 3})
@@ -823,9 +828,15 @@ class TestCreatorTimeline:
         def writer():
             while True:
                 with take:
-                    job = next(pending, None)
-                if job is None:
-                    return
+                    index, job = next(pending, (None, None))
+                    if index is None:
+                        return
+                    if index and index % 100 == 0:
+                        reached = store.version
+                        with answered:
+                            if not answered.wait_for(lambda: newest[0] >= reached,
+                                                     timeout=60):
+                                return
                 self._message(store, *job)
                 writing.set()
 
@@ -835,6 +846,9 @@ class TestCreatorTimeline:
                 snap = store.begin_read()
                 answers.extend((snap, variant, params, store.execute_query(variant, params, snap))
                                for variant, params in queries)
+                with answered:
+                    newest[0] = max(newest[0], snap.version)
+                    answered.notify_all()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
