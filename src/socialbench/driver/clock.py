@@ -5,8 +5,15 @@ committed prefix of the update stream: operation i moves it forward
 only once every operation before i has also committed.  Gating
 dependent work on this watermark rather than on the newest individual
 commit means an operation is released only when everything it could
-possibly depend on is already in the store.  A writer whose dependency
-is not covered yet blocks in wait_covered until a commit covers it.
+possibly depend on is already in the store.
+
+A writer passes the gate in one transaction: release() checks coverage
+and reads the clock value under one lock acquisition.  A writer whose
+dependency is not covered yet blocks in wait_covered until a commit
+covers it.  A commit in stream order advances the watermark at once; a
+commit out of order only records its index.  A commit notifies only
+when a writer is blocked, which the lock makes safe: a waiter is counted
+under the same lock that a commit holds when it reads the count.
 """
 
 from __future__ import annotations
@@ -20,10 +27,12 @@ class GlobalClock:
     def __init__(self, initial: int, sim_times: list[int]):
         self._initial = initial
         self._times = sim_times
+        self._count = len(sim_times)
         self._done: set[int] = set()
         self._prefix = 0  # ops [0, _prefix) are all committed
         self._lock = threading.Lock()
         self._advanced = threading.Condition(self._lock)
+        self._waiters = 0  # writers blocked in wait_covered
         self._halted = False
 
     def value(self) -> int:
@@ -44,9 +53,18 @@ class GlobalClock:
             return self._covered(dependency_ms)
 
     def _covered(self, dependency_ms: int) -> bool:
-        if self._prefix == len(self._times):
+        if self._prefix == self._count:
             return True
         return self._times[self._prefix] > dependency_ms
+
+    def release(self, dependency_ms: int) -> int | None:
+        """The clock value if covered(dependency_ms), read in the same
+        transaction; None if not covered yet."""
+        with self._lock:
+            prefix = self._prefix
+            if prefix != self._count and self._times[prefix] <= dependency_ms:
+                return None
+            return self._times[prefix - 1] if prefix else self._initial
 
     def wait_covered(self, dependency_ms: int) -> bool:
         """Block until covered(dependency_ms); False if halted first."""
@@ -54,7 +72,11 @@ class GlobalClock:
             while not self._covered(dependency_ms):
                 if self._halted:
                     return False
-                self._advanced.wait()
+                self._waiters += 1
+                try:
+                    self._advanced.wait()
+                finally:
+                    self._waiters -= 1
             return True
 
     def halt(self) -> None:
@@ -63,16 +85,21 @@ class GlobalClock:
             self._advanced.notify_all()
 
     def mark_done(self, index: int) -> None:
-        if not 0 <= index < len(self._times):
+        if not 0 <= index < self._count:
             raise IndexError(f"operation index {index} out of range")
         with self._lock:
-            self._done.add(index)
-            while self._prefix in self._done:
-                self._done.discard(self._prefix)
-                self._prefix += 1
-            self._advanced.notify_all()
+            if index != self._prefix:
+                self._done.add(index)
+                return
+            prefix, done = index + 1, self._done
+            while done and prefix in done:
+                done.discard(prefix)
+                prefix += 1
+            self._prefix = prefix
+            if self._waiters:
+                self._advanced.notify_all()
 
     @property
     def complete(self) -> bool:
         with self._lock:
-            return self._prefix == len(self._times)
+            return self._prefix == self._count

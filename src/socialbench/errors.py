@@ -7,6 +7,7 @@ can catch harness failures without swallowing genuine bugs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import numbers
 import types
@@ -36,7 +37,7 @@ def load_config(cls, data, section: str):
     unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
         raise ConfigInvalid(f"{section}.{unknown[0]}", "unknown key")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     values = dict(data)
     for f in fields:
         if f.name in data and dataclasses.is_dataclass(hints[f.name]):
@@ -52,11 +53,18 @@ def load_config(cls, data, section: str):
     return config
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """typing.get_type_hints(cls), which evaluates every annotation
+    string, once per class."""
+    return typing.get_type_hints(cls)
+
+
 def check_config_types(config) -> None:
     """Raise ConfigInvalid naming the first field of the dataclass instance
     config whose value does not have the field's declared type.  An int
     passes for a float; a bool passes for neither."""
-    hints = typing.get_type_hints(type(config))
+    hints = _type_hints(type(config))
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         hint = hints[f.name]

@@ -220,6 +220,8 @@ class ReferenceStore:
                 self._cascades[parent].append((child, self._by_parent[child, parent]))
         # (person, person) -> [(version, count), ...], versions ascending.
         self._interactions: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # The record _root_of read last (commit lock held).
+        self._replied: _Rec | None = None
 
     @property
     def version(self) -> int:
@@ -292,9 +294,12 @@ class ReferenceStore:
             self._timelines[creator] = (times[:at] + [creation] + times[at:], records)
         self._messages_by_creator[creator] = records
 
-    def _bump_interactions_unlocked(self, comment: Message, delta: int,
-                                    version: int) -> None:
-        parent = self._tables["messages"][comment.reply_to_message_id].value
+    def _bump_interactions_unlocked(self, comment: Message, delta: int, version: int,
+                                    parent: Message | None = None) -> None:
+        """Move the interaction count between a comment's creator and the
+        creator of parent, the message it replies to (read here if None)."""
+        if parent is None:
+            parent = self._tables["messages"][comment.reply_to_message_id].value
         if parent.creator_person_id == comment.creator_person_id:
             return
         key = _pair(parent.creator_person_id, comment.creator_person_id)
@@ -306,7 +311,10 @@ class ReferenceStore:
             history.append((version, current + delta))
 
     def _root_of(self, message_id: int) -> int:
-        return self._require("messages", message_id).value.root_post_id
+        """The thread root of the live message a comment replies to.  Its
+        record stays in _replied, so that the insert reads it only once."""
+        self._replied = rec = self._require("messages", message_id)
+        return rec.value.root_post_id
 
     def _require(self, collection: str, key) -> _Rec:
         rec = self._tables[collection].get(key)
@@ -326,17 +334,24 @@ class ReferenceStore:
     def _apply_insert(self, op: UpdateOperation) -> int:
         with self._lock:
             collection, entity = decode_insert(op, self._root_of)
+            tables, target = self._tables, None
             for attr, parent, _index in self._indexes[collection]:
                 ref = getattr(entity, attr)
-                if ref is not None:
-                    target = self._require(parent, ref).value
-            # A like's last parent is the message it likes.
+                if ref is None:
+                    continue
+                rec = (self._replied if attr == "reply_to_message_id"
+                       else tables[parent].get(ref))
+                if rec is None or rec.deleted_v is not None:
+                    raise DependencyMissing(f"{parent} {ref} is absent or deleted")
+                target = rec.value
+            # A like's and a comment's last parent is the message they
+            # like or reply to.
             if collection == "likes" and target.kind != OP_TARGET[op.op_type][1]:
                 raise IntegrityError(f"like op {op.op_type} targets a {target.kind} message")
             version = self._version + 1
             self._add(collection, entity, version)
             if collection == "messages" and entity.kind == COMMENT:
-                self._bump_interactions_unlocked(entity, +1, version)
+                self._bump_interactions_unlocked(entity, +1, version, target)
             self._version = version
         return version
 

@@ -179,6 +179,43 @@ class TestClockAndGate:
         with pytest.raises(IndexError):
             clock.mark_done(1)
 
+    @staticmethod
+    def _blocked_waiter(clock, dependency_ms):
+        """A thread blocked in clock.wait_covered(dependency_ms), once it
+        waits; what the call returns lands in the list."""
+        answers = []
+        thread = threading.Thread(
+            target=lambda: answers.append(clock.wait_covered(dependency_ms)), daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while clock._waiters == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert clock._waiters == 1, "the waiter never blocked"
+        return thread, answers
+
+    def test_waiter_wakes_when_the_gap_commits(self):
+        """A later index committing out of order leaves the waiter blocked;
+        the commit that closes the gap wakes it."""
+        clock = GlobalClock(50, [100, 200, 300])
+        thread, answers = self._blocked_waiter(clock, 200)
+        clock.mark_done(1)
+        clock.mark_done(2)
+        thread.join(timeout=0.2)
+        assert thread.is_alive() and answers == []
+        clock.mark_done(0)
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "a commit covering the wait lost the wake-up"
+        assert answers == [True]
+
+    def test_halt_releases_a_blocked_waiter(self):
+        clock = GlobalClock(50, [100, 200, 300])
+        thread, answers = self._blocked_waiter(clock, 200)
+        clock.mark_done(1)
+        clock.halt()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "halt() left the waiter blocked"
+        assert answers == [False]
+
 
 class TestStats:
     def test_percentile_nearest_rank(self):
@@ -390,10 +427,11 @@ class TestRunner:
         config = DriverConfig(tcr=0.02, frequencies={}, write_threads=2)
         schedule = build_schedule(stream, {}, cutoff, config)
         runner = BenchmarkRunner(FiveMsStore(), schedule, config)
-        runner.run()
+        report = runner.run()
         second = max(runner.log, key=lambda r: r["opIndex"])
         assert second["scheduledWallMs"] == pytest.approx(20.02)
         assert second["actualWallMs"] - second["scheduledWallMs"] < 100, second
+        assert report.deferrals == sum(record["gateWaitMs"] > 0 for record in runner.log)
 
     def test_window_stops_dispatch_and_measures_only_inside_it(self):
         """A paced 270 ms window over updates 50 ms apart, with a CR3a after
@@ -519,6 +557,54 @@ class TestRunner:
         assert report.class_totals["SR"] >= 20
         for record in runner.log:
             assert record["actualWallMs"] >= record["scheduledWallMs"] - 1e-6, record
+
+    def test_a_kind_without_entries_starts_no_thread(self, monkeypatch):
+        """An update-only schedule starts no reader, a read-only one no
+        writer.  A worker that finds nothing to do ends before the store's
+        first call, so every thread started is recorded."""
+        started: list[str] = []
+        thread_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        config = DriverConfig(pacing=False, frequencies={}, read_threads=2, write_threads=2)
+        stream = [_ins_op(cutoff + 1_000 * i, ident=i) for i in range(1, 9)]
+        report = BenchmarkRunner(_EchoStore(), build_schedule(stream, {}, cutoff, config),
+                                 config).run()
+        assert report.class_totals == {"INS": 8}
+        assert started and not [name for name in started if not name.startswith("writer-")]
+
+        started.clear()
+        reads = Schedule(cutoff=cutoff, entries=[
+            ScheduleEntry(seq=i, wall_offset_ms=Fraction(i),
+                          query=QueryInstance("CR3a", {"personId": i}))
+            for i in range(1, 5)])
+        report = BenchmarkRunner(_EchoStore(), reads, config).run()
+        assert report.class_totals["CR"] == 4
+        assert started and not [name for name in started if not name.startswith("reader-")]
+
+    @pytest.mark.parametrize("pacing", [False, True])
+    def test_log_records_carry_exactly_the_documented_keys(self, pacing):
+        """Updates 3 ms apart with a CR3a after every second one."""
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 300 * i, ident=i) for i in range(1, 21)]
+        buckets = {cutoff: _bucket(cutoff, {"CR3a": [{"personId": 1}, {"personId": 2}]})}
+        config = DriverConfig(tcr=0.01, frequencies={"CR3a": 2}, pacing=pacing)
+        schedule = build_schedule(stream, buckets, cutoff, config)
+        runner = BenchmarkRunner(_EchoStore(), schedule, config)
+        runner.run()
+        read_keys = {"kind", "opType", "scheduledWallMs", "actualWallMs", "latencyMs"}
+        update_keys = read_keys | {"opIndex", "dependencyMs", "clockAtRelease", "gateWaitMs"}
+        kinds = {"INS": 0, "DEL": 0, "CR": 0, "SR": 0}
+        for record in runner.log:
+            kinds[record["kind"]] += 1
+            expected = update_keys if record["kind"] in ("INS", "DEL") else read_keys
+            assert set(record) == expected, record
+        assert kinds["INS"] == 20 and kinds["CR"] == 10 and kinds["SR"] >= 10
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
