@@ -31,7 +31,8 @@ from .datagen import (
     write_dataset,
 )
 from .driver import DriverConfig, build_schedule
-from .errors import ConfigInvalid, ParseError, SocialBenchError, load_config, read_json
+from .errors import (ConfigInvalid, ParseError, SocialBenchError, load_config, read_json,
+                     write_json)
 from .paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
 from .pipeline import (
     SECTIONS,
@@ -60,11 +61,8 @@ _SCENARIOS = {
 def _write_json(path: str | None, payload: dict) -> None:
     if path is None:
         return
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_json(path, payload)
 
 
 def _given(args: argparse.Namespace, cls, prefix: str = "") -> dict:

@@ -33,6 +33,7 @@ from ..errors import (
     load_config,
     read_json,
     utf8_lines,
+    write_json,
 )
 from ..model import (
     COLLECTIONS,
@@ -213,10 +214,9 @@ def serialize(sas: SnapshotAndStream, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     _write_entities(directory / "snapshot", sas.snapshot, temporal=False)
     write_stream(sas.stream, directory / "stream.ldjson")
-    with (directory / "dataset.json").open("w") as fh:
-        json.dump({"cutoff": format_instant(sas.cutoff), "retired": sas.retired,
-                   "partition": sas.partition_counts()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "dataset.json",
+               {"cutoff": format_instant(sas.cutoff), "retired": sas.retired,
+                "partition": sas.partition_counts()})
 
 
 def deserialize(directory: str | Path) -> SnapshotAndStream:
@@ -242,9 +242,7 @@ def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfi
     directory.mkdir(parents=True, exist_ok=True)
     serialize(sas, directory)
     _write_entities(directory / "temporal", graph, temporal=True)
-    with (directory / "config.json").open("w") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "config.json", asdict(config))
 
 
 def read_config(directory: str | Path) -> GenConfig:

@@ -10,8 +10,8 @@ from .schedule import (
     build_schedule,
     wall_offset,
 )
-from .stats import (ON_TIME_MS, ON_TIME_TARGET, RunReport, compute_stats, on_time,
-                    percentile, summarize_run)
+from .stats import (ON_TIME_MS, ON_TIME_TARGET, RunReport, compute_stats, percentile,
+                    summarize_run)
 from .triggers import derive_triggers
 from .validate import cross_validate
 
@@ -30,7 +30,6 @@ __all__ = [
     "ON_TIME_TARGET",
     "RunReport",
     "compute_stats",
-    "on_time",
     "percentile",
     "summarize_run",
     "derive_triggers",

@@ -35,49 +35,36 @@ class GlobalClock:
         self._waiters = 0  # writers blocked in wait_covered
         self._halted = False
 
-    def value(self) -> int:
-        with self._lock:
-            if self._prefix == 0:
-                return self._initial
-            return self._times[self._prefix - 1]
+    def release(self, dependency_ms: int) -> int | None:
+        """The clock value, read in the same transaction, once every
+        operation at or before dependency_ms committed; None until then.
 
-    def covered(self, dependency_ms: int) -> bool:
-        """True once every operation at or before dependency_ms committed.
-
-        Stricter than value() >= dependency_ms: several operations can
+        Stricter than clock value >= dependency_ms: several operations can
         share one simulation millisecond, and the watermark reads that
         instant as soon as the first of them lands.  Release on the next
         pending operation's time instead, so ties never leak through.
         """
-        with self._lock:
-            return self._covered(dependency_ms)
-
-    def _covered(self, dependency_ms: int) -> bool:
-        if self._prefix == self._count:
-            return True
-        return self._times[self._prefix] > dependency_ms
-
-    def release(self, dependency_ms: int) -> int | None:
-        """The clock value if covered(dependency_ms), read in the same
-        transaction; None if not covered yet."""
         with self._lock:
             prefix = self._prefix
             if prefix != self._count and self._times[prefix] <= dependency_ms:
                 return None
             return self._times[prefix - 1] if prefix else self._initial
 
-    def wait_covered(self, dependency_ms: int) -> bool:
-        """Block until covered(dependency_ms); False if halted first."""
+    def wait_covered(self, dependency_ms: int) -> int | None:
+        """Block until release(dependency_ms) would return the clock value,
+        and return that value; None if halted first."""
         with self._advanced:
-            while not self._covered(dependency_ms):
+            while True:
+                prefix = self._prefix
+                if prefix == self._count or self._times[prefix] > dependency_ms:
+                    return self._times[prefix - 1] if prefix else self._initial
                 if self._halted:
-                    return False
+                    return None
                 self._waiters += 1
                 try:
                     self._advanced.wait()
                 finally:
                     self._waiters -= 1
-            return True
 
     def halt(self) -> None:
         with self._advanced:
@@ -98,8 +85,3 @@ class GlobalClock:
             self._prefix = prefix
             if self._waiters:
                 self._advanced.notify_all()
-
-    @property
-    def complete(self) -> bool:
-        with self._lock:
-            return self._prefix == self._count

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigInvalid, check_config_types
@@ -61,15 +62,15 @@ class DriverConfig:
 
     def validate(self) -> None:
         check_config_types(self)
-        if self.tcr <= 0:
-            raise ConfigInvalid("tcr", "must be positive")
+        if not 0 < self.tcr < math.inf:
+            raise ConfigInvalid("tcr", "must be positive and finite")
         if self.read_threads < 1 or self.write_threads < 1:
             raise ConfigInvalid("threads", "need at least one of each kind")
-        if self.window_secs is not None and self.window_secs <= 0:
-            raise ConfigInvalid("window_secs", "must be positive when set")
+        if self.window_secs is not None and not 0 < self.window_secs < math.inf:
+            raise ConfigInvalid("window_secs", "must be positive and finite when set")
         for variant, freq in self.frequencies.items():
             if variant not in QUERY_VARIANTS:
                 raise ConfigInvalid("frequencies", f"unknown query variant {variant!r}")
-            if not isinstance(freq, int) or freq < 1:
-                raise ConfigInvalid("frequencies", f"{variant} must be >= 1")
+            if not isinstance(freq, int) or isinstance(freq, bool) or freq < 1:
+                raise ConfigInvalid("frequencies", f"{variant} must be an integer >= 1")
         self.triggers.validate()

@@ -24,9 +24,10 @@ the clock has not covered yet waits on the clock until a commit covers
 it.  Writers take updates in stream order, so every update before a
 gated one is already held by a writer and commits: a wait ends unless
 the update depends on its own scheduled time or later, where it would
-wait for itself.  Such an update aborts the run as a deadlock before it
-waits.  A reader runs the short reads a result triggers depth-first, in
-the order cross_validate runs them, before it takes its next entry.
+wait for itself.  The constructor refuses such an update as a deadlock,
+so nothing commits.  A reader runs the short reads a result triggers
+depth-first, in the order cross_validate runs them, before it takes its
+next entry.
 
 A kind of worker starts only when the schedule holds entries of its
 kind: an update-only schedule starts no reader, and a read-only one no
@@ -84,11 +85,16 @@ class BenchmarkRunner:
         for entry in schedule.entries:
             offset = entry.wall_offset_ms
             due_secs = offset.numerator / offset.denominator / 1000.0
-            if entry.op is None:
+            op = entry.op
+            if op is None:
                 self._reads.append((entry, due_secs))
-            else:
-                self._updates.append((entry, due_secs))
-                times.append(entry.op.scheduled_time)
+                continue
+            if op.dependency_time >= op.scheduled_time:
+                raise DeadlockSuspected(
+                    f"op {entry.op_index} ({op.op_type}) at {op.scheduled_time} depends "
+                    f"on {op.dependency_time}, so it would wait for itself")
+            self._updates.append((entry, due_secs))
+            times.append(op.scheduled_time)
         self.clock = GlobalClock(schedule.cutoff, times)
         self.log: list[dict] = []
         self._take_lock = threading.Lock()  # one iterator, one caller at a time
@@ -181,26 +187,21 @@ class BenchmarkRunner:
 
     def _write_worker(self, updates) -> None:
         take, clock, start = self._taker(updates), self.clock, self._start
-        release, mark_done = clock.release, clock.mark_done
+        release, wait_covered, mark_done = clock.release, clock.wait_covered, clock.mark_done
         execute_update, append = self.store.execute_update, self.log.append
         monotonic, perf_counter = time.monotonic, time.perf_counter
         while (taken := take()) is not None:
             entry, scheduled_ms = taken
             op = entry.op
             dependency = op.dependency_time
-            if dependency >= op.scheduled_time:
-                self._fail(DeadlockSuspected(
-                    f"op {entry.op_index} ({op.op_type}) at {op.scheduled_time} depends "
-                    f"on {dependency}, so it would wait for itself"))
-                return
             gate_wait_ms = 0.0
             clock_now = release(dependency)
             if clock_now is None:
                 arrived = perf_counter()
-                if not clock.wait_covered(dependency):
+                clock_now = wait_covered(dependency)
+                if clock_now is None:
                     return
                 gate_wait_ms = (perf_counter() - arrived) * 1000.0
-                clock_now = clock.value()
             actual_ms = (monotonic() - start) * 1000.0
             started = perf_counter()
             try:

@@ -38,11 +38,6 @@ def compute_stats(values: list[float]) -> dict[str, float]:
     return out
 
 
-def on_time(scheduled_ms: float, actual_ms: float) -> bool:
-    """An operation is on time if it started within ON_TIME_MS of its slot."""
-    return actual_ms - scheduled_ms <= ON_TIME_MS
-
-
 @dataclass
 class RunReport:
     """Everything a finished (or truncated) run has to say for itself."""
@@ -110,7 +105,7 @@ def summarize_run(records: list[dict], wall_seconds: float, mode: str) -> RunRep
         latencies.append(record["latencyMs"])
         delay = record["actualWallMs"] - record["scheduledWallMs"]
         add_delay(delay)
-        if delay <= ON_TIME_MS:  # on_time(), inlined
+        if delay <= ON_TIME_MS:
             on_time_count += 1
         if record.get("gateWaitMs"):
             deferrals += 1

@@ -119,6 +119,14 @@ def read_json(path):
         raise ParseError(str(path), exc.lineno, exc.msg) from exc
 
 
+def write_json(path, doc) -> None:
+    """Write the JSON document doc to the file at path: indent 2, sorted
+    keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 class NoQualifyingGroup(SocialBenchError):
     """Window selection found no frequency group of the required size."""
 

@@ -10,7 +10,6 @@ validation outcomes, so a run can be audited from its artifacts alone.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import platform
 import time
@@ -26,7 +25,7 @@ from .datagen import (
     write_dataset,
 )
 from .driver import BenchmarkRunner, DriverConfig, RunReport, build_schedule, cross_validate
-from .errors import ConfigInvalid, StageFailed
+from .errors import ConfigInvalid, StageFailed, write_json
 from .model import TemporalGraph
 from .paramgen import ParamGenOptions, generate_parameters, write_buckets
 from .refstore import NaiveStore, ReferenceStore
@@ -170,9 +169,7 @@ def run_pipeline(config: PipelineConfig | None = None) -> dict:
     }
     if out is not None:
         try:
-            with (out / "fdr.json").open("w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            write_json(out / "fdr.json", report)
             (out / "summary.txt").write_text(render_summary(report),
                                              encoding="utf-8")
         except OSError as exc:

@@ -356,17 +356,31 @@ class ReferenceStore:
         return version
 
     def _delete_closure_unlocked(self, op: UpdateOperation) -> list[tuple[str, object, _Rec]]:
-        """The live closure a delete removes, its target first.  An absent
-        or dead target is UnknownEntity; a message delete aimed at the
-        other message kind is IntegrityError."""
+        """The live closure a delete removes, in depth-first pre-order: its
+        target first, and every record after the one whose deletion
+        reached it.  An absent or dead target is UnknownEntity; a message
+        delete aimed at the other message kind is IntegrityError."""
         collection, key = delete_target(op)
-        closure = self._closure_unlocked(collection, key)
-        if not closure:
+        rec = self._tables[collection].get(key)
+        if rec is None or rec.deleted_v is not None:
             raise UnknownEntity(f"{collection} {key} is absent or already deleted")
-        target = closure[0][2].value
-        if collection == "messages" and target.kind != OP_TARGET[op.op_type][1]:
-            raise IntegrityError(f"delete op {op.op_type} targets a {target.kind} message")
-        return closure
+        if collection == "messages" and rec.value.kind != OP_TARGET[op.op_type][1]:
+            raise IntegrityError(f"delete op {op.op_type} targets a {rec.value.kind} message")
+        out: list[tuple[str, object, _Rec]] = []
+        seen: set[tuple[str, object]] = set()
+
+        def visit(collection: str, key, rec: _Rec) -> None:
+            seen.add((collection, key))
+            out.append((collection, key, rec))
+            for child, index in self._cascades[collection]:
+                for child_rec in index.get(key, ()):
+                    if child_rec.deleted_v is None:
+                        child_key = key_of(child, child_rec.value)
+                        if (child, child_key) not in seen:
+                            visit(child, child_key, child_rec)
+
+        visit(collection, key, rec)
+        return out
 
     def _apply_delete(self, op: UpdateOperation) -> tuple[int, int]:
         with self._lock:
@@ -387,34 +401,6 @@ class ReferenceStore:
             if coll == "messages" and rec.value.kind == COMMENT:
                 self._bump_interactions_unlocked(rec.value, -1, version)
         return nodes
-
-    def cascade_preview(self, kind: str, key) -> list[tuple[str, object]]:
-        """The (collection, key) pairs a delete of this entity would remove."""
-        with self._lock:
-            return sorted((coll, k) for coll, k, _rec in
-                          self._closure_unlocked(kind, key))
-
-    def _closure_unlocked(self, collection: str, key) -> list[tuple[str, object, _Rec]]:
-        """Live dependent closure of one entity, in depth-first pre-order:
-        the target first, and every record after the one whose deletion
-        reached it."""
-        out: list[tuple[str, object, _Rec]] = []
-        seen: set[tuple[str, object]] = set()
-
-        def visit(collection: str, key, rec: _Rec) -> None:
-            seen.add((collection, key))
-            out.append((collection, key, rec))
-            for child, index in self._cascades[collection]:
-                for child_rec in index.get(key, ()):
-                    if child_rec.deleted_v is None:
-                        child_key = key_of(child, child_rec.value)
-                        if (child, child_key) not in seen:
-                            visit(child, child_key, child_rec)
-
-        rec = self._tables[collection].get(key)
-        if rec is not None and rec.deleted_v is None:
-            visit(collection, key, rec)
-        return out
 
     # -- queries -----------------------------------------------------------
 

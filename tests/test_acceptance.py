@@ -30,7 +30,6 @@ from socialbench.driver import (
     BenchmarkRunner,
     DriverConfig,
     build_schedule,
-    on_time,
     summarize_run,
     wall_offset,
 )
@@ -48,7 +47,8 @@ from socialbench.simtime import (
     parse_day,
 )
 
-from test_refstore import _assert_no_dangling, _assert_timelines_sound, _closure_oracle
+from test_refstore import (_assert_no_dangling, _assert_timelines_sound, _closure_oracle,
+                           _delete_op, _gone)
 
 
 def criterion(number, title):
@@ -243,9 +243,11 @@ def _records(total, late, late_by_ms=5_000):
 
 @criterion(4, "on-time ratio is exact and validity flips at the 0.95 target")
 def test_c04_on_time_rule(capsys):
-    assert on_time(0.0, 1_000.0)
-    assert not on_time(0.0, 1_000.0001)
-    assert on_time(500.0, 400.0)
+    for scheduled, actual, on_time in ((0.0, 1_000.0, True), (0.0, 1_000.0001, False),
+                                       (500.0, 400.0, True)):
+        report = summarize_run([{"kind": "INS", "opType": "INS6", "scheduledWallMs": scheduled,
+                                 "actualWallMs": actual, "latencyMs": 1.0}], 1.0, "paced")
+        assert (report.on_time_count, report.late_count) == (on_time, not on_time)
 
     rng = random.Random(44)
     for _ in range(50):
@@ -438,12 +440,6 @@ def test_c07_query_oracle_equivalence(capsys, sas, pipeline_200):
 
 # --- criterion 8: cascade integrity after full replay -------------------------
 
-_DELETE_OP_FOR = {"persons": ("DEL1", lambda k: {"personId": k}),
-                  "forums": ("DEL4", lambda k: {"forumId": k}),
-                  "knows": ("DEL8", lambda k: {"person1Id": k[0],
-                                               "person2Id": k[1]})}
-
-
 @criterion(8, "full replay leaves no dangling refs; cascades equal closures")
 def test_c08_cascade_integrity(capsys, sas):
     store = ReferenceStore()
@@ -462,21 +458,13 @@ def test_c08_cascade_integrity(capsys, sas):
             expected = [("knows", key)]
         else:
             expected = _closure_oracle(state, kind, key)
-        assert store.cascade_preview(kind, key) == expected
 
-        if kind == "messages":
-            op_type = "DEL6" if state["messages"][key].kind == "Post" else "DEL7"
-            payload = {"messageId": key}
-        else:
-            op_type, build = _DELETE_OP_FOR[kind]
-            payload = build(key)
+        op_type, payload = _delete_op(state, kind, key)
         clock[0] += 60_000
         store.execute_update(UpdateOperation(op_type, clock[0], SIM_START, payload))
 
         after = store.state_at()
-        gone = {(coll, ident) for coll in state
-                for ident in state[coll] if ident not in after[coll]}
-        assert gone == set(expected), (kind, key)
+        assert _gone(state, after) == set(expected), (kind, key)
         _assert_no_dangling(after)
 
 

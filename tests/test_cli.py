@@ -115,6 +115,12 @@ class TestDriver:
         assert capsys.readouterr().err == (
             f"error: {dataset / 'stream.ldjson'}:1: file name is not a YYYY-MM-DD day\n")
 
+    def test_non_finite_tcr_is_refused(self, tree, capsys):
+        code = main(["driver", "--tcr", "nan", "--stream", str(tree / "dataset"),
+                     "--params", str(tree / "params")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid config field 'driver.tcr'")
+
     def test_validate_mode_refuses_an_audit_log(self, tree, tmp_path, capsys):
         """Validation runs no benchmark, so it has no update log to write."""
         audit_path = tmp_path / "audit.ldjson"
@@ -286,6 +292,10 @@ class TestBadInput:
         ([1], "(top level)"),
         ({"driver": {"triggers": [1]}}, "driver.triggers"),
         ({"driver": {"frequencies": {"CR13x": 5}}}, "driver.frequencies"),
+        ({"driver": {"tcr": float("nan")}}, "driver.tcr"),
+        ({"driver": {"tcr": float("inf")}}, "driver.tcr"),
+        ({"driver": {"window_secs": float("nan")}}, "driver.window_secs"),
+        ({"driver": {"frequencies": {"CR3a": True}}}, "driver.frequencies"),
     ])
     def test_config_value_of_wrong_type_or_range(self, tmp_path, capsys, conf, field):
         cfg_path = tmp_path / "cfg.json"

@@ -30,7 +30,7 @@ from socialbench.driver import (
 )
 from socialbench.driver.validate import MAX_DIFFS_PER_VARIANT
 from socialbench.errors import ConfigInvalid, DeadlockSuspected, MissingBucket
-from socialbench.model import UpdateOperation
+from socialbench.model import TemporalGraph, UpdateOperation
 from socialbench.paramgen import ParamGenOptions, ParameterBucket, generate_parameters
 from socialbench.refstore import NaiveStore, ReferenceStore
 from socialbench.simtime import MS_PER_DAY, SIM_START, day_date, day_start
@@ -144,35 +144,35 @@ class TestBuildSchedule:
 class TestClockAndGate:
     def test_gate_boundary(self):
         clock = GlobalClock(50, [100, 100, 200])
-        assert clock.covered(99)
-        assert not clock.covered(100)
+        assert clock.release(99) == 50
+        assert clock.release(100) is None
         clock.mark_done(0)
-        assert not clock.covered(100)  # a second op shares the instant
+        assert clock.release(100) is None  # a second op shares the instant
         clock.mark_done(1)
-        assert clock.covered(100)
-        assert clock.covered(199)
-        assert not clock.covered(200)
+        assert clock.release(100) == 100
+        assert clock.release(199) == 100
+        assert clock.release(200) is None
         clock.mark_done(2)
-        assert clock.covered(10**15)
+        assert clock.release(10**15) == 200
 
     def test_prefix_watermark_ignores_out_of_order_completions(self):
         clock = GlobalClock(50, [100, 200, 300])
-        assert clock.value() == 50
+        assert clock.release(0) == 50
         clock.mark_done(1)
-        assert clock.value() == 50  # op 0 still pending
+        assert clock.release(0) == 50  # op 0 still pending
         clock.mark_done(2)
-        assert clock.value() == 50
+        assert clock.release(0) == 50
+        assert clock.release(100) is None
         clock.mark_done(0)
-        assert clock.value() == 300
-        assert clock.complete
+        assert clock.release(10**15) == 300  # every op committed
 
     def test_contiguous_completion_advances_stepwise(self):
         clock = GlobalClock(50, [100, 200, 300])
         clock.mark_done(0)
-        assert clock.value() == 100
+        assert clock.release(0) == 100
         clock.mark_done(1)
-        assert clock.value() == 200
-        assert not clock.complete
+        assert clock.release(0) == 200
+        assert clock.release(10**15) is None  # op 2 still pending
 
     def test_out_of_range_index(self):
         clock = GlobalClock(0, [10])
@@ -205,7 +205,7 @@ class TestClockAndGate:
         clock.mark_done(0)
         thread.join(timeout=10)
         assert not thread.is_alive(), "a commit covering the wait lost the wake-up"
-        assert answers == [True]
+        assert answers == [300]
 
     def test_halt_releases_a_blocked_waiter(self):
         clock = GlobalClock(50, [100, 200, 300])
@@ -214,7 +214,7 @@ class TestClockAndGate:
         clock.halt()
         thread.join(timeout=10)
         assert not thread.is_alive(), "halt() left the waiter blocked"
-        assert answers == [False]
+        assert answers == [None]
 
 
 class TestStats:
@@ -336,7 +336,7 @@ class TestRunner:
         schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
         runner = BenchmarkRunner(store, schedule, config)
         report = runner.run()
-        assert runner.clock.complete
+        assert runner.clock.release(10**15) is not None  # every update committed
         # One record per executed operation, updates and reads alike.
         assert len(runner.log) == report.total_operations
         assert len([r for r in runner.log if "opIndex" in r]) == len(sas.stream)
@@ -376,7 +376,7 @@ class TestRunner:
         finally:
             sys.setswitchinterval(interval)
         assert not thread.is_alive(), "run() hangs"
-        assert runner.clock.complete
+        assert runner.clock.release(10**15) is not None  # every update committed
         updates = [r for r in runner.log if "opIndex" in r]
         assert len(updates) == len(sas.stream)
         for record in updates:
@@ -385,13 +385,18 @@ class TestRunner:
         assert len(complex_reads) == schedule.class_counts()["CR"]
 
     def test_deadlock_detection_on_corrupt_dependency(self):
+        """A self-dependent update is refused before anything commits, also
+        the valid update ahead of it."""
         cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
-        poisoned = [_ins_op(cutoff + 1_000, dep=cutoff + 10**9, ident=1)]
-        schedule = build_schedule(poisoned, {}, cutoff,
-                                  DriverConfig(frequencies={}, pacing=False))
+        stream = [_ins_op(cutoff + 1_000, ident=7),
+                  _ins_op(cutoff + 2_000, dep=cutoff + 10**9, ident=1)]
         config = DriverConfig(pacing=False, frequencies={})
+        schedule = build_schedule(stream, {}, cutoff, config)
+        store = ReferenceStore()
+        loaded = store.bulk_load(TemporalGraph())
         with pytest.raises(DeadlockSuspected):
-            BenchmarkRunner(ReferenceStore(), schedule, config).run()
+            BenchmarkRunner(store, schedule, config).run()
+        assert store.version == loaded
 
     def test_slow_predecessor_is_no_deadlock(self):
         """An update gated on a slow but progressing one waits it out."""
@@ -409,7 +414,7 @@ class TestRunner:
         schedule = build_schedule(stream, {}, cutoff, config)
         runner = BenchmarkRunner(SlowStore(), schedule, config)
         report = runner.run()
-        assert runner.clock.complete
+        assert runner.clock.release(10**15) is not None  # every update committed
         assert report.deferrals == 1
 
     def test_gated_update_starts_when_its_dependency_commits(self):
@@ -507,7 +512,7 @@ class TestRunner:
         thread.join(timeout=10)
         assert not thread.is_alive(), "run() hangs after a store error"
         assert [str(exc) for exc in raised] == ["store failed"]
-        assert not runner.clock.covered(cutoff + 1_000)
+        assert runner.clock.release(cutoff + 1_000) is None
 
     def test_failed_paced_run_returns_at_once(self):
         """A writer's store fails 10 ms in while a CR3a is due at 3 s:

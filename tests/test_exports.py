@@ -67,3 +67,24 @@ def test_every_defined_name_is_used():
             if not (name.startswith("__") and name.endswith("__"))
             and uses[name] == _uses(node)[name]]
     assert dead == []
+
+
+def _bench_imports():
+    """(file, module, name) for every `from socialbench... import name`
+    in bench/*.py, imports inside functions included."""
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "socialbench"):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    """The benchmark's interface is frozen: a name it imports from the
+    package must not go."""
+    imports = list(_bench_imports())
+    assert imports
+    missing = [f"{file}: from {module} import {name}" for file, module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -414,6 +414,18 @@ def _closure_oracle(state, kind, key, moderated_forums=True):
     return sorted(doomed)
 
 
+def _delete_op(state, kind, key):
+    """The op type and payload that delete the person, forum, message or
+    knows edge key of the state_at() dump state."""
+    if kind == "messages":
+        return ("DEL6" if state["messages"][key].kind == "Post" else "DEL7",
+                {"messageId": key})
+    if kind == "knows":
+        return "DEL8", {"person1Id": key[0], "person2Id": key[1]}
+    return {"persons": ("DEL1", {"personId": key}),
+            "forums": ("DEL4", {"forumId": key})}[kind]
+
+
 def _gone(before, after):
     """What a state_at() dump lost between before and after."""
     return {(kind, key) for kind in before for key in before[kind] if key not in after[kind]}
@@ -439,8 +451,10 @@ def _assert_no_dangling(state):
 
 class TestCascades:
     def test_person_closure_matches_oracle(self, toy):
-        expected = _closure_oracle(toy.state_at(), "persons", 2)
-        assert toy.cascade_preview("persons", 2) == expected
+        before = toy.state_at()
+        expected = set(_closure_oracle(before, "persons", 2))
+        _op(toy, "DEL1", {"personId": 2})
+        assert _gone(before, toy.state_at()) == expected
         assert ("messages", 303) in expected  # grandchild by another author
         assert ("knows", (1, 2)) in expected
 
@@ -484,17 +498,20 @@ class TestCascades:
         assert 100 in store.state_at()["forums"]
 
     def test_random_roots_against_oracle(self, sas):
-        store = ReferenceStore()
-        store.bulk_load(sas.snapshot)
-        state = store.state_at()
+        """Each root is deleted from a freshly loaded store."""
+        state = sas.snapshot
         rng = random.Random(99)
-        persons = sorted(state["persons"])
-        messages = sorted(state["messages"])
+        persons = sorted(state.persons)
+        messages = sorted(state.messages)
         roots = ([("persons", rng.choice(persons)) for _ in range(10)]
                  + [("messages", rng.choice(messages)) for _ in range(10)])
         for kind, key in roots:
-            assert store.cascade_preview(kind, key) == \
-                _closure_oracle(state, kind, key), (kind, key)
+            store = ReferenceStore()
+            store.bulk_load(sas.snapshot)
+            before = store.state_at()
+            _op(store, *_delete_op(before, kind, key))
+            assert _gone(before, store.state_at()) == \
+                set(_closure_oracle(before, kind, key)), (kind, key)
 
 
 class TestVersioning:
