@@ -32,9 +32,12 @@ def show(report, label):
           f"({report.throughput_ops_per_sec:.0f} ops/s)")
     print(f"  class totals {report.class_totals}")
     print(f"  deferrals {report.deferrals}")
-    verdict = {None: "n/a (not paced)", True: "VALID", False: "INVALID"}[report.valid]
-    print(f"  on-time {report.on_time_count}/{report.on_time_count + report.late_count}"
-          f" = {report.on_time_ratio:.4f} -> {verdict}")
+    if report.valid is None:
+        print("  on-time n/a (not paced)")
+    else:
+        verdict = "VALID" if report.valid else "INVALID"
+        print(f"  on-time {report.on_time_count}/{report.on_time_count + report.late_count}"
+              f" = {report.on_time_ratio:.4f} -> {verdict}")
     for variant in sorted(report.variant_latency_ms)[:4]:
         stats = report.variant_latency_ms[variant]
         print(f"  {variant:6s} p50 {stats['p50']:.3f} ms  "

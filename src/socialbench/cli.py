@@ -125,9 +125,10 @@ def cmd_driver(args: argparse.Namespace) -> int:
             updates = [record for record in runner.log if "opIndex" in record]
             for record in sorted(updates, key=lambda r: r["opIndex"]):
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
+    ratio = "n/a" if report.on_time_ratio is None else f"{report.on_time_ratio:.4f}"
     verdict = "n/a" if report.valid is None else report.valid
     print(f"mode={report.mode} measured={report.total_operations} "
-          f"on-time={report.on_time_ratio:.4f} valid={verdict}")
+          f"on-time={ratio} valid={verdict}")
     return 1 if report.valid is False else 0
 
 

@@ -134,9 +134,11 @@ class BenchmarkRunner:
             report.schedule_exhausted = True
             report.warnings.append("schedule ended before the measurement window closed")
         if logger.isEnabledFor(logging.INFO):
-            logger.info("%s run: %d operations in %.2f s, delay p50 %.3f ms, p90 %.3f ms",
-                        report.mode, report.total_operations, wall,
-                        report.delay_ms.get("p50", 0.0), report.delay_ms.get("p90", 0.0))
+            delay = report.delay_ms
+            logger.info("%s run: %d operations in %.2f s, %s", report.mode,
+                        report.total_operations, wall,
+                        f"delay p50 {delay['p50']:.3f} ms, p90 {delay['p90']:.3f} ms"
+                        if delay else "delay not measured")
         return report
 
     def _taker(self, entries):

@@ -46,11 +46,13 @@ class RunReport:
     total_operations: int = 0
     class_totals: dict[str, int] = field(default_factory=dict)
     variant_latency_ms: dict[str, dict] = field(default_factory=dict)
+    # Lateness is measured only in a paced run: otherwise delay_ms stays
+    # empty, and the on-time counts, ratio and verdict are None.
     delay_ms: dict[str, float] = field(default_factory=dict)
-    on_time_count: int = 0
-    late_count: int = 0
-    on_time_ratio: float = 1.0
-    valid: bool | None = True  # None: no verdict, the run was not paced
+    on_time_count: int | None = 0
+    late_count: int | None = 0
+    on_time_ratio: float | None = 1.0
+    valid: bool | None = True
     wall_seconds: float = 0.0
     throughput_ops_per_sec: float = 0.0
     deferrals: int = 0
@@ -86,16 +88,14 @@ def summarize_run(records: list[dict], wall_seconds: float, mode: str) -> RunRep
     scheduledWallMs, actualWallMs and latencyMs.  An update that waited
     at the dependency gate has a nonzero gateWaitMs and counts as a
     deferral.  Only a paced run is graded on time: in throughput mode
-    nothing waits for its slot, so valid is None while the counts and
-    the ratio are still reported.
+    nothing waits for its slot, so a start's distance from its slot
+    grades nothing, and lateness is left unmeasured (see RunReport).
     """
-    report = RunReport(mode=mode, wall_seconds=wall_seconds)
-    report.total_operations = len(records)
+    total = len(records)
+    report = RunReport(mode=mode, total_operations=total, wall_seconds=wall_seconds)
     class_totals = report.class_totals
     by_variant: dict[str, list[float]] = {}
-    delays: list[float] = []
-    add_delay = delays.append
-    on_time_count = deferrals = 0
+    deferrals = 0
     for record in records:
         kind = record["kind"]
         class_totals[kind] = class_totals.get(kind, 0) + 1
@@ -103,22 +103,21 @@ def summarize_run(records: list[dict], wall_seconds: float, mode: str) -> RunRep
         if latencies is None:
             latencies = by_variant[record["opType"]] = []
         latencies.append(record["latencyMs"])
-        delay = record["actualWallMs"] - record["scheduledWallMs"]
-        add_delay(delay)
-        if delay <= ON_TIME_MS:
-            on_time_count += 1
         if record.get("gateWaitMs"):
             deferrals += 1
-    report.on_time_count = on_time_count
-    report.late_count = report.total_operations - on_time_count
     report.deferrals = deferrals
     for variant, values in sorted(by_variant.items()):
         report.variant_latency_ms[variant] = compute_stats(values)
-    if delays:
+    if total and wall_seconds > 0:
+        report.throughput_ops_per_sec = total / wall_seconds
+    if mode != "paced":
+        report.on_time_count = report.late_count = report.on_time_ratio = report.valid = None
+        return report
+    delays = [record["actualWallMs"] - record["scheduledWallMs"] for record in records]
+    on_time_count = sum(delay <= ON_TIME_MS for delay in delays)
+    report.on_time_count, report.late_count = on_time_count, total - on_time_count
+    if total:
         report.delay_ms = compute_stats(delays)
-    if report.total_operations:
-        report.on_time_ratio = on_time_count / report.total_operations
-        if wall_seconds > 0:
-            report.throughput_ops_per_sec = report.total_operations / wall_seconds
-    report.valid = report.on_time_ratio >= ON_TIME_TARGET if mode == "paced" else None
+        report.on_time_ratio = on_time_count / total
+    report.valid = report.on_time_ratio >= ON_TIME_TARGET
     return report

@@ -412,33 +412,38 @@ def delete_op(graph: TemporalGraph, collection: str, key,
 def decode_insert(op: UpdateOperation, root_of=None) -> tuple[str, object]:
     """The (collection, entity) an insert creates, alive from its scheduled time.
 
-    A comment's thread root is not on the wire: root_of(message id) gives
-    the root post of the message it replies to.  Without root_of, the
-    comment's root_post_id is None.
+    The payload keys _INSERT_FIELDS lists for the op code go to the entity
+    class positionally.  A comment's thread root is not on the wire:
+    root_of(message id), called once every key is read, gives the root post
+    of the message it replies to; without root_of the root is None.
     """
-    fields = _INSERT_FIELDS.get(op.op_type)
-    if fields is None:
-        raise MalformedOperation(f"{op.op_type} is not an insert")
-    collection, kind = OP_TARGET[op.op_type]
-    life = Lifecycle(op.scheduled_time)
+    op_type = op.op_type
+    if op_type not in INSERT_OPS:
+        raise MalformedOperation(f"{op_type} is not an insert")
+    collection, kind = OP_TARGET[op_type]
+    p, life = op.payload, Lifecycle(op.scheduled_time)
     try:
-        payload, values = op.payload, {}
-        for name, attr in fields:
-            values[attr] = frozenset(payload[name]) if attr in ID_SETS else payload[name]
-        if collection == "knows":
-            return collection, KnowsEdge.make(values["person1_id"], values["person2_id"], life)
-        if collection == "messages":
-            values["kind"] = kind
-            if kind == POST:
-                values["reply_to_message_id"] = None
-                values["root_post_id"] = values["id"]
-            else:
-                values["container_forum_id"] = None
-                reply_to = values["reply_to_message_id"]
-                values["root_post_id"] = root_of(reply_to) if root_of else None
-        return collection, ENTITY_CLASSES[collection](lifecycle=life, **values)
+        if collection == "likes":
+            entity = LikesEdge(p["personId"], p["messageId"], life)
+        elif kind == COMMENT:
+            reply_to = p["replyToMessageId"]
+            entity = Message(p["id"], kind, p["creatorPersonId"], None, reply_to, p["countryId"],
+                             frozenset(p["tagIds"]), life, root_of(reply_to) if root_of else None)
+        elif kind == POST:
+            entity = Message(p["id"], kind, p["creatorPersonId"], p["containerForumId"], None,
+                             p["countryId"], frozenset(p["tagIds"]), life, p["id"])
+        elif collection == "knows":
+            entity = KnowsEdge.make(p["person1Id"], p["person2Id"], life)
+        elif collection == "members":
+            entity = HasMemberEdge(p["forumId"], p["personId"], life)
+        elif collection == "forums":
+            entity = Forum(p["id"], p["moderatorPersonId"], life)
+        else:
+            entity = Person(p["id"], p["firstName"], p["lastName"], p["countryId"],
+                            p["universityId"], frozenset(p["tagInterests"]), life)
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedOperation(f"malformed {op.op_type} payload: {exc!r}") from exc
+        raise MalformedOperation(f"malformed {op_type} payload: {exc!r}") from exc
+    return collection, entity
 
 
 def delete_target(op: UpdateOperation) -> tuple[str, object]:

@@ -181,6 +181,8 @@ def render_summary(report: dict) -> str:
     """Short human-readable digest of a pipeline report."""
     data = report["dataStats"]
     run = report["run"]
+    on_time = run["onTime"]
+    ratio = "n/a" if on_time["ratio"] is None else f"{on_time['ratio']:.4f}"
     lines = [
         "benchmark pipeline summary",
         "==========================",
@@ -193,9 +195,9 @@ def render_summary(report: dict) -> str:
         f"schedule: {report['schedule']['classTotals']}",
         f"run mode: {run['mode']}; measured ops: {run['totalOperations']}; "
         f"throughput: {run['throughputOpsPerSec']:.0f} ops/s",
-        f"on-time ratio: {run['onTime']['ratio']:.4f} "
-        f"(target {run['onTime']['target']}); valid: "
-        f"{'n/a' if run['onTime']['valid'] is None else run['onTime']['valid']}",
+        f"on-time ratio: {ratio} "
+        f"(target {on_time['target']}); valid: "
+        f"{'n/a' if on_time['valid'] is None else on_time['valid']}",
     ]
     if report["validation"] is not None:
         lines.append(f"validation: {report['validation']['queries']} queries, "

@@ -1,13 +1,16 @@
 """Versioned in-memory graph store with snapshot-isolated reads.
 
 Every entity and edge is held in a record carrying the version interval
-during which it is visible.  Writers serialize on a single commit lock,
-stage their records, and publish them by bumping the store version as
-the very last step; readers pin the version once and evaluate the whole
-query against that instant, so concurrent commits never leak into a
-running traversal.  Nothing is ever physically removed: deletion writes
-a closing version into the record, which keeps every adjacency list
-append-only and therefore safe to iterate while writers run.
+[created_v, deleted_v) during which it is visible.  A live record's
+deleted_v is NEVER, an end no version reaches, so one chained comparison
+is the whole rule; the hot loops test it inline.  Writers serialize on a
+single commit lock, stage their records, and publish them by bumping the
+store version as the very last step; readers pin the version once and
+evaluate the whole query against that instant, so concurrent commits
+never leak into a running traversal.  Nothing is ever physically
+removed: deletion writes a closing version into the record, which keeps
+every adjacency list append-only and therefore safe to iterate while
+writers run.
 
 The one exception is each creator's message timeline, which is kept in
 creation order so that a window is two bisections.  A message created no
@@ -17,6 +20,10 @@ created earlier is placed by copy-on-write: the commit builds new lists
 and publishes the (times, records) pair as one object, so a reader keeps
 whichever pair it fetched, whole.  The inserted record is invisible to
 every version pinned before the commit, so neither pair misleads it.
+
+An insert walks its entity's parents once.  Only when every check has
+passed is the record filed into its table and into the parent indexes
+that walk found, so a refused insert leaves nothing behind.
 
 Delete operations remove the full dependent closure of their target
 (reply trees, likes, memberships, and so on) in one commit, so no
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -50,6 +58,13 @@ from ..model import (
 )
 
 SR2_LIMIT = 10
+# The deleted_v of a live record: an end no version reaches.
+NEVER = sys.maxsize
+# The method that answers each query variant; CR3, CR13 and CR14 also
+# answer without their a/b suffix.
+_QUERY_METHODS = {f"{base}{suffix}": f"_{base.lower()}"
+                  for base in ("CR3", "CR13", "CR14") for suffix in ("", "a", "b")}
+_QUERY_METHODS.update(SR2="_sr2", SR6="_sr6")
 
 
 def edge_weight(interactions: int) -> int:
@@ -69,13 +84,10 @@ class _Rec:
 
     value: object
     created_v: int
-    deleted_v: int | None = None
+    deleted_v: int = NEVER
 
     def visible_at(self, version: int) -> bool:
-        if self.created_v > version:
-            return False
-        deleted = self.deleted_v
-        return deleted is None or deleted > version
+        return self.created_v <= version < self.deleted_v
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -141,7 +153,7 @@ class Snapshot:
 
     def _live(self, collection: str, key) -> object | None:
         rec = self.store._tables[collection].get(key)
-        if rec is not None and rec.visible_at(self.version):
+        if rec is not None and rec.created_v <= self.version < rec.deleted_v:
             return rec.value
         return None
 
@@ -157,8 +169,8 @@ class Snapshot:
     def friend_ids(self, person_id: int) -> list[int]:
         version = self.version
         out = []
-        for rec in self.store._knows_by_person.get(person_id, []):
-            if rec.visible_at(version):
+        for rec in self.store._knows_by_person.get(person_id, ()):
+            if rec.created_v <= version < rec.deleted_v:
                 edge = rec.value
                 out.append(edge.person2_id if edge.person1_id == person_id
                            else edge.person1_id)
@@ -170,11 +182,11 @@ class Snapshot:
         version = self.version
         interactions = self.store._interactions
         out = []
-        for rec in self.store._knows_by_person.get(person_id, []):
+        for rec in self.store._knows_by_person.get(person_id, ()):
             edge = rec.value
             # Knows edges are canonical, so their endpoints key the counts.
             history = interactions.get((edge.person1_id, edge.person2_id))
-            if history and rec.visible_at(version):
+            if history and rec.created_v <= version < rec.deleted_v:
                 count = _count_at(history, version)
                 if count >= 1:
                     out.append((edge.person2_id if edge.person1_id == person_id
@@ -246,11 +258,14 @@ class ReferenceStore:
                 raise IntegrityError("store already loaded")
             check_references(data, self.delete_forums_of_deleted_moderator)
             for collection in COLLECTIONS:
+                indexes = self._indexes[collection]
                 entities = getattr(data, collection).values()
                 if collection == "messages":
                     entities = sorted(entities, key=lambda m: (m.lifecycle.creation, m.id))
                 for entity in entities:
-                    self._add(collection, entity, 1)
+                    self._add(collection, entity, 1, [
+                        (index, ref) for attr, _parent, index in indexes
+                        if (ref := getattr(entity, attr)) is not None])
             for rec in self._tables["messages"].values():
                 message = rec.value
                 if message.kind == COMMENT:
@@ -260,17 +275,15 @@ class ReferenceStore:
 
     # -- record helpers (commit lock must be held) -------------------------
 
-    def _add(self, collection: str, entity, version: int) -> None:
+    def _add(self, collection: str, entity, version: int, parents) -> None:
+        """File a new record in its table and, for each (index, parent key)
+        of parents, in that parent index.  A taken key is IntegrityError."""
         key = key_of(collection, entity)
         table = self._tables[collection]
         if key in table:
             raise IntegrityError(f"duplicate {collection} {key}")
-        rec = _Rec(entity, version)
-        table[key] = rec
-        for attr, _parent, index in self._indexes[collection]:
-            ref = getattr(entity, attr)
-            if ref is None:
-                continue
+        rec = table[key] = _Rec(entity, version)
+        for index, ref in parents:
             if index is self._messages_by_creator:
                 self._add_to_timeline(ref, rec)
             else:
@@ -318,7 +331,7 @@ class ReferenceStore:
 
     def _require(self, collection: str, key) -> _Rec:
         rec = self._tables[collection].get(key)
-        if rec is None or rec.deleted_v is not None:
+        if rec is None or rec.deleted_v != NEVER:
             raise DependencyMissing(f"{collection} {key} is absent or deleted")
         return rec
 
@@ -334,22 +347,23 @@ class ReferenceStore:
     def _apply_insert(self, op: UpdateOperation) -> int:
         with self._lock:
             collection, entity = decode_insert(op, self._root_of)
-            tables, target = self._tables, None
-            for attr, parent, _index in self._indexes[collection]:
+            tables, parents, target = self._tables, [], None
+            for attr, parent, index in self._indexes[collection]:
                 ref = getattr(entity, attr)
                 if ref is None:
                     continue
                 rec = (self._replied if attr == "reply_to_message_id"
                        else tables[parent].get(ref))
-                if rec is None or rec.deleted_v is not None:
+                if rec is None or rec.deleted_v != NEVER:
                     raise DependencyMissing(f"{parent} {ref} is absent or deleted")
                 target = rec.value
+                parents.append((index, ref))
             # A like's and a comment's last parent is the message they
             # like or reply to.
             if collection == "likes" and target.kind != OP_TARGET[op.op_type][1]:
                 raise IntegrityError(f"like op {op.op_type} targets a {target.kind} message")
             version = self._version + 1
-            self._add(collection, entity, version)
+            self._add(collection, entity, version, parents)
             if collection == "messages" and entity.kind == COMMENT:
                 self._bump_interactions_unlocked(entity, +1, version, target)
             self._version = version
@@ -362,7 +376,7 @@ class ReferenceStore:
         delete aimed at the other message kind is IntegrityError."""
         collection, key = delete_target(op)
         rec = self._tables[collection].get(key)
-        if rec is None or rec.deleted_v is not None:
+        if rec is None or rec.deleted_v != NEVER:
             raise UnknownEntity(f"{collection} {key} is absent or already deleted")
         if collection == "messages" and rec.value.kind != OP_TARGET[op.op_type][1]:
             raise IntegrityError(f"delete op {op.op_type} targets a {rec.value.kind} message")
@@ -374,7 +388,7 @@ class ReferenceStore:
             out.append((collection, key, rec))
             for child, index in self._cascades[collection]:
                 for child_rec in index.get(key, ()):
-                    if child_rec.deleted_v is None:
+                    if child_rec.deleted_v == NEVER:
                         child_key = key_of(child, child_rec.value)
                         if (child, child_key) not in seen:
                             visit(child, child_key, child_rec)
@@ -406,19 +420,11 @@ class ReferenceStore:
 
     def execute_query(self, variant: str, params: dict,
                       snapshot: Snapshot | None = None):
-        snap = snapshot or self.begin_read()
-        base = variant[:-1] if variant.endswith(("a", "b")) else variant
-        if base == "CR3":
-            return self._cr3(snap, params)
-        if base == "CR13":
-            return self._cr13(snap, params)
-        if base == "CR14":
-            return self._cr14(snap, params)
-        if variant == "SR2":
-            return self._sr2(snap, params)
-        if variant == "SR6":
-            return self._sr6(snap, params)
-        raise IntegrityError(f"unknown query variant {variant}")
+        name = _QUERY_METHODS.get(variant)
+        if name is None:
+            raise IntegrityError(f"unknown query variant {variant}")
+        # Through self and begin_read, so that a subclass can replace either.
+        return getattr(self, name)(snapshot or self.begin_read(), params)
 
     @staticmethod
     def _two_hop(snap: Snapshot, person_id: int) -> set[int]:
@@ -454,7 +460,7 @@ class ReferenceStore:
                 continue
             x_count = y_count = 0
             for rec in records[lo:hi]:
-                if rec.visible_at(version):
+                if rec.created_v <= version < rec.deleted_v:
                     country = rec.value.country_id
                     if country == cx:
                         x_count += 1
@@ -563,7 +569,7 @@ class ReferenceStore:
             if (len(messages) >= SR2_LIMIT
                     and message.lifecycle.creation < messages[-1].lifecycle.creation):
                 break
-            if rec.visible_at(version):
+            if rec.created_v <= version < rec.deleted_v:
                 messages.append(message)
         messages.sort(key=lambda m: (-m.lifecycle.creation, -m.id))
         rows = []

@@ -6,10 +6,10 @@ based, deprecated).  Benchmark and validation runs must derive identical
 generators for the same key, so every composite-seed construction goes
 through here.
 
-The seeding is deferred to the first draw.  The driver derives a
-generator for every query it runs, but only a few answers trigger a
-draw, and the sha512 plus Mersenne Twister seeding costs several times
-what the rest of a short read does.
+The seeding, and the key string it hashes, are deferred to the first
+draw.  The driver derives a generator for every query it runs, but only
+a few answers trigger a draw, and the sha512 plus Mersenne Twister
+seeding costs several times what the rest of a short read does.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 
 
 class _DeferredRandom(random.Random):
-    """A Random that seeds itself from its key on its first use.
+    """A Random that seeds itself from repr(parts) on its first use.
 
     Every draw goes through random() or getrandbits(), so overriding
     both covers them all.  Overriding getrandbits also keeps
@@ -26,23 +26,23 @@ class _DeferredRandom(random.Random):
     choice, shuffle and sample draw the same streams as a plain Random.
     """
 
-    def __init__(self, key: str | None = None):
+    def __init__(self, parts: tuple | None = None):
         # random.Random.__init__ would seed at once; this only records
-        # the key.  A key of None is the no-argument constructor that
+        # the parts.  Parts of None is the no-argument constructor that
         # copy and pickle call before setstate.
-        self._key = key
+        self._parts = parts
         self.gauss_next = None
 
     def _seed_pending(self) -> None:
-        if self._key is not None:
-            self.seed(self._key)
+        if self._parts is not None:
+            self.seed(repr(self._parts))
 
     def seed(self, a=None, version=2) -> None:
-        self._key = None
+        self._parts = None
         super().seed(a, version)
 
     def setstate(self, state) -> None:
-        self._key = None
+        self._parts = None
         super().setstate(state)
 
     def getstate(self):
@@ -63,7 +63,7 @@ def derive_rng(*parts) -> random.Random:
 
     It draws what random.Random(repr(parts)) draws.
     """
-    return _DeferredRandom(repr(parts))
+    return _DeferredRandom(parts)
 
 
 def shuffle(rng: random.Random, items: list) -> None:

@@ -253,13 +253,21 @@ class TestStats:
 
     def test_throughput_run_has_no_on_time_verdict(self):
         """Nothing paces a throughput run, so its lateness grades nothing:
-        the counts and the ratio stay, the verdict is None."""
+        the delays stay empty and the counts, ratio and verdict are None,
+        under the keys a paced report has."""
         records = self._records(20, 20)
         report = summarize_run(records, 1.0, "throughput")
-        assert (report.late_count, report.on_time_ratio) == (20, 0.0)
-        assert report.valid is None
-        assert report.to_dict()["onTime"]["valid"] is None
-        assert summarize_run(records, 1.0, "paced").valid is False
+        assert report.delay_ms == {}
+        assert (report.on_time_count, report.late_count, report.on_time_ratio,
+                report.valid) == (None, None, None, None)
+        data = report.to_dict()
+        assert data["delayMs"] == {}
+        assert data["onTime"] == {"count": None, "late": None, "ratio": None,
+                                  "target": 0.95, "valid": None}
+        assert (data["totalOperations"], data["classTotals"]) == (20, {"INS": 20})
+        paced = summarize_run(records, 1.0, "paced")
+        assert (paced.late_count, paced.on_time_ratio, paced.valid) == (20, 0.0, False)
+        assert paced.delay_ms["p50"] == 5_000.0
 
 
 class TestTriggers:
@@ -325,7 +333,7 @@ class TestRunner:
         config = DriverConfig(pacing=False)
         report = BenchmarkRunner(ReferenceStore(), schedule, config).run()
         assert report.total_operations == 0
-        assert report.on_time_ratio == 1.0
+        assert report.on_time_ratio is None
         assert report.valid is None
 
     def test_throughput_run_executes_everything(self):
@@ -649,21 +657,36 @@ class TestCrossValidate:
         assert outcome["updates"] == len(sas.stream)
         assert outcome["queries"] > 0
 
-    def test_injected_query_fault_is_caught(self):
-        class OffByOneStore(ReferenceStore):
-            def _cr13(self, snap, params):
-                result = super()._cr13(snap, params)
-                return {"shortestPathLength": result["shortestPathLength"] + 1}
+    # Per query method: a wrong answer of the right shape made from the
+    # right one, and the variant family that answers through the method.
+    WRONG_ANSWERS = {
+        "_cr3": (lambda rows: rows + [{"personId": 0, "xCount": 1, "yCount": 1,
+                                       "totalCount": 2}], "CR3"),
+        "_cr13": (lambda r: {"shortestPathLength": r["shortestPathLength"] + 1}, "CR13"),
+        "_cr14": (lambda r: {"path": [], "weight": -1}, "CR14"),
+        "_sr2": (lambda rows: rows[1:], "SR2"),
+        "_sr6": (lambda r: None, "SR6"),
+    }
 
+    @pytest.mark.parametrize("method", sorted(WRONG_ANSWERS))
+    def test_injected_query_fault_is_caught(self, method):
+        """execute_query reaches each query through the instance, so an
+        override's wrong answers show up as divergences of its family."""
+        wrong, family = self.WRONG_ANSWERS[method]
+
+        def broken_method(self, snap, params):
+            return wrong(getattr(ReferenceStore, method)(self, snap, params))
+
+        broken = type("BrokenStore", (ReferenceStore,), {method: broken_method})()
         _, sas, buckets = _mini_dataset(num_persons=80, seed=13)
-        broken, naive = OffByOneStore(), NaiveStore()
+        naive = NaiveStore()
         broken.bulk_load(sas.snapshot)
         naive.bulk_load(sas.snapshot)
         config = DriverConfig(pacing=False)
         schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
         outcome = cross_validate(broken, naive, schedule, config)
         assert outcome["diffCount"] > 0
-        assert any(v.startswith("CR13") for v in outcome["variantsWithDiffs"])
+        assert any(v.startswith(family) for v in outcome["variantsWithDiffs"])
 
     def test_every_divergence_is_counted(self):
         class Lies48CR13:

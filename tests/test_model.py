@@ -224,6 +224,12 @@ class TestCodec:
                   "countryId": 1, "tagIds": []}),
         ("INS2", ["personId", "messageId"]),
         ("DEL5", {"forumId": 1}),
+        ("INS3", {"personId": 1}),
+        ("INS4", {"moderatorPersonId": 1}),
+        ("INS5", {"personId": 1}),
+        ("INS7", {"id": 6, "creatorPersonId": 1, "countryId": 1, "tagIds": []}),
+        ("INS7", {"id": 6, "creatorPersonId": 1, "replyToMessageId": 5, "countryId": 1,
+                  "tagIds": 5}),
     ])
     def test_malformed_payload_is_rejected(self, op_type, payload):
         op = UpdateOperation(op_type, SIM_START, SIM_START, payload)

@@ -322,28 +322,57 @@ def test_variant_names_are_exact(store_cls):
             store.execute_query(variant, pair)
 
 
+def _footprint(store):
+    """What a refused update must leave as it was: the version and the
+    live state, and on a ReferenceStore the length of every creator
+    timeline and of every parent index's record list."""
+    out = [store.version, store.state_at()]
+    if isinstance(store, ReferenceStore):
+        out.append({creator: (len(times), len(records))
+                    for creator, (times, records) in store._timelines.items()})
+        out.append({pair: {key: len(records) for key, records in index.items()}
+                    for pair, index in store._by_parent.items()})
+    return out
+
+
 class TestErrorContracts:
-    """The oracle refuses what the reference store refuses."""
+    """The oracle refuses what the reference store refuses, and a refused
+    insert leaves either store as it was."""
 
     STORES = (ReferenceStore, NaiveStore)
 
-    def test_duplicate_insert(self):
-        for store_cls in self.STORES:
-            with pytest.raises(IntegrityError):
-                _person(_toy_store(store_cls), 1)
-
-    def test_missing_reference(self):
+    def _refused(self, error, *inserts):
         for store_cls in self.STORES:
             store = _toy_store(store_cls)
-            with pytest.raises(DependencyMissing):
-                _op(store, "INS3", {"personId": 1, "messageId": 888})
-            with pytest.raises(DependencyMissing):
-                _comment(store, 900, 1, 888)
+            before = _footprint(store)
+            for insert in inserts:
+                with pytest.raises(error):
+                    insert(store)
+                assert _footprint(store) == before, store_cls
+
+    def test_duplicate_insert(self):
+        # Every parent of each duplicate is live, so only the key refuses it.
+        self._refused(IntegrityError,
+                      lambda store: _person(store, 1),
+                      lambda store: _knows(store, 2, 1),
+                      lambda store: _post(store, 200, 2, 100),
+                      lambda store: _comment(store, 300, 3, 200),
+                      lambda store: _op(store, "INS3", {"personId": 2, "messageId": 300}),
+                      lambda store: _op(store, "INS5", {"forumId": 100, "personId": 1}))
+
+    def test_missing_reference(self):
+        self._refused(DependencyMissing,
+                      lambda store: _op(store, "INS3", {"personId": 1, "messageId": 888}),
+                      lambda store: _op(store, "INS2", {"personId": 999, "messageId": 200}),
+                      lambda store: _comment(store, 900, 1, 888),
+                      lambda store: _comment(store, 900, 999, 200),
+                      lambda store: _post(store, 900, 1, 777),
+                      lambda store: _op(store, "INS5", {"forumId": 100, "personId": 999}))
 
     def test_like_kind_must_match_target(self):
-        for store_cls in self.STORES:
-            with pytest.raises(IntegrityError):  # 300 is a comment
-                _op(_toy_store(store_cls), "INS2", {"personId": 1, "messageId": 300})
+        self._refused(IntegrityError,  # 300 is a comment, 200 a post
+                      lambda store: _op(store, "INS2", {"personId": 1, "messageId": 300}),
+                      lambda store: _op(store, "INS3", {"personId": 1, "messageId": 200}))
 
     # SplitCascadeStore commits a cascade differently, but refuses the
     # same deletes.
