@@ -17,7 +17,8 @@ deletion among the parents it dies with (its cascade parents), or else
 that first deletion, at the same instant as the root.
 
 Every draw comes from one random.Random(seed), so the world is pinned to
-CPython's random algorithms; golden hashes in the tests pin it.
+CPython's random algorithms; golden hashes in the tests pin it.  choice
+and shuffle go through socialbench.rng, which takes the same draws.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ..model import (
     TemporalGraph,
     cascade_parents,
 )
-from ..rng import shuffle
+from ..rng import choice, shuffle
 from ..simtime import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE
 from .config import GenConfig
 
@@ -238,12 +239,12 @@ class _Builder:
         tag_weights = list(accumulate(r**-0.6 for r in range(1, len(TAGS) + 1)))
         for pid in range(1, n + 1):
             country = rng.choices(COUNTRIES, cum_weights=country_weights)[0]
-            first = rng.choice(country.first_names)
-            last = rng.choice(country.last_names)
+            first = choice(rng, country.first_names)
+            last = choice(rng, country.last_names)
             university = None
             unis = UNIVERSITIES_BY_COUNTRY.get(country.id, ())
             if unis and rng.random() < 0.55:
-                university = rng.choice(unis).id
+                university = choice(rng, unis).id
             tag_count = min(5, 1 + _poisson(rng, 1.5))
             # Distinct tags, each drawn by weight; a repeat is drawn again.
             tags: set[int] = set()
@@ -304,17 +305,17 @@ class _Builder:
             peer_pools[pid] = [pool for pool in pools if len(pool) > 1]
 
         stubs = [pid for pid, target in zip(ids, targets) for _ in range(target)]
-        shuffle(self.rng, stubs)
+        rng = self.rng
+        shuffle(rng, stubs)
         pair_keys: set[tuple[int, int]] = set()
-        choice = self.rng.choice
-        random = self.rng.random
+        random = rng.random
         homophily = self.cfg.homophily_weight
 
         def pick_from(pool: list[int], me: int, tries: int) -> int | None:
             """The first of tries uniform draws from pool that may still
             become a new friend of me."""
             for _ in range(tries):
-                cand = choice(pool)
+                cand = choice(rng, pool)
                 if (cand != me and remaining[cand] > 0
                         and ((me, cand) if me < cand else (cand, me)) not in pair_keys):
                     return cand
@@ -356,7 +357,7 @@ class _Builder:
         count = max(1, round(FORUMS_PER_PERSON * len(persons)))
         ids = sorted(persons)
         for _ in range(count):
-            moderator = self.rng.choice(ids)
+            moderator = choice(self.rng, ids)
             win = self._window("forums", moderator_person_id=moderator)
             if win is None:
                 continue
@@ -393,13 +394,13 @@ class _Builder:
                     pool = by_country[mod_country]
                 else:
                     pool = ids
-                self._join(fid, self.rng.choice(pool))
+                self._join(fid, choice(self.rng, pool))
 
     def _message_country(self, author: Person) -> int:
         # Mostly the author's home country; sometimes written while abroad.
         if self.rng.random() < 0.75:
             return author.country_id
-        return self.rng.choice(COUNTRIES).id
+        return choice(self.rng, COUNTRIES).id
 
     def _message_tags(self, author: Person, extra: int | None = None) -> frozenset[int]:
         interests = sorted(author.tag_interests)
@@ -443,16 +444,16 @@ class _Builder:
                 continue
             n_posts = _poisson(self.rng, MEAN_POSTS_PER_FORUM * self.scale)
             for _ in range(n_posts):
-                author_id = self.rng.choice(members)
+                author_id = choice(self.rng, members)
                 post = self._add_message(author_id, fid, None)
                 if post is None:
                     continue
                 thread = [post]
                 n_comments = _poisson(self.rng, MEAN_COMMENTS_PER_POST * self.scale)
                 for _ in range(n_comments):
-                    parent = self.rng.choice(thread)
+                    parent = choice(self.rng, thread)
                     commenter_pool = members + self._friends.get(parent.creator_person_id, [])
-                    author_id = self.rng.choice(commenter_pool)
+                    author_id = choice(self.rng, commenter_pool)
                     comment = self._add_message(author_id, None, parent)
                     if comment is not None:
                         thread.append(comment)
@@ -470,7 +471,7 @@ class _Builder:
             if not pool:
                 continue
             for _ in range(n):
-                pid = self.rng.choice(pool)
+                pid = choice(self.rng, pool)
                 if (pid, mid) in self.graph.likes:
                     continue
                 win = self._window("likes", person_id=pid, message_id=mid)
@@ -486,10 +487,10 @@ class _Builder:
         forum_ids = sorted(self.graph.forums)
         for _ in range(self.cfg.flashmob_count):
             center = self.rng.randint(self.start + int(window * 0.1), self.end - int(window * 0.1))
-            tag = self.rng.choice(TAGS).id
+            tag = choice(self.rng, TAGS).id
             forum = None
             for _ in range(30):
-                fid = self.rng.choice(forum_ids)
+                fid = choice(self.rng, forum_ids)
                 f = self.graph.forums[fid]
                 lo = center - 2 * MS_PER_HOUR
                 hi = center + 2 * MS_PER_HOUR
@@ -503,10 +504,10 @@ class _Builder:
             burst: list[Message] = []
             for _ in range(size):
                 at = int(self.rng.gauss(center, 35 * MS_PER_MINUTE))
-                author_id = self.rng.choice(members)
+                author_id = choice(self.rng, members)
                 parent = None
                 if burst and self.rng.random() < 0.6:
-                    parent = self.rng.choice(burst)
+                    parent = choice(self.rng, burst)
                 msg = self._add_message(author_id, forum.id if parent is None else None,
                                         parent, tag, at)
                 if msg is not None:

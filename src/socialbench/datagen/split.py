@@ -19,6 +19,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 from ..model import (
     COLLECTIONS,
@@ -107,6 +108,28 @@ def _delete_dependencies(graph: TemporalGraph, config: GenConfig) -> dict[Entity
             for key in roots}
 
 
+def _head(op: UpdateOperation) -> tuple:
+    return (op.scheduled_time, not op.is_insert, op.op_type)
+
+
+def _stream_order(ops: list[UpdateOperation]) -> list[UpdateOperation]:
+    """ops in stream order: by instant, at one instant inserts before
+    deletes, each in op-code order, and same-instant ops of one code, which
+    early cutoffs make, by their payload's JSON.
+
+    The JSON is encoded only for those ties; the order is the one a single
+    sort by the whole (instant, kind, code, JSON) key gives.
+    """
+    ops.sort(key=_head)
+    stream = []
+    for _, run in groupby(ops, key=_head):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda op: json.dumps(op.payload, sort_keys=True))
+        stream += run
+    return stream
+
+
 def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStream:
     """Partition a temporal graph into snapshot, update stream, and retired
     entities.  Ties at the cutoff instant go to the stream."""
@@ -127,7 +150,9 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
                 retired += 1
                 continue
             if created < cutoff:
-                # Entities are frozen, so one never deleted is shared as it is.
+                # Entities are never changed once built (test_model's
+                # test_no_code_assigns_an_entity_field guards that), so one
+                # never deleted is shared as it is.
                 snap_coll[ident] = entity if deleted is None else replace(
                     entity, lifecycle=Lifecycle(created, None))
             else:
@@ -140,11 +165,8 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
             if dep is not None:
                 ops.append(delete_op(graph, collection, ident, dep))
 
-    # At one instant inserts go before deletes, each in op-code order.  The
-    # payload orders same-instant ops of one code, which early cutoffs make.
-    ops.sort(key=lambda op: (op.scheduled_time, not op.is_insert, op.op_type,
-                             json.dumps(op.payload, sort_keys=True)))
-    sas = SnapshotAndStream(cutoff=cutoff, snapshot=snapshot, stream=ops, retired=retired)
+    sas = SnapshotAndStream(cutoff=cutoff, snapshot=snapshot, stream=_stream_order(ops),
+                            retired=retired)
     if logger.isEnabledFor(logging.INFO):
         counts = sas.partition_counts()
         logger.info("split at %s: %d snapshot, %d inserts, %d deletes, %d retired, in %.2f s",

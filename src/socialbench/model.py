@@ -6,7 +6,12 @@ invisible from its deletion instant onward.  deletion is None for
 entities that are never removed inside the simulation window.
 
 Entities are immutable after creation; the only mutations the workload
-performs are inserts and (cascading) deletes.
+performs are inserts and (cascading) deletes.  The entity classes are
+plain slotted dataclasses, because a frozen one pays object.__setattr__
+for every field it builds.  What enforces the immutability is the test
+test_no_code_assigns_an_entity_field in tests/test_model.py: it fails on
+any assignment to or deletion of an entity field, and on any setattr,
+delattr or __setattr__ call, in the package's source.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ INSERT_OPS = frozenset(ops[0] for ops in _OP_TYPES.values())
 DELETE_OPS = frozenset(ops[1] for ops in _OP_TYPES.values())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lifecycle:
     """Half-open validity interval [creation, deletion)."""
 
@@ -77,7 +82,7 @@ class Lifecycle:
         return self.creation <= start and (self.deletion is None or self.deletion >= end)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Person:
     id: int
     first_name: str
@@ -88,7 +93,7 @@ class Person:
     lifecycle: Lifecycle
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class KnowsEdge:
     """Undirected friendship, stored canonically with person1_id < person2_id."""
 
@@ -110,14 +115,14 @@ class KnowsEdge:
         return (self.person1_id, self.person2_id)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Forum:
     id: int
     moderator_person_id: int
     lifecycle: Lifecycle
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Message:
     """A post or a comment.
 
@@ -149,14 +154,14 @@ class Message:
             raise ValueError(f"unknown message kind {self.kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LikesEdge:
     person_id: int
     message_id: int
     lifecycle: Lifecycle
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HasMemberEdge:
     forum_id: int
     person_id: int

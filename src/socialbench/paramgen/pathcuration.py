@@ -23,7 +23,6 @@ an edge leaves it, the labels are rebuilt from that day's ceiling.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -113,18 +112,23 @@ def build_bound_graphs(graph: TemporalGraph, day_start: int) -> DayBoundGraphs:
 
 def bfs_distances(adj: dict[int, list[int]], source: int,
                   max_depth: int | None = None) -> dict[int, int]:
-    """Hop counts from source; vertices beyond max_depth are omitted."""
+    """Hop counts from source; vertices beyond max_depth are omitted.
+
+    The counts are inserted in breadth-first order, one level at a time;
+    curate_reachable_pairs draws its targets in that order.
+    """
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        d = dist[node]
-        if max_depth is not None and d >= max_depth:
-            continue
-        for peer in adj.get(node, ()):
-            if peer not in dist:
-                dist[peer] = d + 1
-                queue.append(peer)
+    frontier = [source]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        reached = []
+        for node in frontier:
+            for peer in adj.get(node, ()):
+                if peer not in dist:
+                    dist[peer] = depth
+                    reached.append(peer)
+        frontier = reached
     return dist
 
 

@@ -83,3 +83,22 @@ def shuffle(rng: random.Random, items: list) -> None:
         while j >= n:
             j = getrandbits(k)
         items[i], items[j] = items[j], items[i]
+
+
+def choice(rng: random.Random, seq):
+    """An element of seq as rng.choice(seq) picks it, draw for draw.
+
+    Random.choice goes through two pure-Python frames, choice and
+    _randbelow; this takes the same getrandbits draws in one.  Like
+    Random.choice it raises IndexError on an empty seq, which would
+    otherwise draw getrandbits(0) forever.
+    """
+    n = len(seq)
+    if not n:
+        raise IndexError("Cannot choose from an empty sequence")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return seq[r]

@@ -256,6 +256,15 @@ def test_no_numpy_in_the_pipeline():
     assert result.returncode == 0, result.stderr
 
 
+@pytest.fixture(scope="module")
+def early_sas():
+    """The split of a world cut at mid-window, whose stream holds every
+    insert type and, unlike the shared late-cutoff one, several runs of
+    same-instant operations of one op code."""
+    cfg = GenConfig(seed=11, num_persons=300, cutoff_fraction=0.5)
+    return split_at_cutoff(generate_temporal_graph(cfg), cfg)
+
+
 class TestSplit:
     def test_cutoff_is_day_aligned(self, gen_config, cutoff):
         assert cutoff == cutoff_instant(gen_config)
@@ -295,7 +304,7 @@ class TestSplit:
         ratio = counts["deletes"] / counts["inserts"]
         assert 0.005 <= ratio <= 0.02, ratio
 
-    def test_payload_shapes(self, sas):
+    def test_payload_shapes(self, sas, early_sas):
         expected = {
             "INS1": {"id", "firstName", "lastName", "countryId", "universityId",
                      "tagInterests"},
@@ -320,14 +329,19 @@ class TestSplit:
         assert set(expected) == set(INSERT_OPS) | set(DELETE_OPS)
         # The fixture cutoff sits late in the window, so pool with an early
         # cutoff split to exercise every insert type and most delete types.
-        cfg = GenConfig(seed=11, num_persons=300, cutoff_fraction=0.5)
-        dense = split_at_cutoff(generate_temporal_graph(cfg), cfg)
         seen = set()
-        for op in sas.stream + dense.stream:
+        for op in sas.stream + early_sas.stream:
             seen.add(op.op_type)
             assert set(op.payload) == expected[op.op_type], op.op_type
         assert set(INSERT_OPS) <= seen
         assert len(seen & set(DELETE_OPS)) >= 5
+
+    def test_same_instant_ops_of_one_code_go_in_payload_order(self, early_sas):
+        runs = Counter((op.scheduled_time, op.op_type) for op in early_sas.stream)
+        assert max(runs.values()) >= 2
+        assert early_sas.stream == sorted(early_sas.stream, key=lambda op: (
+            op.scheduled_time, not op.is_insert, op.op_type,
+            json.dumps(op.payload, sort_keys=True)))
 
     def test_insert_dependency_never_precedes_referenced_creation(self, graph, sas):
         for op in sas.stream:

@@ -1,10 +1,13 @@
 """Core model: time arithmetic, lifecycles, entity shapes, invariants."""
 
-from dataclasses import replace
+import ast
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import socialbench
 from socialbench.errors import CycleDetected, MalformedOperation
 from socialbench.model import (
     COMMENT,
@@ -14,9 +17,12 @@ from socialbench.model import (
     UNIVERSITIES,
     UNIVERSITIES_BY_COUNTRY,
     Forum,
+    HasMemberEdge,
     KnowsEdge,
     Lifecycle,
+    LikesEdge,
     Message,
+    Person,
     TemporalGraph,
     UpdateOperation,
     check_temporal_invariants,
@@ -235,3 +241,65 @@ class TestCodec:
         op = UpdateOperation(op_type, SIM_START, SIM_START, payload)
         with pytest.raises(MalformedOperation):
             decode_insert(op) if op.is_insert else delete_target(op)
+
+
+# --- immutability guard -----------------------------------------------------
+#
+# The entity classes are not frozen, so nothing stops code from changing an
+# entity at run time; this static check keeps the package from doing so.
+
+ENTITY_FIELDS = frozenset(f.name for cls in (Lifecycle, Person, KnowsEdge, Forum, Message,
+                                             LikesEdge, HasMemberEdge)
+                          for f in fields(cls))
+
+
+def entity_field_writes(source: str) -> list[str]:
+    """Each expression in source that could change an entity: an assignment
+    to or deletion of an attribute named like an entity field, augmented
+    assignments included, and any setattr, delattr or __setattr__ call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            write = isinstance(node.ctx, (ast.Store, ast.Del)) and node.attr in ENTITY_FIELDS
+        elif isinstance(node, ast.Call):
+            func = node.func
+            write = ((isinstance(func, ast.Name) and func.id in ("setattr", "delattr"))
+                     or (isinstance(func, ast.Attribute)
+                         and func.attr in ("__setattr__", "__delattr__")))
+        else:
+            continue
+        if write:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_code_assigns_an_entity_field():
+    package = Path(socialbench.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert package / "model.py" in sources
+    found = {str(path.relative_to(package)): writes for path in sources
+             if (writes := entity_field_writes(path.read_text()))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("snippet", [
+    "msg.kind = x",
+    "life.deletion += 1",
+    "del edge.person1_id",
+    "a, p.lifecycle = pair",
+    'setattr(p, "id", 1)',
+    'delattr(p, "id")',
+    'object.__setattr__(f, "lifecycle", l)',
+])
+def test_entity_field_guard_flags_each_mutation_form(snippet):
+    assert len(entity_field_writes(snippet)) == 1
+
+
+@pytest.mark.parametrize("snippet", [
+    "rec.deleted_v = v",
+    "x = msg.kind",
+    "life = replace(life, deletion=1)",
+    'getattr(p, "id")',
+])
+def test_entity_field_guard_passes_everything_else(snippet):
+    assert entity_field_writes(snippet) == []

@@ -1,5 +1,5 @@
 """derive_rng: the same streams as random.Random(repr(parts)), seeded late;
-shuffle: the same order and draws as random.Random.shuffle."""
+shuffle and choice: the same results and draws as random.Random's."""
 
 import copy
 import pickle
@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from socialbench.rng import derive_rng, shuffle
+from socialbench.rng import choice, derive_rng, shuffle
 
 PARTS = (7, 123, (4, 0))
 
@@ -73,3 +73,17 @@ def test_shuffle_draws_what_random_shuffle_draws(size, seed):
     theirs.shuffle(expected)
     assert items == expected
     assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 17, 64, 65, 1000])
+@pytest.mark.parametrize("seed", range(5))
+def test_choice_draws_what_random_choice_draws(size, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    items = list(range(size))
+    assert [choice(ours, items) for _ in range(50)] == [theirs.choice(items) for _ in range(50)]
+    assert ours.random() == theirs.random()
+
+
+def test_choice_of_an_empty_sequence_raises():
+    with pytest.raises(IndexError):
+        choice(random.Random(0), [])
