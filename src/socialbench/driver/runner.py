@@ -8,14 +8,30 @@ letting replay-style runs finish quickly.
 
 A paced wait has two stages.  The worker first sleeps on the abort
 event until WAKE_MARGIN_S before the due instant, so a failed run ends
-at once; it then calls time.sleep(0) until the instant, which hands the
-interpreter lock to any other thread on every pass.  A thread sleep
-ends late by up to a few tenths of a millisecond, and a read that
-starts late by that much is charged for it; the margin sits above the
-overshoot measured at the 90th percentile, so the sleep almost always
-ends before the instant and the yielding loop starts the entry on it.
-A loop that spins while holding the interpreter lock starts its own
-entry on time but delays every other thread, and measured worse.
+at once; it then yields until the instant, handing the interpreter lock
+to any other thread on every pass.  A thread sleep ends late, and a
+read that starts late is charged for it; the margin sits above the
+sleep's overshoot, so the sleep almost always ends before the instant
+and the yielding loop starts the entry on it.  A loop that spins while
+holding the interpreter lock starts its own entry on time but delays
+every other thread, and measured worse.
+
+The two kinds of worker yield differently.  A reader calls
+os.sched_yield, which returns in under a microsecond.  On Linux
+time.sleep(0) is a nanosleep that the thread's timer slack (50 us by
+default) stretches to about 54 us, so a reader yielding that way started
+its read up to one such quantum after its instant.  A writer keeps
+time.sleep(0).  The schedule gives every complex read the instant of
+the update that fired it, so a writer is due whenever a reader is, and
+a writer asleep in its quantum leaves the interpreter lock to the reader
+at that shared instant.  A writer on sched_yield re-takes the lock
+within a microsecond and wins the instant, and the read then waits for
+the update.  In-process paced runs of the benchmark's validate world
+(2-vCPU machine, medians of six runs) answered a complex read at a
+response p50 of 0.073 ms this way, against 0.106 ms with both kinds on
+sched_yield and 0.123 ms with both on time.sleep(0).  A writer that
+sleeps to its instant with no yielding loop started its update 0.083 ms
+late at the median, against 0.046 ms this way.
 
 A writer passes the dependency gate in one clock transaction, which
 checks that the completion clock covers the update's dependency and
@@ -40,7 +56,9 @@ time on a 2-vCPU machine.
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
 import threading
 import time
 
@@ -54,8 +72,9 @@ from .triggers import follow_ups
 logger = logging.getLogger(__name__)
 
 # How long before its due instant a paced worker stops sleeping and
-# starts yielding.  time.sleep(0.0007) overshoots by 0.09 ms at the
-# median and 0.27 ms at the 90th percentile on a 2-vCPU machine.
+# starts yielding.  A 0.5 ms wait on an Event overshoots by 0.06 ms at
+# the median and 0.07 ms at the 90th percentile on an idle 2-vCPU Linux
+# machine, most of it the 50 us timer slack.
 WAKE_MARGIN_S = 0.0003
 
 
@@ -141,14 +160,14 @@ class BenchmarkRunner:
                         if delay else "delay not measured")
         return report
 
-    def _taker(self, entries):
+    def _taker(self, entries, yield_):
         """A function that returns the next of entries and its due instant
         in ms, once it is due; None when none is left inside the window or
-        the run aborted.  Each worker builds its own, with what it reads
-        bound once."""
+        the run aborted.  A paced wait calls yield_ until the instant.
+        Each worker builds its own, with what it reads bound once."""
         lock, abort, start = self._take_lock, self._abort, self._start
         window, pacing = self.config.window_secs, self.config.pacing
-        monotonic, sleep = time.monotonic, time.sleep
+        monotonic = time.monotonic
 
         def take() -> tuple | None:
             with lock:
@@ -165,7 +184,7 @@ class BenchmarkRunner:
                 if delay > 0 and abort.wait(delay):
                     return None
                 while monotonic() < due:
-                    sleep(0)
+                    yield_()
             if abort.is_set():
                 return None
             return entry, due_secs * 1000.0
@@ -188,7 +207,8 @@ class BenchmarkRunner:
     # -- workers -----------------------------------------------------------
 
     def _write_worker(self, updates) -> None:
-        take, clock, start = self._taker(updates), self.clock, self._start
+        take = self._taker(updates, functools.partial(time.sleep, 0))
+        clock, start = self.clock, self._start
         release, wait_covered, mark_done = clock.release, clock.wait_covered, clock.mark_done
         execute_update, append = self.store.execute_update, self.log.append
         monotonic, perf_counter = time.monotonic, time.perf_counter
@@ -226,7 +246,7 @@ class BenchmarkRunner:
             })
 
     def _read_worker(self, reads) -> None:
-        take = self._taker(reads)
+        take = self._taker(reads, os.sched_yield)
         try:
             while (taken := take()) is not None:
                 entry, scheduled_ms = taken

@@ -46,9 +46,11 @@ class RunReport:
     total_operations: int = 0
     class_totals: dict[str, int] = field(default_factory=dict)
     variant_latency_ms: dict[str, dict] = field(default_factory=dict)
-    # Lateness is measured only in a paced run: otherwise delay_ms stays
-    # empty, and the on-time counts, ratio and verdict are None.
+    # Lateness is measured only in a paced run: otherwise delay_ms and
+    # delay_ms_by_class stay empty, and the on-time counts, ratio and
+    # verdict are None.
     delay_ms: dict[str, float] = field(default_factory=dict)
+    delay_ms_by_class: dict[str, dict] = field(default_factory=dict)
     on_time_count: int | None = 0
     late_count: int | None = 0
     on_time_ratio: float | None = 1.0
@@ -66,6 +68,7 @@ class RunReport:
             "classTotals": dict(self.class_totals),
             "variantLatencyMs": {k: dict(v) for k, v in self.variant_latency_ms.items()},
             "delayMs": dict(self.delay_ms),
+            "delayMsByClass": {k: dict(v) for k, v in self.delay_ms_by_class.items()},
             "onTime": {
                 "count": self.on_time_count,
                 "late": self.late_count,
@@ -89,12 +92,15 @@ def summarize_run(records: list[dict], wall_seconds: float, mode: str) -> RunRep
     at the dependency gate has a nonzero gateWaitMs and counts as a
     deferral.  Only a paced run is graded on time: in throughput mode
     nothing waits for its slot, so a start's distance from its slot
-    grades nothing, and lateness is left unmeasured (see RunReport).
+    grades nothing, and lateness is left unmeasured (see RunReport).  A
+    paced run's lateness is also summarized per kind.
     """
     total = len(records)
     report = RunReport(mode=mode, total_operations=total, wall_seconds=wall_seconds)
     class_totals = report.class_totals
     by_variant: dict[str, list[float]] = {}
+    by_class: dict[str, list[float]] = {}
+    paced = mode == "paced"
     deferrals = 0
     for record in records:
         kind = record["kind"]
@@ -105,19 +111,26 @@ def summarize_run(records: list[dict], wall_seconds: float, mode: str) -> RunRep
         latencies.append(record["latencyMs"])
         if record.get("gateWaitMs"):
             deferrals += 1
+        if paced:
+            kind_delays = by_class.get(kind)
+            if kind_delays is None:
+                kind_delays = by_class[kind] = []
+            kind_delays.append(record["actualWallMs"] - record["scheduledWallMs"])
     report.deferrals = deferrals
     for variant, values in sorted(by_variant.items()):
         report.variant_latency_ms[variant] = compute_stats(values)
     if total and wall_seconds > 0:
         report.throughput_ops_per_sec = total / wall_seconds
-    if mode != "paced":
+    if not paced:
         report.on_time_count = report.late_count = report.on_time_ratio = report.valid = None
         return report
-    delays = [record["actualWallMs"] - record["scheduledWallMs"] for record in records]
+    delays = [delay for values in by_class.values() for delay in values]
     on_time_count = sum(delay <= ON_TIME_MS for delay in delays)
     report.on_time_count, report.late_count = on_time_count, total - on_time_count
     if total:
         report.delay_ms = compute_stats(delays)
+        report.delay_ms_by_class = {kind: compute_stats(values)
+                                    for kind, values in sorted(by_class.items())}
         report.on_time_ratio = on_time_count / total
     report.valid = report.on_time_ratio >= ON_TIME_TARGET
     return report

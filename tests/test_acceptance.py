@@ -543,10 +543,14 @@ _REPORT_SCHEMA = {
         "run": {
             "type": "object",
             "required": ["mode", "totalOperations", "classTotals",
-                         "variantLatencyMs", "delayMs", "onTime", "wallSeconds",
-                         "throughputOpsPerSec", "deferrals",
+                         "variantLatencyMs", "delayMs", "delayMsByClass", "onTime",
+                         "wallSeconds", "throughputOpsPerSec", "deferrals",
                          "scheduleExhausted", "warnings"],
             "properties": {
+                "delayMsByClass": {
+                    "type": "object",
+                    "propertyNames": {"enum": ["CR", "SR", "INS", "DEL"]},
+                },
                 "onTime": {
                     "type": "object",
                     "required": ["count", "late", "ratio", "target", "valid"],

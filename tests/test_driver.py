@@ -2,6 +2,7 @@
 
 import logging
 import random
+import statistics
 import sys
 import threading
 import time
@@ -257,17 +258,36 @@ class TestStats:
         under the keys a paced report has."""
         records = self._records(20, 20)
         report = summarize_run(records, 1.0, "throughput")
-        assert report.delay_ms == {}
+        assert report.delay_ms == report.delay_ms_by_class == {}
         assert (report.on_time_count, report.late_count, report.on_time_ratio,
                 report.valid) == (None, None, None, None)
         data = report.to_dict()
-        assert data["delayMs"] == {}
+        assert data["delayMs"] == data["delayMsByClass"] == {}
         assert data["onTime"] == {"count": None, "late": None, "ratio": None,
                                   "target": 0.95, "valid": None}
         assert (data["totalOperations"], data["classTotals"]) == (20, {"INS": 20})
         paced = summarize_run(records, 1.0, "paced")
         assert (paced.late_count, paced.on_time_ratio, paced.valid) == (20, 0.0, False)
         assert paced.delay_ms["p50"] == 5_000.0
+        assert list(paced.delay_ms_by_class) == ["INS"]
+        assert paced.delay_ms_by_class["INS"] == paced.delay_ms
+        assert paced.to_dict()["delayMsByClass"] == {"INS": paced.delay_ms}
+
+    def test_paced_lateness_is_summarized_per_kind(self):
+        """Each kind's delays fold into its own stats, next to the run's."""
+        late = {"CR": 0.5, "SR": 2.0, "INS": 0.25, "DEL": 4.0}
+        records = [{"kind": kind, "opType": kind, "scheduledWallMs": 10.0 * i,
+                    "actualWallMs": 10.0 * i + delay * (i + 1), "latencyMs": 1.0}
+                   for kind, delay in late.items() for i in range(3)]
+        report = summarize_run(records, 1.0, "paced")
+        assert sorted(report.delay_ms_by_class) == ["CR", "DEL", "INS", "SR"]
+        for kind, delay in late.items():
+            stats = report.delay_ms_by_class[kind]
+            assert (stats["count"], stats["min"], stats["p50"], stats["max"]) == (
+                3, delay, 2 * delay, 3 * delay), kind
+        assert report.delay_ms["count"] == 12
+        assert report.delay_ms["max"] == 12.0
+        assert report.to_dict()["delayMsByClass"] == report.delay_ms_by_class
 
 
 class TestTriggers:
@@ -570,6 +590,38 @@ class TestRunner:
         assert report.class_totals["SR"] >= 20
         for record in runner.log:
             assert record["actualWallMs"] >= record["scheduledWallMs"] - 1e-6, record
+
+    @pytest.mark.parametrize("with_updates", [False, True])
+    def test_paced_read_starts_within_a_fraction_of_a_sleep_quantum(self, with_updates):
+        """60 CR3b reads 3 ms apart, alone or each sharing its instant with
+        an update: the median read starts less than 0.4 of a time.sleep(0)
+        after its instant.  A reader that waits out its instant in
+        time.sleep(0) starts up to one such quantum late, and so does one
+        that loses the instant to a writer yielding without sleeping."""
+        durations = []
+        for _ in range(200):
+            started = time.perf_counter()
+            time.sleep(0)
+            durations.append(time.perf_counter() - started)
+        quantum_ms = statistics.median(durations) * 1000.0
+        if quantum_ms < 0.01:
+            pytest.skip(f"time.sleep(0) takes {quantum_ms * 1000:.1f} us here, "
+                        "so a reader has no quantum to lose")
+        cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
+        stream = [_ins_op(cutoff + 300 * i, ident=i) for i in range(1, 61)]
+        buckets = {cutoff: _bucket(cutoff, {"CR3b": [{"personId": 1}]})}
+        config = DriverConfig(tcr=0.01, frequencies={"CR3b": 1}, read_threads=1,
+                              write_threads=1)
+        schedule = build_schedule(stream, buckets, cutoff, config)
+        if not with_updates:
+            schedule = Schedule(cutoff=cutoff,
+                                entries=[e for e in schedule.entries if e.op is None])
+        runner = BenchmarkRunner(_EchoStore(), schedule, config)
+        report = runner.run()
+        assert report.class_totals["CR"] == 60
+        lateness = [r["actualWallMs"] - r["scheduledWallMs"] for r in runner.log
+                    if r["kind"] == "CR"]
+        assert statistics.median(lateness) < 0.4 * quantum_ms, (lateness, quantum_ms)
 
     def test_a_kind_without_entries_starts_no_thread(self, monkeypatch):
         """An update-only schedule starts no reader, a read-only one no
