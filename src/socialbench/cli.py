@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from .acid import (
     NonVersionedReadStore,
@@ -32,7 +30,7 @@ from .datagen import (
 )
 from .driver import DriverConfig, build_schedule
 from .errors import (ConfigInvalid, ParseError, SocialBenchError, load_config, read_json,
-                     write_json)
+                     write_json, write_records)
 from .paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
 from .pipeline import (
     SECTIONS,
@@ -56,13 +54,6 @@ _SCENARIOS = {
     "traversal": run_traversal_anomaly,
     "cascade": run_cascade_atomicity,
 }
-
-
-def _write_json(path: str | None, payload: dict) -> None:
-    if path is None:
-        return
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_json(path, payload)
 
 
 def _given(args: argparse.Namespace, cls, prefix: str = "") -> dict:
@@ -109,7 +100,8 @@ def cmd_driver(args: argparse.Namespace) -> int:
     schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
     if args.mode == "validate":
         result = run_validation(gen, sas, schedule, config)
-        _write_json(args.report, result)
+        if args.report is not None:
+            write_json(args.report, result)
         print(f"validated {result['updates']} updates / {result['queries']} queries: "
               f"{result['diffCount']} divergences")
         for diff in result["diffs"][:5]:
@@ -117,14 +109,11 @@ def cmd_driver(args: argparse.Namespace) -> int:
         return 1 if result["diffCount"] else 0
 
     runner, report = run_benchmark(gen, sas, schedule, config)
-    _write_json(args.report, report.to_dict())
+    if args.report is not None:
+        write_json(args.report, report.to_dict())
     if args.audit_log:
-        audit_path = Path(args.audit_log)
-        audit_path.parent.mkdir(parents=True, exist_ok=True)
-        with audit_path.open("w", encoding="utf-8") as handle:
-            updates = [record for record in runner.log if "opIndex" in record]
-            for record in sorted(updates, key=lambda r: r["opIndex"]):
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        updates = [record for record in runner.log if "opIndex" in record]
+        write_records(args.audit_log, sorted(updates, key=lambda r: r["opIndex"]))
     ratio = "n/a" if report.on_time_ratio is None else f"{report.on_time_ratio:.4f}"
     verdict = "n/a" if report.valid is None else report.valid
     print(f"mode={report.mode} measured={report.total_operations} "
@@ -147,7 +136,8 @@ def cmd_acid(args: argparse.Namespace) -> int:
                             "details": result.details})
     passed = all(r["passed"] for r in results)
     payload = {"store": args.store, "results": results, "passed": passed}
-    _write_json(args.report, payload)
+    if args.report is not None:
+        write_json(args.report, payload)
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"{status} {r['name']} seed={r['seed']}")

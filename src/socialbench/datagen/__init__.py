@@ -8,7 +8,6 @@ from .serialize import (
     read_config,
     read_dataset,
     read_stream,
-    serialize,
     write_dataset,
     write_stream,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "SnapshotAndStream",
     "cutoff_instant",
     "split_at_cutoff",
-    "serialize",
     "deserialize",
     "write_dataset",
     "read_config",

@@ -3,37 +3,38 @@
 Layout written by write_dataset(out_dir):
 
     config.json       generator configuration echo
-    dataset.json      cutoff instant and partition counts
+    dataset.json      cutoff instant, retired count and partition counts
     snapshot/         one CSV per collection, entities alive at the cutoff
     temporal/         one CSV per collection, full lifecycles
     stream.ldjson     update operations, one JSON object per line
 
 _COLUMNS gives each collection's CSV columns in file order.  Snapshot
 files omit the _TEMPORAL_ONLY columns: their lifecycles are open, and a
-snapshot message's rootPostId is recomputed on load.
+snapshot comment's rootPostId is recomputed on load, and a temporal
+comment's is checked against its reply chain.
 
 Timestamps are ISO-8601 UTC with millisecond precision.  Id-set fields
 (tagInterests, creationTagIds) are semicolon-joined integers, empty when
 the set is empty.  Stream lines carry opType, scheduledTime,
-dependencyTime, and payload.
+dependencyTime, and payload, in ascending scheduledTime.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from ..errors import (
     ConfigInvalid,
     CycleDetected,
-    MalformedOperation,
     ParseError,
     load_config,
     read_json,
+    read_records,
     utf8_lines,
     write_json,
+    write_records,
 )
 from ..model import (
     COLLECTIONS,
@@ -126,10 +127,11 @@ def _csv_rows(path: Path):
 
 
 def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
-    """Read every collection's CSV; a file that does not parse raises
-    ParseError with its path and line."""
+    """Read every collection's CSV; a file that does not parse, or a
+    temporal comment whose reply chain ends elsewhere than its rootPostId,
+    raises ParseError with its path and line."""
     graph = TemporalGraph()
-    unrooted: dict[int, int] = {}  # line of each snapshot comment
+    comments: dict[int, int] = {}  # line of each comment
     for collection in COLLECTIONS:
         path = directory / f"{collection}.csv"
         columns = _columns(collection, temporal)
@@ -158,65 +160,53 @@ def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
                 raise ParseError(str(path), line_no, str(exc)) from exc
             key = key_of(collection, entity)
             entities[key] = entity
-            if collection == "messages" and entity.root_post_id is None:
-                unrooted[key] = line_no
+            if collection == "messages" and entity.kind == COMMENT:
+                comments[key] = line_no
     messages = graph.messages
-    for mid, line_no in unrooted.items():
+    for mid, line_no in comments.items():
         try:
-            messages[mid] = replace(messages[mid], root_post_id=root_post_of(mid, messages))
+            root = root_post_of(mid, messages)
         except (CycleDetected, KeyError) as exc:
             raise ParseError(str(directory / "messages.csv"), line_no,
                              f"reply chain does not reach a post: {exc}") from exc
+        if temporal and messages[mid].root_post_id != root:
+            raise ParseError(str(directory / "messages.csv"), line_no,
+                             f"rootPostId {messages[mid].root_post_id}, but the reply "
+                             f"chain reaches post {root}")
+        messages[mid] = replace(messages[mid], root_post_id=root)
     return graph
 
 
 def write_stream(stream: list[UpdateOperation], path: Path) -> None:
-    with path.open("w") as fh:
-        for op in stream:
-            fh.write(json.dumps({
-                "opType": op.op_type,
-                "scheduledTime": format_instant(op.scheduled_time),
-                "dependencyTime": format_instant(op.dependency_time),
-                "payload": op.payload,
-            }, sort_keys=True))
-            fh.write("\n")
+    write_records(path, ({"opType": op.op_type,
+                          "scheduledTime": format_instant(op.scheduled_time),
+                          "dependencyTime": format_instant(op.dependency_time),
+                          "payload": op.payload} for op in stream))
 
 
 def read_stream(path: Path) -> list[UpdateOperation]:
-    ops: list[UpdateOperation] = []
-    for line_no, line in enumerate(utf8_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            op = UpdateOperation(
-                op_type=record["opType"],
-                scheduled_time=parse_instant(record["scheduledTime"]),
-                dependency_time=parse_instant(record["dependencyTime"]),
-                payload=record["payload"],
-            )
-            # Reject here a payload the stores could not decode.
-            if op.is_insert:
-                decode_insert(op)
-            else:
-                delete_target(op)
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-                MalformedOperation) as exc:
-            raise ParseError(str(path), line_no, str(exc)) from exc
-        ops.append(op)
-    return ops
+    """The operations in the file at path.  A line the stores could not
+    decode, or scheduled before the line above it, is a ParseError."""
+    previous = float("-inf")
 
+    def parse(record) -> UpdateOperation:
+        nonlocal previous
+        op = UpdateOperation(op_type=record["opType"], payload=record["payload"],
+                             scheduled_time=parse_instant(record["scheduledTime"]),
+                             dependency_time=parse_instant(record["dependencyTime"]))
+        # Reject here a payload the stores could not decode.
+        if op.is_insert:
+            decode_insert(op)
+        else:
+            delete_target(op)
+        # The driver's clock releases on the next pending operation's
+        # instant, which is sound only while the instants ascend.
+        if op.scheduled_time < previous:
+            raise ValueError(f"scheduled before the line above's {format_instant(previous)}")
+        previous = op.scheduled_time
+        return op
 
-def serialize(sas: SnapshotAndStream, directory: str | Path) -> None:
-    """Write snapshot/, stream.ldjson, and dataset.json under directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_entities(directory / "snapshot", sas.snapshot, temporal=False)
-    write_stream(sas.stream, directory / "stream.ldjson")
-    write_json(directory / "dataset.json",
-               {"cutoff": format_instant(sas.cutoff), "retired": sas.retired,
-                "partition": sas.partition_counts()})
+    return read_records(path, parse)
 
 
 def deserialize(directory: str | Path) -> SnapshotAndStream:
@@ -237,10 +227,13 @@ def deserialize(directory: str | Path) -> SnapshotAndStream:
 
 def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfig,
                   directory: str | Path) -> None:
-    """Write the complete dataset: config echo, temporal graph, snapshot, stream."""
+    """Write the complete dataset directory laid out above."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    serialize(sas, directory)
+    _write_entities(directory / "snapshot", sas.snapshot, temporal=False)
+    write_stream(sas.stream, directory / "stream.ldjson")
+    write_json(directory / "dataset.json",
+               {"cutoff": format_instant(sas.cutoff), "retired": sas.retired,
+                "partition": sas.partition_counts()})
     _write_entities(directory / "temporal", graph, temporal=True)
     write_json(directory / "config.json", asdict(config))
 

@@ -12,6 +12,7 @@ import json
 import numbers
 import types
 import typing
+from pathlib import Path
 
 
 class SocialBenchError(Exception):
@@ -121,10 +122,34 @@ def read_json(path):
 
 def write_json(path, doc) -> None:
     """Write the JSON document doc to the file at path: indent 2, sorted
-    keys and a trailing newline."""
+    keys and a trailing newline; the file's directory is made if missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_records(path, parse) -> list:
+    """parse(record) for the JSON record on each non-blank line of the file
+    at path.  A line that is not JSON, or that parse refuses with one of
+    the errors below, raises ParseError with the path and line."""
+    parsed = []
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            parsed.append(parse(json.loads(line)))
+        except (ValueError, KeyError, TypeError, MalformedOperation) as exc:
+            raise ParseError(str(path), line_no, str(exc)) from exc
+    return parsed
+
+
+def write_records(path, records) -> None:
+    """Write each JSON object in records to the file at path, one a line
+    with sorted keys; the file's directory is made if missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 class NoQualifyingGroup(SocialBenchError):

@@ -10,7 +10,6 @@ partial buckets carrying warnings instead of failing the whole run.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import time
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import (ConfigInvalid, NoQualifyingGroup, ParseError, SocialBenchError,
-                      check_config_types, utf8_lines)
+                      check_config_types, read_records, write_records)
 from ..model import Lifecycle, TemporalGraph
 from ..simtime import MS_PER_DAY, SIM_END, day_date, day_start, day_starts_between, parse_day
 from ..rng import derive_rng
@@ -208,27 +207,28 @@ def write_buckets(buckets: dict[int, ParameterBucket], directory: str | Path) ->
     """One YYYY-MM-DD.ldjson file per bucket: one parameter set per line,
     then one line per warning.  The day files already there go first."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for stale in directory.glob(_DAY_FILE):
         stale.unlink()
     for day, bucket in sorted(buckets.items()):
-        path = directory / f"{day_date(day)}.ldjson"
-        with path.open("w", encoding="utf-8") as handle:
-            for variant in QUERY_VARIANTS:
-                for params in bucket.params.get(variant, []):
-                    handle.write(json.dumps({"query": variant, "params": params},
-                                            sort_keys=True) + "\n")
-            for warning in bucket.warnings:
-                handle.write(json.dumps({"warning": warning}) + "\n")
+        write_records(directory / f"{day_date(day)}.ldjson", [
+            *({"query": variant, "params": params}
+              for variant in QUERY_VARIANTS for params in bucket.params.get(variant, [])),
+            *({"warning": warning} for warning in bucket.warnings)])
 
 
-def _check_params(variant: str, params) -> None:
+def _bucket_entry(record) -> tuple[str | None, object]:
+    """(variant, params) of a parameter set's line, (None, text) of a
+    warning's; a variant's params must be exactly its integer keys."""
+    if "warning" in record:
+        return None, record["warning"]
+    variant, params = record["query"], record["params"]
     keys = _PARAM_KEYS[variant]
     if not isinstance(params, dict) or params.keys() != keys:
         raise ValueError(f"{variant} params must be an object with keys {sorted(keys)}")
     for key, value in params.items():
         if type(value) is not int:
             raise ValueError(f"{variant} param {key!r} must be an integer")
+    return variant, params
 
 
 def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
@@ -251,18 +251,10 @@ def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
             raise ParseError(str(path), 1, "file name is not a YYYY-MM-DD day") from exc
         bucket = ParameterBucket(day_start=day,
                                  params={variant: [] for variant in QUERY_VARIANTS})
-        for line_no, line in enumerate(utf8_lines(path), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if "warning" in record:
-                    bucket.warnings.append(record["warning"])
-                else:
-                    variant, params = record["query"], record["params"]
-                    _check_params(variant, params)
-                    bucket.params[variant].append(params)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
+        for variant, value in read_records(path, _bucket_entry):
+            if variant is None:
+                bucket.warnings.append(value)
+            else:
+                bucket.params[variant].append(value)
         buckets[day] = bucket
     return buckets

@@ -65,8 +65,9 @@ class TestParamgen:
 
 class TestDriver:
     def test_benchmark_writes_report_and_audit(self, tree, tmp_path):
-        report_path = tmp_path / "report.json"
-        audit_path = tmp_path / "audit.ldjson"
+        """Each file's missing directory is made for it."""
+        report_path = tmp_path / "reports" / "run" / "report.json"
+        audit_path = tmp_path / "audit" / "audit.ldjson"
         code = main(["driver", "--mode", "benchmark", "--tcr", "0.02",
                      "--stream", str(tree / "dataset"),
                      "--params", str(tree / "params"),
@@ -79,8 +80,11 @@ class TestDriver:
         assert report["totalOperations"] > 0
         assert report["mode"] == "throughput"
 
-        lines = [json.loads(line) for line in audit_path.read_text().splitlines()]
+        text = audit_path.read_text().splitlines()
+        lines = [json.loads(line) for line in text]
         assert lines
+        # One object a line, its keys sorted.
+        assert text == [json.dumps(entry, sort_keys=True) for entry in lines]
         indexes = [entry["opIndex"] for entry in lines]
         assert indexes == sorted(indexes)
         for entry in lines:
@@ -89,7 +93,7 @@ class TestDriver:
             assert entry["clockAtRelease"] >= entry["dependencyMs"]
 
     def test_validate_mode_compares_stores(self, tree, tmp_path, capsys):
-        report_path = tmp_path / "validate.json"
+        report_path = tmp_path / "reports" / "validate.json"
         code = main(["driver", "--mode", "validate",
                      "--stream", str(tree / "dataset"),
                      "--params", str(tree / "params"),
@@ -135,7 +139,7 @@ class TestDriver:
 
 class TestAcid:
     def test_reference_store_passes(self, tmp_path):
-        report_path = tmp_path / "acid.json"
+        report_path = tmp_path / "reports" / "acid.json"
         code = main(["acid", "--store", "reference", "--scenario", "all",
                      "--seed", "4", "--runs", "3", "--report", str(report_path)])
         assert code == 0

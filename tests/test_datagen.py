@@ -6,6 +6,7 @@ exactly the entities the temporal graph says are alive at the end of the
 simulation window.
 """
 
+import csv
 import filecmp
 import hashlib
 import json
@@ -520,6 +521,40 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             read_stream(path)
         assert err.value.line_no == 2
+
+    def test_stream_going_back_in_time_is_a_parse_error(self, early_sas, tmp_path):
+        """The driver's clock releases on the next pending instant, so the
+        instants must ascend; a run of equal instants stays legal."""
+        path = tmp_path / "stream.ldjson"
+        stream = early_sas.stream
+        assert any(a.scheduled_time == b.scheduled_time for a, b in zip(stream, stream[1:]))
+        write_stream(stream, path)
+        assert read_stream(path) == stream
+        later = next(i for i, op in enumerate(stream)
+                     if op.scheduled_time > stream[0].scheduled_time)
+        write_stream([stream[0], stream[later], stream[0]], path)
+        with pytest.raises(ParseError) as err:
+            read_stream(path)
+        assert err.value.line_no == 3
+        assert str(err.value).startswith(f"{path}:3: scheduled before the line above")
+
+    def test_temporal_root_that_is_not_the_chain_end_is_refused(self, tmp_path):
+        cfg = GenConfig(seed=3, num_persons=120)
+        graph = generate_temporal_graph(cfg)
+        write_dataset(graph, split_at_cutoff(graph, cfg), cfg, tmp_path)
+        path = tmp_path / "temporal" / "messages.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        root = rows[0].index("rootPostId")
+        line_no, row = next((n, row) for n, row in enumerate(rows, start=1) if row[0] == "2")
+        assert (row[1], row[root]) == ("Comment", "1")
+        row[root] = "3"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ParseError) as err:
+            read_dataset(tmp_path)
+        assert err.value.line_no == line_no
+        assert str(err.value) == (f"{path}:{line_no}: rootPostId 3, "
+                                  "but the reply chain reaches post 1")
 
     def test_csv_header_mismatch_is_reported(self, graph, sas, gen_config, tmp_path):
         write_dataset(graph, sas, gen_config, tmp_path / "out")
