@@ -7,13 +7,14 @@ dependent work on this watermark rather than on the newest individual
 commit means an operation is released only when everything it could
 possibly depend on is already in the store.
 
-A writer passes the gate in one transaction: release() checks coverage
-and reads the clock value under one lock acquisition.  A writer whose
-dependency is not covered yet blocks in wait_covered until a commit
-covers it.  A commit in stream order advances the watermark at once; a
-commit out of order only records its index.  A commit notifies only
-when a writer is blocked, which the lock makes safe: a waiter is counted
-under the same lock that a commit holds when it reads the count.
+A writer passes the gate with one read of the watermark: release()
+checks coverage and returns the clock value without taking the lock (see
+its docstring).  A writer whose dependency is not covered yet blocks in
+wait_covered, which rechecks under the lock, until a commit covers it.
+A commit in stream order advances the watermark at once; a commit out
+of order only records its index.  A commit notifies only when a writer
+is blocked, which the lock makes safe: a waiter is counted under the
+same lock that a commit holds when it reads the count.
 """
 
 from __future__ import annotations
@@ -36,19 +37,28 @@ class GlobalClock:
         self._halted = False
 
     def release(self, dependency_ms: int) -> int | None:
-        """The clock value, read in the same transaction, once every
+        """The clock value, from the same read of the watermark, once every
         operation at or before dependency_ms committed; None until then.
 
         Stricter than clock value >= dependency_ms: several operations can
         share one simulation millisecond, and the watermark reads that
         instant as soon as the first of them lands.  Release on the next
         pending operation's time instead, so ties never leak through.
+
+        The read takes no lock.  _prefix only grows, by one attribute
+        store under the lock, and _times never changes, so a read that
+        races a commit sees either the prefix before it or the one after.
+        Instants ascend along the stream, so an older prefix can only
+        answer "not yet" where a newer one answers with a value, never
+        the other way round: a stale read delays a writer into
+        wait_covered, which rechecks under the lock, and never releases
+        one early.  The value returned is the clock as it stood at the
+        read.
         """
-        with self._lock:
-            prefix = self._prefix
-            if prefix != self._count and self._times[prefix] <= dependency_ms:
-                return None
-            return self._times[prefix - 1] if prefix else self._initial
+        prefix = self._prefix
+        if prefix != self._count and self._times[prefix] <= dependency_ms:
+            return None
+        return self._times[prefix - 1] if prefix else self._initial
 
     def wait_covered(self, dependency_ms: int) -> int | None:
         """Block until release(dependency_ms) would return the clock value,
@@ -74,7 +84,9 @@ class GlobalClock:
     def mark_done(self, index: int) -> None:
         if not 0 <= index < self._count:
             raise IndexError(f"operation index {index} out of range")
-        with self._lock:
+        lock = self._lock
+        lock.acquire()  # not `with`, as in the runner's take
+        try:
             if index != self._prefix:
                 self._done.add(index)
                 return
@@ -85,3 +97,5 @@ class GlobalClock:
             self._prefix = prefix
             if self._waiters:
                 self._advanced.notify_all()
+        finally:
+            lock.release()

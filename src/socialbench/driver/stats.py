@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 PERCENTILES = (50, 90, 95, 99)
@@ -84,41 +85,54 @@ class RunReport:
         }
 
 
-def summarize_run(records: list[dict], wall_seconds: float, mode: str) -> RunReport:
-    """Fold per-operation log records into a RunReport in one pass.
+def kind_of(op_type: str) -> str:
+    """The class of an operation: "CR"/"SR" for a read variant such as
+    CR13a or SR2, "INS"/"DEL" for an update op code such as INS6."""
+    return op_type[:2] if op_type.startswith(("CR", "SR")) else op_type[:3]
 
-    Each record carries kind ("CR"/"SR"/"INS"/"DEL"), opType,
-    scheduledWallMs, actualWallMs and latencyMs.  An update that waited
-    at the dependency gate has a nonzero gateWaitMs and counts as a
-    deferral.  Only a paced run is graded on time: in throughput mode
-    nothing waits for its slot, so a start's distance from its slot
-    grades nothing, and lateness is left unmeasured (see RunReport).  A
-    paced run's lateness is also summarized per kind.
+
+# A log record is a tuple of scalars in this field order: a read's record
+# has the first four fields, an update's all eight.  The dict form adds
+# kind, derived from opType, in front.
+RECORD_FIELDS = ("opType", "scheduledWallMs", "actualWallMs", "latencyMs",
+                 "opIndex", "dependencyMs", "clockAtRelease", "gateWaitMs")
+_GATE_WAIT = RECORD_FIELDS.index("gateWaitMs")
+
+
+def record_dict(record: tuple) -> dict:
+    """The dict form of one log record, keyed as its fields are named."""
+    return {"kind": kind_of(record[0]), **dict(zip(RECORD_FIELDS, record))}
+
+
+def summarize_run(records: list[tuple], wall_seconds: float, mode: str) -> RunReport:
+    """Fold log records (tuples, see RECORD_FIELDS) into a RunReport.
+
+    The records are grouped by opType, and each variant's kind is derived
+    once.  An update that waited at the dependency gate has a nonzero
+    gateWaitMs and counts as a deferral.  Only a paced run is graded on
+    time: in throughput mode nothing waits for its slot, so a start's
+    distance from its slot grades nothing, and lateness is left
+    unmeasured (see RunReport).  A paced run's lateness is also
+    summarized per kind.
     """
     total = len(records)
     report = RunReport(mode=mode, total_operations=total, wall_seconds=wall_seconds)
+    by_variant: defaultdict[str, list[tuple]] = defaultdict(list)
+    for record in records:
+        by_variant[record[0]].append(record)
     class_totals = report.class_totals
-    by_variant: dict[str, list[float]] = {}
     by_class: dict[str, list[float]] = {}
     paced = mode == "paced"
     deferrals = 0
-    for record in records:
-        kind = record["kind"]
-        class_totals[kind] = class_totals.get(kind, 0) + 1
-        latencies = by_variant.get(record["opType"])
-        if latencies is None:
-            latencies = by_variant[record["opType"]] = []
-        latencies.append(record["latencyMs"])
-        if record.get("gateWaitMs"):
-            deferrals += 1
+    for variant, rows in sorted(by_variant.items()):
+        kind = kind_of(variant)
+        class_totals[kind] = class_totals.get(kind, 0) + len(rows)
+        report.variant_latency_ms[variant] = compute_stats([row[3] for row in rows])
+        if len(rows[0]) > _GATE_WAIT:
+            deferrals += sum(1 for row in rows if row[_GATE_WAIT])
         if paced:
-            kind_delays = by_class.get(kind)
-            if kind_delays is None:
-                kind_delays = by_class[kind] = []
-            kind_delays.append(record["actualWallMs"] - record["scheduledWallMs"])
+            by_class.setdefault(kind, []).extend(row[2] - row[1] for row in rows)
     report.deferrals = deferrals
-    for variant, values in sorted(by_variant.items()):
-        report.variant_latency_ms[variant] = compute_stats(values)
     if total and wall_seconds > 0:
         report.throughput_ops_per_sec = total / wall_seconds
     if not paced:

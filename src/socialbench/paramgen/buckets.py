@@ -218,9 +218,13 @@ def write_buckets(buckets: dict[int, ParameterBucket], directory: str | Path) ->
 
 def _bucket_entry(record) -> tuple[str | None, object]:
     """(variant, params) of a parameter set's line, (None, text) of a
-    warning's; a variant's params must be exactly its integer keys."""
+    warning's; a variant's params must be exactly its integer keys, and a
+    warning's line exactly {"warning": <text>}."""
     if "warning" in record:
-        return None, record["warning"]
+        warning = record["warning"]
+        if len(record) != 1 or not isinstance(warning, str):
+            raise ValueError('a warning line must be exactly {"warning": <text>}')
+        return None, warning
     variant, params = record["query"], record["params"]
     keys = _PARAM_KEYS[variant]
     if not isinstance(params, dict) or params.keys() != keys:
@@ -233,8 +237,8 @@ def _bucket_entry(record) -> tuple[str | None, object]:
 
 def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
     """Load what write_buckets wrote.  A *.ldjson file not named after a
-    day, or a line that is not a warning or a known variant with exactly
-    its integer parameters, is a ParseError; a directory that holds no
+    day, or a line that is neither exactly a warning's text nor a known
+    variant with exactly its integer parameters, is a ParseError; a directory that holds no
     parameter file is a SocialBenchError."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.ldjson"))

@@ -230,14 +230,17 @@ def test_c03_wall_offsets_exact(capsys, sas, cutoff):
 
 # --- criterion 4: on-time accounting -----------------------------------------
 
+def _ins6(scheduled, actual):
+    """An INS6 log record in the runner's tuple form (driver.stats.RECORD_FIELDS):
+    1 ms latency, no gate wait."""
+    return ("INS6", scheduled, actual, 1.0, 0, 0, 0, 0.0)
+
+
 def _records(total, late, late_by_ms=5_000):
     records = []
     for i in range(total):
         delay = float(1_000 + late_by_ms) if i < late else 0.0
-        records.append({"kind": "INS", "opType": "INS6",
-                        "scheduledWallMs": 1_000.0 * i,
-                        "actualWallMs": 1_000.0 * i + delay,
-                        "latencyMs": 1.0})
+        records.append(_ins6(1_000.0 * i, 1_000.0 * i + delay))
     return records
 
 
@@ -245,8 +248,7 @@ def _records(total, late, late_by_ms=5_000):
 def test_c04_on_time_rule(capsys):
     for scheduled, actual, on_time in ((0.0, 1_000.0, True), (0.0, 1_000.0001, False),
                                        (500.0, 400.0, True)):
-        report = summarize_run([{"kind": "INS", "opType": "INS6", "scheduledWallMs": scheduled,
-                                 "actualWallMs": actual, "latencyMs": 1.0}], 1.0, "paced")
+        report = summarize_run([_ins6(scheduled, actual)], 1.0, "paced")
         assert (report.on_time_count, report.late_count) == (on_time, not on_time)
 
     rng = random.Random(44)

@@ -88,8 +88,9 @@ class TestDriver:
         indexes = [entry["opIndex"] for entry in lines]
         assert indexes == sorted(indexes)
         for entry in lines:
-            assert {"opIndex", "opType", "dependencyMs", "clockAtRelease", "gateWaitMs",
-                    "scheduledWallMs", "actualWallMs"} <= set(entry)
+            assert set(entry) == {"kind", "opType", "scheduledWallMs", "actualWallMs",
+                                  "latencyMs", "opIndex", "dependencyMs", "clockAtRelease",
+                                  "gateWaitMs"}, entry
             assert entry["clockAtRelease"] >= entry["dependencyMs"]
 
     def test_validate_mode_compares_stores(self, tree, tmp_path, capsys):

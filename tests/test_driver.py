@@ -6,6 +6,7 @@ import statistics
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,8 +32,9 @@ from socialbench.driver import (
 )
 from socialbench.driver.validate import MAX_DIFFS_PER_VARIANT
 from socialbench.errors import ConfigInvalid, DeadlockSuspected, MissingBucket
-from socialbench.model import TemporalGraph, UpdateOperation
+from socialbench.model import DELETE_OPS, INSERT_OPS, TemporalGraph, UpdateOperation
 from socialbench.paramgen import ParamGenOptions, ParameterBucket, generate_parameters
+from socialbench.paramgen.buckets import QUERY_VARIANTS
 from socialbench.refstore import NaiveStore, ReferenceStore
 from socialbench.simtime import MS_PER_DAY, SIM_START, day_date, day_start
 
@@ -237,10 +239,16 @@ class TestStats:
         assert stats["p50"] == 2.0
         assert compute_stats([]) == {"count": 0}
 
+    @staticmethod
+    def _record(op_type, scheduled, actual):
+        """A log record in the runner's tuple form: a read's four fields, an
+        update's eight (driver.stats.RECORD_FIELDS); 1 ms latency, no gate wait."""
+        read = (op_type, scheduled, actual, 1.0)
+        return read + (0, 0, 0, 0.0) if op_type.startswith(("INS", "DEL")) else read
+
     def _records(self, late, total):
         """total update records, the first late of them 5 s late."""
-        return [{"kind": "INS", "opType": "INS1", "scheduledWallMs": 0.0,
-                 "actualWallMs": 5_000.0 if i < late else 0.0, "latencyMs": 1.0}
+        return [self._record("INS1", 0.0, 5_000.0 if i < late else 0.0)
                 for i in range(total)]
 
     def test_report_dict_shape(self):
@@ -276,8 +284,7 @@ class TestStats:
     def test_paced_lateness_is_summarized_per_kind(self):
         """Each kind's delays fold into its own stats, next to the run's."""
         late = {"CR": 0.5, "SR": 2.0, "INS": 0.25, "DEL": 4.0}
-        records = [{"kind": kind, "opType": kind, "scheduledWallMs": 10.0 * i,
-                    "actualWallMs": 10.0 * i + delay * (i + 1), "latencyMs": 1.0}
+        records = [self._record(kind, 10.0 * i, 10.0 * i + delay * (i + 1))
                    for kind, delay in late.items() for i in range(3)]
         report = summarize_run(records, 1.0, "paced")
         assert sorted(report.delay_ms_by_class) == ["CR", "DEL", "INS", "SR"]
@@ -411,6 +418,38 @@ class TestRunner:
             assert record["clockAtRelease"] >= record["dependencyMs"], record
         complex_reads = [r for r in runner.log if r["kind"] == "CR"]
         assert len(complex_reads) == schedule.class_counts()["CR"]
+
+    def test_log_view_has_each_kinds_keys_and_is_what_the_report_counts(self):
+        """A mixed run with two readers and three writers: each log dict
+        has exactly its kind's keys (nine for an update, five for a read),
+        its kind is its opType's, and the report's class totals, deferrals
+        and per-variant latencies are those of the log."""
+        _, sas, buckets = _mini_dataset()
+        store = ReferenceStore()
+        store.bulk_load(sas.snapshot)
+        config = DriverConfig(pacing=False, seed=11, write_threads=3, read_threads=2)
+        schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
+        runner = BenchmarkRunner(store, schedule, config)
+        report = runner.run()
+        log = runner.log
+        read_keys = {"kind", "opType", "scheduledWallMs", "actualWallMs", "latencyMs"}
+        update_keys = read_keys | {"opIndex", "dependencyMs", "clockAtRelease", "gateWaitMs"}
+        op_types = {"INS": INSERT_OPS, "DEL": DELETE_OPS,
+                    "CR": {v for v in QUERY_VARIANTS if v.startswith("CR")},
+                    "SR": {v for v in QUERY_VARIANTS if v.startswith("SR")}}
+        latencies: dict[str, list[float]] = {}
+        for record in log:
+            kind = record["kind"]
+            expected = update_keys if kind in ("INS", "DEL") else read_keys
+            assert set(record) == expected and len(record) == len(expected), record
+            assert record["opType"] in op_types[kind], record
+            latencies.setdefault(record["opType"], []).append(record["latencyMs"])
+        assert len(log) == report.total_operations
+        assert report.class_totals == Counter(record["kind"] for record in log)
+        assert set(report.class_totals) == {"INS", "DEL", "CR", "SR"}
+        assert report.deferrals == sum(record.get("gateWaitMs", 0.0) > 0 for record in log)
+        assert report.variant_latency_ms == {variant: compute_stats(values)
+                                             for variant, values in latencies.items()}
 
     def test_deadlock_detection_on_corrupt_dependency(self):
         """A self-dependent update is refused before anything commits, also

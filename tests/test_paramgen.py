@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import random
+import re
 import statistics
 from collections import Counter
 
@@ -629,6 +630,26 @@ class TestBuckets:
         assert err.value.line_no == 2
         (directory / "2012-11-02.ldjson").write_text(json.dumps(good) + "\n")
         assert next(iter(read_buckets(directory).values())).params["SR6"] == [good["params"]]
+
+    @pytest.mark.parametrize("record", [
+        {"warning": {"not": "text"}},
+        {"params": {"personId": 1}, "query": "SR2", "warning": 7},
+        {"params": {"personId": 1}, "query": "SR2", "warning": "partial day"},
+        {"warning": None},
+    ])
+    def test_a_warning_line_is_exactly_its_text(self, record, tmp_path):
+        """A line with a warning key loads only as {"warning": <str>}; any
+        other such line fails the load, naming the file and line."""
+        directory = tmp_path / "params"
+        directory.mkdir()
+        path = directory / "2012-11-02.ldjson"
+        warning = {"warning": "partial day"}
+        path.write_text(json.dumps(warning) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: ") as err:
+            read_buckets(directory)
+        assert err.value.line_no == 2
+        path.write_text(json.dumps(warning) + "\n")
+        assert next(iter(read_buckets(directory).values())).warnings == ["partial day"]
 
     def test_cutoff_after_simulation_end_gives_no_buckets(self):
         graph = _chain_graph([1, 2, 3])
