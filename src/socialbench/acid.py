@@ -14,8 +14,8 @@ interleaving as ordered steps on the caller's thread, chosen by a seed
     probes, one prober thread runs freely, so it races the delete.
 
 Two deliberately broken store variants prove the scenarios can fail:
-one re-reads the latest version on every access instead of honoring
-its snapshot, the other commits cascades in two halves.
+one pins each read past every version, so every access sees whatever
+is filed at that moment, the other commits cascades in two halves.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .model import (
     DEL_PERSON,
     UpdateOperation,
 )
-from .refstore import ReferenceStore, Snapshot
+from .refstore.store import NEVER, ReferenceStore, Snapshot
 from .simtime import SIM_START
 
 
@@ -52,19 +52,15 @@ class ScenarioResult:
 # -- deliberately broken stores ---------------------------------------------
 
 
-class _LiveSnapshot(Snapshot):
-    """Forgets its pin: every access reads the newest version."""
-
-    @property
-    def version(self) -> int:
-        return self.store._version
-
-
 class NonVersionedReadStore(ReferenceStore):
-    """Fault injection: reads see whatever is committed right now."""
+    """Fault injection: each read sees whatever is filed at that moment.
+
+    Its snapshots are pinned past every version, so a record is visible
+    from the instant a commit files it until one closes it.
+    """
 
     def begin_read(self) -> Snapshot:
-        return _LiveSnapshot(self, self._version)
+        return Snapshot(self, NEVER - 1)
 
 
 class SplitCascadeStore(ReferenceStore):

@@ -32,7 +32,7 @@ class GenConfig:
     content_scale: float = 1.0
     delete_forums_of_deleted_moderator: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_config_types(self)
         if not 0 <= self.seed < 2**64:
             raise ConfigInvalid("seed", "must fit in 64 bits")

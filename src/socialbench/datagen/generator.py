@@ -89,7 +89,6 @@ logger = logging.getLogger(__name__)
 
 def generate_temporal_graph(config: GenConfig) -> TemporalGraph:
     """Generate the full temporal graph for a config. Deterministic per seed."""
-    config.validate()
     started = time.perf_counter()
     graph = _Builder(config).build()
     if logger.isEnabledFor(logging.INFO):

@@ -47,6 +47,7 @@ from ..model import (
     decode_insert,
     delete_target,
     key_of,
+    references,
     root_post_of,
 )
 from ..simtime import format_instant, parse_instant
@@ -127,16 +128,19 @@ def _csv_rows(path: Path):
 
 
 def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
-    """Read every collection's CSV; a file that does not parse, or a
-    temporal comment whose reply chain ends elsewhere than its rootPostId,
-    raises ParseError with its path and line."""
+    """Read every collection's CSV.  A file that does not parse, a row that
+    repeats the key of a row above it, a comment whose reply chain does not
+    reach a post, and in the full history a comment whose rootPostId is not
+    that post or an entity whose parent is in no row of the parent's file,
+    raise ParseError with the path and line."""
     graph = TemporalGraph()
-    comments: dict[int, int] = {}  # line of each comment
+    lines: dict[str, dict] = {}  # per collection, the line of each key
     for collection in COLLECTIONS:
         path = directory / f"{collection}.csv"
         columns = _columns(collection, temporal)
         header = [name for name, _ in columns]
         entities = getattr(graph, collection)
+        at = lines[collection] = {}
         rows = _csv_rows(path)
         found = next(rows, None)
         if found is None:
@@ -159,11 +163,14 @@ def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
             except ValueError as exc:
                 raise ParseError(str(path), line_no, str(exc)) from exc
             key = key_of(collection, entity)
+            if key in at:
+                raise ParseError(str(path), line_no, f"repeats the key of line {at[key]}")
+            at[key] = line_no
             entities[key] = entity
-            if collection == "messages" and entity.kind == COMMENT:
-                comments[key] = line_no
     messages = graph.messages
-    for mid, line_no in comments.items():
+    for mid, line_no in lines["messages"].items():
+        if messages[mid].kind != COMMENT:
+            continue
         try:
             root = root_post_of(mid, messages)
         except (CycleDetected, KeyError) as exc:
@@ -174,6 +181,17 @@ def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
                              f"rootPostId {messages[mid].root_post_id}, but the reply "
                              f"chain reaches post {root}")
         messages[mid] = replace(messages[mid], root_post_id=root)
+    # The full history holds every entity ever created, so each reference
+    # names one of its rows; a snapshot's forum may outlive its moderator.
+    if temporal:
+        for collection in COLLECTIONS:
+            entities = getattr(graph, collection)
+            for key, line_no in lines[collection].items():
+                for parent, ref in references(collection, entities[key]):
+                    if ref not in lines[parent]:
+                        raise ParseError(str(directory / f"{collection}.csv"), line_no,
+                                         f"{parent} {ref} is in no row of "
+                                         f"{directory / parent}.csv")
     return graph
 
 
@@ -186,7 +204,8 @@ def write_stream(stream: list[UpdateOperation], path: Path) -> None:
 
 def read_stream(path: Path) -> list[UpdateOperation]:
     """The operations in the file at path.  A line the stores could not
-    decode, or scheduled before the line above it, is a ParseError."""
+    decode, scheduled before the line above it, or depending on its own
+    scheduled time or a later one, is a ParseError."""
     previous = float("-inf")
 
     def parse(record) -> UpdateOperation:
@@ -203,6 +222,10 @@ def read_stream(path: Path) -> list[UpdateOperation]:
         # instant, which is sound only while the instants ascend.
         if op.scheduled_time < previous:
             raise ValueError(f"scheduled before the line above's {format_instant(previous)}")
+        # Its gate would wait for the operation itself.
+        if op.dependency_time >= op.scheduled_time:
+            raise ValueError(f"depends on {format_instant(op.dependency_time)}, "
+                             "not before its own scheduled time")
         previous = op.scheduled_time
         return op
 

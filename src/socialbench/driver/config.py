@@ -26,7 +26,7 @@ class TriggerConfig:
     sr2_depth_cap: int = 3
     sr6_per_sr2: int = 3       # messages taken from an SR2 result
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_config_types(self)
         if self.sr2_per_cr < 0 or self.sr6_per_sr2 < 0:
             raise ConfigInvalid("trigger caps", "must be non-negative")
@@ -60,7 +60,7 @@ class DriverConfig:
     frequencies: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_FREQUENCIES))
     triggers: TriggerConfig = field(default_factory=TriggerConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_config_types(self)
         if not 0 < self.tcr < math.inf:
             raise ConfigInvalid("tcr", "must be positive and finite")
@@ -73,4 +73,3 @@ class DriverConfig:
                 raise ConfigInvalid("frequencies", f"unknown query variant {variant!r}")
             if not isinstance(freq, int) or isinstance(freq, bool) or freq < 1:
                 raise ConfigInvalid("frequencies", f"{variant} must be an integer >= 1")
-        self.triggers.validate()

@@ -112,7 +112,6 @@ class BenchmarkRunner:
         self.store = store
         self.schedule = schedule
         self.config = config or DriverConfig()
-        self.config.validate()
         # Each kind's entries with their due instants in seconds, so that
         # no worker converts a Fraction under the take lock, and the
         # simulation instants of the updates for the clock.  numerator /

@@ -74,7 +74,6 @@ def build_schedule(stream: list[UpdateOperation],
     skips that instance with a warning.
     """
     config = config or DriverConfig()
-    config.validate()
     tcr = Fraction(str(config.tcr))
     schedule = Schedule(cutoff=cutoff)
     instance_counts = {variant: 0 for variant in config.frequencies}

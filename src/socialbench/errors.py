@@ -29,8 +29,8 @@ class ConfigInvalid(SocialBenchError):
 
 
 def load_config(cls, data, section: str):
-    """The dataclass cls built from the dict data and validated; a field
-    that is a dataclass is loaded from its own dict.  A ConfigInvalid
+    """The dataclass cls built from the dict data, which checks itself; a
+    field that is a dataclass is loaded from its own dict.  A ConfigInvalid
     names its field under section."""
     if not isinstance(data, dict):
         raise ConfigInvalid(section, "not an object")
@@ -46,12 +46,10 @@ def load_config(cls, data, section: str):
         elif (f.name not in data and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
             raise ConfigInvalid(f"{section}.{f.name}", "required")
-    config = cls(**values)
     try:
-        config.validate()
+        return cls(**values)
     except ConfigInvalid as exc:
         raise ConfigInvalid(f"{section}.{exc.field}", exc.reason) from exc
-    return config
 
 
 @functools.cache

@@ -48,7 +48,7 @@ class ParamGenOptions:
     min_group_size: int = 10
     cr3_duration_days: int = 28
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_config_types(self)
         for name in ("per_day", "hop_count", "min_group_size", "cr3_duration_days"):
             if getattr(self, name) < 1:
@@ -102,7 +102,6 @@ def generate_parameters(graph: TemporalGraph, cutoff: int,
     rebuilt for every day.
     """
     options = options or ParamGenOptions()
-    options.validate()
     started = time.perf_counter()
     tables = build_factor_tables(graph)
     n = options.per_day

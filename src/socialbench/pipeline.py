@@ -47,8 +47,6 @@ class PipelineConfig:
     validate_stores: bool = True
 
     def validate(self) -> None:
-        for name in SECTIONS.values():
-            getattr(self, name).validate()
         if self.out_dir is not None:
             try:
                 Path(self.out_dir).mkdir(parents=True, exist_ok=True)

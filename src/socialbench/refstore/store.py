@@ -145,11 +145,7 @@ class Snapshot:
 
     def __init__(self, store: "ReferenceStore", version: int):
         self.store = store
-        self._pinned = version
-
-    @property
-    def version(self) -> int:
-        return self._pinned
+        self.version = version
 
     def _live(self, collection: str, key) -> object | None:
         rec = self.store._tables[collection].get(key)
@@ -232,8 +228,6 @@ class ReferenceStore:
                 self._cascades[parent].append((child, self._by_parent[child, parent]))
         # (person, person) -> [(version, count), ...], versions ascending.
         self._interactions: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        # The record _root_of read last (commit lock held).
-        self._replied: _Rec | None = None
 
     @property
     def version(self) -> int:
@@ -324,16 +318,11 @@ class ReferenceStore:
             history.append((version, current + delta))
 
     def _root_of(self, message_id: int) -> int:
-        """The thread root of the live message a comment replies to.  Its
-        record stays in _replied, so that the insert reads it only once."""
-        self._replied = rec = self._require("messages", message_id)
-        return rec.value.root_post_id
-
-    def _require(self, collection: str, key) -> _Rec:
-        rec = self._tables[collection].get(key)
+        """The thread root of the live message a comment replies to."""
+        rec = self._tables["messages"].get(message_id)
         if rec is None or rec.deleted_v != NEVER:
-            raise DependencyMissing(f"{collection} {key} is absent or deleted")
-        return rec
+            raise DependencyMissing(f"messages {message_id} is absent or deleted")
+        return rec.value.root_post_id
 
     # -- updates -----------------------------------------------------------
 
@@ -352,8 +341,7 @@ class ReferenceStore:
                 ref = getattr(entity, attr)
                 if ref is None:
                     continue
-                rec = (self._replied if attr == "reply_to_message_id"
-                       else tables[parent].get(ref))
+                rec = tables[parent].get(ref)
                 if rec is None or rec.deleted_v != NEVER:
                     raise DependencyMissing(f"{parent} {ref} is absent or deleted")
                 target = rec.value

@@ -51,6 +51,26 @@ class TestTraversalAnomaly:
                                        delete_after_hop=4, insert_after_hop=0)
         assert not result.passed
 
+    @pytest.mark.parametrize("delete_hop", range(5))
+    @pytest.mark.parametrize("insert_hop", range(5))
+    def test_non_versioned_store_outcome_at_every_fixed_interleaving(self, delete_hop,
+                                                                     insert_hop):
+        """A delete after hop 0 or 1 cuts the chain ahead of the walk; a
+        later one is behind it, and then the bridge shows unless it is
+        inserted after the last hop."""
+        result = run_traversal_anomaly(NonVersionedReadStore, delete_after_hop=delete_hop,
+                                       insert_after_hop=insert_hop)
+        chain = [9001, 9002, 9003, 9004]
+        if delete_hop < 2:
+            expected = [f"walk saw {chain[:delete_hop + 1]}, expected {chain}",
+                        "far end at distance None, expected 3"]
+        elif insert_hop < 4:
+            expected = [f"walk saw {chain + [9005]}, expected {chain}",
+                        "walk observed the concurrently inserted bridge person"]
+        else:
+            expected = []
+        assert (result.passed, result.violations) == (not expected, expected)
+
     def test_non_versioned_store_fails_somewhere_on_random_seeds(self):
         failures = sum(
             1 for seed in range(20)

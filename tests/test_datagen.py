@@ -19,7 +19,7 @@ import statistics
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ import pytest
 from socialbench.datagen import (
     GenConfig,
     cutoff_instant,
+    deserialize,
     generate_temporal_graph,
     read_dataset,
     read_stream,
@@ -46,12 +47,13 @@ from socialbench.model import (
     UNIVERSITIES,
     check_temporal_invariants,
 )
-from socialbench.simtime import MS_PER_HOUR, SIM_END, parse_day
+from socialbench.refstore import NaiveStore, ReferenceStore
+from socialbench.simtime import MS_PER_HOUR, SIM_END, format_instant, parse_day
 
 
 class TestConfig:
     def test_defaults_are_valid(self):
-        GenConfig(seed=0, num_persons=10).validate()
+        GenConfig(seed=0, num_persons=10)
 
     @pytest.mark.parametrize("field,value", [
         ("num_persons", -1),
@@ -68,11 +70,13 @@ class TestConfig:
         ("content_scale", math.nan),
     ])
     def test_rejects_bad_field(self, field, value):
+        """Built directly or by replace, which builds it the same way."""
         kwargs = {"seed": 0, "num_persons": 10}
-        kwargs[field] = value
-        cfg = GenConfig(**kwargs)
         with pytest.raises(ConfigInvalid) as err:
-            cfg.validate()
+            GenConfig(**{**kwargs, field: value})
+        assert field in str(err.value)
+        with pytest.raises(ConfigInvalid) as err:
+            replace(GenConfig(**kwargs), **{field: value})
         assert field in str(err.value)
 
     def test_dict_round_trip(self):
@@ -538,6 +542,48 @@ class TestSerialization:
         assert err.value.line_no == 3
         assert str(err.value).startswith(f"{path}:3: scheduled before the line above")
 
+    def test_stream_line_that_depends_on_itself_is_a_parse_error(self, early_sas, tmp_path):
+        """The driver's gate would hold such a line until it committed
+        itself, so the file is refused where it is read."""
+        path = tmp_path / "stream.ldjson"
+        stream = early_sas.stream[:3]
+        stream[1] = replace(stream[1], dependency_time=stream[1].scheduled_time)
+        write_stream(stream, path)
+        with pytest.raises(ParseError) as err:
+            read_stream(path)
+        assert str(err.value) == (f"{path}:2: depends on "
+                                  f"{format_instant(stream[1].scheduled_time)}, "
+                                  "not before its own scheduled time")
+
+    def test_repeated_row_is_refused(self, tmp_path):
+        """A row that repeats a key would replace the row above it."""
+        cfg = GenConfig(seed=3, num_persons=60)
+        graph = generate_temporal_graph(cfg)
+        write_dataset(graph, split_at_cutoff(graph, cfg), cfg, tmp_path)
+        path = tmp_path / "snapshot" / "persons.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        copy = list(rows[1])
+        copy[rows[0].index("firstName")] = "Other"
+        with path.open("a", newline="") as fh:
+            csv.writer(fh).writerow(copy)
+        with pytest.raises(ParseError) as err:
+            deserialize(tmp_path)
+        assert str(err.value) == f"{path}:{len(rows) + 1}: repeats the key of line 2"
+
+    def test_dangling_temporal_reference_is_refused(self, small_tree, tmp_path):
+        """Paramgen reads the full history's references unchecked, so a
+        person missing from temporal/persons.csv is refused at load, in the
+        first row that names them, with the file they are missing from."""
+        shutil.copytree(small_tree / "dataset", tmp_path, dirs_exist_ok=True)
+        knows = tmp_path / "temporal" / "knows.csv"
+        persons = tmp_path / "temporal" / "persons.csv"
+        person = next(csv.reader(knows.read_text().splitlines()[1:]))[0]
+        lines = persons.read_text().splitlines(keepends=True)
+        persons.write_text("".join(line for line in lines if not line.startswith(f"{person},")))
+        with pytest.raises(ParseError) as err:
+            read_dataset(tmp_path)
+        assert str(err.value) == f"{knows}:2: persons {person} is in no row of {persons}"
+
     def test_temporal_root_that_is_not_the_chain_end_is_refused(self, tmp_path):
         cfg = GenConfig(seed=3, num_persons=120)
         graph = generate_temporal_graph(cfg)
@@ -713,3 +759,38 @@ def test_seeded_corruption_sweep(small_tree, tmp_path):
             path.write_bytes(original.read_bytes())
     assert escapes == [], "\n".join(map(str, escapes))
     assert outcomes["refused"] > 50 and outcomes["loaded"] > 0, outcomes
+
+
+def test_seeded_downstream_corruption_sweep(small_tree, tmp_path):
+    """Seeded single mutations of the full-history CSVs: each one that
+    read_dataset accepts gets through paramgen and both stores' bulk load
+    of the graph with nothing but a SocialBenchError."""
+    rng = random.Random(20261020)
+    temporal = sorted((small_tree / "dataset" / "temporal").iterdir())
+    work = tmp_path / "dataset"
+    shutil.copytree(small_tree / "dataset", work)
+    outcomes = Counter()
+    escapes = []
+    for _ in range(40):
+        original = rng.choice(temporal)
+        path = work / "temporal" / original.name
+        kind, damaged = _mutate(original.read_bytes(), path, rng)
+        path.write_bytes(damaged)
+        try:
+            graph, sas, config = read_dataset(work)
+        except SocialBenchError:
+            outcomes["refused"] += 1
+        else:
+            outcomes["loaded"] += 1
+            try:
+                generate_parameters(graph, sas.cutoff, ParamGenOptions(per_day=2),
+                                    simulation_end=config.simulation_end)
+                for store in (ReferenceStore(), NaiveStore()):
+                    store.bulk_load(graph)
+            except SocialBenchError:
+                pass
+            except Exception as exc:  # any other exception is an escape
+                escapes.append((original.name, kind, repr(exc)))
+        path.write_bytes(original.read_bytes())
+    assert escapes == [], "\n".join(map(str, escapes))
+    assert outcomes["refused"] > 5 and outcomes["loaded"] > 5, outcomes

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -715,6 +716,11 @@ class TestRunner:
             DriverConfig(tcr=0.0).validate()
         with pytest.raises(ConfigInvalid):
             DriverConfig(read_threads=0).validate()
+
+    def test_replace_checks_too(self):
+        with pytest.raises(ConfigInvalid) as err:
+            replace(DriverConfig(), tcr=0.0)
+        assert err.value.field == "tcr"
 
 
 class TestProgressLog:
