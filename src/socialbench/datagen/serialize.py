@@ -28,6 +28,7 @@ from pathlib import Path
 from ..errors import (
     ConfigInvalid,
     CycleDetected,
+    IntegrityError,
     ParseError,
     load_config,
     read_json,
@@ -44,10 +45,10 @@ from ..model import (
     Lifecycle,
     TemporalGraph,
     UpdateOperation,
+    check_references,
     decode_insert,
     delete_target,
     key_of,
-    references,
     root_post_of,
 )
 from ..simtime import format_instant, parse_instant
@@ -127,12 +128,12 @@ def _csv_rows(path: Path):
         raise ParseError(str(path), reader.line_num, str(exc)) from exc
 
 
-def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
+def _read_entities(directory: Path, temporal: bool,
+                   delete_forums_of_deleted_moderator: bool) -> TemporalGraph:
     """Read every collection's CSV.  A file that does not parse, a row that
     repeats the key of a row above it, a comment whose reply chain does not
-    reach a post, and in the full history a comment whose rootPostId is not
-    that post or an entity whose parent is in no row of the parent's file,
-    raise ParseError with the path and line."""
+    reach a post (or in the full history, its rootPostId), and a reference
+    that check_references refuses raise ParseError with the path and line."""
     graph = TemporalGraph()
     lines: dict[str, dict] = {}  # per collection, the line of each key
     for collection in COLLECTIONS:
@@ -181,17 +182,12 @@ def _read_entities(directory: Path, temporal: bool) -> TemporalGraph:
                              f"rootPostId {messages[mid].root_post_id}, but the reply "
                              f"chain reaches post {root}")
         messages[mid] = replace(messages[mid], root_post_id=root)
-    # The full history holds every entity ever created, so each reference
-    # names one of its rows; a snapshot's forum may outlive its moderator.
-    if temporal:
-        for collection in COLLECTIONS:
-            entities = getattr(graph, collection)
-            for key, line_no in lines[collection].items():
-                for parent, ref in references(collection, entities[key]):
-                    if ref not in lines[parent]:
-                        raise ParseError(str(directory / f"{collection}.csv"), line_no,
-                                         f"{parent} {ref} is in no row of "
-                                         f"{directory / parent}.csv")
+    try:
+        check_references(graph, delete_forums_of_deleted_moderator)
+    except IntegrityError as exc:
+        collection, key, parent, ref = exc.reference
+        raise ParseError(str(directory / f"{collection}.csv"), lines[collection][key],
+                         f"{parent} {ref} is in no row of {directory / parent}.csv") from exc
     return graph
 
 
@@ -243,7 +239,8 @@ def deserialize(directory: str | Path) -> SnapshotAndStream:
                          f"retired count: {exc!r}") from exc
     return SnapshotAndStream(
         cutoff=cutoff,
-        snapshot=_read_entities(directory / "snapshot", temporal=False),
+        snapshot=_read_entities(directory / "snapshot", False,
+                                read_config(directory).delete_forums_of_deleted_moderator),
         stream=read_stream(directory / "stream.ldjson"),
         retired=retired)
 
@@ -274,5 +271,6 @@ def read_config(directory: str | Path) -> GenConfig:
 def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream, GenConfig]:
     directory = Path(directory)
     config = read_config(directory)
-    graph = _read_entities(directory / "temporal", temporal=True)
+    # The full history holds every entity ever created, so every parent.
+    graph = _read_entities(directory / "temporal", True, True)
     return graph, deserialize(directory), config

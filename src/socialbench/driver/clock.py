@@ -61,13 +61,9 @@ class GlobalClock:
         return self._times[prefix - 1] if prefix else self._initial
 
     def wait_covered(self, dependency_ms: int) -> int | None:
-        """Block until release(dependency_ms) would return the clock value,
-        and return that value; None if halted first."""
+        """Block until release(dependency_ms) is not None and return it; None if halted first."""
         with self._advanced:
-            while True:
-                prefix = self._prefix
-                if prefix == self._count or self._times[prefix] > dependency_ms:
-                    return self._times[prefix - 1] if prefix else self._initial
+            while (value := self.release(dependency_ms)) is None:
                 if self._halted:
                     return None
                 self._waiters += 1
@@ -75,6 +71,7 @@ class GlobalClock:
                     self._advanced.wait()
                 finally:
                     self._waiters -= 1
+            return value
 
     def halt(self) -> None:
         with self._advanced:

@@ -169,6 +169,10 @@ class DependencyMissing(SocialBenchError):
 class IntegrityError(SocialBenchError):
     """Bulk-loaded data contains dangling references or duplicates."""
 
+    def __init__(self, reason: str, reference: tuple | None = None):
+        self.reference = reference  # (collection, key, parent, its key) if dangling
+        super().__init__(reason)
+
 
 class DeadlockSuspected(SocialBenchError):
     """An update depends on its own scheduled time or a later one, so the

@@ -299,7 +299,8 @@ def check_references(graph: TemporalGraph, delete_forums_of_deleted_moderator: b
             for parent, attr in parents:
                 ref = getattr(entity, attr)
                 if ref is not None and ref not in getattr(graph, parent):
-                    raise IntegrityError(f"{collection} {key} references missing {parent} {ref}")
+                    raise IntegrityError(f"{collection} {key} references missing {parent} {ref}",
+                                         (collection, key, parent, ref))
 
 
 def check_temporal_invariants(graph: TemporalGraph,

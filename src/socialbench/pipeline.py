@@ -25,7 +25,7 @@ from .datagen import (
     write_dataset,
 )
 from .driver import BenchmarkRunner, DriverConfig, RunReport, build_schedule, cross_validate
-from .errors import ConfigInvalid, StageFailed, write_json
+from .errors import ConfigInvalid, StageFailed, check_config_types, write_json
 from .model import TemporalGraph
 from .paramgen import ParamGenOptions, generate_parameters, write_buckets
 from .refstore import NaiveStore, ReferenceStore
@@ -46,12 +46,8 @@ class PipelineConfig:
     out_dir: str | None = None
     validate_stores: bool = True
 
-    def validate(self) -> None:
-        if self.out_dir is not None:
-            try:
-                Path(self.out_dir).mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise ConfigInvalid("out_dir", f"not creatable: {exc}") from exc
+    def __post_init__(self) -> None:
+        check_config_types(self)
 
 
 def emit_stats(graph: TemporalGraph, sas) -> dict:
@@ -111,7 +107,12 @@ def _environment() -> dict:
 def run_pipeline(config: PipelineConfig | None = None) -> dict:
     """All stages in order; returns the report dict (and writes artifacts)."""
     config = config or PipelineConfig()
-    config.validate()
+    out = Path(config.out_dir) if config.out_dir is not None else None
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid("out_dir", f"not creatable: {exc}") from exc
     stages: list[dict] = []
 
     @contextmanager
@@ -122,8 +123,6 @@ def run_pipeline(config: PipelineConfig | None = None) -> dict:
         except Exception as exc:
             raise StageFailed(name, exc) from exc
         stages.append({"name": name, "seconds": time.perf_counter() - started})
-
-    out = Path(config.out_dir) if config.out_dir is not None else None
 
     with stage("datagen"):
         graph = generate_temporal_graph(config.gen)

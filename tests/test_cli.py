@@ -14,7 +14,7 @@ from socialbench import cli, pipeline
 from socialbench.cli import build_parser, main, pipeline_config
 from socialbench.datagen import GenConfig, generate_temporal_graph, split_at_cutoff, write_dataset
 from socialbench.driver import DriverConfig
-from socialbench.errors import SocialBenchError
+from socialbench.errors import ConfigInvalid, SocialBenchError
 from socialbench.paramgen import ParamGenOptions
 from socialbench.pipeline import PipelineConfig
 
@@ -462,6 +462,22 @@ class TestDatasetConfigEcho:
                      ["paramgen", "--graph", str(dataset), "--out", str(tmp_path / "p")]):
             assert main(argv) == 1
             assert f"error: {dataset / 'config.json'}:1:" in capsys.readouterr().err
+
+
+class TestPipelineConfig:
+    def test_checks_its_own_field_types(self):
+        with pytest.raises(ConfigInvalid) as err:
+            PipelineConfig(validate_stores="no")
+        assert err.value.field == "validate_stores"
+
+    def test_out_dir_that_cannot_be_made_runs_no_stage(self, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setattr(pipeline, "generate_temporal_graph", ran.append)
+        (tmp_path / "file").write_text("")
+        with pytest.raises(ConfigInvalid) as err:
+            pipeline.run_pipeline(PipelineConfig(out_dir=str(tmp_path / "file" / "out")))
+        assert err.value.field == "out_dir"
+        assert ran == []
 
 
 class TestInterrupt:

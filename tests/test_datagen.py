@@ -35,6 +35,7 @@ from socialbench.datagen import (
     write_dataset,
     write_stream,
 )
+from socialbench.cli import main
 from socialbench.datagen.generator import _poisson, _zipf
 from socialbench.errors import ConfigInvalid, ParseError, SocialBenchError, load_config
 from socialbench.paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
@@ -583,6 +584,44 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             read_dataset(tmp_path)
         assert str(err.value) == f"{knows}:2: persons {person} is in no row of {persons}"
+
+    def test_dangling_snapshot_reference_is_refused(self, small_tree, tmp_path, capsys):
+        """The stores would refuse the snapshot at bulk load without naming
+        a file, so the reader refuses it, naming the first row that names
+        the missing person and the file they are missing from."""
+        shutil.copytree(small_tree, tmp_path, dirs_exist_ok=True)
+        knows = tmp_path / "dataset" / "snapshot" / "knows.csv"
+        persons = tmp_path / "dataset" / "snapshot" / "persons.csv"
+        person = next(csv.reader(knows.read_text().splitlines()[1:]))[0]
+        lines = persons.read_text().splitlines(keepends=True)
+        persons.write_text("".join(line for line in lines if not line.startswith(f"{person},")))
+        message = f"{knows}:2: persons {person} is in no row of {persons}"
+        with pytest.raises(ParseError) as err:
+            deserialize(tmp_path / "dataset")
+        assert str(err.value) == message
+        assert main(["driver", "--stream", str(tmp_path / "dataset"),
+                     "--params", str(tmp_path / "params")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_snapshot_forum_without_moderator_follows_the_cascade_rule(self, tmp_path):
+        """A forum outlives its deleted moderator only when config.json says
+        deleting a person leaves their forums standing."""
+        cfg = GenConfig(seed=2, num_persons=60, delete_forums_of_deleted_moderator=False)
+        graph = generate_temporal_graph(cfg)
+        sas = split_at_cutoff(graph, cfg)
+        write_dataset(graph, sas, cfg, tmp_path)
+        forums = tmp_path / "snapshot" / "forums.csv"
+        line_no, (forum, moderator) = next(
+            (n, row[:2]) for n, row in enumerate(csv.reader(forums.read_text().splitlines()))
+            if n and int(row[1]) not in sas.snapshot.persons)
+        assert deserialize(tmp_path).snapshot.forums[int(forum)].moderator_person_id == int(moderator)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(config.read_text()),
+                                      "delete_forums_of_deleted_moderator": True}))
+        with pytest.raises(ParseError) as err:
+            deserialize(tmp_path)
+        assert str(err.value) == (f"{forums}:{line_no + 1}: persons {moderator} is in no row "
+                                  f"of {tmp_path / 'snapshot' / 'persons.csv'}")
 
     def test_temporal_root_that_is_not_the_chain_end_is_refused(self, tmp_path):
         cfg = GenConfig(seed=3, num_persons=120)

@@ -713,9 +713,9 @@ class TestRunner:
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
-            DriverConfig(tcr=0.0).validate()
+            DriverConfig(tcr=0.0)
         with pytest.raises(ConfigInvalid):
-            DriverConfig(read_threads=0).validate()
+            DriverConfig(read_threads=0)
 
     def test_replace_checks_too(self):
         with pytest.raises(ConfigInvalid) as err:

@@ -705,11 +705,11 @@ class TestBuckets:
 
     def test_options_validation(self):
         with pytest.raises(ConfigInvalid):
-            ParamGenOptions(per_day=0).validate()
+            ParamGenOptions(per_day=0)
         with pytest.raises(ConfigInvalid):
-            ParamGenOptions(hop_count=0).validate()
+            ParamGenOptions(hop_count=0)
         with pytest.raises(ConfigInvalid):
-            ParamGenOptions(cr3_duration_days=0).validate()
+            ParamGenOptions(cr3_duration_days=0)
 
 
 def _buckets_digest(buckets, directory):

@@ -74,10 +74,10 @@ def _post(store, mid, creator, forum, country=1):
                                "tagIds": []})
 
 
-def _comment(store, mid, creator, parent, country=1):
+def _comment(store, mid, creator, parent, country=1, t=None):
     return _op(store, "INS7", {"id": mid, "creatorPersonId": creator,
                                "replyToMessageId": parent, "countryId": country,
-                               "tagIds": []})
+                               "tagIds": []}, t)
 
 
 def _toy_store(store_cls=ReferenceStore):
@@ -296,6 +296,20 @@ class TestQueries:
                           "countryId": 1, "tagIds": []}, t=t)
         rows = toy.execute_query("SR2", {"personId": 5})
         assert [r["messageId"] for r in rows[:2]] == [421, 420]
+
+    @pytest.mark.parametrize("store_cls", [ReferenceStore, NaiveStore])
+    def test_sr2_breaks_a_creation_tie_at_its_limit_by_higher_id(self, store_cls):
+        """The tenth and eleventh newest messages share a creation time, and
+        the timeline holds the higher id first, so the walk from its end
+        must read past the tenth to keep the higher id."""
+        store = _toy_store(store_cls)
+        t = T0 + 10**9
+        for mid in (411, 410):
+            _comment(store, mid, 6, 200, t=t)
+        for i, mid in enumerate(range(401, 410), start=1):
+            _comment(store, mid, 6, 200, t=t + i)
+        rows = store.execute_query("SR2", {"personId": 6})
+        assert [r["messageId"] for r in rows] == [*range(409, 400, -1), 411]
 
     def test_sr6_resolves_forum_through_thread(self, toy):
         expected = {"forumId": 100, "moderatorPersonId": 1}
@@ -568,6 +582,25 @@ class TestVersioning:
         _op(toy, "DEL7", {"messageId": 303})
         assert 303 in toy.state_at(v)["messages"]
         assert 303 not in toy.state_at()["messages"]
+
+    def test_read_at_the_deleting_version_sees_no_friendship(self):
+        """A friendship is invisible from the version that deletes it on,
+        in CR13's and in CR14's adjacency alike."""
+        store = ReferenceStore()
+        for pid in (1, 2):
+            _person(store, pid)
+        _knows(store, 1, 2)
+        _forum(store, 100, 1)
+        _post(store, 200, 1, 100)
+        _comment(store, 300, 2, 200)
+        pair = {"person1Id": 1, "person2Id": 2}
+        assert store.execute_query("CR13", pair) == {"shortestPathLength": 1}
+        assert store.execute_query("CR14", pair) == {"path": [1, 2], "weight": 39}
+        version = _op(store, "DEL8", pair)["version"]
+        snapshot = store.begin_read()
+        assert snapshot.version == version
+        assert store.execute_query("CR13", pair, snapshot) == {"shortestPathLength": -1}
+        assert store.execute_query("CR14", pair, snapshot) is None
 
     def test_bulk_load_only_once(self, toy, sas):
         with pytest.raises(IntegrityError):
