@@ -66,7 +66,7 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "dataset"
-        write_dataset(graph, sas, cfg, out)
+        write_dataset(graph, sas, out)
         files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
         print(f"\nwrote {len(files)} artifact files:")
         for f in files:

@@ -23,7 +23,6 @@ from .datagen import (
     GenConfig,
     deserialize,
     generate_temporal_graph,
-    read_config,
     read_dataset,
     split_at_cutoff,
     write_dataset,
@@ -68,7 +67,7 @@ def cmd_datagen(args: argparse.Namespace) -> int:
                                      **_given(args, GenConfig)}, "datagen")
     graph = generate_temporal_graph(config)
     sas = split_at_cutoff(graph, config)
-    write_dataset(graph, sas, config, args.out)
+    write_dataset(graph, sas, args.out)
     stats = emit_stats(graph, sas)
     print(f"wrote {args.out}: {stats['nodes']} nodes, {stats['edges']} edges")
     print(f"cutoff {stats['cutoffDate']}; stream {stats['insertOperations']} INS "
@@ -77,10 +76,10 @@ def cmd_datagen(args: argparse.Namespace) -> int:
 
 
 def cmd_paramgen(args: argparse.Namespace) -> int:
-    graph, sas, gen_config = read_dataset(args.graph)
+    graph, sas = read_dataset(args.graph)
     options = load_config(ParamGenOptions, _given(args, ParamGenOptions), "paramgen")
     buckets = generate_parameters(graph, sas.cutoff, options,
-                                  simulation_end=gen_config.simulation_end)
+                                  simulation_end=sas.config.simulation_end)
     write_buckets(buckets, args.out)
     partial = sum(1 for b in buckets.values() if b.partial)
     print(f"wrote {len(buckets)} daily buckets to {args.out} ({partial} partial)")
@@ -95,11 +94,10 @@ def cmd_driver(args: argparse.Namespace) -> int:
         raise ConfigInvalid("audit_log", "validate mode runs no benchmark to audit")
     sas = deserialize(args.stream)
     buckets = read_buckets(args.params)
-    gen = read_config(args.stream)
     config = load_config(DriverConfig, _given(args, DriverConfig), "driver")
     schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)
     if args.mode == "validate":
-        result = run_validation(gen, sas, schedule, config)
+        result = run_validation(sas, schedule, config)
         if args.report is not None:
             write_json(args.report, result)
         print(f"validated {result['updates']} updates / {result['queries']} queries: "
@@ -108,7 +106,7 @@ def cmd_driver(args: argparse.Namespace) -> int:
             print(f"  {diff['variant']} at {diff['at']}")
         return 1 if result["diffCount"] else 0
 
-    runner, report = run_benchmark(gen, sas, schedule, config)
+    runner, report = run_benchmark(sas, schedule, config)
     if args.report is not None:
         write_json(args.report, report.to_dict())
     if args.audit_log:

@@ -5,7 +5,6 @@ from .generator import generate_temporal_graph
 from .split import SnapshotAndStream, cutoff_instant, split_at_cutoff
 from .serialize import (
     deserialize,
-    read_config,
     read_dataset,
     read_stream,
     write_dataset,
@@ -20,7 +19,6 @@ __all__ = [
     "split_at_cutoff",
     "deserialize",
     "write_dataset",
-    "read_config",
     "read_dataset",
     "read_stream",
     "write_stream",

@@ -49,6 +49,7 @@ from ..model import (
     decode_insert,
     delete_target,
     key_of,
+    lifecycle_violations,
     root_post_of,
 )
 from ..simtime import format_instant, parse_instant
@@ -131,9 +132,11 @@ def _csv_rows(path: Path):
 def _read_entities(directory: Path, temporal: bool,
                    delete_forums_of_deleted_moderator: bool) -> TemporalGraph:
     """Read every collection's CSV.  A file that does not parse, a row that
-    repeats the key of a row above it, a comment whose reply chain does not
-    reach a post (or in the full history, its rootPostId), and a reference
-    that check_references refuses raise ParseError with the path and line."""
+    repeats the key of a row above it, a snapshot comment whose reply chain
+    does not reach a post, a snapshot reference that check_references
+    refuses, and the first lifecycle_violations finding in the full
+    history raise ParseError with the path and line, and with the row or
+    file of the parent a refusal names."""
     graph = TemporalGraph()
     lines: dict[str, dict] = {}  # per collection, the line of each key
     for collection in COLLECTIONS:
@@ -168,6 +171,19 @@ def _read_entities(directory: Path, temporal: bool,
                 raise ParseError(str(path), line_no, f"repeats the key of line {at[key]}")
             at[key] = line_no
             entities[key] = entity
+
+    def refused(collection, key, problem, parent) -> ParseError:
+        if parent is not None:
+            parent_path = directory / f"{parent[0]}.csv"
+            line_no = lines[parent[0]].get(parent[1])
+            problem = (f"{problem}, line {line_no} of {parent_path}" if line_no else
+                       f"{parent[0]} {parent[1]} is in no row of {parent_path}")
+        return ParseError(str(directory / f"{collection}.csv"), lines[collection][key], problem)
+
+    if temporal:
+        for finding in lifecycle_violations(graph, delete_forums_of_deleted_moderator):
+            raise refused(*finding)
+        return graph
     messages = graph.messages
     for mid, line_no in lines["messages"].items():
         if messages[mid].kind != COMMENT:
@@ -177,17 +193,12 @@ def _read_entities(directory: Path, temporal: bool,
         except (CycleDetected, KeyError) as exc:
             raise ParseError(str(directory / "messages.csv"), line_no,
                              f"reply chain does not reach a post: {exc}") from exc
-        if temporal and messages[mid].root_post_id != root:
-            raise ParseError(str(directory / "messages.csv"), line_no,
-                             f"rootPostId {messages[mid].root_post_id}, but the reply "
-                             f"chain reaches post {root}")
         messages[mid] = replace(messages[mid], root_post_id=root)
     try:
         check_references(graph, delete_forums_of_deleted_moderator)
     except IntegrityError as exc:
         collection, key, parent, ref = exc.reference
-        raise ParseError(str(directory / f"{collection}.csv"), lines[collection][key],
-                         f"{parent} {ref} is in no row of {directory / parent}.csv") from exc
+        raise refused(collection, key, f"missing {parent} {ref}", (parent, ref)) from exc
     return graph
 
 
@@ -200,8 +211,8 @@ def write_stream(stream: list[UpdateOperation], path: Path) -> None:
 
 def read_stream(path: Path) -> list[UpdateOperation]:
     """The operations in the file at path.  A line the stores could not
-    decode, scheduled before the line above it, or depending on its own
-    scheduled time or a later one, is a ParseError."""
+    decode, scheduled before the line above it, or that UpdateOperation
+    refuses, is a ParseError."""
     previous = float("-inf")
 
     def parse(record) -> UpdateOperation:
@@ -218,10 +229,6 @@ def read_stream(path: Path) -> list[UpdateOperation]:
         # instant, which is sound only while the instants ascend.
         if op.scheduled_time < previous:
             raise ValueError(f"scheduled before the line above's {format_instant(previous)}")
-        # Its gate would wait for the operation itself.
-        if op.dependency_time >= op.scheduled_time:
-            raise ValueError(f"depends on {format_instant(op.dependency_time)}, "
-                             "not before its own scheduled time")
         previous = op.scheduled_time
         return op
 
@@ -229,7 +236,15 @@ def read_stream(path: Path) -> list[UpdateOperation]:
 
 
 def deserialize(directory: str | Path) -> SnapshotAndStream:
+    """The split a dataset directory holds, with the generator
+    configuration it was written with; a config.json that is not a valid
+    GenConfig raises ParseError naming it."""
     directory = Path(directory)
+    path = directory / "config.json"
+    try:
+        config = load_config(GenConfig, read_json(path), "datagen")
+    except ConfigInvalid as exc:
+        raise ParseError(str(path), 1, str(exc)) from exc
     path = directory / "dataset.json"
     meta = read_json(path)
     try:
@@ -240,12 +255,13 @@ def deserialize(directory: str | Path) -> SnapshotAndStream:
     return SnapshotAndStream(
         cutoff=cutoff,
         snapshot=_read_entities(directory / "snapshot", False,
-                                read_config(directory).delete_forums_of_deleted_moderator),
+                                config.delete_forums_of_deleted_moderator),
         stream=read_stream(directory / "stream.ldjson"),
-        retired=retired)
+        retired=retired,
+        config=config)
 
 
-def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfig,
+def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream,
                   directory: str | Path) -> None:
     """Write the complete dataset directory laid out above."""
     directory = Path(directory)
@@ -255,22 +271,13 @@ def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream, config: GenConfi
                {"cutoff": format_instant(sas.cutoff), "retired": sas.retired,
                 "partition": sas.partition_counts()})
     _write_entities(directory / "temporal", graph, temporal=True)
-    write_json(directory / "config.json", asdict(config))
+    write_json(directory / "config.json", asdict(sas.config))
 
 
-def read_config(directory: str | Path) -> GenConfig:
-    """The generator configuration a dataset directory was written with; a
-    config.json that is not a valid GenConfig raises ParseError naming it."""
-    path = Path(directory) / "config.json"
-    try:
-        return load_config(GenConfig, read_json(path), "datagen")
-    except ConfigInvalid as exc:
-        raise ParseError(str(path), 1, str(exc)) from exc
-
-
-def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream, GenConfig]:
+def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream]:
+    """The full history and the split of a dataset directory."""
     directory = Path(directory)
-    config = read_config(directory)
-    # The full history holds every entity ever created, so every parent.
-    graph = _read_entities(directory / "temporal", True, True)
-    return graph, deserialize(directory), config
+    sas = deserialize(directory)
+    graph = _read_entities(directory / "temporal", True,
+                           sas.config.delete_forums_of_deleted_moderator)
+    return graph, sas

@@ -45,6 +45,7 @@ class SnapshotAndStream:
     snapshot: TemporalGraph  # alive at the cutoff, with open-ended lifecycles
     stream: list[UpdateOperation]
     retired: int  # entities whose whole lifecycle ended before the cutoff
+    config: GenConfig  # what the split graph was generated with
 
     def partition_counts(self) -> dict[str, int]:
         inserts = sum(1 for op in self.stream if op.is_insert)
@@ -166,7 +167,7 @@ def split_at_cutoff(graph: TemporalGraph, config: GenConfig) -> SnapshotAndStrea
                 ops.append(delete_op(graph, collection, ident, dep))
 
     sas = SnapshotAndStream(cutoff=cutoff, snapshot=snapshot, stream=_stream_order(ops),
-                            retired=retired)
+                            retired=retired, config=config)
     if logger.isEnabledFor(logging.INFO):
         counts = sas.partition_counts()
         logger.info("split at %s: %d snapshot, %d inserts, %d deletes, %d retired, in %.2f s",

@@ -38,12 +38,11 @@ completion clock, which checks that it covers the update's dependency
 and gives the clock value the update's record carries.  An update whose
 dependency the clock has not covered yet waits on the clock until a
 commit covers it.  Writers take updates in stream order, so every update
-before a gated one is already held by a writer and commits: a wait ends
-unless the update depends on its own scheduled time or later, where it
-would wait for itself.  The constructor refuses such an update as a
-deadlock, so nothing commits.  A reader runs the short reads a result
-triggers depth-first, in the order cross_validate runs them, before it
-takes its next entry.
+before a gated one is already held by a writer and commits, and every
+update depends on an instant before its own (UpdateOperation refuses
+any other when it is built), so every wait ends.  A reader runs the
+short reads a result triggers depth-first, in the order cross_validate
+runs them, before it takes its next entry.
 
 An operation's bookkeeping is kept to a fraction of the operation.  A
 worker appends one record per operation, a tuple of scalars in the field
@@ -55,13 +54,13 @@ wait takes two locks: the take lock and the clock's, to record its
 commit.  One clock, time.perf_counter, paces the entries and times them:
 an operation's start is the instant its latency is measured from.
 In-process on the benchmark's validate world (2-vCPU Linux, Python 3.11,
-collector on, medians of 15 runs) an update-only run took 6.0 us per
-update, against 3.7 us for execute_update alone.  Against a store that
-does nothing the run took 1.6 us: 1.0 us in the take, gate, commit and
-record loop, 0.4 us in the constructor's walk and 0.25 us in
-summarize_run.  The other 0.7 us is not split; the collector's
-generation-1 pass over the store's new objects, 0.3 to 0.4 us, is part
-of it.
+collector on, medians of 15 runs in each of two processes) an
+update-only run took 6.8 to 7.0 us per update, against 4.6 to 4.7 us
+for execute_update alone.  Against a store that does nothing the run
+took 1.7 us: 1.1 us in the take, gate, commit and record loop, 0.23 us
+in the constructor and 0.38 us in summarize_run.  The other 0.6 us is
+not split; the collector's generation-1 pass over the store's new
+objects, 0.3 to 0.4 us, is part of it.
 
 A kind of worker starts only when the schedule holds entries of its
 kind: an update-only schedule starts no reader, and a read-only one no
@@ -80,7 +79,6 @@ import os
 import threading
 import time
 
-from ..errors import DeadlockSuspected
 from .clock import GlobalClock
 from .config import DriverConfig
 from .schedule import Schedule
@@ -112,29 +110,10 @@ class BenchmarkRunner:
         self.store = store
         self.schedule = schedule
         self.config = config or DriverConfig()
-        # Each kind's entries with their due instants in seconds, so that
-        # no worker converts a Fraction under the take lock, and the
-        # simulation instants of the updates for the clock.  numerator /
-        # denominator is float(Fraction) without its generic
-        # numbers.Rational path.
-        self._updates: list[tuple] = []
-        self._reads: list[tuple] = []
-        times: list[int] = []
-        add_update, add_read, add_time = self._updates.append, self._reads.append, times.append
-        for entry in schedule.entries:
-            offset = entry.wall_offset_ms
-            due_secs = offset.numerator / offset.denominator / 1000.0
-            op = entry.op
-            if op is None:
-                add_read((entry, due_secs))
-                continue
-            if op.dependency_time >= op.scheduled_time:
-                raise DeadlockSuspected(
-                    f"op {entry.op_index} ({op.op_type}) at {op.scheduled_time} depends "
-                    f"on {op.dependency_time}, so it would wait for itself")
-            add_update((entry, due_secs))
-            add_time(op.scheduled_time)
-        self.clock = GlobalClock(schedule.cutoff, times)
+        self._updates = [entry for entry in schedule.entries if entry.op is not None]
+        self._reads = [entry for entry in schedule.entries if entry.op is None]
+        self.clock = GlobalClock(schedule.cutoff,
+                                 [entry.op.scheduled_time for entry in self._updates])
         self.records: list[tuple] = []
         self._take_lock = threading.Lock()  # one iterator, one caller at a time
         self._abort = threading.Event()
@@ -186,26 +165,26 @@ class BenchmarkRunner:
         return report
 
     def _taker(self, entries, yield_):
-        """A function that returns the next of entries and its due instant
-        in ms, once it is due; None when none is left inside the window or
-        the run aborted.  A paced wait calls yield_ until the instant.
-        Each worker builds its own, with what it reads bound once."""
+        """A function that returns the next of entries once it is due;
+        None when none is left inside the window or the run aborted.  A
+        paced wait calls yield_ until the instant.  Each worker builds its
+        own, with what it reads bound once."""
         acquire, release = self._take_lock.acquire, self._take_lock.release
         abort, errors, start = self._abort, self._errors, self._start
         window, pacing = self.config.window_secs, self.config.pacing
         perf_counter = time.perf_counter
 
-        def take() -> tuple | None:
+        def take():
             # Not `with lock`: a Lock's __exit__ packs its arguments into a
             # tuple, about 0.1 us more per call (2-vCPU Linux, Python 3.11).
             acquire()
             try:
-                taken = next(entries, None)
+                entry = next(entries, None)
             finally:
                 release()
-            if taken is None:
+            if entry is None:
                 return None
-            entry, due_secs = taken
+            due_secs = entry.due_secs
             if window is not None and due_secs > window:
                 self._truncated = True
                 return None
@@ -218,7 +197,7 @@ class BenchmarkRunner:
                     yield_()
             if errors:  # the run aborted
                 return None
-            return entry, due_secs * 1000.0
+            return entry
 
         return take
 
@@ -243,8 +222,7 @@ class BenchmarkRunner:
         release, wait_covered, mark_done = clock.release, clock.wait_covered, clock.mark_done
         execute_update, append = self.store.execute_update, self.records.append
         perf_counter = time.perf_counter
-        while (taken := take()) is not None:
-            entry, scheduled_ms = taken
+        while (entry := take()) is not None:
             op = entry.op
             dependency = op.dependency_time
             gate_wait_ms = 0.0
@@ -264,16 +242,15 @@ class BenchmarkRunner:
             latency_ms = (perf_counter() - started) * 1000.0
             index = entry.op_index
             mark_done(index)
-            append((op.op_type, scheduled_ms, (started - start) * 1000.0, latency_ms,
-                    index, dependency, clock_now, gate_wait_ms))
+            append((op.op_type, entry.due_secs * 1000.0, (started - start) * 1000.0,
+                    latency_ms, index, dependency, clock_now, gate_wait_ms))
 
     def _read_worker(self, reads) -> None:
         take = self._taker(reads, os.sched_yield)
         try:
-            while (taken := take()) is not None:
-                entry, scheduled_ms = taken
+            while (entry := take()) is not None:
                 self._run_read(entry.query.variant, entry.query.params, entry.query.depth,
-                               (entry.seq,), scheduled_ms)
+                               (entry.seq,), entry.due_secs * 1000.0)
         except BaseException as exc:
             self._fail(exc)
 

@@ -18,6 +18,7 @@ from ..model import UpdateOperation
 from ..paramgen.buckets import ParameterBucket
 from ..simtime import day_date, day_start
 from .config import DriverConfig
+from .stats import kind_of
 
 logger = logging.getLogger(__name__)
 
@@ -31,10 +32,16 @@ class QueryInstance:
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    """One slot of the schedule: an update when op is set, else a query."""
+    """One slot of the schedule: an update when op is set, else a query.
+
+    due_secs is float(wall_offset_ms) / 1000.0: the instant in seconds
+    that a paced worker starts the entry on, and that the run's window
+    is compared with.
+    """
 
     seq: int
     wall_offset_ms: Fraction
+    due_secs: float
     op: UpdateOperation | None = None
     op_index: int | None = None
     query: QueryInstance | None = None
@@ -49,10 +56,8 @@ class Schedule:
     def class_counts(self) -> dict[str, int]:
         out = {"CR": 0, "INS": 0, "DEL": 0}
         for entry in self.entries:
-            if entry.op is not None:
-                out["INS" if entry.op.is_insert else "DEL"] += 1
-            else:
-                out["CR"] += 1
+            kind = kind_of(entry.query.variant if entry.op is None else entry.op.op_type)
+            out[kind] = out.get(kind, 0) + 1
         return out
 
 
@@ -83,8 +88,9 @@ def build_schedule(stream: list[UpdateOperation],
 
     for op_index, op in enumerate(stream):
         offset = wall_offset(op.scheduled_time, cutoff, tcr)
+        due_secs = float(offset) / 1000.0
         schedule.entries.append(ScheduleEntry(
-            seq=seq, wall_offset_ms=offset, op=op, op_index=op_index))
+            seq=seq, wall_offset_ms=offset, due_secs=due_secs, op=op, op_index=op_index))
         seq += 1
 
         update_number = op_index + 1
@@ -101,7 +107,7 @@ def build_schedule(stream: list[UpdateOperation],
                 skipped[variant] = skipped.get(variant, 0) + 1
                 continue
             schedule.entries.append(ScheduleEntry(
-                seq=seq, wall_offset_ms=offset,
+                seq=seq, wall_offset_ms=offset, due_secs=due_secs,
                 query=QueryInstance(variant=variant, params=params)))
             seq += 1
 

@@ -49,13 +49,14 @@ class RunReport:
     variant_latency_ms: dict[str, dict] = field(default_factory=dict)
     # Lateness is measured only in a paced run: otherwise delay_ms and
     # delay_ms_by_class stay empty, and the on-time counts, ratio and
-    # verdict are None.
+    # verdict are None.  A paced run that measured no operation has no
+    # ratio and is not valid.
     delay_ms: dict[str, float] = field(default_factory=dict)
     delay_ms_by_class: dict[str, dict] = field(default_factory=dict)
     on_time_count: int | None = 0
     late_count: int | None = 0
-    on_time_ratio: float | None = 1.0
-    valid: bool | None = True
+    on_time_ratio: float | None = None
+    valid: bool | None = False
     wall_seconds: float = 0.0
     throughput_ops_per_sec: float = 0.0
     deferrals: int = 0
@@ -146,5 +147,5 @@ def summarize_run(records: list[tuple], wall_seconds: float, mode: str) -> RunRe
         report.delay_ms_by_class = {kind: compute_stats(values)
                                     for kind, values in sorted(by_class.items())}
         report.on_time_ratio = on_time_count / total
-    report.valid = report.on_time_ratio >= ON_TIME_TARGET
+        report.valid = report.on_time_ratio >= ON_TIME_TARGET
     return report

@@ -174,11 +174,6 @@ class IntegrityError(SocialBenchError):
         super().__init__(reason)
 
 
-class DeadlockSuspected(SocialBenchError):
-    """An update depends on its own scheduled time or a later one, so the
-    dependency gate would never release it; the stream is corrupt."""
-
-
 class StageFailed(SocialBenchError):
     """A pipeline stage raised; the message names the stage and the cause."""
 

@@ -20,6 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import CycleDetected, IntegrityError, MalformedOperation
+from .simtime import format_instant
 
 POST = "Post"
 COMMENT = "Comment"
@@ -176,7 +177,9 @@ class UpdateOperation:
     (the entity's creation instant for inserts, the deletion instant for
     deletes).  dependency_time is the latest instant whose operations must
     commit first (see datagen.split); the replay driver refuses to start the
-    operation before that instant is confirmed.
+    operation before that instant is confirmed.  It must come before
+    scheduled_time, or the driver's gate would wait for the operation
+    itself.
     """
 
     op_type: str
@@ -187,6 +190,9 @@ class UpdateOperation:
     def __post_init__(self):
         if self.op_type not in INSERT_OPS and self.op_type not in DELETE_OPS:
             raise ValueError(f"unknown op type {self.op_type!r}")
+        if self.dependency_time >= self.scheduled_time:
+            raise ValueError(f"depends on {format_instant(self.dependency_time)}, "
+                             "not before its own scheduled time")
 
     @property
     def is_insert(self) -> bool:
@@ -303,17 +309,16 @@ def check_references(graph: TemporalGraph, delete_forums_of_deleted_moderator: b
                                          (collection, key, parent, ref))
 
 
-def check_temporal_invariants(graph: TemporalGraph,
-                              delete_forums_of_deleted_moderator: bool) -> list[str]:
-    """Structural audit of a temporal graph; returns human-readable violations.
+def lifecycle_violations(graph: TemporalGraph, delete_forums_of_deleted_moderator: bool):
+    """Structural audit of a temporal graph, one finding at a time.
 
     Checks keys, reference integrity and lifecycle containment along
     PARENTS (nothing is created before what it depends on, or outlives
     what it is deleted with; see cascade_parents), and that every reply
-    chain reaches its stored root post.
+    chain reaches its stored root post.  Yields (collection, key, problem,
+    parent) for each violation, where parent is the (collection, key) of
+    the entity the problem names, or None.
     """
-    bad: list[str] = []
-
     def deletion(lc: Lifecycle) -> float:
         return float("inf") if lc.deletion is None else lc.deletion
 
@@ -321,34 +326,41 @@ def check_temporal_invariants(graph: TemporalGraph,
         cascades = {parent for parent, _ in
                     cascade_parents(collection, delete_forums_of_deleted_moderator)}
         for key, entity in getattr(graph, collection).items():
-            where = f"{collection} {key}"
             if key != key_of(collection, entity):
-                bad.append(f"{where}: stored under wrong key")
+                yield collection, key, "stored under wrong key", None
             life = entity.lifecycle
             for parent, ref in references(collection, entity):
                 target = getattr(graph, parent).get(ref)
                 if target is None:
-                    bad.append(f"{where}: missing {parent} {ref}")
+                    yield collection, key, f"missing {parent} {ref}", (parent, ref)
                     continue
                 created = target.lifecycle.creation
                 # A comment comes strictly after the message it replies to.
                 if life.creation < created or (parent == collection
                                                and life.creation == created):
-                    bad.append(f"{where}: not created after {parent} {ref}")
+                    yield collection, key, f"not created after {parent} {ref}", (parent, ref)
                 if parent in cascades:
                     if deletion(life) > deletion(target.lifecycle):
-                        bad.append(f"{where}: outlives {parent} {ref}")
+                        yield collection, key, f"outlives {parent} {ref}", (parent, ref)
                 elif life.creation >= deletion(target.lifecycle):
-                    bad.append(f"{where}: created after {parent} {ref} was deleted")
+                    yield (collection, key, f"created after {parent} {ref} was deleted",
+                           (parent, ref))
             if collection == "messages" and entity.kind == COMMENT:
                 try:
                     root = root_post_of(key, graph.messages)
                 except (CycleDetected, KeyError):
-                    bad.append(f"{where}: reply chain does not reach a post")
+                    yield collection, key, "reply chain does not reach a post", None
                 else:
                     if root != entity.root_post_id:
-                        bad.append(f"{where}: stored root {entity.root_post_id}, actual {root}")
-    return bad
+                        yield (collection, key, f"rootPostId {entity.root_post_id}, but the "
+                               f"reply chain reaches post {root}", None)
+
+
+def check_temporal_invariants(graph: TemporalGraph,
+                              delete_forums_of_deleted_moderator: bool) -> list[str]:
+    """Every lifecycle_violations finding, as "<collection> <key>: <problem>"."""
+    return [f"{collection} {key}: {problem}" for collection, key, problem, _ in
+            lifecycle_violations(graph, delete_forums_of_deleted_moderator)]
 
 
 # --- update codec: entities on the wire ---------------------------------------

@@ -74,23 +74,23 @@ def emit_stats(graph: TemporalGraph, sas) -> dict:
     }
 
 
-def _loaded(store_cls, gen: GenConfig, sas):
-    """A store_cls that cascades as the dataset gen made, holding its snapshot."""
-    store = store_cls(delete_forums_of_deleted_moderator=gen.delete_forums_of_deleted_moderator)
+def _loaded(store_cls, sas):
+    """A store_cls that cascades as sas's dataset did, holding its snapshot."""
+    store = store_cls(
+        delete_forums_of_deleted_moderator=sas.config.delete_forums_of_deleted_moderator)
     store.bulk_load(sas.snapshot)
     return store
 
 
-def run_benchmark(gen: GenConfig, sas, schedule,
-                  driver: DriverConfig) -> tuple[BenchmarkRunner, RunReport]:
+def run_benchmark(sas, schedule, driver: DriverConfig) -> tuple[BenchmarkRunner, RunReport]:
     """The benchmark stage: the schedule run against a ReferenceStore."""
-    runner = BenchmarkRunner(_loaded(ReferenceStore, gen, sas), schedule, driver)
+    runner = BenchmarkRunner(_loaded(ReferenceStore, sas), schedule, driver)
     return runner, runner.run()
 
 
-def run_validation(gen: GenConfig, sas, schedule, driver: DriverConfig) -> dict:
+def run_validation(sas, schedule, driver: DriverConfig) -> dict:
     """The validate stage: the schedule cross-validated against a NaiveStore."""
-    return cross_validate(_loaded(ReferenceStore, gen, sas), _loaded(NaiveStore, gen, sas),
+    return cross_validate(_loaded(ReferenceStore, sas), _loaded(NaiveStore, sas),
                           schedule, driver)
 
 
@@ -128,7 +128,7 @@ def run_pipeline(config: PipelineConfig | None = None) -> dict:
         graph = generate_temporal_graph(config.gen)
         sas = split_at_cutoff(graph, config.gen)
         if out is not None:
-            write_dataset(graph, sas, config.gen, out / "dataset")
+            write_dataset(graph, sas, out / "dataset")
 
     with stage("paramgen"):
         buckets = generate_parameters(graph, sas.cutoff, config.params,
@@ -140,12 +140,12 @@ def run_pipeline(config: PipelineConfig | None = None) -> dict:
         schedule = build_schedule(sas.stream, buckets, sas.cutoff, config.driver)
 
     with stage("benchmark"):
-        _, run_report = run_benchmark(config.gen, sas, schedule, config.driver)
+        _, run_report = run_benchmark(sas, schedule, config.driver)
 
     validation = None
     if config.validate_stores:
         with stage("validate"):
-            validation = run_validation(config.gen, sas, schedule, config.driver)
+            validation = run_validation(sas, schedule, config.driver)
 
     report = {
         "configuration": {section: dataclasses.asdict(getattr(config, name))

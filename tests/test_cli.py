@@ -93,6 +93,13 @@ class TestDriver:
                                   "gateWaitMs"}, entry
             assert entry["clockAtRelease"] >= entry["dependencyMs"]
 
+    def test_window_that_measures_nothing_fails(self, tree, capsys):
+        """The first entry is due long after a 1 s window closes."""
+        code = main(["driver", "--stream", str(tree / "dataset"),
+                     "--params", str(tree / "params"), "--window-secs", "1"])
+        assert capsys.readouterr().out == "mode=paced measured=0 on-time=n/a valid=False\n"
+        assert code == 1
+
     def test_validate_mode_compares_stores(self, tree, tmp_path, capsys):
         report_path = tmp_path / "reports" / "validate.json"
         code = main(["driver", "--mode", "validate",
@@ -365,7 +372,7 @@ class TestModeratorCascadeOff:
     def test_driver_uses_the_datasets_setting(self, tmp_path):
         cfg, graph, sas = self._world_with_a_forum_outliving_its_moderator()
         dataset, params = tmp_path / "dataset", tmp_path / "params"
-        write_dataset(graph, sas, cfg, dataset)
+        write_dataset(graph, sas, dataset)
         assert main(["paramgen", "--graph", str(dataset), "--out", str(params),
                      "--per-day", "2", "--seed", "3"]) == 0
         report = tmp_path / "validate.json"
@@ -401,7 +408,7 @@ class TestDefaults:
 
     def test_paramgen(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "read_dataset", lambda graph: (
-            None, SimpleNamespace(cutoff=0), PipelineConfig().gen))
+            None, SimpleNamespace(cutoff=0, config=PipelineConfig().gen)))
         seen = self.capture(monkeypatch, "generate_parameters",
                             lambda graph, cutoff, options: options)
         with pytest.raises(self.Stop):

@@ -49,7 +49,7 @@ from socialbench.model import (
     check_temporal_invariants,
 )
 from socialbench.refstore import NaiveStore, ReferenceStore
-from socialbench.simtime import MS_PER_HOUR, SIM_END, format_instant, parse_day
+from socialbench.simtime import MS_PER_DAY, MS_PER_HOUR, SIM_END, format_instant, parse_day
 
 
 class TestConfig:
@@ -458,9 +458,9 @@ class TestReplayOracle:
 
 class TestSerialization:
     def test_dataset_round_trip(self, graph, sas, gen_config, tmp_path):
-        write_dataset(graph, sas, gen_config, tmp_path / "out")
-        graph2, sas2, config2 = read_dataset(tmp_path / "out")
-        assert config2 == gen_config
+        write_dataset(graph, sas, tmp_path / "out")
+        graph2, sas2 = read_dataset(tmp_path / "out")
+        assert sas2.config == gen_config
         assert graph2 == graph
         assert sas2.cutoff == sas.cutoff
         assert sas2.retired == sas.retired
@@ -471,7 +471,7 @@ class TestSerialization:
         cfg = GenConfig(seed=55, num_persons=150)
         for name in ("a", "b"):
             g = generate_temporal_graph(cfg)
-            write_dataset(g, split_at_cutoff(g, cfg), cfg, tmp_path / name)
+            write_dataset(g, split_at_cutoff(g, cfg), tmp_path / name)
         mismatch = []
         for sub in ("", "snapshot", "temporal"):
             left = tmp_path / "a" / sub
@@ -492,7 +492,7 @@ class TestSerialization:
         """The written dataset is pinned by hash, so a faster generator
         must draw exactly the same world from the seed."""
         graph = generate_temporal_graph(cfg)
-        write_dataset(graph, split_at_cutoff(graph, cfg), cfg, tmp_path)
+        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
         digest = hashlib.sha256()
         for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
             digest.update(path.relative_to(tmp_path).as_posix().encode())
@@ -548,8 +548,12 @@ class TestSerialization:
         itself, so the file is refused where it is read."""
         path = tmp_path / "stream.ldjson"
         stream = early_sas.stream[:3]
-        stream[1] = replace(stream[1], dependency_time=stream[1].scheduled_time)
         write_stream(stream, path)
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["dependencyTime"] = record["scheduledTime"]
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
         with pytest.raises(ParseError) as err:
             read_stream(path)
         assert str(err.value) == (f"{path}:2: depends on "
@@ -560,7 +564,7 @@ class TestSerialization:
         """A row that repeats a key would replace the row above it."""
         cfg = GenConfig(seed=3, num_persons=60)
         graph = generate_temporal_graph(cfg)
-        write_dataset(graph, split_at_cutoff(graph, cfg), cfg, tmp_path)
+        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
         path = tmp_path / "snapshot" / "persons.csv"
         rows = list(csv.reader(path.read_text().splitlines()))
         copy = list(rows[1])
@@ -609,7 +613,7 @@ class TestSerialization:
         cfg = GenConfig(seed=2, num_persons=60, delete_forums_of_deleted_moderator=False)
         graph = generate_temporal_graph(cfg)
         sas = split_at_cutoff(graph, cfg)
-        write_dataset(graph, sas, cfg, tmp_path)
+        write_dataset(graph, sas, tmp_path)
         forums = tmp_path / "snapshot" / "forums.csv"
         line_no, (forum, moderator) = next(
             (n, row[:2]) for n, row in enumerate(csv.reader(forums.read_text().splitlines()))
@@ -626,7 +630,7 @@ class TestSerialization:
     def test_temporal_root_that_is_not_the_chain_end_is_refused(self, tmp_path):
         cfg = GenConfig(seed=3, num_persons=120)
         graph = generate_temporal_graph(cfg)
-        write_dataset(graph, split_at_cutoff(graph, cfg), cfg, tmp_path)
+        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
         path = tmp_path / "temporal" / "messages.csv"
         rows = list(csv.reader(path.read_text().splitlines()))
         root = rows[0].index("rootPostId")
@@ -641,8 +645,71 @@ class TestSerialization:
         assert str(err.value) == (f"{path}:{line_no}: rootPostId 3, "
                                   "but the reply chain reaches post 1")
 
+    @staticmethod
+    def _edited(path, edit):
+        """Rewrite the CSV file at path with edit(rows) applied to its rows."""
+        rows = list(csv.reader(path.read_text().splitlines()))
+        edit(rows)
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @staticmethod
+    def _line_of_person(directory, person: int) -> int:
+        rows = csv.reader((directory / "persons.csv").read_text().splitlines())
+        return next(n for n, row in enumerate(rows, start=1) if row[0] == str(person))
+
+    def test_temporal_edge_made_before_its_endpoint_is_refused(self, tmp_path):
+        """The full history keeps the lifecycle rules: a knows edge made a
+        day before its younger endpoint is refused, naming both rows."""
+        cfg = GenConfig(seed=2, num_persons=60)
+        graph = generate_temporal_graph(cfg)
+        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
+        temporal = tmp_path / "temporal"
+        younger = max(map(int, next(csv.reader(
+            (temporal / "knows.csv").read_text().splitlines()[1:]))[:2]),
+            key=lambda person: graph.persons[person].lifecycle.creation)
+        made = format_instant(graph.persons[younger].lifecycle.creation - MS_PER_DAY)
+
+        def backdate(rows):
+            rows[1][rows[0].index("creationDate")] = made
+        self._edited(temporal / "knows.csv", backdate)
+        with pytest.raises(ParseError) as err:
+            read_dataset(tmp_path)
+        assert str(err.value) == (
+            f"{temporal / 'knows.csv'}:2: not created after persons {younger}, "
+            f"line {self._line_of_person(temporal, younger)} of {temporal / 'persons.csv'}")
+
+    def test_temporal_forum_without_moderator_follows_the_cascade_rule(self, tmp_path):
+        """A forum kept past its moderator's deletion is refused when
+        config.json says deleting a person deletes their forums, and loads
+        when it says their forums stay."""
+        cfg = GenConfig(seed=2, num_persons=60)
+        assert cfg.delete_forums_of_deleted_moderator
+        graph = generate_temporal_graph(cfg)
+        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
+        temporal = tmp_path / "temporal"
+        forum = next(f for f in graph.forums.values()
+                     if graph.persons[f.moderator_person_id].lifecycle.deletion is not None)
+        line_no = sorted(graph.forums).index(forum.id) + 2  # rows follow the header
+
+        def keep(rows):
+            assert rows[line_no - 1][0] == str(forum.id)
+            rows[line_no - 1][rows[0].index("deletionDate")] = ""
+        self._edited(temporal / "forums.csv", keep)
+        moderator = forum.moderator_person_id
+        with pytest.raises(ParseError) as err:
+            read_dataset(tmp_path)
+        assert str(err.value) == (
+            f"{temporal / 'forums.csv'}:{line_no}: outlives persons {moderator}, "
+            f"line {self._line_of_person(temporal, moderator)} of {temporal / 'persons.csv'}")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(config.read_text()),
+                                      "delete_forums_of_deleted_moderator": False}))
+        graph2, _ = read_dataset(tmp_path)
+        assert graph2.forums[forum.id].lifecycle.deletion is None
+
     def test_csv_header_mismatch_is_reported(self, graph, sas, gen_config, tmp_path):
-        write_dataset(graph, sas, gen_config, tmp_path / "out")
+        write_dataset(graph, sas, tmp_path / "out")
         victim = tmp_path / "out" / "snapshot" / "persons.csv"
         body = victim.read_text().splitlines()
         body[0] = "id,wrong,header"
@@ -656,7 +723,7 @@ class TestSerialization:
                                       ("snapshot/messages.csv", 2, "x"),
                                       ("temporal/messages.csv", 2, "x")):
             out = tmp_path / victim.replace("/", "-")
-            write_dataset(graph, sas, gen_config, out)
+            write_dataset(graph, sas, out)
             path = out / victim
             body = path.read_text().splitlines()
             row = body[3].split(",")
@@ -675,7 +742,7 @@ def small_tree(tmp_path_factory):
     root = tmp_path_factory.mktemp("small")
     cfg = GenConfig(seed=9, num_persons=60, cutoff_fraction=0.6)
     graph = generate_temporal_graph(cfg)
-    write_dataset(graph, split_at_cutoff(graph, cfg), cfg, root / "dataset")
+    write_dataset(graph, split_at_cutoff(graph, cfg), root / "dataset")
     write_buckets(generate_parameters(graph, cutoff_instant(cfg), ParamGenOptions(per_day=2)),
                   root / "params")
     return root
@@ -816,14 +883,14 @@ def test_seeded_downstream_corruption_sweep(small_tree, tmp_path):
         kind, damaged = _mutate(original.read_bytes(), path, rng)
         path.write_bytes(damaged)
         try:
-            graph, sas, config = read_dataset(work)
+            graph, sas = read_dataset(work)
         except SocialBenchError:
             outcomes["refused"] += 1
         else:
             outcomes["loaded"] += 1
             try:
                 generate_parameters(graph, sas.cutoff, ParamGenOptions(per_day=2),
-                                    simulation_end=config.simulation_end)
+                                    simulation_end=sas.config.simulation_end)
                 for store in (ReferenceStore(), NaiveStore()):
                     store.bulk_load(graph)
             except SocialBenchError:

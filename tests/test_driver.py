@@ -32,8 +32,8 @@ from socialbench.driver import (
     wall_offset,
 )
 from socialbench.driver.validate import MAX_DIFFS_PER_VARIANT
-from socialbench.errors import ConfigInvalid, DeadlockSuspected, MissingBucket
-from socialbench.model import DELETE_OPS, INSERT_OPS, TemporalGraph, UpdateOperation
+from socialbench.errors import ConfigInvalid, MissingBucket
+from socialbench.model import DELETE_OPS, INSERT_OPS, UpdateOperation
 from socialbench.paramgen import ParamGenOptions, ParameterBucket, generate_parameters
 from socialbench.paramgen.buckets import QUERY_VARIANTS
 from socialbench.refstore import NaiveStore, ReferenceStore
@@ -282,6 +282,15 @@ class TestStats:
         assert paced.delay_ms_by_class["INS"] == paced.delay_ms
         assert paced.to_dict()["delayMsByClass"] == {"INS": paced.delay_ms}
 
+    def test_paced_run_that_measured_nothing_is_not_valid(self):
+        """Nothing measured shows nothing on time: a window that closes
+        before the first entry must not pass."""
+        report = summarize_run([], 0.01, "paced")
+        assert (report.on_time_count, report.late_count, report.on_time_ratio,
+                report.valid) == (0, 0, None, False)
+        assert report.to_dict()["onTime"] == {"count": 0, "late": 0, "ratio": None,
+                                              "target": 0.95, "valid": False}
+
     def test_paced_lateness_is_summarized_per_kind(self):
         """Each kind's delays fold into its own stats, next to the run's."""
         late = {"CR": 0.5, "SR": 2.0, "INS": 0.25, "DEL": 4.0}
@@ -453,18 +462,12 @@ class TestRunner:
                                              for variant, values in latencies.items()}
 
     def test_deadlock_detection_on_corrupt_dependency(self):
-        """A self-dependent update is refused before anything commits, also
-        the valid update ahead of it."""
+        """An update that depends on its own scheduled time or a later one
+        would wait at the gate for itself, so it cannot be built."""
         cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
-        stream = [_ins_op(cutoff + 1_000, ident=7),
-                  _ins_op(cutoff + 2_000, dep=cutoff + 10**9, ident=1)]
-        config = DriverConfig(pacing=False, frequencies={})
-        schedule = build_schedule(stream, {}, cutoff, config)
-        store = ReferenceStore()
-        loaded = store.bulk_load(TemporalGraph())
-        with pytest.raises(DeadlockSuspected):
-            BenchmarkRunner(store, schedule, config).run()
-        assert store.version == loaded
+        for dep in (cutoff + 2_000, cutoff + 10**9):
+            with pytest.raises(ValueError, match="not before its own scheduled time"):
+                _ins_op(cutoff + 2_000, dep=dep, ident=1)
 
     def test_slow_predecessor_is_no_deadlock(self):
         """An update gated on a slow but progressing one waits it out."""
@@ -507,11 +510,13 @@ class TestRunner:
         assert report.deferrals == sum(record["gateWaitMs"] > 0 for record in runner.log)
 
     def test_window_stops_dispatch_and_measures_only_inside_it(self):
-        """A paced 270 ms window over updates 50 ms apart, with a CR3a after
-        every second one: the workers stop at the window, and a short read
-        triggered after it closes runs but is not measured."""
+        """A paced 270 ms window over updates 50 ms apart and one due at its
+        edge, with a CR3a after every second one: the workers stop at the
+        window, and a short read triggered after it closes runs but is not
+        measured."""
         cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
         stream = [_ins_op(cutoff + 5_000 * i, ident=i) for i in range(1, 9)]
+        stream.insert(5, _ins_op(cutoff + 27_000, ident=9))
         buckets = {cutoff: _bucket(cutoff, {"CR3a": [{"personId": 1}, {"personId": 2}]})}
 
         class WindowStore(ReferenceStore):
@@ -535,11 +540,18 @@ class TestRunner:
         schedule = build_schedule(stream, buckets, cutoff, config)
         store = WindowStore()
         report = BenchmarkRunner(store, schedule, config).run()
-        assert store.updates == [1, 2, 3, 4, 5]  # offsets 50..250 ms
+        # The runner's window agrees with float(wall_offset_ms) / 1000.0, as
+        # the benchmark's paced phase assumes: the edge entries are inside.
+        inside = [e for e in schedule.entries
+                  if float(e.wall_offset_ms) / 1000.0 <= config.window_secs]
+        assert inside[-1].wall_offset_ms == 270
+        assert store.updates == [e.op.payload["id"] for e in inside if e.op is not None]
+        assert store.updates == [1, 2, 3, 4, 5, 9]  # offsets 50..270 ms
         assert not report.schedule_exhausted
-        assert sorted(store.reads) == ["CR3a", "CR3a", "SR2", "SR2"]
-        assert report.class_totals == {"INS": 5, "CR": 2, "SR": 1}
-        assert report.total_operations == 8
+        assert sorted(store.reads) == ["CR3a"] * 3 + ["SR2"] * 3
+        assert report.class_totals == {"INS": 6, "CR": 3, "SR": 1}
+        assert report.class_totals["CR"] == sum(e.op is None for e in inside)
+        assert report.total_operations == 10
 
     def test_window_past_the_last_entry_reports_the_schedule_exhausted(self):
         cutoff = day_start(SIM_START + 100 * MS_PER_DAY)
@@ -685,7 +697,7 @@ class TestRunner:
 
         started.clear()
         reads = Schedule(cutoff=cutoff, entries=[
-            ScheduleEntry(seq=i, wall_offset_ms=Fraction(i),
+            ScheduleEntry(seq=i, wall_offset_ms=Fraction(i), due_secs=i / 1000.0,
                           query=QueryInstance("CR3a", {"personId": i}))
             for i in range(1, 5)])
         report = BenchmarkRunner(_EchoStore(), reads, config).run()

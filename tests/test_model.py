@@ -238,7 +238,7 @@ class TestCodec:
                   "tagIds": 5}),
     ])
     def test_malformed_payload_is_rejected(self, op_type, payload):
-        op = UpdateOperation(op_type, SIM_START, SIM_START, payload)
+        op = UpdateOperation(op_type, SIM_START, SIM_START - 1, payload)
         with pytest.raises(MalformedOperation):
             decode_insert(op) if op.is_insert else delete_target(op)
 

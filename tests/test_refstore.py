@@ -271,7 +271,7 @@ class TestQueries:
 
         pair = {"person1Id": 31, "person2Id": 34}
         assert store.execute_query("CR14b", pair)["path"] == [31, 33, 34]
-        entry = ScheduleEntry(seq=0, wall_offset_ms=Fraction(0),
+        entry = ScheduleEntry(seq=0, wall_offset_ms=Fraction(0), due_secs=0.0,
                               query=QueryInstance(variant="CR14b", params=pair))
         schedule = Schedule(cutoff=T0, entries=[entry])
         outcome = cross_validate(store, OtherRoute(), schedule, DriverConfig(pacing=False))
