@@ -21,7 +21,6 @@ from .acid import (
 )
 from .datagen import (
     GenConfig,
-    deserialize,
     generate_temporal_graph,
     read_dataset,
     split_at_cutoff,
@@ -92,7 +91,7 @@ def cmd_paramgen(args: argparse.Namespace) -> int:
 def cmd_driver(args: argparse.Namespace) -> int:
     if args.mode == "validate" and args.audit_log:
         raise ConfigInvalid("audit_log", "validate mode runs no benchmark to audit")
-    sas = deserialize(args.stream)
+    _, sas = read_dataset(args.stream)
     buckets = read_buckets(args.params)
     config = load_config(DriverConfig, _given(args, DriverConfig), "driver")
     schedule = build_schedule(sas.stream, buckets, sas.cutoff, config)

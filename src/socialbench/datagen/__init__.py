@@ -3,13 +3,7 @@
 from .config import GenConfig
 from .generator import generate_temporal_graph
 from .split import SnapshotAndStream, cutoff_instant, split_at_cutoff
-from .serialize import (
-    deserialize,
-    read_dataset,
-    read_stream,
-    write_dataset,
-    write_stream,
-)
+from .serialize import read_dataset, write_dataset
 
 __all__ = [
     "GenConfig",
@@ -17,9 +11,6 @@ __all__ = [
     "SnapshotAndStream",
     "cutoff_instant",
     "split_at_cutoff",
-    "deserialize",
     "write_dataset",
     "read_dataset",
-    "read_stream",
-    "write_stream",
 ]

@@ -366,16 +366,15 @@ class _Builder:
             self._forum_members[fid] = []
             self.graph.forums[fid] = Forum(fid, moderator, life)
 
-    def _join(self, fid: int, pid: int) -> bool:
-        """Try to add a membership edge; returns True when it was created."""
+    def _join(self, fid: int, pid: int) -> None:
+        """Add a membership edge unless it exists or has no window."""
         if (fid, pid) in self.graph.members:
-            return True
+            return
         win = self._window("members", forum_id=fid, person_id=pid)
         if win is None:
-            return False
+            return
         self.graph.members[(fid, pid)] = HasMemberEdge(fid, pid, self._place("member", win))
         self._forum_members[fid].append(pid)
-        return True
 
     def _sample_members(self) -> None:
         persons = self.graph.persons

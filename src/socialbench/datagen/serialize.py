@@ -3,15 +3,20 @@
 Layout written by write_dataset(out_dir):
 
     config.json       generator configuration echo
-    dataset.json      cutoff instant, retired count and partition counts
-    snapshot/         one CSV per collection, entities alive at the cutoff
     temporal/         one CSV per collection, full lifecycles
+    snapshot/         one CSV per collection, entities alive at the cutoff
     stream.ldjson     update operations, one JSON object per line
+    dataset.json      cutoff instant, retired count and partition counts
+
+config.json and temporal/ are what a dataset is read from: read_dataset
+audits the history and splits it at the configuration's cutoff.  The
+other files are derived from that split, and read_dataset refuses one
+whose lines, line endings aside, are not the text write_dataset writes
+for it.
 
 _COLUMNS gives each collection's CSV columns in file order.  Snapshot
 files omit the _TEMPORAL_ONLY columns: their lifecycles are open, and a
-snapshot comment's rootPostId is recomputed on load, and a temporal
-comment's is checked against its reply chain.
+comment's rootPostId is checked against its reply chain in temporal/.
 
 Timestamps are ISO-8601 UTC with millisecond precision.  Id-set fields
 (tagInterests, creationTagIds) are semicolon-joined integers, empty when
@@ -22,39 +27,33 @@ dependencyTime, and payload, in ascending scheduledTime.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, replace
+from dataclasses import asdict
+from itertools import zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 from ..errors import (
     ConfigInvalid,
-    CycleDetected,
-    IntegrityError,
     ParseError,
+    json_text,
     load_config,
     read_json,
-    read_records,
+    record_line,
     utf8_lines,
     write_json,
-    write_records,
 )
 from ..model import (
     COLLECTIONS,
-    COMMENT,
     ENTITY_CLASSES,
     ID_SETS,
     Lifecycle,
     TemporalGraph,
-    UpdateOperation,
-    check_references,
-    decode_insert,
-    delete_target,
     key_of,
     lifecycle_violations,
-    root_post_of,
 )
 from ..simtime import format_instant, parse_instant
 from .config import GenConfig
-from .split import SnapshotAndStream
+from .split import SnapshotAndStream, split_at_cutoff
 
 # (header, attribute) of each CSV column.  "creation" and "deletion" are
 # the lifecycle's.
@@ -107,16 +106,49 @@ def _parse(attr: str, text: str):
     return int(text)
 
 
-def _write_entities(directory: Path, graph: TemporalGraph, temporal: bool) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
+def _csv_lines(graph: TemporalGraph, collection: str, temporal: bool) -> list[str]:
+    """The lines of a collection's CSV file, header first, rows by key."""
+    columns = _columns(collection, temporal)
+    entities = getattr(graph, collection)
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))  # one call a row
+    writer.writerow([header for header, _ in columns])
+    writer.writerows([_cell(entities[key], attr) for _, attr in columns]
+                     for key in sorted(entities))
+    return lines
+
+
+def _derived(sas: SnapshotAndStream):
+    """(file name, lines) of each file derived from the split, in the
+    order read_dataset checks them."""
     for collection in COLLECTIONS:
-        columns = _columns(collection, temporal)
-        entities = getattr(graph, collection)
-        with (directory / f"{collection}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([header for header, _ in columns])
-            writer.writerows([_cell(entities[key], attr) for _, attr in columns]
-                             for key in sorted(entities))
+        yield f"snapshot/{collection}.csv", _csv_lines(sas.snapshot, collection, False)
+    yield "stream.ldjson", [record_line({"opType": op.op_type,
+                                         "scheduledTime": format_instant(op.scheduled_time),
+                                         "dependencyTime": format_instant(op.dependency_time),
+                                         "payload": op.payload}) for op in sas.stream]
+    yield "dataset.json", json_text({"cutoff": format_instant(sas.cutoff),
+                                     "retired": sas.retired,
+                                     "partition": sas.partition_counts()}
+                                    ).splitlines(keepends=True)
+
+
+def _write_lines(path: Path, lines) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+
+
+def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream,
+                  directory: str | Path) -> None:
+    """Write the complete dataset directory laid out above."""
+    directory = Path(directory)
+    for name, lines in _derived(sas):
+        _write_lines(directory / name, lines)
+    for collection in COLLECTIONS:
+        _write_lines(directory / "temporal" / f"{collection}.csv",
+                     _csv_lines(graph, collection, True))
+    write_json(directory / "config.json", asdict(sas.config))
 
 
 def _csv_rows(path: Path):
@@ -129,19 +161,16 @@ def _csv_rows(path: Path):
         raise ParseError(str(path), reader.line_num, str(exc)) from exc
 
 
-def _read_entities(directory: Path, temporal: bool,
-                   delete_forums_of_deleted_moderator: bool) -> TemporalGraph:
-    """Read every collection's CSV.  A file that does not parse, a row that
-    repeats the key of a row above it, a snapshot comment whose reply chain
-    does not reach a post, a snapshot reference that check_references
-    refuses, and the first lifecycle_violations finding in the full
-    history raise ParseError with the path and line, and with the row or
-    file of the parent a refusal names."""
+def _read_entities(directory: Path, delete_forums_of_deleted_moderator: bool) -> TemporalGraph:
+    """Read every collection's full-history CSV.  A file that does not
+    parse, a row that repeats the key of a row above it, and the first
+    lifecycle_violations finding raise ParseError with the path and line,
+    and with the row or file of the parent a finding names."""
     graph = TemporalGraph()
     lines: dict[str, dict] = {}  # per collection, the line of each key
     for collection in COLLECTIONS:
         path = directory / f"{collection}.csv"
-        columns = _columns(collection, temporal)
+        columns = _columns(collection, True)
         header = [name for name, _ in columns]
         entities = getattr(graph, collection)
         at = lines[collection] = {}
@@ -158,11 +187,7 @@ def _read_entities(directory: Path, temporal: bool,
                                  f"expected {len(header)} fields, got {len(row)}")
             try:
                 values = {attr: _parse(attr, cell) for (_, attr), cell in zip(columns, row)}
-                life = Lifecycle(values.pop("creation"), values.pop("deletion", None))
-                if collection == "messages" and not temporal:
-                    # A comment's root is found once every message is read.
-                    values["root_post_id"] = (None if values["kind"] == COMMENT
-                                              else values["id"])
+                life = Lifecycle(values.pop("creation"), values.pop("deletion"))
                 entity = ENTITY_CLASSES[collection](lifecycle=life, **values)
             except ValueError as exc:
                 raise ParseError(str(path), line_no, str(exc)) from exc
@@ -172,112 +197,55 @@ def _read_entities(directory: Path, temporal: bool,
             at[key] = line_no
             entities[key] = entity
 
-    def refused(collection, key, problem, parent) -> ParseError:
+    for collection, key, problem, parent in lifecycle_violations(
+            graph, delete_forums_of_deleted_moderator):
         if parent is not None:
             parent_path = directory / f"{parent[0]}.csv"
             line_no = lines[parent[0]].get(parent[1])
             problem = (f"{problem}, line {line_no} of {parent_path}" if line_no else
                        f"{parent[0]} {parent[1]} is in no row of {parent_path}")
-        return ParseError(str(directory / f"{collection}.csv"), lines[collection][key], problem)
-
-    if temporal:
-        for finding in lifecycle_violations(graph, delete_forums_of_deleted_moderator):
-            raise refused(*finding)
-        return graph
-    messages = graph.messages
-    for mid, line_no in lines["messages"].items():
-        if messages[mid].kind != COMMENT:
-            continue
-        try:
-            root = root_post_of(mid, messages)
-        except (CycleDetected, KeyError) as exc:
-            raise ParseError(str(directory / "messages.csv"), line_no,
-                             f"reply chain does not reach a post: {exc}") from exc
-        messages[mid] = replace(messages[mid], root_post_id=root)
-    try:
-        check_references(graph, delete_forums_of_deleted_moderator)
-    except IntegrityError as exc:
-        collection, key, parent, ref = exc.reference
-        raise refused(collection, key, f"missing {parent} {ref}", (parent, ref)) from exc
+        raise ParseError(str(directory / f"{collection}.csv"), lines[collection][key], problem)
     return graph
 
 
-def write_stream(stream: list[UpdateOperation], path: Path) -> None:
-    write_records(path, ({"opType": op.op_type,
-                          "scheduledTime": format_instant(op.scheduled_time),
-                          "dependencyTime": format_instant(op.dependency_time),
-                          "payload": op.payload} for op in stream))
-
-
-def read_stream(path: Path) -> list[UpdateOperation]:
-    """The operations in the file at path.  A line the stores could not
-    decode, scheduled before the line above it, or that UpdateOperation
-    refuses, is a ParseError."""
-    previous = float("-inf")
-
-    def parse(record) -> UpdateOperation:
-        nonlocal previous
-        op = UpdateOperation(op_type=record["opType"], payload=record["payload"],
-                             scheduled_time=parse_instant(record["scheduledTime"]),
-                             dependency_time=parse_instant(record["dependencyTime"]))
-        # Reject here a payload the stores could not decode.
-        if op.is_insert:
-            decode_insert(op)
-        else:
-            delete_target(op)
-        # The driver's clock releases on the next pending operation's
-        # instant, which is sound only while the instants ascend.
-        if op.scheduled_time < previous:
-            raise ValueError(f"scheduled before the line above's {format_instant(previous)}")
-        previous = op.scheduled_time
-        return op
-
-    return read_records(path, parse)
-
-
-def deserialize(directory: str | Path) -> SnapshotAndStream:
-    """The split a dataset directory holds, with the generator
-    configuration it was written with; a config.json that is not a valid
+def _read_history(directory: Path) -> tuple[TemporalGraph, GenConfig]:
+    """The audited full history of a dataset directory and the generator
+    configuration in its config.json; a config.json that is not a valid
     GenConfig raises ParseError naming it."""
-    directory = Path(directory)
     path = directory / "config.json"
     try:
         config = load_config(GenConfig, read_json(path), "datagen")
     except ConfigInvalid as exc:
         raise ParseError(str(path), 1, str(exc)) from exc
-    path = directory / "dataset.json"
-    meta = read_json(path)
-    try:
-        cutoff, retired = parse_instant(meta["cutoff"]), int(meta["retired"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(str(path), 1, "want an object with a cutoff instant and a "
-                         f"retired count: {exc!r}") from exc
-    return SnapshotAndStream(
-        cutoff=cutoff,
-        snapshot=_read_entities(directory / "snapshot", False,
-                                config.delete_forums_of_deleted_moderator),
-        stream=read_stream(directory / "stream.ldjson"),
-        retired=retired,
-        config=config)
+    graph = _read_entities(directory / "temporal", config.delete_forums_of_deleted_moderator)
+    return graph, config
 
 
-def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream,
-                  directory: str | Path) -> None:
-    """Write the complete dataset directory laid out above."""
-    directory = Path(directory)
-    _write_entities(directory / "snapshot", sas.snapshot, temporal=False)
-    write_stream(sas.stream, directory / "stream.ldjson")
-    write_json(directory / "dataset.json",
-               {"cutoff": format_instant(sas.cutoff), "retired": sas.retired,
-                "partition": sas.partition_counts()})
-    _write_entities(directory / "temporal", graph, temporal=True)
-    write_json(directory / "config.json", asdict(sas.config))
+def _check_derived(path: Path, expected: list[str], source: str) -> None:
+    """Raise ParseError at the first line of the file at path that is not
+    the expected line, line endings aside, or that is missing or extra."""
+    for line_no, (line, want) in enumerate(zip_longest(utf8_lines(path), expected), start=1):
+        if want is None:
+            raise ParseError(str(path), line_no,
+                             f"extra line: the split of {source} ends at line {line_no - 1}")
+        want = want.rstrip("\r\n")
+        if line is None:
+            raise ParseError(str(path), line_no,
+                             f"missing line: the split of {source} writes {want!r}")
+        if line.rstrip("\r\n") != want:
+            raise ParseError(str(path), line_no,
+                             f"not the split of {source}, which writes {want!r}")
 
 
 def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream]:
-    """The full history and the split of a dataset directory."""
+    """The audited full history of a dataset directory and its split at
+    the configuration's cutoff.  The first line of a derived file that is
+    not what write_dataset writes for that split raises ParseError naming
+    the file and line, temporal/ and config.json."""
     directory = Path(directory)
-    sas = deserialize(directory)
-    graph = _read_entities(directory / "temporal", True,
-                           sas.config.delete_forums_of_deleted_moderator)
+    graph, config = _read_history(directory)
+    sas = split_at_cutoff(graph, config)
+    source = f"{directory / 'temporal'}/ under {directory / 'config.json'}"
+    for name, lines in _derived(sas):
+        _check_derived(directory / name, lines, source)
     return graph, sas

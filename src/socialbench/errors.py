@@ -99,13 +99,15 @@ class ParseError(SocialBenchError):
 
 def utf8_lines(path):
     """Yield the lines of the file at path decoded as UTF-8, line endings
-    kept; a line that does not decode raises ParseError with its number."""
+    kept; a line that does not decode raises ParseError with its number.
+    The file is read whole, so a reader that stops early leaves it closed."""
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                yield raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(str(path), line_no, f"not UTF-8: {exc}") from exc
+        lines = fh.readlines()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(path), line_no, f"not UTF-8: {exc}") from exc
 
 
 def read_json(path):
@@ -118,13 +120,17 @@ def read_json(path):
         raise ParseError(str(path), exc.lineno, exc.msg) from exc
 
 
+def json_text(doc) -> str:
+    """The JSON document doc as text: indent 2, sorted keys and a trailing
+    newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, doc) -> None:
-    """Write the JSON document doc to the file at path: indent 2, sorted
-    keys and a trailing newline; the file's directory is made if missing."""
+    """Write json_text(doc) to the file at path; the file's directory is
+    made if missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json_text(doc), encoding="utf-8")
 
 
 def read_records(path, parse) -> list:
@@ -137,17 +143,22 @@ def read_records(path, parse) -> list:
             continue
         try:
             parsed.append(parse(json.loads(line)))
-        except (ValueError, KeyError, TypeError, MalformedOperation) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(str(path), line_no, str(exc)) from exc
     return parsed
 
 
+def record_line(record) -> str:
+    """The JSON object record as one line with sorted keys."""
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def write_records(path, records) -> None:
-    """Write each JSON object in records to the file at path, one a line
-    with sorted keys; the file's directory is made if missing."""
+    """Write record_line of each JSON object in records to the file at
+    path; the file's directory is made if missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        fh.writelines(map(record_line, records))
 
 
 class NoQualifyingGroup(SocialBenchError):
@@ -168,10 +179,6 @@ class DependencyMissing(SocialBenchError):
 
 class IntegrityError(SocialBenchError):
     """Bulk-loaded data contains dangling references or duplicates."""
-
-    def __init__(self, reason: str, reference: tuple | None = None):
-        self.reference = reference  # (collection, key, parent, its key) if dangling
-        super().__init__(reason)
 
 
 class StageFailed(SocialBenchError):

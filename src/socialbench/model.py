@@ -305,8 +305,7 @@ def check_references(graph: TemporalGraph, delete_forums_of_deleted_moderator: b
             for parent, attr in parents:
                 ref = getattr(entity, attr)
                 if ref is not None and ref not in getattr(graph, parent):
-                    raise IntegrityError(f"{collection} {key} references missing {parent} {ref}",
-                                         (collection, key, parent, ref))
+                    raise IntegrityError(f"{collection} {key} references missing {parent} {ref}")
 
 
 def lifecycle_violations(graph: TemporalGraph, delete_forums_of_deleted_moderator: bool):

@@ -356,11 +356,9 @@ class NaiveStore:
 
     # -- audits -------------------------------------------------------------
 
-    def state_at(self, version: int | None = None) -> dict[str, dict]:
-        if version is not None and version != self._version:
-            raise IntegrityError("naive store only knows its latest state")
+    def state_at(self) -> dict[str, dict]:
         state = self.begin_read()
         return {coll: getattr(state, coll) for coll in COLLECTIONS}
 
-    def counts(self, version: int | None = None) -> dict[str, int]:
-        return {name: len(values) for name, values in self.state_at(version).items()}
+    def counts(self) -> dict[str, int]:
+        return {name: len(values) for name, values in self.state_at().items()}

@@ -266,6 +266,30 @@ class TestBadInput:
         assert code == 1
         assert f"error: {stream}:1:" in capsys.readouterr().err
 
+    def test_stream_that_lost_a_line(self, tree, tmp_path, capsys):
+        """The stream is read as the split of the history, so a line gone
+        from it is refused at the line where it stood."""
+        dataset = tmp_path / "dataset"
+        shutil.copytree(tree / "dataset", dataset)
+        stream = dataset / "stream.ldjson"
+        lines = stream.read_text().splitlines(keepends=True)
+        stream.write_text("".join(lines[:3] + lines[4:]))
+        code = main(["driver", "--mode", "validate", "--stream", str(dataset),
+                     "--params", str(tree / "params")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {stream}:4:")
+
+    def test_dataset_without_its_history(self, tree, tmp_path, capsys):
+        """The driver reads the history the snapshot and stream are split
+        from, so a dataset without temporal/ does not run."""
+        dataset = tmp_path / "dataset"
+        shutil.copytree(tree / "dataset", dataset)
+        shutil.rmtree(dataset / "temporal")
+        code = main(["driver", "--mode", "validate", "--stream", str(dataset),
+                     "--params", str(tree / "params")])
+        assert code == 1
+        assert str(dataset / "temporal" / "persons.csv") in capsys.readouterr().err
+
     def test_stream_byte_that_is_not_utf8(self, tree, tmp_path, capsys):
         dataset = tmp_path / "dataset"
         shutil.copytree(tree / "dataset", dataset)

@@ -27,15 +27,13 @@ import pytest
 from socialbench.datagen import (
     GenConfig,
     cutoff_instant,
-    deserialize,
     generate_temporal_graph,
     read_dataset,
-    read_stream,
     split_at_cutoff,
     write_dataset,
-    write_stream,
 )
 from socialbench.cli import main
+from socialbench.datagen.serialize import _read_history
 from socialbench.datagen.generator import _poisson, _zipf
 from socialbench.errors import ConfigInvalid, ParseError, SocialBenchError, load_config
 from socialbench.paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
@@ -456,6 +454,37 @@ class TestReplayOracle:
         assert state.members == live("members")
 
 
+def _not_json(lines):
+    lines[2] = "{not json\n"
+    return 3
+
+
+def _payload_missing_a_key(lines):
+    record = json.loads(lines[1])
+    record["payload"].popitem()
+    lines[1] = json.dumps(record) + "\n"
+    return 2
+
+
+def _going_back_in_time(lines):
+    """The driver's clock releases on the next pending instant, so a
+    stream whose instants do not ascend is not the split's."""
+    instant = json.loads(lines[0])["scheduledTime"]
+    later = next(i for i, line in enumerate(lines)
+                 if json.loads(line)["scheduledTime"] > instant)
+    lines[0], lines[later] = lines[later], lines[0]
+    return 1
+
+
+def _depends_on_itself(lines):
+    """The driver's gate would hold such a line until it committed
+    itself."""
+    record = json.loads(lines[1])
+    record["dependencyTime"] = record["scheduledTime"]
+    lines[1] = json.dumps(record, sort_keys=True) + "\n"
+    return 2
+
+
 class TestSerialization:
     def test_dataset_round_trip(self, graph, sas, gen_config, tmp_path):
         write_dataset(graph, sas, tmp_path / "out")
@@ -499,80 +528,38 @@ class TestSerialization:
             digest.update(path.read_bytes())
         assert digest.hexdigest() == expected
 
-    def test_stream_round_trip(self, sas, tmp_path):
+    @pytest.mark.parametrize("edit", [_not_json, _payload_missing_a_key,
+                                      _going_back_in_time, _depends_on_itself],
+                             ids=["not-json", "payload-missing-a-key",
+                                  "going-back-in-time", "depends-on-itself"])
+    def test_stream_line_unlike_the_split_is_refused(self, small_tree, tmp_path, edit):
+        """A stream line is read as the line the split of the history
+        writes there, so any other line is refused where it stands."""
+        shutil.copytree(small_tree / "dataset", tmp_path, dirs_exist_ok=True)
         path = tmp_path / "stream.ldjson"
-        write_stream(sas.stream, path)
-        assert read_stream(path) == sas.stream
-
-    def test_stream_parse_error_carries_line_number(self, sas, tmp_path):
-        path = tmp_path / "stream.ldjson"
-        write_stream(sas.stream[:5], path)
-        lines = path.read_text().splitlines()
-        lines[2] = "{not json"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as err:
-            read_stream(path)
-        assert err.value.line_no == 3
-        assert str(path) in str(err.value)
-
-    def test_stream_payload_missing_a_key_is_a_parse_error(self, sas, tmp_path):
-        path = tmp_path / "stream.ldjson"
-        write_stream(sas.stream[:5], path)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        record["payload"].popitem()
-        lines[1] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as err:
-            read_stream(path)
-        assert err.value.line_no == 2
-
-    def test_stream_going_back_in_time_is_a_parse_error(self, early_sas, tmp_path):
-        """The driver's clock releases on the next pending instant, so the
-        instants must ascend; a run of equal instants stays legal."""
-        path = tmp_path / "stream.ldjson"
-        stream = early_sas.stream
-        assert any(a.scheduled_time == b.scheduled_time for a, b in zip(stream, stream[1:]))
-        write_stream(stream, path)
-        assert read_stream(path) == stream
-        later = next(i for i, op in enumerate(stream)
-                     if op.scheduled_time > stream[0].scheduled_time)
-        write_stream([stream[0], stream[later], stream[0]], path)
-        with pytest.raises(ParseError) as err:
-            read_stream(path)
-        assert err.value.line_no == 3
-        assert str(err.value).startswith(f"{path}:3: scheduled before the line above")
-
-    def test_stream_line_that_depends_on_itself_is_a_parse_error(self, early_sas, tmp_path):
-        """The driver's gate would hold such a line until it committed
-        itself, so the file is refused where it is read."""
-        path = tmp_path / "stream.ldjson"
-        stream = early_sas.stream[:3]
-        write_stream(stream, path)
         lines = path.read_text().splitlines(keepends=True)
-        record = json.loads(lines[1])
-        record["dependencyTime"] = record["scheduledTime"]
-        lines[1] = json.dumps(record) + "\n"
+        wanted = list(lines)
+        line_no = edit(lines)
         path.write_text("".join(lines))
         with pytest.raises(ParseError) as err:
-            read_stream(path)
-        assert str(err.value) == (f"{path}:2: depends on "
-                                  f"{format_instant(stream[1].scheduled_time)}, "
-                                  "not before its own scheduled time")
+            read_dataset(tmp_path)
+        assert str(err.value) == (
+            f"{path}:{line_no}: not the split of {tmp_path / 'temporal'}/ under "
+            f"{tmp_path / 'config.json'}, which writes {wanted[line_no - 1].rstrip()!r}")
 
     def test_repeated_row_is_refused(self, tmp_path):
         """A row that repeats a key would replace the row above it."""
         cfg = GenConfig(seed=3, num_persons=60)
         graph = generate_temporal_graph(cfg)
         write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
-        path = tmp_path / "snapshot" / "persons.csv"
+        path = tmp_path / "temporal" / "persons.csv"
         rows = list(csv.reader(path.read_text().splitlines()))
         copy = list(rows[1])
         copy[rows[0].index("firstName")] = "Other"
         with path.open("a", newline="") as fh:
             csv.writer(fh).writerow(copy)
         with pytest.raises(ParseError) as err:
-            deserialize(tmp_path)
+            read_dataset(tmp_path)
         assert str(err.value) == f"{path}:{len(rows) + 1}: repeats the key of line 2"
 
     def test_dangling_temporal_reference_is_refused(self, small_tree, tmp_path):
@@ -589,19 +576,22 @@ class TestSerialization:
             read_dataset(tmp_path)
         assert str(err.value) == f"{knows}:2: persons {person} is in no row of {persons}"
 
-    def test_dangling_snapshot_reference_is_refused(self, small_tree, tmp_path, capsys):
-        """The stores would refuse the snapshot at bulk load without naming
-        a file, so the reader refuses it, naming the first row that names
-        the missing person and the file they are missing from."""
+    def test_snapshot_row_unlike_the_split_is_refused(self, small_tree, tmp_path, capsys):
+        """A snapshot that lost a person is refused at the line the split of
+        the history writes for them, by the reader and by the driver."""
         shutil.copytree(small_tree, tmp_path, dirs_exist_ok=True)
-        knows = tmp_path / "dataset" / "snapshot" / "knows.csv"
-        persons = tmp_path / "dataset" / "snapshot" / "persons.csv"
+        dataset = tmp_path / "dataset"
+        knows = dataset / "snapshot" / "knows.csv"
+        persons = dataset / "snapshot" / "persons.csv"
         person = next(csv.reader(knows.read_text().splitlines()[1:]))[0]
         lines = persons.read_text().splitlines(keepends=True)
-        persons.write_text("".join(line for line in lines if not line.startswith(f"{person},")))
-        message = f"{knows}:2: persons {person} is in no row of {persons}"
+        line_no, lost = next((n, line) for n, line in enumerate(lines, start=1)
+                             if line.startswith(f"{person},"))
+        persons.write_text("".join(line for line in lines if line != lost))
+        message = (f"{persons}:{line_no}: not the split of {dataset / 'temporal'}/ under "
+                   f"{dataset / 'config.json'}, which writes {lost.rstrip()!r}")
         with pytest.raises(ParseError) as err:
-            deserialize(tmp_path / "dataset")
+            read_dataset(dataset)
         assert str(err.value) == message
         assert main(["driver", "--stream", str(tmp_path / "dataset"),
                      "--params", str(tmp_path / "params")]) == 1
@@ -615,17 +605,31 @@ class TestSerialization:
         sas = split_at_cutoff(graph, cfg)
         write_dataset(graph, sas, tmp_path)
         forums = tmp_path / "snapshot" / "forums.csv"
-        line_no, (forum, moderator) = next(
-            (n, row[:2]) for n, row in enumerate(csv.reader(forums.read_text().splitlines()))
+        forum, moderator = next(
+            row[:2] for n, row in enumerate(csv.reader(forums.read_text().splitlines()))
             if n and int(row[1]) not in sas.snapshot.persons)
-        assert deserialize(tmp_path).snapshot.forums[int(forum)].moderator_person_id == int(moderator)
+        _, sas2 = read_dataset(tmp_path)
+        assert sas2.snapshot.forums[int(forum)].moderator_person_id == int(moderator)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**json.loads(config.read_text()),
                                       "delete_forums_of_deleted_moderator": True}))
+        # The history is read first, and its first forum that outlives its
+        # moderator breaks the cascade rule config.json now records.
+        temporal = tmp_path / "temporal"
+
+        def outlives_moderator(f):
+            died = graph.persons[f.moderator_person_id].lifecycle.deletion
+            return died is not None and (f.lifecycle.deletion is None
+                                         or f.lifecycle.deletion > died)
+        line_no, kept = next((n, graph.forums[k])
+                             for n, k in enumerate(sorted(graph.forums), start=2)
+                             if outlives_moderator(graph.forums[k]))
         with pytest.raises(ParseError) as err:
-            deserialize(tmp_path)
-        assert str(err.value) == (f"{forums}:{line_no + 1}: persons {moderator} is in no row "
-                                  f"of {tmp_path / 'snapshot' / 'persons.csv'}")
+            read_dataset(tmp_path)
+        assert str(err.value) == (
+            f"{temporal / 'forums.csv'}:{line_no}: outlives persons {kept.moderator_person_id}, "
+            f"line {self._line_of_person(temporal, kept.moderator_person_id)} of "
+            f"{temporal / 'persons.csv'}")
 
     def test_temporal_root_that_is_not_the_chain_end_is_refused(self, tmp_path):
         cfg = GenConfig(seed=3, num_persons=120)
@@ -705,7 +709,7 @@ class TestSerialization:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**json.loads(config.read_text()),
                                       "delete_forums_of_deleted_moderator": False}))
-        graph2, _ = read_dataset(tmp_path)
+        graph2, _ = _read_history(tmp_path)  # the derived files are the old split's
         assert graph2.forums[forum.id].lifecycle.deletion is None
 
     def test_csv_header_mismatch_is_reported(self, graph, sas, gen_config, tmp_path):
@@ -734,6 +738,56 @@ class TestSerialization:
                 read_dataset(out)
             assert err.value.line_no == 4, victim
             assert str(path) in str(err.value)
+
+
+
+@pytest.fixture(scope="module")
+def history_tree(tmp_path_factory):
+    """A 150-person dataset whose files the history tests damage."""
+    root = tmp_path_factory.mktemp("history")
+    cfg = GenConfig(seed=3, num_persons=150)
+    graph = generate_temporal_graph(cfg)
+    write_dataset(graph, split_at_cutoff(graph, cfg), root)
+    return root
+
+
+def _drop_first_data_row(lines):
+    return lines[:1] + lines[2:]
+
+
+def _drop_first_like_insert(lines):
+    at = next(i for i, line in enumerate(lines)
+              if json.loads(line)["opType"] in ("INS2", "INS3"))
+    return lines[:at] + lines[at + 1:]
+
+
+def _retired_plus_seven(lines):
+    meta = json.loads("".join(lines))
+    meta["retired"] += 7
+    return json.dumps(meta, indent=2, sort_keys=True).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("victim,edit,named", [
+    ("snapshot/knows.csv", _drop_first_data_row, "snapshot/knows.csv"),
+    ("stream.ldjson", _drop_first_like_insert, "stream.ldjson"),
+    ("dataset.json", _retired_plus_seven, "dataset.json"),
+    ("temporal/likes.csv", _drop_first_data_row, "snapshot/likes.csv"),
+], ids=["snapshot-row", "stream-line", "retired-count", "history-row"])
+def test_dataset_that_disagrees_with_its_history_is_refused(history_tree, tmp_path,
+                                                            victim, edit, named):
+    """Each of these loaded while the snapshot, stream and dataset.json
+    were read apart from the history.  Now a derived file is refused at
+    its first line that is not what the history's split writes; a history
+    that lost a like (a leaf, so the audit passes) splits otherwise than
+    the derived files, and the first of them that differs is named."""
+    shutil.copytree(history_tree, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / victim
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    with pytest.raises(ParseError) as err:
+        read_dataset(tmp_path)
+    message = str(err.value)
+    assert message.startswith(f"{tmp_path / named}:{err.value.line_no}: ")
+    assert f"{tmp_path / 'temporal'}/ under {tmp_path / 'config.json'}" in message
 
 
 @pytest.fixture(scope="module")
@@ -830,7 +884,9 @@ def _mutate(data: bytes, path, rng) -> tuple[str, bytes]:
 
 def test_seeded_corruption_sweep(small_tree, tmp_path):
     """Seeded single mutations of every kind of file: each either loads or
-    fails with a SocialBenchError that names the damaged file."""
+    fails with a SocialBenchError that names the damaged file.  A damaged
+    history may also be refused at the first derived file that its split
+    disagrees with, naming temporal/ along with that file."""
     rng = random.Random(20261019)
     dataset = sorted(p for p in (small_tree / "dataset").rglob("*") if p.is_file())
     params = sorted((small_tree / "params").iterdir())
@@ -848,14 +904,15 @@ def test_seeded_corruption_sweep(small_tree, tmp_path):
         try:
             if path.parent.name == "params":
                 read_buckets(path.parent)
-            elif path.name == "stream.ldjson":
-                read_stream(path)
             else:
                 read_dataset(work / "dataset")
             outcomes["loaded"] += 1
         except SocialBenchError as exc:
             outcomes["refused"] += 1
-            if str(path) not in str(exc):
+            split_otherwise = (path.parent.name == "temporal"
+                               and str(exc).startswith(str(work / "dataset"))
+                               and f"split of {path.parent}/" in str(exc))
+            if str(path) not in str(exc) and not split_otherwise:
                 escapes.append((str(path.relative_to(work)), kind, repr(exc)))
         except Exception as exc:  # any other exception is an escape
             escapes.append((str(path.relative_to(work)), kind, repr(exc)))
@@ -869,8 +926,9 @@ def test_seeded_corruption_sweep(small_tree, tmp_path):
 
 def test_seeded_downstream_corruption_sweep(small_tree, tmp_path):
     """Seeded single mutations of the full-history CSVs: each one that
-    read_dataset accepts gets through paramgen and both stores' bulk load
-    of the graph with nothing but a SocialBenchError."""
+    the audit accepts, its derived files written anew from its split, is
+    read by read_dataset and gets through paramgen and both stores' bulk
+    load of the graph with nothing but a SocialBenchError."""
     rng = random.Random(20261020)
     temporal = sorted((small_tree / "dataset" / "temporal").iterdir())
     work = tmp_path / "dataset"
@@ -883,6 +941,8 @@ def test_seeded_downstream_corruption_sweep(small_tree, tmp_path):
         kind, damaged = _mutate(original.read_bytes(), path, rng)
         path.write_bytes(damaged)
         try:
+            graph, config = _read_history(work)
+            write_dataset(graph, split_at_cutoff(graph, config), work)
             graph, sas = read_dataset(work)
         except SocialBenchError:
             outcomes["refused"] += 1
