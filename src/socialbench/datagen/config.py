@@ -13,7 +13,9 @@ from ..simtime import MS_PER_SECOND, SIM_END, SIM_START
 class GenConfig:
     """Knobs for one deterministic generation run.
 
-    The same config always produces byte-identical serialized output.
+    The same config always produces byte-identical serialized output,
+    and read_dataset relies on it: a dataset is read by generating the
+    world its config.json names and checking every other file against it.
     t_safe is the minimum simulation-time separation between the creation
     of an entity and any later operation that depends on it; the generator
     enforces it while sampling, so emitted streams never need repair.

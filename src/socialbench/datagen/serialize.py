@@ -8,15 +8,15 @@ Layout written by write_dataset(out_dir):
     stream.ldjson     update operations, one JSON object per line
     dataset.json      cutoff instant, retired count and partition counts
 
-config.json and temporal/ are what a dataset is read from: read_dataset
-audits the history and splits it at the configuration's cutoff.  The
-other files are derived from that split, and read_dataset refuses one
-whose lines, line endings aside, are not the text write_dataset writes
-for it.
+config.json is what a dataset is read from.  A GenConfig always generates
+the same world (see GenConfig), so read_dataset generates the world that
+config.json names, splits it at the configuration's cutoff, and refuses
+any other file whose lines, line endings aside, are not the text
+write_dataset writes for that world.
 
 _COLUMNS gives each collection's CSV columns in file order.  Snapshot
 files omit the _TEMPORAL_ONLY columns: their lifecycles are open, and a
-comment's rootPostId is checked against its reply chain in temporal/.
+comment's rootPostId is kept in temporal/ only.
 
 Timestamps are ISO-8601 UTC with millisecond precision.  Id-set fields
 (tagInterests, creationTagIds) are semicolon-joined integers, empty when
@@ -42,17 +42,10 @@ from ..errors import (
     utf8_lines,
     write_json,
 )
-from ..model import (
-    COLLECTIONS,
-    ENTITY_CLASSES,
-    ID_SETS,
-    Lifecycle,
-    TemporalGraph,
-    key_of,
-    lifecycle_violations,
-)
-from ..simtime import format_instant, parse_instant
+from ..model import COLLECTIONS, ID_SETS, TemporalGraph
+from ..simtime import format_instant
 from .config import GenConfig
+from .generator import generate_temporal_graph
 from .split import SnapshotAndStream, split_at_cutoff
 
 # (header, attribute) of each CSV column.  "creation" and "deletion" are
@@ -74,9 +67,6 @@ _COLUMNS: dict[str, tuple[tuple[str, str], ...]] = {
 }
 _TEMPORAL_ONLY = ("root_post_id", "deletion")
 _INSTANTS = ("creation", "deletion")
-_TEXT = ("first_name", "last_name", "kind")
-# The cells, besides text and id sets, that may be empty: they read as None.
-_NULLABLE = ("university_id", "container_forum_id", "reply_to_message_id", "deletion")
 
 
 def _columns(collection: str, temporal: bool) -> list[tuple[str, str]]:
@@ -94,18 +84,6 @@ def _cell(entity, attr: str):
     return "" if value is None else value
 
 
-def _parse(attr: str, text: str):
-    if attr in _TEXT:
-        return text
-    if attr in ID_SETS:
-        return frozenset(int(part) for part in text.split(";")) if text else frozenset()
-    if not text and attr in _NULLABLE:
-        return None
-    if attr in _INSTANTS:
-        return parse_instant(text)
-    return int(text)
-
-
 def _csv_lines(graph: TemporalGraph, collection: str, temporal: bool) -> list[str]:
     """The lines of a collection's CSV file, header first, rows by key."""
     columns = _columns(collection, temporal)
@@ -118,9 +96,11 @@ def _csv_lines(graph: TemporalGraph, collection: str, temporal: bool) -> list[st
     return lines
 
 
-def _derived(sas: SnapshotAndStream):
-    """(file name, lines) of each file derived from the split, in the
-    order read_dataset checks them."""
+def _derived(graph: TemporalGraph, sas: SnapshotAndStream):
+    """(file name, lines) of each file written for the world and its
+    split, in the order read_dataset checks them: the history first."""
+    for collection in COLLECTIONS:
+        yield f"temporal/{collection}.csv", _csv_lines(graph, collection, True)
     for collection in COLLECTIONS:
         yield f"snapshot/{collection}.csv", _csv_lines(sas.snapshot, collection, False)
     yield "stream.ldjson", [record_line({"opType": op.op_type,
@@ -143,109 +123,41 @@ def write_dataset(graph: TemporalGraph, sas: SnapshotAndStream,
                   directory: str | Path) -> None:
     """Write the complete dataset directory laid out above."""
     directory = Path(directory)
-    for name, lines in _derived(sas):
+    for name, lines in _derived(graph, sas):
         _write_lines(directory / name, lines)
-    for collection in COLLECTIONS:
-        _write_lines(directory / "temporal" / f"{collection}.csv",
-                     _csv_lines(graph, collection, True))
     write_json(directory / "config.json", asdict(sas.config))
 
 
-def _csv_rows(path: Path):
-    """The rows of the CSV file at path; a line the csv module cannot
-    split raises ParseError with the path and line."""
-    reader = csv.reader(utf8_lines(path))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(str(path), reader.line_num, str(exc)) from exc
+def _check_lines(path: Path, expected: list[str], config: Path) -> None:
+    """Raise ParseError at the first line of the file at path that is not
+    the expected line, line endings aside, or that is missing or extra."""
+    for line_no, (line, want) in enumerate(zip_longest(utf8_lines(path), expected), start=1):
+        if want is None:
+            raise ParseError(str(path), line_no, f"extra line: the world {config} "
+                             f"generates ends at line {line_no - 1}")
+        want = want.rstrip("\r\n")
+        if line is None:
+            raise ParseError(str(path), line_no,
+                             f"missing line: the world {config} generates writes {want!r}")
+        if line.rstrip("\r\n") != want:
+            raise ParseError(str(path), line_no,
+                             f"not the world {config} generates, which writes {want!r}")
 
 
-def _read_entities(directory: Path, delete_forums_of_deleted_moderator: bool) -> TemporalGraph:
-    """Read every collection's full-history CSV.  A file that does not
-    parse, a row that repeats the key of a row above it, and the first
-    lifecycle_violations finding raise ParseError with the path and line,
-    and with the row or file of the parent a finding names."""
-    graph = TemporalGraph()
-    lines: dict[str, dict] = {}  # per collection, the line of each key
-    for collection in COLLECTIONS:
-        path = directory / f"{collection}.csv"
-        columns = _columns(collection, True)
-        header = [name for name, _ in columns]
-        entities = getattr(graph, collection)
-        at = lines[collection] = {}
-        rows = _csv_rows(path)
-        found = next(rows, None)
-        if found is None:
-            raise ParseError(str(path), 1, "missing header")
-        if found != header:
-            raise ParseError(str(path), 1,
-                             f"unexpected header {found!r}, wanted {header!r}")
-        for line_no, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ParseError(str(path), line_no,
-                                 f"expected {len(header)} fields, got {len(row)}")
-            try:
-                values = {attr: _parse(attr, cell) for (_, attr), cell in zip(columns, row)}
-                life = Lifecycle(values.pop("creation"), values.pop("deletion"))
-                entity = ENTITY_CLASSES[collection](lifecycle=life, **values)
-            except ValueError as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
-            key = key_of(collection, entity)
-            if key in at:
-                raise ParseError(str(path), line_no, f"repeats the key of line {at[key]}")
-            at[key] = line_no
-            entities[key] = entity
-
-    for collection, key, problem, parent in lifecycle_violations(
-            graph, delete_forums_of_deleted_moderator):
-        if parent is not None:
-            parent_path = directory / f"{parent[0]}.csv"
-            line_no = lines[parent[0]].get(parent[1])
-            problem = (f"{problem}, line {line_no} of {parent_path}" if line_no else
-                       f"{parent[0]} {parent[1]} is in no row of {parent_path}")
-        raise ParseError(str(directory / f"{collection}.csv"), lines[collection][key], problem)
-    return graph
-
-
-def _read_history(directory: Path) -> tuple[TemporalGraph, GenConfig]:
-    """The audited full history of a dataset directory and the generator
-    configuration in its config.json; a config.json that is not a valid
-    GenConfig raises ParseError naming it."""
+def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream]:
+    """The world a dataset directory's config.json generates and its split
+    at the configuration's cutoff.  A config.json that is not a valid
+    GenConfig raises ParseError naming it; the first line of any other
+    file that is not what write_dataset writes for that world raises
+    ParseError naming the file, the line and config.json."""
+    directory = Path(directory)
     path = directory / "config.json"
     try:
         config = load_config(GenConfig, read_json(path), "datagen")
     except ConfigInvalid as exc:
         raise ParseError(str(path), 1, str(exc)) from exc
-    graph = _read_entities(directory / "temporal", config.delete_forums_of_deleted_moderator)
-    return graph, config
-
-
-def _check_derived(path: Path, expected: list[str], source: str) -> None:
-    """Raise ParseError at the first line of the file at path that is not
-    the expected line, line endings aside, or that is missing or extra."""
-    for line_no, (line, want) in enumerate(zip_longest(utf8_lines(path), expected), start=1):
-        if want is None:
-            raise ParseError(str(path), line_no,
-                             f"extra line: the split of {source} ends at line {line_no - 1}")
-        want = want.rstrip("\r\n")
-        if line is None:
-            raise ParseError(str(path), line_no,
-                             f"missing line: the split of {source} writes {want!r}")
-        if line.rstrip("\r\n") != want:
-            raise ParseError(str(path), line_no,
-                             f"not the split of {source}, which writes {want!r}")
-
-
-def read_dataset(directory: str | Path) -> tuple[TemporalGraph, SnapshotAndStream]:
-    """The audited full history of a dataset directory and its split at
-    the configuration's cutoff.  The first line of a derived file that is
-    not what write_dataset writes for that split raises ParseError naming
-    the file and line, temporal/ and config.json."""
-    directory = Path(directory)
-    graph, config = _read_history(directory)
+    graph = generate_temporal_graph(config)
     sas = split_at_cutoff(graph, config)
-    source = f"{directory / 'temporal'}/ under {directory / 'config.json'}"
-    for name, lines in _derived(sas):
-        _check_derived(directory / name, lines, source)
+    for name, lines in _derived(graph, sas):
+        _check_lines(directory / name, lines, path)
     return graph, sas

@@ -308,58 +308,54 @@ def check_references(graph: TemporalGraph, delete_forums_of_deleted_moderator: b
                     raise IntegrityError(f"{collection} {key} references missing {parent} {ref}")
 
 
-def lifecycle_violations(graph: TemporalGraph, delete_forums_of_deleted_moderator: bool):
-    """Structural audit of a temporal graph, one finding at a time.
+def check_temporal_invariants(graph: TemporalGraph,
+                              delete_forums_of_deleted_moderator: bool) -> list[str]:
+    """Structural audit of a temporal graph: every violation, as
+    "<collection> <key>: <problem>".
 
     Checks keys, reference integrity and lifecycle containment along
     PARENTS (nothing is created before what it depends on, or outlives
     what it is deleted with; see cascade_parents), and that every reply
-    chain reaches its stored root post.  Yields (collection, key, problem,
-    parent) for each violation, where parent is the (collection, key) of
-    the entity the problem names, or None.
+    chain reaches its stored root post.
     """
     def deletion(lc: Lifecycle) -> float:
         return float("inf") if lc.deletion is None else lc.deletion
 
+    problems = []
     for collection in COLLECTIONS:
         cascades = {parent for parent, _ in
                     cascade_parents(collection, delete_forums_of_deleted_moderator)}
         for key, entity in getattr(graph, collection).items():
+            found = []
             if key != key_of(collection, entity):
-                yield collection, key, "stored under wrong key", None
+                found.append("stored under wrong key")
             life = entity.lifecycle
             for parent, ref in references(collection, entity):
                 target = getattr(graph, parent).get(ref)
                 if target is None:
-                    yield collection, key, f"missing {parent} {ref}", (parent, ref)
+                    found.append(f"missing {parent} {ref}")
                     continue
                 created = target.lifecycle.creation
                 # A comment comes strictly after the message it replies to.
                 if life.creation < created or (parent == collection
                                                and life.creation == created):
-                    yield collection, key, f"not created after {parent} {ref}", (parent, ref)
+                    found.append(f"not created after {parent} {ref}")
                 if parent in cascades:
                     if deletion(life) > deletion(target.lifecycle):
-                        yield collection, key, f"outlives {parent} {ref}", (parent, ref)
+                        found.append(f"outlives {parent} {ref}")
                 elif life.creation >= deletion(target.lifecycle):
-                    yield (collection, key, f"created after {parent} {ref} was deleted",
-                           (parent, ref))
+                    found.append(f"created after {parent} {ref} was deleted")
             if collection == "messages" and entity.kind == COMMENT:
                 try:
                     root = root_post_of(key, graph.messages)
                 except (CycleDetected, KeyError):
-                    yield collection, key, "reply chain does not reach a post", None
+                    found.append("reply chain does not reach a post")
                 else:
                     if root != entity.root_post_id:
-                        yield (collection, key, f"rootPostId {entity.root_post_id}, but the "
-                               f"reply chain reaches post {root}", None)
-
-
-def check_temporal_invariants(graph: TemporalGraph,
-                              delete_forums_of_deleted_moderator: bool) -> list[str]:
-    """Every lifecycle_violations finding, as "<collection> <key>: <problem>"."""
-    return [f"{collection} {key}: {problem}" for collection, key, problem, _ in
-            lifecycle_violations(graph, delete_forums_of_deleted_moderator)]
+                        found.append(f"rootPostId {entity.root_post_id}, but the "
+                                     f"reply chain reaches post {root}")
+            problems += (f"{collection} {key}: {problem}" for problem in found)
+    return problems
 
 
 # --- update codec: entities on the wire ---------------------------------------
@@ -390,8 +386,6 @@ _DELETE_FIELDS = {
 }
 # Attributes holding id sets, which travel as sorted lists.
 ID_SETS = ("tag_interests", "creation_tag_ids")
-ENTITY_CLASSES = {"persons": Person, "knows": KnowsEdge, "forums": Forum,
-                  "messages": Message, "likes": LikesEdge, "members": HasMemberEdge}
 
 
 def _op_types(graph: TemporalGraph, collection: str, entity) -> tuple[str, str]:

@@ -238,7 +238,9 @@ def read_buckets(directory: str | Path) -> dict[int, ParameterBucket]:
     """Load what write_buckets wrote.  A *.ldjson file not named after a
     day, or a line that is neither exactly a warning's text nor a known
     variant with exactly its integer parameters, is a ParseError; a directory that holds no
-    parameter file is a SocialBenchError."""
+    parameter file is a SocialBenchError.  A repeated line is kept as a
+    repeated set: paramgen writes them itself, since the CR3a, CR3b and
+    SR2 draws are with replacement."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.ldjson"))
     if not paths:

@@ -586,5 +586,5 @@ class ReferenceStore:
                              if rec.visible_at(v)}
                 for collection, table in self._tables.items()}
 
-    def counts(self, version: int | None = None) -> dict[str, int]:
-        return {name: len(values) for name, values in self.state_at(version).items()}
+    def counts(self) -> dict[str, int]:
+        return {name: len(values) for name, values in self.state_at().items()}

@@ -27,17 +27,6 @@ def format_instant(t: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%S") + f".{t % 1000:03d}Z"
 
 
-def parse_instant(text: str) -> int:
-    """Parse an ISO-8601 UTC timestamp (with or without milliseconds)."""
-    raw = text.strip()
-    if raw.endswith("Z"):
-        raw = raw[:-1]
-    fmt = "%Y-%m-%dT%H:%M:%S.%f" if "." in raw else "%Y-%m-%dT%H:%M:%S"
-    dt = datetime.strptime(raw, fmt).replace(tzinfo=timezone.utc)
-    delta = dt - _EPOCH
-    return delta.days * MS_PER_DAY + delta.seconds * MS_PER_SECOND + delta.microseconds // 1000
-
-
 def day_start(t: int) -> int:
     """Floor an instant to the beginning of its UTC day."""
     return t - (t % MS_PER_DAY)

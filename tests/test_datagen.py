@@ -33,7 +33,6 @@ from socialbench.datagen import (
     write_dataset,
 )
 from socialbench.cli import main
-from socialbench.datagen.serialize import _read_history
 from socialbench.datagen.generator import _poisson, _zipf
 from socialbench.errors import ConfigInvalid, ParseError, SocialBenchError, load_config
 from socialbench.paramgen import ParamGenOptions, generate_parameters, read_buckets, write_buckets
@@ -46,7 +45,6 @@ from socialbench.model import (
     UNIVERSITIES,
     check_temporal_invariants,
 )
-from socialbench.refstore import NaiveStore, ReferenceStore
 from socialbench.simtime import MS_PER_DAY, MS_PER_HOUR, SIM_END, format_instant, parse_day
 
 
@@ -485,6 +483,107 @@ def _depends_on_itself(lines):
     return 2
 
 
+def _rows(path):
+    return list(csv.reader(path.read_text().splitlines()))
+
+
+def _write_rows(path, rows):
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _repeat_a_person(dataset, graph):
+    """A row that repeats a key, which would replace the row above it."""
+    path = dataset / "temporal" / "persons.csv"
+    rows = _rows(path)
+    copy = list(rows[1])
+    copy[rows[0].index("firstName")] = "Other"
+    _write_rows(path, rows + [copy])
+    return path, len(rows) + 1
+
+
+def _drop_a_knows_endpoint(dataset, graph):
+    """The row of a person that the first knows row names goes."""
+    person = _rows(dataset / "temporal" / "knows.csv")[1][0]
+    path = dataset / "temporal" / "persons.csv"
+    rows = _rows(path)
+    line_no = next(n for n, row in enumerate(rows, start=1) if row[0] == person)
+    _write_rows(path, rows[:line_no - 1] + rows[line_no:])
+    return path, line_no
+
+
+def _root_past_the_chain_end(dataset, graph):
+    """Comment 2 replies within post 1's thread but names post 3."""
+    path = dataset / "temporal" / "messages.csv"
+    rows = _rows(path)
+    root = rows[0].index("rootPostId")
+    line_no, row = next((n, row) for n, row in enumerate(rows, start=1) if row[0] == "2")
+    assert (row[1], row[root]) == ("Comment", "1")
+    row[root] = "3"
+    _write_rows(path, rows)
+    return path, line_no
+
+
+def _backdate_a_knows_edge(dataset, graph):
+    """The first knows edge is made a day before its younger endpoint."""
+    path = dataset / "temporal" / "knows.csv"
+    rows = _rows(path)
+    younger = max(map(int, rows[1][:2]),
+                  key=lambda person: graph.persons[person].lifecycle.creation)
+    rows[1][rows[0].index("creationDate")] = format_instant(
+        graph.persons[younger].lifecycle.creation - MS_PER_DAY)
+    _write_rows(path, rows)
+    return path, 2
+
+
+def _keep_a_forum_past_its_moderator(dataset, graph):
+    """A forum deleted with its moderator is kept open."""
+    forum = next(f for f in graph.forums.values()
+                 if graph.persons[f.moderator_person_id].lifecycle.deletion is not None)
+    path = dataset / "temporal" / "forums.csv"
+    rows = _rows(path)
+    line_no = sorted(graph.forums).index(forum.id) + 2  # rows follow the header
+    assert rows[line_no - 1][0] == str(forum.id)
+    rows[line_no - 1][rows[0].index("deletionDate")] = ""
+    _write_rows(path, rows)
+    return path, line_no
+
+
+def _drop_the_last_like(dataset, graph):
+    """The last like goes: a leaf, which no other row names."""
+    path = dataset / "temporal" / "likes.csv"
+    rows = _rows(path)
+    _write_rows(path, rows[:-1])
+    return path, len(rows)
+
+
+def _edit_config(dataset, **changes):
+    path = dataset / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+
+
+def _another_seed_and_exponent(dataset, graph):
+    """config.json names another world than the files beside it; this
+    loaded while the history was read as written."""
+    _edit_config(dataset, seed=10, degree_exponent=1.7)
+    return dataset / "temporal" / "persons.csv", 2
+
+
+def _delete_forums_of_deleted_moderators(dataset, graph):
+    """config.json now says deleting a person deletes their forums, so
+    the world it names first differs at the first forum that outlived its
+    moderator."""
+    _edit_config(dataset, delete_forums_of_deleted_moderator=True)
+
+    def outlives_moderator(forum):
+        died = graph.persons[forum.moderator_person_id].lifecycle.deletion
+        return died is not None and (forum.lifecycle.deletion is None
+                                     or forum.lifecycle.deletion > died)
+    line_no = next(n for n, key in enumerate(sorted(graph.forums), start=2)
+                   if outlives_moderator(graph.forums[key]))
+    return dataset / "temporal" / "forums.csv", line_no
+
+
 class TestSerialization:
     def test_dataset_round_trip(self, graph, sas, gen_config, tmp_path):
         write_dataset(graph, sas, tmp_path / "out")
@@ -533,8 +632,9 @@ class TestSerialization:
                              ids=["not-json", "payload-missing-a-key",
                                   "going-back-in-time", "depends-on-itself"])
     def test_stream_line_unlike_the_split_is_refused(self, small_tree, tmp_path, edit):
-        """A stream line is read as the line the split of the history
-        writes there, so any other line is refused where it stands."""
+        """A stream line is read as the line the split of the world
+        config.json generates writes there, so any other line is refused
+        where it stands."""
         shutil.copytree(small_tree / "dataset", tmp_path, dirs_exist_ok=True)
         path = tmp_path / "stream.ldjson"
         lines = path.read_text().splitlines(keepends=True)
@@ -544,41 +644,12 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             read_dataset(tmp_path)
         assert str(err.value) == (
-            f"{path}:{line_no}: not the split of {tmp_path / 'temporal'}/ under "
-            f"{tmp_path / 'config.json'}, which writes {wanted[line_no - 1].rstrip()!r}")
-
-    def test_repeated_row_is_refused(self, tmp_path):
-        """A row that repeats a key would replace the row above it."""
-        cfg = GenConfig(seed=3, num_persons=60)
-        graph = generate_temporal_graph(cfg)
-        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
-        path = tmp_path / "temporal" / "persons.csv"
-        rows = list(csv.reader(path.read_text().splitlines()))
-        copy = list(rows[1])
-        copy[rows[0].index("firstName")] = "Other"
-        with path.open("a", newline="") as fh:
-            csv.writer(fh).writerow(copy)
-        with pytest.raises(ParseError) as err:
-            read_dataset(tmp_path)
-        assert str(err.value) == f"{path}:{len(rows) + 1}: repeats the key of line 2"
-
-    def test_dangling_temporal_reference_is_refused(self, small_tree, tmp_path):
-        """Paramgen reads the full history's references unchecked, so a
-        person missing from temporal/persons.csv is refused at load, in the
-        first row that names them, with the file they are missing from."""
-        shutil.copytree(small_tree / "dataset", tmp_path, dirs_exist_ok=True)
-        knows = tmp_path / "temporal" / "knows.csv"
-        persons = tmp_path / "temporal" / "persons.csv"
-        person = next(csv.reader(knows.read_text().splitlines()[1:]))[0]
-        lines = persons.read_text().splitlines(keepends=True)
-        persons.write_text("".join(line for line in lines if not line.startswith(f"{person},")))
-        with pytest.raises(ParseError) as err:
-            read_dataset(tmp_path)
-        assert str(err.value) == f"{knows}:2: persons {person} is in no row of {persons}"
+            f"{path}:{line_no}: not the world {tmp_path / 'config.json'} generates, "
+            f"which writes {wanted[line_no - 1].rstrip()!r}")
 
     def test_snapshot_row_unlike_the_split_is_refused(self, small_tree, tmp_path, capsys):
         """A snapshot that lost a person is refused at the line the split of
-        the history writes for them, by the reader and by the driver."""
+        the world writes for them, by the reader and by the driver."""
         shutil.copytree(small_tree, tmp_path, dirs_exist_ok=True)
         dataset = tmp_path / "dataset"
         knows = dataset / "snapshot" / "knows.csv"
@@ -588,8 +659,8 @@ class TestSerialization:
         line_no, lost = next((n, line) for n, line in enumerate(lines, start=1)
                              if line.startswith(f"{person},"))
         persons.write_text("".join(line for line in lines if line != lost))
-        message = (f"{persons}:{line_no}: not the split of {dataset / 'temporal'}/ under "
-                   f"{dataset / 'config.json'}, which writes {lost.rstrip()!r}")
+        message = (f"{persons}:{line_no}: not the world {dataset / 'config.json'} "
+                   f"generates, which writes {lost.rstrip()!r}")
         with pytest.raises(ParseError) as err:
             read_dataset(dataset)
         assert str(err.value) == message
@@ -598,8 +669,9 @@ class TestSerialization:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_snapshot_forum_without_moderator_follows_the_cascade_rule(self, tmp_path):
-        """A forum outlives its deleted moderator only when config.json says
-        deleting a person leaves their forums standing."""
+        """A forum outlives its deleted moderator when config.json says
+        deleting a person leaves their forums standing (the other half of
+        the rule is test_history_unlike_the_world_is_refused[cascade-flag])."""
         cfg = GenConfig(seed=2, num_persons=60, delete_forums_of_deleted_moderator=False)
         graph = generate_temporal_graph(cfg)
         sas = split_at_cutoff(graph, cfg)
@@ -610,107 +682,44 @@ class TestSerialization:
             if n and int(row[1]) not in sas.snapshot.persons)
         _, sas2 = read_dataset(tmp_path)
         assert sas2.snapshot.forums[int(forum)].moderator_person_id == int(moderator)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({**json.loads(config.read_text()),
-                                      "delete_forums_of_deleted_moderator": True}))
-        # The history is read first, and its first forum that outlives its
-        # moderator breaks the cascade rule config.json now records.
-        temporal = tmp_path / "temporal"
 
-        def outlives_moderator(f):
-            died = graph.persons[f.moderator_person_id].lifecycle.deletion
-            return died is not None and (f.lifecycle.deletion is None
-                                         or f.lifecycle.deletion > died)
-        line_no, kept = next((n, graph.forums[k])
-                             for n, k in enumerate(sorted(graph.forums), start=2)
-                             if outlives_moderator(graph.forums[k]))
-        with pytest.raises(ParseError) as err:
-            read_dataset(tmp_path)
-        assert str(err.value) == (
-            f"{temporal / 'forums.csv'}:{line_no}: outlives persons {kept.moderator_person_id}, "
-            f"line {self._line_of_person(temporal, kept.moderator_person_id)} of "
-            f"{temporal / 'persons.csv'}")
-
-    def test_temporal_root_that_is_not_the_chain_end_is_refused(self, tmp_path):
-        cfg = GenConfig(seed=3, num_persons=120)
+    @pytest.mark.parametrize("cfg,edit", [
+        (GenConfig(seed=3, num_persons=60), _repeat_a_person),
+        (GenConfig(seed=9, num_persons=60, cutoff_fraction=0.6), _drop_a_knows_endpoint),
+        (GenConfig(seed=3, num_persons=120), _root_past_the_chain_end),
+        (GenConfig(seed=2, num_persons=60), _backdate_a_knows_edge),
+        (GenConfig(seed=2, num_persons=60), _keep_a_forum_past_its_moderator),
+        (GenConfig(seed=3, num_persons=60), _drop_the_last_like),
+        (GenConfig(seed=9, num_persons=60, cutoff_fraction=0.6), _another_seed_and_exponent),
+        (GenConfig(seed=2, num_persons=60, delete_forums_of_deleted_moderator=False),
+         _delete_forums_of_deleted_moderators),
+    ], ids=["repeated-row", "dangling-reference", "root-not-the-chain-end",
+            "edge-before-its-endpoint", "forum-past-its-moderator", "last-like-gone",
+            "another-world",
+            "cascade-flag"])
+    def test_history_unlike_the_world_is_refused(self, tmp_path, cfg, edit):
+        """Every file is read as the world config.json generates writes it.
+        So a damaged history is refused at its first changed line, and a
+        config.json that names another world than the files beside it is
+        refused at the first history line where that world differs."""
+        dataset = tmp_path / "dataset"
         graph = generate_temporal_graph(cfg)
-        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
-        path = tmp_path / "temporal" / "messages.csv"
-        rows = list(csv.reader(path.read_text().splitlines()))
-        root = rows[0].index("rootPostId")
-        line_no, row = next((n, row) for n, row in enumerate(rows, start=1) if row[0] == "2")
-        assert (row[1], row[root]) == ("Comment", "1")
-        row[root] = "3"
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        write_dataset(graph, split_at_cutoff(graph, cfg), dataset)
+        path, line_no = edit(dataset, graph)
+        config = dataset / "config.json"
+        named = load_config(GenConfig, json.loads(config.read_text()), "datagen")
+        world = generate_temporal_graph(named)
+        write_dataset(world, split_at_cutoff(world, named), tmp_path / "world")
+        lines = (tmp_path / "world" / path.relative_to(dataset)).read_text().splitlines()
+        if line_no > len(lines):
+            reason = f"extra line: the world {config} generates ends at line {len(lines)}"
+        elif line_no > len(path.read_text().splitlines()):
+            reason = f"missing line: the world {config} generates writes {lines[line_no - 1]!r}"
+        else:
+            reason = f"not the world {config} generates, which writes {lines[line_no - 1]!r}"
         with pytest.raises(ParseError) as err:
-            read_dataset(tmp_path)
-        assert err.value.line_no == line_no
-        assert str(err.value) == (f"{path}:{line_no}: rootPostId 3, "
-                                  "but the reply chain reaches post 1")
-
-    @staticmethod
-    def _edited(path, edit):
-        """Rewrite the CSV file at path with edit(rows) applied to its rows."""
-        rows = list(csv.reader(path.read_text().splitlines()))
-        edit(rows)
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-
-    @staticmethod
-    def _line_of_person(directory, person: int) -> int:
-        rows = csv.reader((directory / "persons.csv").read_text().splitlines())
-        return next(n for n, row in enumerate(rows, start=1) if row[0] == str(person))
-
-    def test_temporal_edge_made_before_its_endpoint_is_refused(self, tmp_path):
-        """The full history keeps the lifecycle rules: a knows edge made a
-        day before its younger endpoint is refused, naming both rows."""
-        cfg = GenConfig(seed=2, num_persons=60)
-        graph = generate_temporal_graph(cfg)
-        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
-        temporal = tmp_path / "temporal"
-        younger = max(map(int, next(csv.reader(
-            (temporal / "knows.csv").read_text().splitlines()[1:]))[:2]),
-            key=lambda person: graph.persons[person].lifecycle.creation)
-        made = format_instant(graph.persons[younger].lifecycle.creation - MS_PER_DAY)
-
-        def backdate(rows):
-            rows[1][rows[0].index("creationDate")] = made
-        self._edited(temporal / "knows.csv", backdate)
-        with pytest.raises(ParseError) as err:
-            read_dataset(tmp_path)
-        assert str(err.value) == (
-            f"{temporal / 'knows.csv'}:2: not created after persons {younger}, "
-            f"line {self._line_of_person(temporal, younger)} of {temporal / 'persons.csv'}")
-
-    def test_temporal_forum_without_moderator_follows_the_cascade_rule(self, tmp_path):
-        """A forum kept past its moderator's deletion is refused when
-        config.json says deleting a person deletes their forums, and loads
-        when it says their forums stay."""
-        cfg = GenConfig(seed=2, num_persons=60)
-        assert cfg.delete_forums_of_deleted_moderator
-        graph = generate_temporal_graph(cfg)
-        write_dataset(graph, split_at_cutoff(graph, cfg), tmp_path)
-        temporal = tmp_path / "temporal"
-        forum = next(f for f in graph.forums.values()
-                     if graph.persons[f.moderator_person_id].lifecycle.deletion is not None)
-        line_no = sorted(graph.forums).index(forum.id) + 2  # rows follow the header
-
-        def keep(rows):
-            assert rows[line_no - 1][0] == str(forum.id)
-            rows[line_no - 1][rows[0].index("deletionDate")] = ""
-        self._edited(temporal / "forums.csv", keep)
-        moderator = forum.moderator_person_id
-        with pytest.raises(ParseError) as err:
-            read_dataset(tmp_path)
-        assert str(err.value) == (
-            f"{temporal / 'forums.csv'}:{line_no}: outlives persons {moderator}, "
-            f"line {self._line_of_person(temporal, moderator)} of {temporal / 'persons.csv'}")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({**json.loads(config.read_text()),
-                                      "delete_forums_of_deleted_moderator": False}))
-        graph2, _ = _read_history(tmp_path)  # the derived files are the old split's
-        assert graph2.forums[forum.id].lifecycle.deletion is None
+            read_dataset(dataset)
+        assert str(err.value) == f"{path}:{line_no}: {reason}"
 
     def test_csv_header_mismatch_is_reported(self, graph, sas, gen_config, tmp_path):
         write_dataset(graph, sas, tmp_path / "out")
@@ -771,15 +780,14 @@ def _retired_plus_seven(lines):
     ("snapshot/knows.csv", _drop_first_data_row, "snapshot/knows.csv"),
     ("stream.ldjson", _drop_first_like_insert, "stream.ldjson"),
     ("dataset.json", _retired_plus_seven, "dataset.json"),
-    ("temporal/likes.csv", _drop_first_data_row, "snapshot/likes.csv"),
+    ("temporal/likes.csv", _drop_first_data_row, "temporal/likes.csv"),
 ], ids=["snapshot-row", "stream-line", "retired-count", "history-row"])
 def test_dataset_that_disagrees_with_its_history_is_refused(history_tree, tmp_path,
                                                             victim, edit, named):
     """Each of these loaded while the snapshot, stream and dataset.json
-    were read apart from the history.  Now a derived file is refused at
-    its first line that is not what the history's split writes; a history
-    that lost a like (a leaf, so the audit passes) splits otherwise than
-    the derived files, and the first of them that differs is named."""
+    were read apart from the history.  Now every file is refused at its
+    first line that is not what the world config.json generates writes,
+    a history that lost a like included."""
     shutil.copytree(history_tree, tmp_path, dirs_exist_ok=True)
     path = tmp_path / victim
     path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
@@ -787,7 +795,7 @@ def test_dataset_that_disagrees_with_its_history_is_refused(history_tree, tmp_pa
         read_dataset(tmp_path)
     message = str(err.value)
     assert message.startswith(f"{tmp_path / named}:{err.value.line_no}: ")
-    assert f"{tmp_path / 'temporal'}/ under {tmp_path / 'config.json'}" in message
+    assert f"the world {tmp_path / 'config.json'} generates" in message
 
 
 @pytest.fixture(scope="module")
@@ -884,9 +892,7 @@ def _mutate(data: bytes, path, rng) -> tuple[str, bytes]:
 
 def test_seeded_corruption_sweep(small_tree, tmp_path):
     """Seeded single mutations of every kind of file: each either loads or
-    fails with a SocialBenchError that names the damaged file.  A damaged
-    history may also be refused at the first derived file that its split
-    disagrees with, naming temporal/ along with that file."""
+    fails with a SocialBenchError that names the damaged file."""
     rng = random.Random(20261019)
     dataset = sorted(p for p in (small_tree / "dataset").rglob("*") if p.is_file())
     params = sorted((small_tree / "params").iterdir())
@@ -909,10 +915,7 @@ def test_seeded_corruption_sweep(small_tree, tmp_path):
             outcomes["loaded"] += 1
         except SocialBenchError as exc:
             outcomes["refused"] += 1
-            split_otherwise = (path.parent.name == "temporal"
-                               and str(exc).startswith(str(work / "dataset"))
-                               and f"split of {path.parent}/" in str(exc))
-            if str(path) not in str(exc) and not split_otherwise:
+            if str(path) not in str(exc):
                 escapes.append((str(path.relative_to(work)), kind, repr(exc)))
         except Exception as exc:  # any other exception is an escape
             escapes.append((str(path.relative_to(work)), kind, repr(exc)))
@@ -922,41 +925,3 @@ def test_seeded_corruption_sweep(small_tree, tmp_path):
             path.write_bytes(original.read_bytes())
     assert escapes == [], "\n".join(map(str, escapes))
     assert outcomes["refused"] > 50 and outcomes["loaded"] > 0, outcomes
-
-
-def test_seeded_downstream_corruption_sweep(small_tree, tmp_path):
-    """Seeded single mutations of the full-history CSVs: each one that
-    the audit accepts, its derived files written anew from its split, is
-    read by read_dataset and gets through paramgen and both stores' bulk
-    load of the graph with nothing but a SocialBenchError."""
-    rng = random.Random(20261020)
-    temporal = sorted((small_tree / "dataset" / "temporal").iterdir())
-    work = tmp_path / "dataset"
-    shutil.copytree(small_tree / "dataset", work)
-    outcomes = Counter()
-    escapes = []
-    for _ in range(40):
-        original = rng.choice(temporal)
-        path = work / "temporal" / original.name
-        kind, damaged = _mutate(original.read_bytes(), path, rng)
-        path.write_bytes(damaged)
-        try:
-            graph, config = _read_history(work)
-            write_dataset(graph, split_at_cutoff(graph, config), work)
-            graph, sas = read_dataset(work)
-        except SocialBenchError:
-            outcomes["refused"] += 1
-        else:
-            outcomes["loaded"] += 1
-            try:
-                generate_parameters(graph, sas.cutoff, ParamGenOptions(per_day=2),
-                                    simulation_end=sas.config.simulation_end)
-                for store in (ReferenceStore(), NaiveStore()):
-                    store.bulk_load(graph)
-            except SocialBenchError:
-                pass
-            except Exception as exc:  # any other exception is an escape
-                escapes.append((original.name, kind, repr(exc)))
-        path.write_bytes(original.read_bytes())
-    assert escapes == [], "\n".join(map(str, escapes))
-    assert outcomes["refused"] > 5 and outcomes["loaded"] > 5, outcomes

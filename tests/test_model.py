@@ -40,7 +40,6 @@ from socialbench.simtime import (
     day_starts_between,
     format_instant,
     parse_day,
-    parse_instant,
 )
 
 
@@ -48,14 +47,6 @@ class TestSimTime:
     def test_window_bounds(self):
         assert format_instant(SIM_START) == "2010-01-01T00:00:00.000Z"
         assert format_instant(SIM_END) == "2012-12-31T23:59:59.999Z"
-
-    def test_parse_inverts_format(self):
-        assert parse_instant("2010-01-01T00:00:00.000Z") == SIM_START
-        assert parse_instant(format_instant(1_300_000_123_456)) == 1_300_000_123_456
-
-    @given(st.integers(min_value=SIM_START, max_value=SIM_END))
-    def test_round_trip_over_window(self, t):
-        assert parse_instant(format_instant(t)) == t
 
     @given(st.integers(min_value=SIM_START, max_value=SIM_END))
     def test_day_start_floors_to_midnight(self, t):

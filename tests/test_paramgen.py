@@ -562,6 +562,10 @@ class TestBuckets:
         buckets = generate_parameters(generate_temporal_graph(cfg), cutoff_instant(cfg),
                                       ParamGenOptions(per_day=10))
         assert any(bucket.partial for bucket in buckets.values())
+        # The CR3a/CR3b/SR2 draws are with replacement, so a day may hold
+        # one parameter set twice, and reading keeps both.
+        assert any(len({repr(p) for p in sets}) < len(sets)
+                   for bucket in buckets.values() for sets in bucket.params.values())
         write_buckets(buckets, tmp_path / "params")
         loaded = read_buckets(tmp_path / "params")
         assert sorted(loaded) == sorted(buckets)
